@@ -59,10 +59,13 @@ from .pmf import (
 from .props import run_property_suite
 from .retrieval import (
     RetrievalMetrics,
+    cosine_scores,
     evaluate_retrieval,
     mean_average_precision,
     precision_at_k,
+    precision_at_k_scores,
     rank_gallery,
+    top_k_hits,
 )
 from .synth import SynthConfig, generate_synthetic, nearest_centroid_accuracy
 from .train import (
@@ -110,6 +113,7 @@ __all__ = [
     "build_match_matrix",
     "central_difference",
     "coral_loss",
+    "cosine_scores",
     "cosine_similarity_matrix",
     "cs_divergence",
     "evaluate_retrieval",
@@ -128,10 +132,12 @@ __all__ = [
     "nearest_centroid_accuracy",
     "pairwise_sum_loss",
     "precision_at_k",
+    "precision_at_k_scores",
     "rank_gallery",
     "ring_edges",
     "ring_projections",
     "run_property_suite",
+    "top_k_hits",
     "train_run",
     "true_match_pmf",
     "__version__",

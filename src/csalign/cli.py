@@ -342,12 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cross-modal alignment with CS/GCS divergences",
     )
     parser.add_argument("--version", action="version", version=f"csalign {__version__}")
-    parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        default=True,
-        help="force the single-threaded reference path (always on here)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_div = sub.add_parser("divergence", help="compute a divergence on input files")

@@ -31,6 +31,7 @@ from .errors import (
     DegenerateBandwidth,
     LengthMismatch,
     NegativeEntry,
+    NonFiniteSample,
     NotAPmf,
     ShapeMismatch,
     TooFewDistributions,
@@ -104,9 +105,13 @@ def _as_rows(x: PmfMatrix | np.ndarray) -> np.ndarray:
 
 
 def _as_data(x: EmbeddingBatch | np.ndarray) -> np.ndarray:
-    data = x.data if isinstance(x, EmbeddingBatch) else np.asarray(x, dtype=np.float64)
+    if isinstance(x, EmbeddingBatch):
+        return x.data  # 2-D and finite by construction
+    data = np.asarray(x, dtype=np.float64)
     if data.ndim != 2:
         raise ShapeMismatch(f"expected an (n, d) sample matrix, got shape {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteSample("sample matrix contains non-finite values")
     return data
 
 

@@ -22,6 +22,10 @@ class NonFiniteSimilarity(CsAlignError):
     """A similarity matrix contains NaN or infinity."""
 
 
+class NonFiniteSample(CsAlignError):
+    """A sample matrix passed to MMD or CORAL contains NaN or infinity."""
+
+
 class EmptyMatchRow(CsAlignError):
     """An anchor instance has no matching item in the batch."""
 

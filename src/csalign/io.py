@@ -17,6 +17,7 @@ validation failures keep their own error types (exit code 3).
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -220,8 +221,7 @@ def _json_fragment(obj) -> str:
             return '"inf"' if value > 0 else '"-inf"'
         return format(value, ".17g")
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return json.dumps(obj)  # the stdlib's escaping, non-ASCII as \uXXXX
     if isinstance(obj, dict):
         items = ", ".join(f"{_json_fragment(str(k))}: {_json_fragment(v)}" for k, v in obj.items())
         return "{" + items + "}"

@@ -3,7 +3,10 @@
 Queries from one modality are ranked against a gallery from another by
 descending cosine similarity (ties broken by ascending gallery index,
 so rankings are deterministic). A gallery item is *relevant* to a query
-iff their class labels agree.
+iff their class labels agree. P@K is computed either from a ranking
+(``precision_at_k``) or straight from the scores by top-k selection
+under the same tie rule (``precision_at_k_scores``); the two agree
+exactly.
 """
 
 from __future__ import annotations
@@ -14,6 +17,10 @@ import numpy as np
 
 from .errors import BadK, NoRelevantItems, ShapeMismatch, ZeroNormRow
 from .pmf import MIN_ROW_NORM, EmbeddingBatch
+
+# Query rows scored per block: bounds the temporaries of one retrieval
+# direction to O(SCORE_BLOCK_ROWS x gallery size).
+SCORE_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -32,13 +39,17 @@ def _as_data(x: EmbeddingBatch | np.ndarray) -> np.ndarray:
     return data
 
 
-def rank_gallery(
+def cosine_scores(
     query: EmbeddingBatch | np.ndarray, gallery: EmbeddingBatch | np.ndarray
 ) -> np.ndarray:
-    """Gallery indices per query, best match first.
+    """Cosine similarity of every query row with every gallery row.
 
-    Sorting is by descending cosine similarity with stable tie-breaking
-    on the gallery index.
+    Query rows are scored in fixed blocks of ``SCORE_BLOCK_ROWS`` counted
+    from row 0, so scoring the rows ``[s, s + SCORE_BLOCK_ROWS)`` for ``s``
+    a multiple of the block gives the same bits as the matching rows of
+    the whole matrix. (A BLAS product over a different number of rows
+    may round differently in the last place, which could reorder
+    near-ties.)
     """
     q = _as_data(query)
     g = _as_data(gallery)
@@ -48,8 +59,23 @@ def rank_gallery(
     gn = np.linalg.norm(g, axis=1, keepdims=True)
     if np.any(qn < MIN_ROW_NORM) or np.any(gn < MIN_ROW_NORM):
         raise ZeroNormRow("zero-norm row; cosine ranking undefined")
-    sim = (q / qn) @ (g / gn).T
-    return np.argsort(-sim, axis=1, kind="stable")
+    unit_q, unit_g = q / qn, (g / gn).T
+    scores = np.empty((q.shape[0], g.shape[0]))
+    for start in range(0, q.shape[0], SCORE_BLOCK_ROWS):
+        rows = slice(start, start + SCORE_BLOCK_ROWS)
+        np.matmul(unit_q[rows], unit_g, out=scores[rows])
+    return scores
+
+
+def rank_gallery(
+    query: EmbeddingBatch | np.ndarray, gallery: EmbeddingBatch | np.ndarray
+) -> np.ndarray:
+    """Gallery indices per query, best match first.
+
+    Sorting is by descending cosine similarity with stable tie-breaking
+    on the gallery index.
+    """
+    return np.argsort(-cosine_scores(query, gallery), axis=1, kind="stable")
 
 
 def precision_at_k(
@@ -68,10 +94,58 @@ def precision_at_k(
     return float(hits.mean())
 
 
-def mean_average_precision(
-    ranked: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarray
+def top_k_hits(
+    scores: np.ndarray,
+    query_labels: np.ndarray,
+    gallery_labels: np.ndarray,
+    k: int,
+) -> int:
+    """Same-label items among each query's top k, summed over queries.
+
+    The top k is that of ``rank_gallery`` (descending score, then
+    ascending gallery index), found without sorting: every item scoring
+    above the k-th largest score is in it, and the remaining slots go to
+    the items tied at that score in ascending index order.
+    """
+    scores = np.asarray(scores)
+    query_labels = np.asarray(query_labels)
+    gallery_labels = np.asarray(gallery_labels)
+    n = scores.shape[1]
+    if not (1 <= k <= n):
+        raise BadK(f"k must be in [1, {n}], got {k}")
+    if k == 1:
+        best = np.argmax(scores, axis=1)  # the first maximum: lowest index wins ties
+        return int(np.count_nonzero(gallery_labels[best] == query_labels))
+    kth = np.partition(scores, n - k, axis=1)[:, n - k, None]
+    top = scores >= kth
+    relevant = gallery_labels == query_labels[:, None]
+    hits = np.count_nonzero(top & relevant)
+    over = np.flatnonzero(np.count_nonzero(top, axis=1) > k)
+    if over.size:
+        # more items tie at the k-th score than there are slots left:
+        # drop the ties past the first ``need`` by gallery index
+        tied = scores[over] == kth[over]
+        need = k - np.count_nonzero(scores[over] > kth[over], axis=1)
+        dropped = tied & (np.cumsum(tied, axis=1) > need[:, None])
+        hits -= np.count_nonzero(dropped & relevant[over])
+    return int(hits)
+
+
+def precision_at_k_scores(
+    scores: np.ndarray,
+    query_labels: np.ndarray,
+    gallery_labels: np.ndarray,
+    k: int,
 ) -> float:
-    """Mean over queries of average precision over all relevant items.
+    """``precision_at_k`` of the ranking ``rank_gallery`` would give for
+    these scores, computed by top-k selection (``top_k_hits``)."""
+    return top_k_hits(scores, query_labels, gallery_labels, k) / (np.shape(scores)[0] * k)
+
+
+def average_precisions(
+    ranked: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarray
+) -> list[float]:
+    """Average precision of each ranked query, in query order.
 
     AP for one query is ``(1/R) * sum over relevant ranks r of
     (relevant hits at or before r) / r``.
@@ -88,7 +162,15 @@ def mean_average_precision(
         positions = np.nonzero(relevant)[0] + 1
         hits = np.arange(1, total + 1)
         ap_values.append(float((hits / positions).sum() / total))
-    return float(np.mean(ap_values))
+    return ap_values
+
+
+def mean_average_precision(
+    ranked: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarray
+) -> float:
+    """Mean over queries of average precision over all relevant items
+    (see ``average_precisions``)."""
+    return float(np.mean(average_precisions(ranked, query_labels, gallery_labels)))
 
 
 def evaluate_retrieval(

@@ -19,7 +19,7 @@ from .errors import ConfigError, ShapeMismatch
 from .gradients import LOSS_KINDS, loss_gradient
 from .losses import MatchStrategy, ModalityRing, ring_edges
 from .pmf import AlignConfig, EmbeddingBatch
-from .retrieval import mean_average_precision, precision_at_k, rank_gallery
+from .retrieval import SCORE_BLOCK_ROWS, average_precisions, cosine_scores, top_k_hits
 
 
 @dataclass(frozen=True)
@@ -222,21 +222,37 @@ def _encode_split(
 def evaluate_directions(
     batches: list[EmbeddingBatch], with_map: bool = False
 ) -> dict[str, dict[str, float]]:
-    """P@1 / P@10 (and optionally MAP) for every ordered modality pair."""
+    """P@1 / P@10 (and optionally MAP) for every ordered modality pair.
+
+    P@K comes from top-k selection on the cosine scores (``top_k_hits``)
+    with ``rank_gallery``'s tie rule: descending cosine, then ascending
+    gallery index; no full ranking is built. Queries are scored in blocks
+    of ``SCORE_BLOCK_ROWS`` rows, so temporaries stay O(block x gallery);
+    the MAP pass ranks each block by a stable argsort of that block's
+    scores. Hit counts are summed over blocks and divided once, so every
+    value equals the one from ``rank_gallery`` + ``precision_at_k`` /
+    ``mean_average_precision`` exactly.
+    """
     metrics: dict[str, dict[str, float]] = {}
     for qi, query in enumerate(batches):
         for gi, gallery in enumerate(batches):
             if qi == gi:
                 continue
-            ranked = rank_gallery(query, gallery)
-            entry = {
-                "p1": precision_at_k(ranked, query.labels, gallery.labels, 1),
-                "p10": precision_at_k(
-                    ranked, query.labels, gallery.labels, min(10, gallery.n)
-                ),
-            }
+            k = min(10, gallery.n)
+            hits_1 = hits_k = 0
+            ap_values: list[float] = []
+            for start in range(0, query.n, SCORE_BLOCK_ROWS):
+                rows = slice(start, start + SCORE_BLOCK_ROWS)
+                scores = cosine_scores(query.data[rows], gallery.data)
+                labels = query.labels[rows]
+                hits_1 += top_k_hits(scores, labels, gallery.labels, 1)
+                hits_k += top_k_hits(scores, labels, gallery.labels, k)
+                if with_map:
+                    ranked = np.argsort(-scores, axis=1, kind="stable")
+                    ap_values += average_precisions(ranked, labels, gallery.labels)
+            entry = {"p1": hits_1 / query.n, "p10": hits_k / (query.n * k)}
             if with_map:
-                entry["map"] = mean_average_precision(ranked, query.labels, gallery.labels)
+                entry["map"] = float(np.mean(ap_values))
             metrics[f"{query.modality_name}2{gallery.modality_name}"] = entry
     return metrics
 

@@ -82,6 +82,17 @@ class TestDivergenceCommand:
         ok.write_text("0.5,0.5\n")
         assert main(["divergence", "--measure", "cs", str(notpmf), str(ok)]) == 3
 
+    @pytest.mark.parametrize("measure", ["mmd", "coral"])
+    def test_non_finite_sample_exit_3(self, measure, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0.1,0.2\nnan,0.5\n0.3,0.4\n")
+        ok = tmp_path / "ok.csv"
+        ok.write_text("0.1,0.2\n0.2,0.5\n0.3,0.4\n")
+        assert main(["divergence", "--measure", measure, str(bad), str(ok), "--bandwidth", "1.0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
     def test_out_file_written(self, pmf_files, tmp_path, capsys):
         onehot, uniform = pmf_files
         out = tmp_path / "report.json"

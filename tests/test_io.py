@@ -148,3 +148,14 @@ class TestJsonDumps:
         obj = {"a": [1, True, None], "b": {"c": np.float64(0.5), "d": np.arange(3)}}
         parsed = json.loads(json_dumps(obj))
         assert parsed == {"a": [1, True, None], "b": {"c": 0.5, "d": [0, 1, 2]}}
+
+    def test_strings_escaped_as_stdlib_json(self):
+        import json
+
+        strings = ["a\tb\nc", "quote \" and back\\slash", "\x00\x1f\x7f", "caf\u00e9", "plain/path.csv"]
+        for text in strings:
+            assert json_dumps(text) == json.dumps(text)
+        assert json.loads(json_dumps({"path": "a\tb\nc", "names": strings})) == {
+            "path": "a\tb\nc",
+            "names": strings,
+        }

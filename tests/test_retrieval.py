@@ -3,12 +3,16 @@ import pytest
 
 from csalign import (
     EmbeddingBatch,
+    cosine_scores,
     evaluate_retrieval,
     mean_average_precision,
     precision_at_k,
+    precision_at_k_scores,
     rank_gallery,
+    top_k_hits,
 )
-from csalign.errors import BadK, NoRelevantItems, ShapeMismatch
+from csalign.retrieval import SCORE_BLOCK_ROWS
+from csalign.errors import BadK, NoRelevantItems, ShapeMismatch, ZeroNormRow
 
 
 class TestRankGallery:
@@ -58,6 +62,56 @@ class TestPrecisionAtK:
             precision_at_k(np.array([[0, 1]]), [0], [0, 1], 3)
         with pytest.raises(BadK):
             precision_at_k(np.array([[0, 1]]), [0], [0, 1], 0)
+
+
+class TestScorePrecisionAtK:
+    """Top-k selection on scores against precision_at_k of the stable ranking."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_exactly_with_ranked_precision_under_heavy_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, 4, size=(25, 17)).astype(np.float64)  # many ties per row
+        q_labels, g_labels = rng.integers(0, 3, 25), rng.integers(0, 3, 17)
+        ranked = np.argsort(-scores, axis=1, kind="stable")
+        for k in range(1, 18):
+            assert precision_at_k_scores(scores, q_labels, g_labels, k) == precision_at_k(
+                ranked, q_labels, g_labels, k
+            )
+
+    def test_ties_at_kth_score_go_to_lower_indices(self):
+        scores = np.array([[0.5, 0.9, 0.5, 0.5, 0.1]])
+        # ranking 1, 0, 2, 3, 4: the top 3 takes ties 0 and 2, not 3
+        assert top_k_hits(scores, [7], [7, 0, 7, 0, 7], 3) == 2
+        assert top_k_hits(scores, [7], [0, 0, 0, 7, 0], 3) == 0
+        assert top_k_hits(scores, [7], [0, 7, 0, 0, 0], 1) == 1
+
+    def test_bad_k(self):
+        with pytest.raises(BadK):
+            top_k_hits(np.zeros((2, 3)), [0, 0], [0, 0, 0], 4)
+        with pytest.raises(BadK):
+            precision_at_k_scores(np.zeros((2, 3)), [0, 0], [0, 0, 0], 0)
+
+
+class TestCosineScores:
+    def test_rank_gallery_sorts_the_scores(self):
+        rng = np.random.default_rng(5)
+        q, g = rng.normal(size=(7, 4)), rng.normal(size=(9, 4))
+        assert np.array_equal(
+            rank_gallery(q, g), np.argsort(-cosine_scores(q, g), axis=1, kind="stable")
+        )
+
+    def test_aligned_row_blocks_give_the_same_bits(self):
+        rng = np.random.default_rng(6)
+        n = 2 * SCORE_BLOCK_ROWS + 45
+        q, g = rng.normal(size=(n, 16)), rng.normal(size=(n + 3, 16))
+        full = cosine_scores(q, g)
+        for start in range(0, n, SCORE_BLOCK_ROWS):
+            rows = slice(start, start + SCORE_BLOCK_ROWS)
+            assert np.array_equal(cosine_scores(q[rows], g), full[rows])
+
+    def test_zero_norm_row_rejected(self):
+        with pytest.raises(ZeroNormRow):
+            cosine_scores(np.zeros((1, 3)), np.ones((2, 3)))
 
 
 class TestMeanAveragePrecision:

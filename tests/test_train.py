@@ -3,6 +3,7 @@ import pytest
 
 from csalign import (
     Adam,
+    EmbeddingBatch,
     Encoder,
     MatchStrategy,
     SynthConfig,
@@ -10,10 +11,14 @@ from csalign import (
     ablation_run,
     build_encoders,
     generate_synthetic,
+    mean_average_precision,
+    precision_at_k,
+    rank_gallery,
     train_run,
 )
 from csalign.errors import ConfigError
-from csalign.train import clip_global_norm, supervised_directions
+from csalign.retrieval import SCORE_BLOCK_ROWS, cosine_scores
+from csalign.train import clip_global_norm, evaluate_directions, supervised_directions
 
 
 def tiny_setup(**train_overrides):
@@ -168,6 +173,71 @@ class TestTrainRun:
         assert trace.aborted
         assert len(trace.records) < cfg.max_epochs
         assert not trace.records[-1].finite
+
+
+def tied_batches(n, num_classes, seed):
+    """Three modalities of integer-valued embeddings with exact cosine ties.
+
+    Rows are sign vectors in {-1, 1}^4 or signed axes, scaled by 1 or 2:
+    every norm is a power of two, so every cosine is a multiple of 1/4 and
+    exact in any summation order. Many rows share a direction, and a
+    quarter of each modality's rows are copies of other rows.
+    """
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, num_classes, size=n)
+    batches = []
+    for name in "ABC":
+        signs = rng.choice([-1.0, 1.0], size=(n, 4))
+        axes = np.eye(4)[rng.integers(0, 4, size=n)] * signs[:, :1]
+        x = np.where(rng.random((n, 1)) < 0.3, axes, signs) * rng.choice([1.0, 2.0], size=(n, 1))
+        src, dst = rng.integers(0, n, size=(2, n // 4))
+        x[dst] = x[src]
+        batches.append(EmbeddingBatch(x, labels, name))
+    return batches
+
+
+def ranked_reference(batches):
+    """P@1, P@10 and MAP of every direction from the full stable ranking."""
+    out = {}
+    for query in batches:
+        for gallery in batches:
+            if query is gallery:
+                continue
+            ranked = rank_gallery(query, gallery)
+            k = min(10, gallery.n)
+            out[f"{query.modality_name}2{gallery.modality_name}"] = {
+                "p1": precision_at_k(ranked, query.labels, gallery.labels, 1),
+                "p10": precision_at_k(ranked, query.labels, gallery.labels, k),
+                "map": mean_average_precision(ranked, query.labels, gallery.labels),
+            }
+    return out
+
+
+class TestEvaluateDirections:
+    @pytest.mark.parametrize(
+        "n, num_classes",
+        [
+            (6, 3),  # fewer than 10 gallery items: k capped at 6
+            (SCORE_BLOCK_ROWS + 1, 4),  # last block holds one row
+            (2 * SCORE_BLOCK_ROWS + 88, 5),  # three blocks, the last partial
+            (40, 1),  # a single class: every item is relevant
+        ],
+    )
+    def test_equals_full_ranking_exactly(self, n, num_classes):
+        batches = tied_batches(n, num_classes, seed=n)
+        reference = ranked_reference(batches)
+        assert evaluate_directions(batches, with_map=True) == reference
+        assert evaluate_directions(batches) == {
+            d: {"p1": v["p1"], "p10": v["p10"]} for d, v in reference.items()
+        }
+
+    def test_ties_straddle_the_kth_score(self):
+        # the case the exactness test must cover: more items tie at a
+        # query's 10th-best score than there are top-10 slots left
+        a, b, _ = tied_batches(2 * SCORE_BLOCK_ROWS + 88, 5, seed=2 * SCORE_BLOCK_ROWS + 88)
+        scores = cosine_scores(a.data, b.data)
+        kth = np.sort(scores, axis=1)[:, -10, None]
+        assert np.count_nonzero(np.count_nonzero(scores >= kth, axis=1) > 10) > 100
 
 
 class TestSupervision:
