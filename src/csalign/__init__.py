@@ -41,6 +41,7 @@ from .losses import (
     gcs_ring_loss,
     pairwise_sum_loss,
     ring_edges,
+    ring_passes,
     ring_projections,
 )
 from .pmf import (
@@ -135,6 +136,7 @@ __all__ = [
     "precision_at_k_scores",
     "rank_gallery",
     "ring_edges",
+    "ring_passes",
     "ring_projections",
     "run_property_suite",
     "top_k_hits",

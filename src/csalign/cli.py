@@ -32,7 +32,7 @@ from .divergence import (
     kl_alignment,
     mmd_squared,
 )
-from .errors import ConfigError, CsAlignError, NonFiniteLoss
+from .errors import ConfigError, CsAlignError
 from .io import (
     json_dumps,
     read_embeddings,
@@ -395,9 +395,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NonFiniteLoss as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ABORT
     except CsAlignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

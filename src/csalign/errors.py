@@ -66,9 +66,5 @@ class NonFinitePerturbation(CsAlignError):
     """A finite-difference probe produced a non-finite loss value."""
 
 
-class NonFiniteLoss(CsAlignError):
-    """A training loss evaluated to NaN or infinity."""
-
-
 class ConfigError(CsAlignError):
     """A configuration file or CLI argument could not be interpreted."""

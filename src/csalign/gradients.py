@@ -1,15 +1,30 @@
 """Analytic gradients of every loss, verified against finite differences.
 
 Gradients are taken with respect to the raw embedding matrices (one
-n x d matrix per modality), through the full chain
+n x d matrix per modality), through the chain
 
-    embeddings -> cosine similarity -> row softmax -> divergence
+    embeddings -> unit rows -> logits z = cos / tau -> divergence
 
 for the projection-matching losses, and directly through the kernel or
 covariance algebra for MMD and CORAL. ``central_difference`` is the
 independent oracle: a plain two-sided difference quotient per
 coordinate, which any analytic gradient here must match to ~1e-5
 relative error at the default step.
+
+CS and GCS are scale invariant, so the softmax normalisers cancel and
+the association PMFs are never formed. For one pass with M logit
+matrices ``z_m`` (one per edge) and ``c_i`` same-label items in row i,
+the GCS of the M projections plus the true-match PMF (exponent M+1) is
+
+    l_i = (sum_m lse((M+1) z_m,i) + log c_i) / (M+1)
+          - lse_{k: y_k = y_i} (sum_m z_m,ik)
+
+with gradient ``dl_i / dz_m,i = softmax((M+1) z_m,i) - w_i``, where
+``w_i`` is the softmax of ``sum_m z_m,i`` restricted to row i's label
+support and is shared by every edge of the pass. CS is the M = 1 case
+(exponent 2): ``bimodal_cs`` and ``pairwise_cs`` are passes with one
+edge. Each exponential is max-subtracted, so the value and gradient
+stay finite wherever the divergence is, at any M and temperature.
 
 The MMD median-heuristic bandwidth is resolved once at the evaluation
 point and then treated as a constant, both in the analytic path and in
@@ -20,14 +35,15 @@ differentiated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .divergence import KlConfig, MmdConfig, mmd_squared, resolve_bandwidth
 from .errors import ConfigError, NonFinitePerturbation
-from .losses import MatchStrategy, ModalityRing, ring_edges
-from .pmf import AlignConfig, EmbeddingBatch, build_match_matrix, true_match_pmf
+from .losses import ModalityRing, ring_edges, ring_passes
+from .pmf import AlignConfig, EmbeddingBatch
 
 LOSS_KINDS = ("bimodal_cs", "gcs_ring", "pairwise_cs", "kl", "mmd", "coral")
 
@@ -48,144 +64,111 @@ class GradientBundle:
 
 
 # ---------------------------------------------------------------------------
-# chain pieces
+# projection-matching losses, computed from the logits
 
-def _cosine_forward(a: np.ndarray, b: np.ndarray):
-    na = np.linalg.norm(a, axis=1, keepdims=True)
-    nb = np.linalg.norm(b, axis=1, keepdims=True)
-    ah = a / na
-    bh = b / nb
-    return ah @ bh.T, (ah, bh, na, nb)
+class LabelSupport(NamedTuple):
+    """The entries where a batch's true-match PMF is non-zero, row-major.
+
+    ``rows`` / ``cols`` index the same-label pairs (i, k); ``starts[i]``
+    is the position of row i's first pair; ``log_counts[i]`` is ``log c_i``,
+    the log of row i's same-label count. Every row has a pair, itself.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    starts: np.ndarray
+    log_counts: np.ndarray
 
 
-def _cosine_backward(cache, grad_c: np.ndarray):
-    """Backprop grad wrt the cosine matrix into both embedding matrices."""
-    ah, bh, na, nb = cache
-    g_ah = grad_c @ bh
-    g_bh = grad_c.T @ ah
+def label_support(labels: np.ndarray) -> LabelSupport:
+    """The same-label pairs of a batch with the given row labels."""
+    rows, cols = np.nonzero(labels[:, None] == labels[None, :])
+    counts = np.bincount(rows, minlength=labels.size)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return LabelSupport(rows, cols, starts, np.log(counts))
+
+
+def gcs_logit_rows(logits: np.ndarray, support: LabelSupport) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row GCS of one pass and its gradient with respect to the logits.
+
+    ``logits`` is the M x n x n stack of the pass's logit matrices
+    ``z_m = cos_m / tau``; ``support`` describes the true-match PMF.
+    Returns the n per-row divergences ``l_i`` and the M x n x n stack of
+    ``dl_i / dz_m`` (row i holds the derivative of ``l_i`` alone), written
+    over ``logits``. Every exponential is max-subtracted, so a value is
+    finite wherever the divergence is. The label-restricted softmax ``w``
+    is evaluated on the same-label pairs only: an exp of a masked ``-inf``
+    entry costs several times that of a finite one.
+    """
+    rows, cols = support.rows, support.cols
+    k = logits.shape[0] + 1
+    joint = logits[:, rows, cols].sum(axis=0)
+    top = np.maximum.reduceat(joint, support.starts)
+    w = np.exp(joint - top[rows])
+    total = np.add.reduceat(w, support.starts)
+    w /= total[rows]
+    z_top = logits.max(axis=2)
+    logits -= z_top[:, :, None]
+    logits *= k
+    np.exp(logits, out=logits)
+    z_total = logits.sum(axis=2)
+    logits /= z_total[:, :, None]
+    logits[:, rows, cols] -= w
+    power_lse = support.log_counts + (k * z_top + np.log(z_total)).sum(axis=0)
+    return power_lse / k - top - np.log(total), logits
+
+
+def _kl_logit_rows(logits: np.ndarray, log_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``KL(softmax(z) || q)`` of a one-edge pass and its gradient
+    with respect to z, given ``log_q``, the log of the smoothed true-match
+    PMF. The gradient is written over ``logits``."""
+    logits -= logits.max(axis=2, keepdims=True)
+    p = np.exp(logits)
+    total = p.sum(axis=2, keepdims=True)
+    p /= total
+    logits -= np.log(total)
+    logits -= log_q
+    values = np.einsum("eij,eij->ei", p, logits)
+    logits -= values[:, :, None]
+    logits *= p
+    return values.sum(axis=0), logits
+
+
+def _matching_grad(ring: ModalityRing, tau: float, passes, pass_rows):
+    """Sum over passes of the batch-mean per-row loss, and its embedding grads.
+
+    ``passes`` lists the (src, dst) edges of each pass; ``pass_rows``
+    maps the pass's stacked logit matrices to per-row values and logit
+    grads. Gradients are accumulated with respect to the unit rows, and
+    the radial part is removed once per modality at the end.
+    """
+    data = np.stack([b.data for b in ring.batches])
+    norms = np.linalg.norm(data, axis=2, keepdims=True)
+    units = data / norms
+    scaled_t = units.transpose(0, 2, 1) / tau
+    g_units = np.zeros_like(units)
+    # one logit buffer per call: pass_rows writes its gradients over it
+    buffer = np.empty((max(len(edges) for edges in passes), ring.n, ring.n))
+    value = 0.0
+    for edges in passes:
+        src, dst = np.array(edges).T
+        logits = np.matmul(units[src], scaled_t[dst], out=buffer[: len(edges)])
+        values, grads = pass_rows(logits)
+        value += float(values.mean())
+        # within a pass no modality is the source, or the target, of two edges
+        g_units[src] += grads @ units[dst]
+        g_units[dst] += grads.transpose(0, 2, 1) @ units[src]
+    # the batch mean and dz/dcos = 1/tau scale every logit gradient alike;
     # d(a/||a||)/da removes the radial component and divides by the norm
-    g_a = (g_ah - (g_ah * ah).sum(axis=1, keepdims=True) * ah) / na
-    g_b = (g_bh - (g_bh * bh).sum(axis=1, keepdims=True) * bh) / nb
-    return g_a, g_b
+    radial = (g_units * units).sum(axis=2, keepdims=True) * units
+    return value, list((g_units - radial) * (1.0 / (ring.n * tau)) / norms)
 
 
-def _softmax_rows(c: np.ndarray, tau: float) -> np.ndarray:
-    z = c / tau
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _softmax_backward(p: np.ndarray, grad_p: np.ndarray, tau: float) -> np.ndarray:
-    inner = (grad_p * p).sum(axis=1, keepdims=True)
-    return p * (grad_p - inner) / tau
-
-
-def _projection(src: np.ndarray, dst: np.ndarray, tau: float):
-    c, cache = _cosine_forward(src, dst)
-    return _softmax_rows(c, tau), cache
-
-
-# ---------------------------------------------------------------------------
-# per-loss forward + backward
-
-def _cs_direction(src, dst, q, tau):
-    """Directional CS projection-matching loss and its embedding grads."""
-    n = src.shape[0]
-    p, cache = _projection(src, dst, tau)
-    numerator = (p * q).sum(axis=1)
-    pp = (p * p).sum(axis=1)
-    qq = (q * q).sum(axis=1)
-    per = -np.log(numerator / (np.sqrt(pp) * np.sqrt(qq)))
-    grad_p = (-q / numerator[:, None] + p / pp[:, None]) / n
-    grad_c = _softmax_backward(p, grad_p, tau)
-    g_src, g_dst = _cosine_backward(cache, grad_c)
-    return float(per.mean()), g_src, g_dst
-
-
-def _kl_direction(src, dst, q, tau, epsilon):
-    n = src.shape[0]
-    p, cache = _projection(src, dst, tau)
-    log_ratio = np.log(p / (q + epsilon))
-    per = (p * log_ratio).sum(axis=1)
-    grad_p = (log_ratio + 1.0) / n
-    grad_c = _softmax_backward(p, grad_p, tau)
-    g_src, g_dst = _cosine_backward(cache, grad_c)
-    return float(per.mean()), g_src, g_dst
-
-
-def _bimodal_cs_grad(ring: ModalityRing, tau: float):
-    q = true_match_pmf(build_match_matrix(ring.labels, ring.labels)).rows
-    grads = [np.zeros_like(b.data) for b in ring.batches]
-    value = 0.0
-    for src, dst in ((0, 1), (1, 0)):
-        v, g_src, g_dst = _cs_direction(ring.batches[src].data, ring.batches[dst].data, q, tau)
-        value += v
-        grads[src] += g_src
-        grads[dst] += g_dst
-    return value, grads
-
-
-def _pairwise_grad(ring: ModalityRing, tau: float, measure: str, epsilon: float):
-    q = true_match_pmf(build_match_matrix(ring.labels, ring.labels)).rows
-    grads = [np.zeros_like(b.data) for b in ring.batches]
-    value = 0.0
-    for src in range(ring.m):
-        for dst in range(ring.m):
-            if src == dst:
-                continue
-            if measure == "cs":
-                v, g_src, g_dst = _cs_direction(
-                    ring.batches[src].data, ring.batches[dst].data, q, tau
-                )
-            else:
-                v, g_src, g_dst = _kl_direction(
-                    ring.batches[src].data, ring.batches[dst].data, q, tau, epsilon
-                )
-            value += v
-            grads[src] += g_src
-            grads[dst] += g_dst
-    return value, grads
-
-
-def _gcs_ring_grad(ring: ModalityRing, tau: float):
-    q = true_match_pmf(build_match_matrix(ring.labels, ring.labels)).rows
-    n = ring.n
-    grads = [np.zeros_like(b.data) for b in ring.batches]
-    passes = {
-        MatchStrategy.CLOCKWISE: ["forward"],
-        MatchStrategy.COUNTERCLOCKWISE: ["backward"],
-        MatchStrategy.MIXED: ["forward", "backward"],
-    }[ring.strategy]
-    value = 0.0
-    for direction in passes:
-        edges = ring_edges(ring.m, direction)
-        projections = []
-        caches = []
-        for src, dst in edges:
-            p, cache = _projection(ring.batches[src].data, ring.batches[dst].data, tau)
-            projections.append(p)
-            caches.append(cache)
-        stack = np.stack(projections + [q])  # (M+1, n, n)
-        m_total = stack.shape[0]
-        prod_all = np.prod(stack, axis=0)
-        numerator = prod_all.sum(axis=-1)
-        power_sums = np.power(stack, m_total).sum(axis=-1)  # (M+1, n)
-        per = np.log(power_sums).sum(axis=0) / m_total - np.log(numerator)
-        value += float(per.mean())
-        for idx, (src, dst) in enumerate(edges):
-            p = projections[idx]
-            # projection entries are softmax outputs, hence strictly positive
-            prod_except = prod_all / p
-            grad_p = (
-                -prod_except / numerator[:, None]
-                + np.power(p, m_total - 1) / power_sums[idx][:, None]
-            ) / n
-            grad_c = _softmax_backward(p, grad_p, tau)
-            g_src, g_dst = _cosine_backward(caches[idx], grad_c)
-            grads[src] += g_src
-            grads[dst] += g_dst
-    return value, grads
+def _passes(loss_kind: str, ring: ModalityRing) -> list[list[tuple[int, int]]]:
+    if loss_kind == "gcs_ring":
+        return [ring_edges(ring.m, direction) for direction in ring_passes(ring.strategy)]
+    m = ring.m
+    return [[(src, dst)] for src in range(m) for dst in range(m) if src != dst]
 
 
 def _mmd_grad(ring: ModalityRing, sigma: float):
@@ -193,10 +176,9 @@ def _mmd_grad(ring: ModalityRing, sigma: float):
     y = ring.batches[1].data
     n_x, n_y = x.shape[0], y.shape[0]
     gamma = 1.0 / (2.0 * sigma * sigma)
-    sq = lambda u, v: ((u[:, None, :] - v[None, :, :]) ** 2).sum(-1)
-    k_xx = np.exp(-gamma * sq(x, x))
-    k_yy = np.exp(-gamma * sq(y, y))
-    k_xy = np.exp(-gamma * sq(x, y))
+    k_xx = np.exp(-gamma * cdist(x, x, "sqeuclidean"))
+    k_yy = np.exp(-gamma * cdist(y, y, "sqeuclidean"))
+    k_xy = np.exp(-gamma * cdist(x, y, "sqeuclidean"))
     value = float(
         k_xx.sum() / n_x**2 + k_yy.sum() / n_y**2 - 2.0 * k_xy.sum() / (n_x * n_y)
     )
@@ -245,19 +227,21 @@ def loss_gradient(
     """
     _check_kind(loss_kind, ring)
     tau = (align_cfg or AlignConfig()).temperature
-    if loss_kind == "bimodal_cs":
-        value, grads = _bimodal_cs_grad(ring, tau)
-    elif loss_kind == "gcs_ring":
-        value, grads = _gcs_ring_grad(ring, tau)
-    elif loss_kind == "pairwise_cs":
-        value, grads = _pairwise_grad(ring, tau, "cs", 0.0)
-    elif loss_kind == "kl":
-        value, grads = _pairwise_grad(ring, tau, "kl", (kl_cfg or KlConfig()).epsilon)
-    elif loss_kind == "mmd":
+    if loss_kind == "mmd":
         sigma = resolve_bandwidth(ring.batches[0].data, ring.batches[1].data, mmd_cfg)
         value, grads = _mmd_grad(ring, sigma)
-    else:
+    elif loss_kind == "coral":
         value, grads = _coral_grad(ring)
+    else:
+        if loss_kind == "kl":
+            same_label = ring.labels[:, None] == ring.labels[None, :]
+            q = same_label / same_label.sum(axis=1, keepdims=True)
+            log_q = np.log(q + (kl_cfg or KlConfig()).epsilon)
+            pass_rows = lambda logits: _kl_logit_rows(logits, log_q)
+        else:
+            support = label_support(ring.labels)
+            pass_rows = lambda logits: gcs_logit_rows(logits, support)
+        value, grads = _matching_grad(ring, tau, _passes(loss_kind, ring), pass_rows)
     return value, GradientBundle(tuple(grads))
 
 

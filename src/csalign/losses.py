@@ -119,6 +119,15 @@ def ring_edges(m: int, direction: str) -> list[tuple[int, int]]:
     raise ConfigError(f"direction must be 'forward' or 'backward', got {direction!r}")
 
 
+def ring_passes(strategy: MatchStrategy) -> list[str]:
+    """Ring passes a matching strategy sums, as ``ring_edges`` directions."""
+    return {
+        MatchStrategy.CLOCKWISE: ["forward"],
+        MatchStrategy.COUNTERCLOCKWISE: ["backward"],
+        MatchStrategy.MIXED: ["forward", "backward"],
+    }[strategy]
+
+
 def ring_projections(
     ring: ModalityRing, cfg: AlignConfig | None = None, direction: str = "forward"
 ) -> list[PmfMatrix]:
@@ -208,15 +217,9 @@ def gcs_ring_loss(ring: ModalityRing, cfg: AlignConfig | None = None) -> LossRep
     """
     cfg = cfg or AlignConfig()
     q = true_match_pmf(build_match_matrix(ring.labels, ring.labels)).rows
-    strategy = ring.strategy
     per_sample = np.zeros(ring.n)
     per_direction: dict[str, float] = {}
-    passes = {
-        MatchStrategy.CLOCKWISE: ["forward"],
-        MatchStrategy.COUNTERCLOCKWISE: ["backward"],
-        MatchStrategy.MIXED: ["forward", "backward"],
-    }[strategy]
-    for direction in passes:
+    for direction in ring_passes(ring.strategy):
         pmfs = ring_projections(ring, cfg, direction)
         stack = np.stack([p.rows for p in pmfs] + [q])
         values = _gcs_per_sample(stack)

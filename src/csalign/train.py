@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeMismatch
 from .gradients import LOSS_KINDS, loss_gradient
-from .losses import MatchStrategy, ModalityRing, ring_edges
+from .losses import MatchStrategy, ModalityRing, ring_edges, ring_passes
 from .pmf import AlignConfig, EmbeddingBatch
 from .retrieval import SCORE_BLOCK_ROWS, average_precisions, cosine_scores, top_k_hits
 
@@ -201,11 +201,7 @@ def supervised_directions(
     """Direction labels that receive gradient under the given loss."""
     m = len(names)
     if loss_kind == "gcs_ring":
-        edges: list[tuple[int, int]] = []
-        if strategy in (MatchStrategy.CLOCKWISE, MatchStrategy.MIXED):
-            edges += ring_edges(m, "forward")
-        if strategy in (MatchStrategy.COUNTERCLOCKWISE, MatchStrategy.MIXED):
-            edges += ring_edges(m, "backward")
+        edges = [e for direction in ring_passes(strategy) for e in ring_edges(m, direction)]
         return {f"{names[s]}2{names[d]}" for s, d in edges}
     return {f"{names[s]}2{names[d]}" for s in range(m) for d in range(m) if s != d}
 

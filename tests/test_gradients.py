@@ -3,15 +3,25 @@ import pytest
 
 from csalign import (
     LOSS_KINDS,
+    AlignConfig,
     EmbeddingBatch,
+    GradientBundle,
     MatchStrategy,
     ModalityRing,
+    association_pmf,
+    build_match_matrix,
     central_difference,
+    cosine_similarity_matrix,
     finite_diff_gradient,
+    gcs_divergence,
     loss_gradient,
     max_relative_error,
+    ring_edges,
+    ring_passes,
+    true_match_pmf,
 )
 from csalign.errors import ConfigError, NonFinitePerturbation
+from csalign.gradients import gcs_logit_rows, label_support
 
 
 def random_ring(seed, m=2, n=8, d=4, strategy=MatchStrategy.MIXED):
@@ -122,3 +132,113 @@ class TestGradientStructure:
         for kind in ("bimodal_cs", "mmd", "coral"):
             with pytest.raises(ConfigError):
                 loss_gradient(kind, ring)
+
+
+def underflow_ring():
+    """8 classes x 16 rows, M=8, d=16: at tau=0.005 the PMF products and
+    powers of a linear-domain evaluation underflow on most rows."""
+    labels = np.repeat(np.arange(8), 16)
+    rng = np.random.default_rng(5001)
+    return ModalityRing(tuple(
+        EmbeddingBatch(rng.normal(size=(labels.size, 16)), labels, f"u{i}") for i in range(8)
+    ))
+
+
+def linear_domain_gcs_ring(ring, tau):
+    """The GCS ring loss and its embedding gradients from the PMFs
+    themselves: products, powers, division by p and the softmax backward."""
+    same = (ring.labels[:, None] == ring.labels[None, :]).astype(float)
+    q = same / same.sum(axis=1, keepdims=True)
+    norms = [np.linalg.norm(b.data, axis=1, keepdims=True) for b in ring.batches]
+    units = [b.data / norm for b, norm in zip(ring.batches, norms)]
+    g_units = [np.zeros_like(u) for u in units]
+    value = 0.0
+    for direction in ring_passes(ring.strategy):
+        edges = ring_edges(ring.m, direction)
+        pmfs = []
+        for src, dst in edges:
+            z = units[src] @ units[dst].T / tau
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            pmfs.append(e / e.sum(axis=1, keepdims=True))
+        stack = np.stack(pmfs + [q])
+        k = stack.shape[0]
+        prod_all = np.prod(stack, axis=0)
+        numerator = prod_all.sum(axis=1)
+        power_sums = np.power(stack, k).sum(axis=2)
+        value += float((np.log(power_sums).sum(axis=0) / k - np.log(numerator)).mean())
+        for (src, dst), p, power_sum in zip(edges, pmfs, power_sums):
+            grad_p = (-prod_all / p / numerator[:, None] + p ** (k - 1) / power_sum[:, None]) / ring.n
+            grad_c = p * (grad_p - (grad_p * p).sum(axis=1, keepdims=True)) / tau
+            g_units[src] += grad_c @ units[dst]
+            g_units[dst] += grad_c.T @ units[src]
+    grads = [
+        (g - (g * u).sum(axis=1, keepdims=True) * u) / norm
+        for g, u, norm in zip(g_units, units, norms)
+    ]
+    return value, grads
+
+
+class TestLogDomainKernel:
+    @pytest.mark.parametrize("strategy", list(MatchStrategy))
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_matches_linear_domain_formula(self, m, strategy):
+        for seed, tau in ((m, 1.0), (m + 100, 0.2)):
+            ring = random_ring(seed, m=m, n=12, d=4, strategy=strategy)
+            want_value, want_grads = linear_domain_gcs_ring(ring, tau)
+            assert np.isfinite(want_value)
+            value, bundle = loss_gradient("gcs_ring", ring, AlignConfig(tau))
+            assert value == pytest.approx(want_value, rel=1e-12, abs=0)
+            for got, want in zip(bundle, want_grads):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_underflow_ring_is_finite_and_rows_match_oracle(self):
+        ring = underflow_ring()
+        cfg = AlignConfig(0.005)
+        value, bundle = loss_gradient("gcs_ring", ring, cfg)
+        assert np.isfinite(value)
+        assert all(np.all(np.isfinite(g)) for g in bundle)
+        support = label_support(ring.labels)
+        q = true_match_pmf(build_match_matrix(ring.labels, ring.labels)).rows
+        units = [b.data / np.linalg.norm(b.data, axis=1, keepdims=True) for b in ring.batches]
+        total = 0.0
+        compared = 0
+        for direction in ring_passes(ring.strategy):
+            edges = ring_edges(ring.m, direction)
+            logits = np.stack([units[s] @ units[d].T / cfg.temperature for s, d in edges])
+            rows, _ = gcs_logit_rows(logits, support)
+            total += rows.mean()
+            pmfs = [
+                association_pmf(cosine_similarity_matrix(ring.batches[s], ring.batches[d]), cfg).rows
+                for s, d in edges
+            ]
+            with np.errstate(all="ignore"):
+                oracle = np.array([
+                    gcs_divergence([p[i] for p in pmfs] + [q[i]]).value for i in range(ring.n)
+                ])
+                numerator = np.prod(np.stack(pmfs + [q]), axis=0).sum(axis=1)
+            assert np.all(np.isfinite(rows))
+            # the oracle's product sum is exact only while it is a normal number;
+            # where it is 0 the oracle reads inf, where subnormal it loses digits
+            exact = numerator >= np.finfo(float).tiny
+            assert np.all(np.isfinite(oracle[exact]))
+            assert np.abs(rows[exact] - oracle[exact]).max() <= 1e-12 * np.abs(oracle[exact]).max()
+            compared += exact.sum()
+        assert 0 < compared < 2 * ring.n
+        assert value == pytest.approx(total, rel=1e-12)
+
+    def test_gradient_matches_own_central_difference_at_small_tau(self):
+        rng = np.random.default_rng(0)
+        labels = np.repeat(np.arange(3), 2)
+        arrays = [rng.normal(size=(6, 3)) for _ in range(8)]
+        cfg = AlignConfig(0.005)
+
+        def value(arrs):
+            ring = ModalityRing(tuple(
+                EmbeddingBatch(a, labels, f"s{i}") for i, a in enumerate(arrs)
+            ))
+            return loss_gradient("gcs_ring", ring, cfg)[0]
+
+        ring = ModalityRing(tuple(EmbeddingBatch(a, labels, f"s{i}") for i, a in enumerate(arrays)))
+        _, analytic = loss_gradient("gcs_ring", ring, cfg)
+        numeric = GradientBundle(tuple(central_difference(value, arrays)))
+        assert max_relative_error(analytic, numeric) <= 1e-5
