@@ -1,13 +1,13 @@
 """Cross-modal embedding alignment with CS and generalized CS divergences.
 
-The package is organized around one pipeline: embedding batches are
-turned into association and true-match PMFs (``pmf``), compared with
-closed-form divergences (``divergence``), combined into bidirectional
-alignment losses (``losses``) whose analytic gradients are verified
-against finite differences (``gradients``), and exercised end to end on
-seeded synthetic data (``synth``, ``train``) with retrieval metrics
-(``retrieval``). ``props`` holds the randomized property suite and
-``cli`` the command-line interface.
+The package is organized around one pipeline: paired embedding batches
+(``pmf``) are aligned by projection-matching losses that one log-domain
+engine computes from the logits, value and gradient together
+(``losses``); the closed-form divergences (``divergence``) check the
+values and finite differences (``gradients``) the gradients. It is
+exercised end to end on seeded synthetic data (``synth``, ``train``)
+with retrieval metrics (``retrieval``). ``props`` holds the randomized
+property suite and ``cli`` the command-line interface.
 """
 
 from .divergence import (
@@ -37,12 +37,12 @@ from .losses import (
     LossReport,
     MatchStrategy,
     ModalityRing,
+    association_pmf_count,
     bimodal_cmpm_cs,
     gcs_ring_loss,
     pairwise_sum_loss,
     ring_edges,
     ring_passes,
-    ring_projections,
 )
 from .pmf import (
     AlignConfig,
@@ -52,7 +52,6 @@ from .pmf import (
     PmfMatrix,
     SimilarityMatrix,
     association_pmf,
-    association_pmf_count,
     build_match_matrix,
     cosine_similarity_matrix,
     true_match_pmf,
@@ -137,7 +136,6 @@ __all__ = [
     "rank_gallery",
     "ring_edges",
     "ring_passes",
-    "ring_projections",
     "run_property_suite",
     "top_k_hits",
     "train_run",

@@ -40,8 +40,8 @@ from .io import (
     read_pmf_vector,
     experiment_configs,
 )
-from .losses import MatchStrategy, ModalityRing, gcs_ring_loss, pairwise_sum_loss
-from .pmf import EmbeddingBatch, association_pmf_count
+from .losses import MatchStrategy, ModalityRing, association_pmf_count, gcs_ring_loss, pairwise_sum_loss
+from .pmf import EmbeddingBatch
 from .props import run_property_suite
 from .synth import generate_synthetic, modality_names
 from .train import ablation_run, build_encoders, train_run
@@ -131,6 +131,8 @@ def cmd_divergence(args) -> int:
 
 def cmd_props(args) -> int:
     started = _now()
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     gcs_fn = gcs_divergence
     if args.flip_gcs_sign:
         # fault-injection hook: prove the suite catches a broken GCS
@@ -298,6 +300,10 @@ def _best_time(fn, repeats: int) -> float:
 
 def cmd_bench(args) -> int:
     started = _now()
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
+    if not 2 <= args.m_min <= args.m_max:
+        raise ConfigError(f"need 2 <= --m-min <= --m-max, got {args.m_min} and {args.m_max}")
     rows = []
     for m in range(args.m_min, args.m_max + 1):
         ring = _bench_ring(m, args.batch, args.dim, args.seed)

@@ -9,8 +9,10 @@ into a probability mass function over the batch in two ways:
 * a *true-match* PMF: the binary label-match indicator normalized per
   row, so ``q[i, j] = y[i, j] / sum_k y[i, k]``.
 
-Alignment losses elsewhere in the package compare these two PMFs per
-anchor row.
+These are the validated, boundary-level forms of the two PMFs, used by
+callers and tests. The alignment losses (``losses.matching_loss``)
+never build them: they evaluate the same divergences from the logits
+``cos / temperature`` and the labels directly.
 """
 
 from __future__ import annotations
@@ -34,16 +36,6 @@ PMF_ROW_SUM_TOL = 1e-9
 
 # Rows with Euclidean norm below this are rejected by cosine similarity.
 MIN_ROW_NORM = 1e-30
-
-# Association-PMF constructions since import; complexity benchmarks and
-# the direction-count invariant read deltas of this counter.
-_ASSOCIATION_PMF_COUNT = 0
-
-
-def association_pmf_count() -> int:
-    """Return the number of association PMFs built since import."""
-    return _ASSOCIATION_PMF_COUNT
-
 
 @dataclass(frozen=True)
 class AlignConfig:
@@ -212,7 +204,6 @@ def association_pmf(sim: SimilarityMatrix, cfg: AlignConfig | None = None) -> Pm
     NonFiniteSimilarity
         If the similarity matrix contains NaN or infinity.
     """
-    global _ASSOCIATION_PMF_COUNT
     cfg = cfg or AlignConfig()
     values = sim.values
     if not np.all(np.isfinite(values)):
@@ -221,7 +212,6 @@ def association_pmf(sim: SimilarityMatrix, cfg: AlignConfig | None = None) -> Pm
     scaled = scaled - scaled.max(axis=1, keepdims=True)
     expd = np.exp(scaled)
     rows = expd / expd.sum(axis=1, keepdims=True)
-    _ASSOCIATION_PMF_COUNT += 1
     return PmfMatrix(rows, PmfKind.ASSOCIATION)
 
 

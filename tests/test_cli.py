@@ -188,3 +188,20 @@ class TestBenchCommand:
             m = row["m"]
             assert row["circular_pmf_count"] == 2 * m
             assert row["pairwise_pmf_count"] == m * (m - 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--repeats", "0"],
+        ["bench", "--m-min", "4", "--m-max", "3"],
+        ["bench", "--m-min", "1", "--m-max", "2"],
+        ["props", "--trials", "0"],
+        ["props", "--trials", "-3"],
+    ],
+)
+def test_empty_or_invalid_run_is_config_error(argv, capsys):
+    assert main(argv + ["--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

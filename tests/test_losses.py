@@ -4,14 +4,19 @@ import pytest
 from csalign import (
     AlignConfig,
     EmbeddingBatch,
+    KlConfig,
     MatchStrategy,
     ModalityRing,
     association_pmf_count,
     bimodal_cmpm_cs,
+    cs_divergence,
+    gcs_divergence,
     gcs_ring_loss,
+    kl_alignment,
+    loss_gradient,
     pairwise_sum_loss,
     ring_edges,
-    ring_projections,
+    ring_passes,
 )
 from csalign.errors import ConfigError, ShapeMismatch, TooFewDistributions
 
@@ -52,7 +57,6 @@ class TestRingEdges:
 class TestRingProjections:
     def test_direction_labels_forward(self):
         ring = random_ring(0)
-        ring_projections(ring, AlignConfig(), "forward")
         labels = [f"{ring.batches[s].modality_name}2{ring.batches[d].modality_name}"
                   for s, d in ring_edges(3, "forward")]
         assert labels == ["A2B", "B2C", "C2A"]
@@ -62,12 +66,6 @@ class TestRingProjections:
         labels = [f"{ring.batches[s].modality_name}2{ring.batches[d].modality_name}"
                   for s, d in ring_edges(3, "backward")]
         assert labels == ["B2A", "A2C", "C2B"]
-
-    def test_projection_rows_are_pmfs(self):
-        ring = random_ring(1)
-        for pmf in ring_projections(ring):
-            assert np.abs(pmf.rows.sum(axis=1) - 1.0).max() <= 1e-9
-            assert pmf.rows.min() > 0
 
 
 class TestModalityRing:
@@ -159,9 +157,10 @@ class TestGcsRingLoss:
     def test_mixed_builds_exactly_2m_association_pmfs(self):
         for m in (2, 3, 5):
             ring = random_ring(11, m=m)
-            before = association_pmf_count()
-            gcs_ring_loss(ring)
-            assert association_pmf_count() - before == 2 * m
+            for evaluate in (gcs_ring_loss, lambda r: loss_gradient("gcs_ring", r)):
+                before = association_pmf_count()
+                evaluate(ring)
+                assert association_pmf_count() - before == 2 * m
 
 
 class TestPairwiseSumLoss:
@@ -179,9 +178,10 @@ class TestPairwiseSumLoss:
     def test_builds_m_times_m_minus_one_pmfs(self):
         for m in (2, 3, 5):
             ring = random_ring(17, m=m)
-            before = association_pmf_count()
-            pairwise_sum_loss(ring)
-            assert association_pmf_count() - before == m * (m - 1)
+            for evaluate in (pairwise_sum_loss, lambda r: loss_gradient("pairwise_cs", r)):
+                before = association_pmf_count()
+                evaluate(ring)
+                assert association_pmf_count() - before == m * (m - 1)
 
     def test_kl_measure_runs_and_differs_from_cs(self):
         ring = random_ring(19)
@@ -192,3 +192,66 @@ class TestPairwiseSumLoss:
     def test_unknown_measure_rejected(self):
         with pytest.raises(ConfigError):
             pairwise_sum_loss(random_ring(21), measure="tv")
+
+
+def softmax_pmf(src, dst, tau):
+    """Association PMF in plain numpy: row softmax of cosine / tau."""
+    a = src / np.linalg.norm(src, axis=1, keepdims=True)
+    b = dst / np.linalg.norm(dst, axis=1, keepdims=True)
+    z = a @ b.T / tau
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def true_pmf(labels):
+    same = (labels[:, None] == labels[None, :]).astype(float)
+    return same / same.sum(axis=1, keepdims=True)
+
+
+def assert_matches_oracle(report, oracle_rows):
+    """``oracle_rows`` maps each direction, in pass order, to its per-row values."""
+    assert list(report.per_direction) == list(oracle_rows)
+    for name, rows in oracle_rows.items():
+        assert report.per_direction[name] == pytest.approx(rows.mean(), rel=1e-12, abs=0)
+    np.testing.assert_allclose(report.per_sample, sum(oracle_rows.values()), rtol=1e-12, atol=0)
+    assert report.finite
+
+
+class TestValueOracle:
+    """Every forward loss against the scalar divergences, row by row."""
+
+    @pytest.mark.parametrize("tau", [1.0, 0.2])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_forward_losses_match_scalar_divergences(self, m, tau):
+        cfg = AlignConfig(tau)
+        base = random_ring(100 * m + int(10 * tau), m=m)
+        data = [b.data for b in base.batches]
+        q = true_pmf(base.labels)
+        rows = range(base.n)
+
+        def cs_rows(s, d):
+            p = softmax_pmf(data[s], data[d], tau)
+            return np.array([cs_divergence(p[i], q[i]).value for i in rows])
+
+        def kl_rows(s, d):
+            p = softmax_pmf(data[s], data[d], tau)
+            return np.array([kl_alignment(p[i : i + 1], q[i : i + 1], KlConfig()) for i in rows])
+
+        pairs = [(s, d) for s in range(m) for d in range(m) if s != d]
+        names = [chr(65 + s) + "2" + chr(65 + d) for s, d in pairs]
+        cs = {name: cs_rows(s, d) for name, (s, d) in zip(names, pairs)}
+        assert_matches_oracle(pairwise_sum_loss(base, cfg), cs)
+        kl = {name: kl_rows(s, d) for name, (s, d) in zip(names, pairs)}
+        assert_matches_oracle(pairwise_sum_loss(base, cfg, "kl"), kl)
+        if m == 2:
+            assert_matches_oracle(bimodal_cmpm_cs(*base.batches, cfg), cs)
+
+        for strategy in MatchStrategy:
+            ring = ModalityRing(base.batches, strategy)
+            gcs = {}
+            for direction in ring_passes(strategy):
+                pmfs = [softmax_pmf(data[s], data[d], tau) for s, d in ring_edges(m, direction)]
+                gcs[direction] = np.array(
+                    [gcs_divergence([p[i] for p in pmfs] + [q[i]]).value for i in rows]
+                )
+            assert_matches_oracle(gcs_ring_loss(ring, cfg), gcs)
