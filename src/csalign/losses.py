@@ -34,9 +34,19 @@ with gradient ``dl_i / dz_m,i = softmax((M+1) z_m,i) - w_i``, where
 ``w_i`` is the softmax of ``sum_m z_m,i`` restricted to row i's label
 support and is shared by every edge of the pass. CS is the M = 1 case
 (exponent 2): ``bimodal_cs`` and ``pairwise_cs`` are passes with one
-edge. Each exponential is max-subtracted, so the value and gradient
-stay finite wherever the divergence is, at any M and temperature. The
-scalar functions in ``divergence`` remain the independent value oracle.
+edge.
+
+Every pass has a reverse that uses the same matrices transposed: the
+ring's backward edges are its forward edges reversed, and the ordered
+pair (d, s) is (s, d) reversed. So ``matching_loss`` evaluates each
+group of M matrices (the ring) or one matrix (an unordered pair) once
+and ``gcs_logit_rows`` reads it by rows for one pass and by columns for
+the other: one matmul and one exponential per matrix serve two passes.
+The exponentials use the static shift 1/tau (no cosine exceeds 1)
+wherever that keeps the terms that matter normal floats, and per-row
+and per-column maxima beyond, so the value and gradient stay finite
+wherever the divergence is, at any M and temperature. The scalar
+functions in ``divergence`` remain the independent value oracle.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ from .pmf import AlignConfig, EmbeddingBatch
 
 MATCHING_KINDS = ("bimodal_cs", "gcs_ring", "pairwise_cs", "kl")
 
-# Association PMFs (logit matrices, one per edge) evaluated by
+# Normalised association PMFs (one per edge of each pass) evaluated by
 # ``matching_loss`` since import; complexity benchmarks and the
 # direction-count invariant read deltas of this counter.
 _ASSOCIATION_PMF_COUNT = 0
@@ -62,8 +72,11 @@ _ASSOCIATION_PMF_COUNT = 0
 def association_pmf_count() -> int:
     """Return the number of association PMFs evaluated since import.
 
-    ``matching_loss`` adds one per logit matrix (ring edge) it evaluates,
-    on the forward losses and on ``loss_gradient`` alike.
+    ``matching_loss`` adds one per edge of every pass it evaluates, on the
+    forward losses and on ``loss_gradient`` alike: 2M for the mixed ring
+    and M(M-1) for the pairwise sum. A logit matrix read by rows and by
+    columns is two normalised PMFs, so this counts the PMFs, not the
+    matrices (M and M(M-1)/2).
     """
     return _ASSOCIATION_PMF_COUNT
 
@@ -158,7 +171,13 @@ def ring_passes(strategy: MatchStrategy) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# the engine: per-pass kernels on the logits
+# the engine: per-group kernels on the logits
+
+# Largest 2k/tau for the static shift: exp(k (z - 1/tau)) is at least
+# exp(-2k/tau), since no cosine is below -1, so up to this limit every row's
+# and column's largest term stays e^37 or more above the smallest normal float.
+STATIC_SHIFT_LIMIT = 670.0
+
 
 class LabelSupport(NamedTuple):
     """The entries where a batch's true-match PMF is non-zero, row-major.
@@ -166,50 +185,122 @@ class LabelSupport(NamedTuple):
     ``rows`` / ``cols`` index the same-label pairs (i, k); ``starts[i]``
     is the position of row i's first pair; ``log_counts[i]`` is ``log c_i``,
     the log of row i's same-label count. Every row has a pair, itself.
+    ``transpose[p]`` is the position of pair (k, i) when pair p is (i, k).
     """
 
     rows: np.ndarray
     cols: np.ndarray
     starts: np.ndarray
     log_counts: np.ndarray
+    transpose: np.ndarray
 
 
 def label_support(labels: np.ndarray) -> LabelSupport:
-    """The same-label pairs of a batch with the given row labels."""
-    rows, cols = np.nonzero(labels[:, None] == labels[None, :])
-    counts = np.bincount(rows, minlength=labels.size)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return LabelSupport(rows, cols, starts, np.log(counts))
+    """The same-label pairs of a batch with the given row labels.
 
-
-def gcs_logit_rows(logits: np.ndarray, support: LabelSupport) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row GCS of one pass and its gradient with respect to the logits.
-
-    ``logits`` is the M x n x n stack of the pass's logit matrices
-    ``z_m = cos_m / tau``; ``support`` describes the true-match PMF.
-    Returns the n per-row divergences ``l_i`` and the M x n x n stack of
-    ``dl_i / dz_m`` (row i holds the derivative of ``l_i`` alone), written
-    over ``logits``. Every exponential is max-subtracted, so a value is
-    finite wherever the divergence is. The label-restricted softmax ``w``
-    is evaluated on the same-label pairs only: an exp of a masked ``-inf``
-    entry costs several times that of a finite one.
+    Built from a stable label sort, so row i's pairs list its class
+    members in ascending index order without an n x n comparison.
     """
-    rows, cols = support.rows, support.cols
-    k = logits.shape[0] + 1
-    joint = logits[:, rows, cols].sum(axis=0)
-    top = np.maximum.reduceat(joint, support.starts)
-    w = np.exp(joint - top[rows])
-    total = np.add.reduceat(w, support.starts)
-    w /= total[rows]
-    z_top = logits.max(axis=2)
-    logits -= z_top[:, :, None]
-    logits *= k
-    np.exp(logits, out=logits)
-    z_total = logits.sum(axis=2)
-    logits /= z_total[:, :, None]
-    logits[:, rows, cols] -= w
-    power_lse = support.log_counts + (k * z_top + np.log(z_total)).sum(axis=0)
-    return power_lse / k - top - np.log(total), logits
+    n = labels.size
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    class_start = np.flatnonzero(first)
+    sorted_class = np.cumsum(first) - 1
+    cls = np.empty(n, dtype=np.intp)
+    cls[order] = sorted_class
+    counts = np.bincount(sorted_class)[cls]
+    starts = np.cumsum(counts) - counts
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n) - class_start[sorted_class]
+    rows = np.repeat(np.arange(n), counts)
+    cols = order[np.repeat(class_start[cls] - starts, counts) + np.arange(rows.size)]
+    return LabelSupport(rows, cols, starts, np.log(counts), starts[cols] + rank[rows])
+
+
+def gcs_logit_rows(
+    logits: np.ndarray, support: LabelSupport, tau: float, rows: bool = True, cols: bool = True
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-anchor GCS of a group's passes and the gradient of their sum.
+
+    ``logits`` is the M x n x n stack of a group's logit matrices
+    ``z_m = cos_m / tau``; ``support`` describes the true-match PMF. Read
+    by rows, the stack is one pass (anchor i is row i of every ``z_m``);
+    read by columns, it is the pass over the same edges reversed (anchor
+    i is column i, that is row i of ``z_m^T``). ``rows`` / ``cols`` select
+    the readings. Returns the n per-anchor divergences of each selected
+    reading, rows first, and the M x n x n stack of the derivative of
+    their sum with respect to ``z_m``, written over ``logits``.
+
+    One exponential per matrix, ``E = exp(k (z - 1/tau))`` with k = M + 1,
+    serves both readings: row sums normalise one and column sums the
+    other, and the gradient is ``E / rowsum + E / colsum - (w + w_rev^T)``
+    on the same-label pairs, where ``w`` is the softmax of ``sum_m z_m``
+    over each anchor's same-label pairs (``w_rev`` that of the reverse
+    reading), evaluated on those pairs only: an exp of a masked ``-inf``
+    entry costs several times that of a finite one. No cosine exceeds 1,
+    so the static shift 1/tau puts every term of E in
+    ``[exp(-2k/tau), 1]``; while ``2k / tau <= STATIC_SHIFT_LIMIT`` even a
+    row whose largest cosine is -1 keeps its largest term a normal float
+    with e^37 to spare, and the result is that of a max-subtracted
+    softmax. Past that limit, a choice made from (k, tau) alone, each
+    reading exponentiates ``z`` shifted by its own row (or column)
+    maxima, so a value stays finite wherever the divergence is.
+    """
+    m, n = logits.shape[:2]
+    k = m + 1
+    pairs = support.rows * n + support.cols
+    joint = np.take(logits.reshape(m, n * n), pairs, axis=1).sum(axis=0)
+    static = 2 * k / tau <= STATIC_SHIFT_LIMIT
+    # a reading sums over axis 1 (rows: the pass) or axis 0 (columns: the
+    # reverse pass); ``order`` lists the pairs grouped by their anchor
+    readings = [
+        (axis, order)
+        for axis, order, wanted in ((1, slice(None), rows), (0, support.transpose, cols))
+        if wanted
+    ]
+    tops, totals = [], []
+    w_pairs = 0.0
+    for axis, order in readings:
+        anchor_joint = joint[order]
+        # the static shifts, m/tau here and 1/tau per matrix below, cancel in the values
+        top = 0.0 if static else np.maximum.reduceat(anchor_joint, support.starts)
+        w = np.exp(anchor_joint - (m / tau if static else top[support.rows]))
+        total = np.add.reduceat(w, support.starts)
+        w /= total[support.rows]
+        w_pairs = w_pairs + w[order]
+        tops.append(top)
+        totals.append(total)
+    power_lse = [support.log_counts.copy() for _ in readings]
+    for z in logits:
+        if static:
+            np.subtract(z, 1.0 / tau, out=z)
+            z *= k
+            np.exp(z, out=z)
+            scale = 0.0
+            for (axis, _), lse in zip(readings, power_lse):
+                sums = z.sum(axis=axis, keepdims=True)
+                lse += np.log(sums).reshape(n)
+                scale = scale + 1.0 / sums
+            # E / rowsum + E / colsum
+            z *= scale
+        else:
+            parts = []
+            for (axis, _), lse in zip(readings, power_lse):
+                shift = z.max(axis=axis, keepdims=True)
+                e = z - shift
+                e *= k
+                np.exp(e, out=e)
+                sums = e.sum(axis=axis, keepdims=True)
+                lse += (k * shift + np.log(sums)).reshape(n)
+                e /= sums
+                parts.append(e)
+            z[...] = parts.pop()
+            for part in parts:
+                z += part
+        z.reshape(n * n)[pairs] -= w_pairs
+    values = [lse / k - top - np.log(total) for lse, top, total in zip(power_lse, tops, totals)]
+    return values, logits
 
 
 def _kl_logit_rows(logits: np.ndarray, log_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,6 +319,16 @@ def _kl_logit_rows(logits: np.ndarray, log_q: np.ndarray) -> tuple[np.ndarray, n
     return values.sum(axis=0), logits
 
 
+def _kl_logit_pair(logits: np.ndarray, log_q: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Both directions of a one-matrix KL group: the rows of ``logits`` and
+    the rows of its transpose, with the summed gradient over ``logits``."""
+    reverse = logits.transpose(0, 2, 1).copy()
+    row_values, grads = _kl_logit_rows(logits, log_q)
+    col_values, reverse_grads = _kl_logit_rows(reverse, log_q)
+    grads += reverse_grads.transpose(0, 2, 1)
+    return [row_values, col_values], grads
+
+
 def matching_loss(
     kind: str,
     ring: ModalityRing,
@@ -239,53 +340,75 @@ def matching_loss(
     ``kind`` is one of ``MATCHING_KINDS``. ``gcs_ring`` sums the passes
     of the ring's strategy, keyed ``"forward"`` / ``"backward"``;
     ``bimodal_cs``, ``pairwise_cs`` and ``kl`` sum one-edge passes over
-    every ordered modality pair, keyed by direction label (``kl`` smoothed
-    by ``kl_cfg.epsilon``). ``total`` is the sum of the per-pass batch
-    means in pass order, ``per_direction`` holds those means and
-    ``per_sample`` the per-row sums over passes. The gradients are one
-    n x d matrix per ring modality, index-aligned with ``ring.batches``.
+    every ordered modality pair, keyed by direction label in source-major
+    order (``kl`` smoothed by ``kl_cfg.epsilon``). ``total`` is the sum of
+    the per-pass batch means in that order, ``per_direction`` holds those
+    means and ``per_sample`` the per-row sums over passes. The gradients
+    are one n x d matrix per ring modality, index-aligned with
+    ``ring.batches``.
+
+    Every backward ring edge is a forward edge reversed, and every
+    ordered pair (d, s) the pair (s, d) reversed, so the passes come in
+    groups evaluated once: the ring's M matrices ``z_m = U_m U_{m+1}^T /
+    tau``, read by rows for the forward pass and by columns for the
+    backward one, and one matrix per unordered pair, read by rows for
+    s -> d and by columns for d -> s. Each group costs one batched
+    matmul, one kernel call and one pair of matmuls back to the
+    embeddings.
     """
     global _ASSOCIATION_PMF_COUNT
     if kind not in MATCHING_KINDS:
         raise ConfigError(f"unknown matching loss {kind!r}; expected one of {MATCHING_KINDS}")
     batches = ring.batches
+    m = ring.m
     if kind == "gcs_ring":
-        names = ring_passes(ring.strategy)
-        passes = [ring_edges(ring.m, direction) for direction in names]
+        order = ring_passes(ring.strategy)
+        groups = [(slice(None), (np.arange(m) + 1) % m, "forward", "backward")]
     else:
-        passes = [[(s, d)] for s in range(ring.m) for d in range(ring.m) if s != d]
-        names = [direction_label(batches[s], batches[d]) for [(s, d)] in passes]
+        label = lambda s, d: direction_label(batches[s], batches[d])
+        order = [label(s, d) for s in range(m) for d in range(m) if s != d]
+        groups = [
+            (slice(s, s + 1), slice(d, d + 1), label(s, d), label(d, s))
+            for s in range(m) for d in range(s + 1, m)
+        ]
+    tau = (cfg or AlignConfig()).temperature
     if kind == "kl":
         same_label = ring.labels[:, None] == ring.labels[None, :]
         q = same_label / same_label.sum(axis=1, keepdims=True)
         log_q = np.log(q + (kl_cfg or KlConfig()).epsilon)
-        pass_rows = lambda logits: _kl_logit_rows(logits, log_q)
+        group_rows = lambda logits, rows, cols: _kl_logit_pair(logits, log_q)
     else:
         support = label_support(ring.labels)
-        pass_rows = lambda logits: gcs_logit_rows(logits, support)
-    tau = (cfg or AlignConfig()).temperature
+        group_rows = lambda logits, rows, cols: gcs_logit_rows(logits, support, tau, rows, cols)
 
     data = np.stack([b.data for b in batches])
-    norms = np.linalg.norm(data, axis=2, keepdims=True)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(data, axis=2, keepdims=True)
+    # an overflowing norm would make zero unit rows and a wrong finite
+    # loss; as nan it makes the loss and the report non-finite instead
+    norms[np.isinf(norms)] = np.nan
     units = data / norms
     scaled_t = units.transpose(0, 2, 1) / tau
     g_units = np.zeros_like(units)
-    # one logit buffer per call: pass_rows writes its gradients over it
-    buffer = np.empty((max(len(edges) for edges in passes), ring.n, ring.n))
+    # one logit buffer per call: the kernel writes its gradients over it
+    buffer = np.empty((m if kind == "gcs_ring" else 1, ring.n, ring.n))
+    values: dict[str, np.ndarray] = {}
+    for src, dst, row_name, col_name in groups:
+        names = [name for name in (row_name, col_name) if name in order]
+        logits = np.matmul(units[src], scaled_t[dst], out=buffer)
+        group_values, grads = group_rows(logits, row_name in order, col_name in order)
+        values.update(zip(names, group_values))
+        _ASSOCIATION_PMF_COUNT += len(buffer) * len(names)
+        # within a group no modality is the source, or the target, of two edges
+        g_units[src] += grads @ units[dst]
+        g_units[dst] += grads.transpose(0, 2, 1) @ units[src]
     total = 0.0
     per_sample = np.zeros(ring.n)
     per_direction: dict[str, float] = {}
-    for name, edges in zip(names, passes):
-        src, dst = np.array(edges).T
-        logits = np.matmul(units[src], scaled_t[dst], out=buffer[: len(edges)])
-        values, grads = pass_rows(logits)
-        _ASSOCIATION_PMF_COUNT += len(edges)
-        per_direction[name] = float(values.mean())
+    for name in order:
+        per_direction[name] = float(values[name].mean())
         total += per_direction[name]
-        per_sample += values
-        # within a pass no modality is the source, or the target, of two edges
-        g_units[src] += grads @ units[dst]
-        g_units[dst] += grads.transpose(0, 2, 1) @ units[src]
+        per_sample += values[name]
     # the batch mean and dz/dcos = 1/tau scale every logit gradient alike;
     # d(a/||a||)/da removes the radial component and divides by the norm
     radial = (g_units * units).sum(axis=2, keepdims=True) * units

@@ -60,8 +60,9 @@ class EmbeddingBatch:
     """One modality's mini-batch: an n x d matrix plus class labels.
 
     Invariants enforced at construction: n >= 2, d >= 1, one label per
-    row, every row with strictly positive Euclidean norm (cosine
-    similarity is undefined on zero rows).
+    row, every row with strictly positive and finite Euclidean norm
+    (cosine similarity is undefined on zero rows, and a row whose norm
+    overflows would normalise to zero).
     """
 
     data: np.ndarray
@@ -80,9 +81,14 @@ class EmbeddingBatch:
             raise ShapeMismatch(f"labels must have shape ({n},), got {labels.shape}")
         if np.any(labels < 0):
             raise NotAPmf("class labels must be non-negative integers")
-        if not np.all(np.isfinite(data)):
-            raise NonFiniteSimilarity(f"batch '{self.modality_name}' contains non-finite values")
-        if np.any(np.linalg.norm(data, axis=1) == 0.0):
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(data, axis=1)
+        # a nan or inf entry, or a finite row too large to square, makes its norm non-finite
+        if not np.all(np.isfinite(norms)):
+            raise NonFiniteSimilarity(
+                f"batch '{self.modality_name}' contains non-finite values or a row whose norm overflows"
+            )
+        if np.any(norms == 0.0):
             raise ZeroNormRow(f"batch '{self.modality_name}' has a zero-norm row")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "labels", labels)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadK, NoRelevantItems, ShapeMismatch, ZeroNormRow
+from .errors import BadK, NoRelevantItems, NonFiniteSimilarity, ShapeMismatch, ZeroNormRow
 from .pmf import MIN_ROW_NORM, EmbeddingBatch
 
 # Query rows scored per block: bounds the temporaries of one retrieval
@@ -49,16 +49,21 @@ def cosine_scores(
     a multiple of the block gives the same bits as the matching rows of
     the whole matrix. (A BLAS product over a different number of rows
     may round differently in the last place, which could reorder
-    near-ties.)
+    near-ties.) A zero-norm row raises ``ZeroNormRow``; a row whose norm
+    is not finite (it overflows, or holds nan) raises
+    ``NonFiniteSimilarity``.
     """
     q = _as_data(query)
     g = _as_data(gallery)
     if q.shape[1] != g.shape[1]:
         raise ShapeMismatch(f"feature dims differ: {q.shape[1]} vs {g.shape[1]}")
-    qn = np.linalg.norm(q, axis=1, keepdims=True)
-    gn = np.linalg.norm(g, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        qn = np.linalg.norm(q, axis=1, keepdims=True)
+        gn = np.linalg.norm(g, axis=1, keepdims=True)
     if np.any(qn < MIN_ROW_NORM) or np.any(gn < MIN_ROW_NORM):
         raise ZeroNormRow("zero-norm row; cosine ranking undefined")
+    if not (np.all(np.isfinite(qn)) and np.all(np.isfinite(gn))):
+        raise NonFiniteSimilarity("a row norm is not finite; cosine ranking undefined")
     unit_q, unit_g = q / qn, (g / gn).T
     scores = np.empty((q.shape[0], g.shape[0]))
     for start in range(0, q.shape[0], SCORE_BLOCK_ROWS):

@@ -5,6 +5,7 @@ from csalign import (
     LOSS_KINDS,
     AlignConfig,
     EmbeddingBatch,
+    KlConfig,
     MatchStrategy,
     ModalityRing,
     association_pmf,
@@ -21,7 +22,7 @@ from csalign import (
     true_match_pmf,
 )
 from csalign.errors import ConfigError, NonFinitePerturbation
-from csalign.losses import gcs_logit_rows, label_support
+from csalign.losses import STATIC_SHIFT_LIMIT, gcs_logit_rows, label_support, matching_loss
 
 
 def random_ring(seed, m=2, n=8, d=4, strategy=MatchStrategy.MIXED):
@@ -200,12 +201,17 @@ class TestLogDomainKernel:
         support = label_support(ring.labels)
         q = true_match_pmf(build_match_matrix(ring.labels, ring.labels)).rows
         units = [b.data / np.linalg.norm(b.data, axis=1, keepdims=True) for b in ring.batches]
+        # the forward matrices read by rows, and by columns for the backward pass
+        logits = np.stack([
+            units[s] @ units[d].T / cfg.temperature for s, d in ring_edges(ring.m, "forward")
+        ])
+        values, _ = gcs_logit_rows(logits, support, cfg.temperature)
+        readings = dict(zip(ring_passes(ring.strategy), values))
         total = 0.0
         compared = 0
         for direction in ring_passes(ring.strategy):
             edges = ring_edges(ring.m, direction)
-            logits = np.stack([units[s] @ units[d].T / cfg.temperature for s, d in edges])
-            rows, _ = gcs_logit_rows(logits, support)
+            rows = readings[direction]
             total += rows.mean()
             pmfs = [
                 association_pmf(cosine_similarity_matrix(ring.batches[s], ring.batches[d]), cfg).rows
@@ -239,3 +245,138 @@ class TestLogDomainKernel:
         _, analytic = loss_gradient("gcs_ring", ring, cfg)
         numeric = finite_diff_gradient("gcs_ring", ring, cfg)
         assert max_relative_error(analytic, numeric) <= 1e-5
+
+
+def per_pass_rows(logits, rows, cols, starts, log_counts):
+    """One pass of M logit matrices, each exponential max-subtracted by
+    rows: the per-row GCS and its gradient, written over ``logits``."""
+    k = logits.shape[0] + 1
+    joint = logits[:, rows, cols].sum(axis=0)
+    top = np.maximum.reduceat(joint, starts)
+    w = np.exp(joint - top[rows])
+    total = np.add.reduceat(w, starts)
+    w /= total[rows]
+    z_top = logits.max(axis=2)
+    logits -= z_top[:, :, None]
+    logits *= k
+    np.exp(logits, out=logits)
+    z_total = logits.sum(axis=2)
+    logits /= z_total[:, :, None]
+    logits[:, rows, cols] -= w
+    power_lse = log_counts + (k * z_top + np.log(z_total)).sum(axis=0)
+    return power_lse / k - top - np.log(total), logits
+
+
+def per_pass_kl_rows(logits, log_q):
+    """Per-row smoothed KL of a one-edge pass and its gradient."""
+    logits -= logits.max(axis=2, keepdims=True)
+    p = np.exp(logits)
+    total = p.sum(axis=2, keepdims=True)
+    p /= total
+    logits -= np.log(total)
+    logits -= log_q
+    values = np.einsum("eij,eij->ei", p, logits)
+    logits -= values[:, :, None]
+    logits *= p
+    return values.sum(axis=0), logits
+
+
+def per_pass_matching_loss(kind, ring, tau):
+    """The projection-matching engine evaluated one ordered pass at a time:
+    a matmul, a max-subtracted exponential and two backward matmuls per
+    edge of every pass. Returns the total, the per-direction means, the
+    per-sample sums and the embedding gradients."""
+    batches = ring.batches
+    if kind == "gcs_ring":
+        names = ring_passes(ring.strategy)
+        passes = [ring_edges(ring.m, direction) for direction in names]
+    else:
+        passes = [[(s, d)] for s in range(ring.m) for d in range(ring.m) if s != d]
+        names = [f"{batches[s].modality_name}2{batches[d].modality_name}" for [(s, d)] in passes]
+    same_label = ring.labels[:, None] == ring.labels[None, :]
+    if kind == "kl":
+        log_q = np.log(same_label / same_label.sum(axis=1, keepdims=True) + KlConfig().epsilon)
+        pass_rows = lambda logits: per_pass_kl_rows(logits, log_q)
+    else:
+        rows, cols = np.nonzero(same_label)
+        counts = same_label.sum(axis=1)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        pass_rows = lambda logits: per_pass_rows(logits, rows, cols, starts, np.log(counts))
+    data = np.stack([b.data for b in batches])
+    norms = np.linalg.norm(data, axis=2, keepdims=True)
+    units = data / norms
+    g_units = np.zeros_like(units)
+    total, per_sample, per_direction = 0.0, np.zeros(ring.n), {}
+    for name, edges in zip(names, passes):
+        src, dst = np.array(edges).T
+        values, grads = pass_rows(units[src] @ units[dst].transpose(0, 2, 1) / tau)
+        per_direction[name] = float(values.mean())
+        total += per_direction[name]
+        per_sample += values
+        g_units[src] += grads @ units[dst]
+        g_units[dst] += grads.transpose(0, 2, 1) @ units[src]
+    radial = (g_units * units).sum(axis=2, keepdims=True) * units
+    return total, per_direction, per_sample, list((g_units - radial) / (ring.n * tau) / norms)
+
+
+# tau just inside and just outside the static-shift domain 2k/tau <= limit
+SHIFT_EDGE_TAUS = [(m, 2 * (m + 1) / STATIC_SHIFT_LIMIT * f) for m in (3, 8) for f in (1.01, 0.99)]
+
+
+class TestGroupedEngineAgreesWithPerPassEngine:
+    """Each matrix evaluated once and read by rows and by columns gives the
+    values and gradients of evaluating every ordered pass on its own."""
+
+    @staticmethod
+    def check(kind, ring, tau):
+        report, grads = matching_loss(kind, ring, AlignConfig(tau))
+        want_total, want_directions, want_rows, want_grads = per_pass_matching_loss(kind, ring, tau)
+        assert report.finite
+        assert report.total == pytest.approx(want_total, rel=1e-12, abs=0)
+        assert list(report.per_direction) == list(want_directions)
+        for name, want in want_directions.items():
+            assert report.per_direction[name] == pytest.approx(want, rel=1e-12, abs=0)
+        assert np.abs(report.per_sample - want_rows).max() <= 1e-12 * np.abs(want_rows).max()
+        for got, want in zip(grads, want_grads):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("tau", [1.0, 0.2, 0.02, 0.005])
+    @pytest.mark.parametrize("strategy", list(MatchStrategy))
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_gcs_ring(self, m, strategy, tau):
+        self.check("gcs_ring", random_ring(10 * m + int(1 / tau), m=m, n=12, strategy=strategy), tau)
+
+    @pytest.mark.parametrize("m, tau", SHIFT_EDGE_TAUS)
+    @pytest.mark.parametrize("strategy", list(MatchStrategy))
+    def test_gcs_ring_either_side_of_static_shift_limit(self, m, tau, strategy):
+        static = 2 * (m + 1) / tau <= STATIC_SHIFT_LIMIT
+        assert static == (tau > 2 * (m + 1) / STATIC_SHIFT_LIMIT)
+        self.check("gcs_ring", random_ring(m, m=m, n=12, strategy=strategy), tau)
+
+    @pytest.mark.parametrize("factor", [1.01, 0.99, 0.67])
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_row_whose_best_cosine_is_minus_one(self, m, factor):
+        # row 0 of z_01 has every cosine near -1, so its largest term under
+        # the static shift is about exp(-2k/tau): normal inside the limit,
+        # zero at 2k/tau = 1000 (factor 0.67), where the row maxima take over
+        rng = np.random.default_rng(m)
+        labels = np.array([0, 0, 1, 1, 2, 2])
+        data = [rng.normal(size=(6, 3)) for _ in range(m)]
+        data[1] = -data[0][0] + 1e-3 * rng.normal(size=(6, 3))
+        ring = ModalityRing(tuple(
+            EmbeddingBatch(x, labels, f"s{i}") for i, x in enumerate(data)
+        ))
+        tau = 2 * (m + 1) / STATIC_SHIFT_LIMIT * factor
+        self.check("gcs_ring", ring, tau)
+        self.check("pairwise_cs", ring, tau)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.2, 0.02, 0.005])
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_pairwise_cs_and_kl(self, m, tau):
+        ring = random_ring(20 * m + int(1 / tau), m=m, n=12)
+        self.check("pairwise_cs", ring, tau)
+        self.check("kl", ring, tau)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.2, 0.02, 0.005])
+    def test_bimodal_cs(self, tau):
+        self.check("bimodal_cs", random_ring(int(1 / tau), m=2, n=12), tau)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csalign import (
     AlignConfig,
@@ -18,7 +20,15 @@ from csalign import (
     ring_edges,
     ring_passes,
 )
-from csalign.errors import ConfigError, ShapeMismatch, TooFewDistributions
+from csalign.errors import (
+    ConfigError,
+    CsAlignError,
+    NonFiniteSimilarity,
+    ShapeMismatch,
+    TooFewDistributions,
+)
+from csalign.losses import label_support, matching_loss
+from csalign.retrieval import cosine_scores
 
 
 def random_ring(seed, m=3, n=8, d=4, strategy=MatchStrategy.MIXED, classes=3):
@@ -162,6 +172,15 @@ class TestGcsRingLoss:
                 evaluate(ring)
                 assert association_pmf_count() - before == 2 * m
 
+    def test_unidirectional_builds_m_association_pmfs(self):
+        for m in (2, 3, 5):
+            for strategy in (MatchStrategy.CLOCKWISE, MatchStrategy.COUNTERCLOCKWISE):
+                ring = random_ring(12, m=m, strategy=strategy)
+                for evaluate in (gcs_ring_loss, lambda r: loss_gradient("gcs_ring", r)):
+                    before = association_pmf_count()
+                    evaluate(ring)
+                    assert association_pmf_count() - before == m
+
 
 class TestPairwiseSumLoss:
     def test_m2_cs_equals_bimodal(self):
@@ -182,6 +201,14 @@ class TestPairwiseSumLoss:
                 before = association_pmf_count()
                 evaluate(ring)
                 assert association_pmf_count() - before == m * (m - 1)
+
+    def test_directions_keyed_source_major(self):
+        for measure in ("cs", "kl"):
+            report = pairwise_sum_loss(random_ring(18, m=4), measure=measure)
+            assert list(report.per_direction) == [
+                f"{chr(65 + s)}2{chr(65 + d)}" for s in range(4) for d in range(4) if s != d
+            ]
+            assert report.total == sum(report.per_direction.values())
 
     def test_kl_measure_runs_and_differs_from_cs(self):
         ring = random_ring(19)
@@ -255,3 +282,63 @@ class TestValueOracle:
                     [gcs_divergence([p[i] for p in pmfs] + [q[i]]).value for i in rows]
                 )
             assert_matches_oracle(gcs_ring_loss(ring, cfg), gcs)
+
+
+class TestLabelSupport:
+    """The sorted construction against the n x n label comparison."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=40))
+    @example([3, 3, 3, 3, 3])
+    @example([5, 0, 4, 1, 3, 2])
+    @example([2, 0, 2, 1, 0, 2, 1, 1])
+    def test_matches_dense_comparison(self, labels):
+        labels = np.asarray(labels, dtype=np.int64)
+        support = label_support(labels)
+        rows, cols = np.nonzero(labels[:, None] == labels[None, :])
+        assert np.array_equal(support.rows, rows) and np.array_equal(support.cols, cols)
+        counts = np.bincount(rows, minlength=labels.size)
+        assert np.array_equal(support.starts, np.concatenate(([0], np.cumsum(counts)[:-1])))
+        assert np.array_equal(support.log_counts, np.log(counts))
+        # transpose maps pair (i, k) to the position of pair (k, i)
+        assert np.array_equal(rows[support.transpose], cols)
+        assert np.array_equal(cols[support.transpose], rows)
+
+
+def overflow_pair():
+    """A 4 x 3 batch pair and its labels; scaled by 1e200, every row norm
+    overflows, while at 1e150 the loss is that of the unscaled rows."""
+    rng = np.random.default_rng(41)
+    data = [rng.normal(size=(4, 3)) for _ in range(2)]
+    return data, np.array([0, 0, 1, 1])
+
+
+class TestNormOverflow:
+    def test_batch_and_cosine_scores_reject_overflowing_norm(self):
+        (a, b), labels = overflow_pair()
+        with pytest.raises(NonFiniteSimilarity) as raised:
+            EmbeddingBatch(a * 1e200, labels)
+        assert isinstance(raised.value, CsAlignError)
+        EmbeddingBatch(a * 1e150, labels)
+        with pytest.raises(NonFiniteSimilarity):
+            cosine_scores(a * 1e200, b)
+        with pytest.raises(NonFiniteSimilarity):
+            cosine_scores(a, b * 1e200)
+
+    @pytest.mark.parametrize("kind", ["bimodal_cs", "gcs_ring", "pairwise_cs", "kl"])
+    def test_engine_reports_non_finite_not_a_wrong_value(self, kind):
+        (a, b), labels = overflow_pair()
+        batches = (EmbeddingBatch(a, labels, "A"), EmbeddingBatch(b, labels, "B"))
+        ring = ModalityRing(batches)
+        scaled, _ = matching_loss(kind, ModalityRing(tuple(
+            EmbeddingBatch(batch.data * 1e150, labels, batch.modality_name) for batch in batches
+        )))
+        assert scaled.finite
+        assert scaled.total == pytest.approx(matching_loss(kind, ring)[0].total, rel=1e-12)
+        # rows that passed validation and were scaled afterwards reach the engine as is
+        for batch in batches:
+            object.__setattr__(batch, "data", batch.data * 1e200)
+        report, grads = matching_loss(kind, ring)
+        assert not report.finite
+        assert not np.isfinite(report.total)
+        assert not any(np.all(np.isfinite(g)) for g in grads)
