@@ -2,11 +2,14 @@
 
 Queries from one modality are ranked against a gallery from another by
 descending cosine similarity (ties broken by ascending gallery index,
-so rankings are deterministic). A gallery item is *relevant* to a query
-iff their class labels agree. P@K is computed either from a ranking
-(``precision_at_k``) or straight from the scores by top-k selection
-under the same tie rule (``precision_at_k_scores``); the two agree
-exactly.
+so rankings are deterministic). ``rank_scores`` builds every ranking:
+one unstable sort of the scores, then a sort of integer keys that puts
+each run of tied scores in index order. A gallery item is *relevant* to
+a query iff their class labels agree. P@K is computed either from a
+ranking (``precision_at_k``) or straight from the scores by top-k
+selection under the same tie rule (``precision_at_k_scores``); the two
+agree exactly. ``average_precisions`` scores all queries with the same
+number of relevant items in one vectorised sum.
 """
 
 from __future__ import annotations
@@ -72,15 +75,40 @@ def cosine_scores(
     return scores
 
 
+def rank_scores(scores: np.ndarray) -> np.ndarray:
+    """Column indices of each row of ``scores``, best first: descending
+    score, ties in ascending index (``-0.0`` ties with ``0.0``), the
+    order of a stable argsort of ``-scores``. Scores must not hold nan.
+
+    One unstable argsort orders each row; the runs of equal scores along
+    the sorted row are numbered, and sorting the distinct keys
+    ``run * n + index`` (``n`` columns) puts every run in index order
+    without moving it, so subtracting ``run * n`` leaves the indices.
+    """
+    scores = np.asarray(scores)
+    n = scores.shape[1]
+    order = np.argsort(-scores, axis=1)
+    ranked = np.take_along_axis(scores, order, axis=1)
+    new_run = ranked[:, 1:] != ranked[:, :-1]
+    del ranked  # free it before the run numbers take the same room
+    run_base = np.zeros(scores.shape, dtype=np.intp)
+    run_base[:, 1:] = new_run
+    np.cumsum(run_base, axis=1, out=run_base)
+    run_base *= n
+    keys = order
+    keys += run_base
+    keys.sort(axis=1)
+    keys -= run_base
+    return keys
+
+
 def rank_gallery(
     query: EmbeddingBatch | np.ndarray, gallery: EmbeddingBatch | np.ndarray
 ) -> np.ndarray:
-    """Gallery indices per query, best match first.
-
-    Sorting is by descending cosine similarity with stable tie-breaking
-    on the gallery index.
-    """
-    return np.argsort(-cosine_scores(query, gallery), axis=1, kind="stable")
+    """Gallery indices per query, best match first: ``rank_scores`` of the
+    cosine scores (descending similarity, ties by ascending gallery
+    index)."""
+    return rank_scores(cosine_scores(query, gallery))
 
 
 def precision_at_k(
@@ -153,21 +181,26 @@ def average_precisions(
     """Average precision of each ranked query, in query order.
 
     AP for one query is ``(1/R) * sum over relevant ranks r of
-    (relevant hits at or before r) / r``.
+    (relevant hits at or before r) / r``. Queries with the same R are
+    scored together: their relevant ranks form one ``(queries, R)``
+    array, and summing its rows adds each query's terms in the order
+    and grouping of a one-query sum.
     """
     ranked = np.asarray(ranked)
     query_labels = np.asarray(query_labels)
     gallery_labels = np.asarray(gallery_labels)
-    ap_values = []
-    for qi in range(ranked.shape[0]):
-        relevant = gallery_labels[ranked[qi]] == query_labels[qi]
-        total = int(relevant.sum())
-        if total == 0:
-            raise NoRelevantItems(f"query {qi} has no relevant gallery item")
-        positions = np.nonzero(relevant)[0] + 1
-        hits = np.arange(1, total + 1)
-        ap_values.append(float((hits / positions).sum() / total))
-    return ap_values
+    relevant = gallery_labels[ranked] == query_labels[:, None]
+    totals = np.count_nonzero(relevant, axis=1)
+    if not totals.all():
+        raise NoRelevantItems(f"query {np.argmin(totals)} has no relevant gallery item")
+    width = ranked.shape[1]
+    ap_values = np.empty(ranked.shape[0])
+    for total in np.unique(totals):
+        rows = np.flatnonzero(totals == total)
+        flat = np.flatnonzero(relevant[rows]).reshape(rows.size, total)
+        positions = flat - np.arange(0, rows.size * width, width)[:, None] + 1
+        ap_values[rows] = (np.arange(1, total + 1) / positions).sum(axis=1) / total
+    return ap_values.tolist()
 
 
 def mean_average_precision(

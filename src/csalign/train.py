@@ -15,11 +15,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, NoRelevantItems, ShapeMismatch
 from .gradients import LOSS_KINDS, loss_gradient
 from .losses import MatchStrategy, ModalityRing, ring_edges, ring_passes
 from .pmf import AlignConfig, EmbeddingBatch
-from .retrieval import SCORE_BLOCK_ROWS, average_precisions, cosine_scores, top_k_hits
+from .retrieval import (
+    SCORE_BLOCK_ROWS,
+    average_precisions,
+    cosine_scores,
+    rank_scores,
+    top_k_hits,
+)
 
 
 @dataclass(frozen=True)
@@ -224,16 +230,27 @@ def evaluate_directions(
     with ``rank_gallery``'s tie rule: descending cosine, then ascending
     gallery index; no full ranking is built. Queries are scored in blocks
     of ``SCORE_BLOCK_ROWS`` rows, so temporaries stay O(block x gallery);
-    the MAP pass ranks each block by a stable argsort of that block's
-    scores. Hit counts are summed over blocks and divided once, so every
+    the MAP pass ranks each block with ``rank_scores`` (one unstable sort
+    plus an integer tie repair) and scores it with ``average_precisions``
+    (one vectorised sum per group of queries with equally many relevant
+    items). Hit counts are summed over blocks and divided once, so every
     value equals the one from ``rank_gallery`` + ``precision_at_k`` /
-    ``mean_average_precision`` exactly.
+    ``mean_average_precision`` exactly. With ``with_map``, a query whose
+    label no gallery item has raises ``NoRelevantItems`` naming the
+    direction and the query's row.
     """
     metrics: dict[str, dict[str, float]] = {}
     for qi, query in enumerate(batches):
         for gi, gallery in enumerate(batches):
             if qi == gi:
                 continue
+            direction = f"{query.modality_name}2{gallery.modality_name}"
+            if with_map:
+                missing = np.flatnonzero(~np.isin(query.labels, gallery.labels))
+                if missing.size:
+                    raise NoRelevantItems(
+                        f"{direction}: query {missing[0]} has no relevant gallery item"
+                    )
             k = min(10, gallery.n)
             hits_1 = hits_k = 0
             ap_values: list[float] = []
@@ -244,12 +261,12 @@ def evaluate_directions(
                 hits_1 += top_k_hits(scores, labels, gallery.labels, 1)
                 hits_k += top_k_hits(scores, labels, gallery.labels, k)
                 if with_map:
-                    ranked = np.argsort(-scores, axis=1, kind="stable")
+                    ranked = rank_scores(scores)
                     ap_values += average_precisions(ranked, labels, gallery.labels)
             entry = {"p1": hits_1 / query.n, "p10": hits_k / (query.n * k)}
             if with_map:
                 entry["map"] = float(np.mean(ap_values))
-            metrics[f"{query.modality_name}2{gallery.modality_name}"] = entry
+            metrics[direction] = entry
     return metrics
 
 

@@ -1,0 +1,58 @@
+"""Retrieval computed the plain way, as the reference the library is
+checked against: a stable argsort for the ranking, a count over the top k
+for P@K, and one query at a time for average precision.
+
+``csalign.retrieval`` ranks by an unstable sort plus a tie repair and
+scores AP for whole groups of queries at once; nothing here calls those
+routines.
+"""
+
+import numpy as np
+
+from csalign.retrieval import cosine_scores
+
+
+def stable_ranking(scores):
+    """Column indices per row, descending score, ties by ascending index."""
+    return np.argsort(-np.asarray(scores), axis=1, kind="stable")
+
+
+def precision_at_k(ranked, query_labels, gallery_labels, k):
+    """Mean over queries of (same-label items in the top k) / k."""
+    hits = np.asarray(gallery_labels)[ranked[:, :k]] == np.asarray(query_labels)[:, None]
+    return float(hits.mean())
+
+
+def average_precisions(ranked, query_labels, gallery_labels):
+    """AP of each query, one query at a time; ``None`` for a query with
+    no relevant item."""
+    gallery_labels = np.asarray(gallery_labels)
+    ap_values = []
+    for row, label in zip(ranked, query_labels):
+        relevant = gallery_labels[row] == label
+        total = int(relevant.sum())
+        if total == 0:
+            ap_values.append(None)
+            continue
+        positions = np.nonzero(relevant)[0] + 1
+        hits = np.arange(1, total + 1)
+        ap_values.append(float((hits / positions).sum() / total))
+    return ap_values
+
+
+def direction_metrics(batches):
+    """P@1, P@10 and MAP of every ordered pair of batches, from the stable
+    ranking of the whole cosine matrix."""
+    out = {}
+    for query in batches:
+        for gallery in batches:
+            if query is gallery:
+                continue
+            ranked = stable_ranking(cosine_scores(query, gallery))
+            k = min(10, gallery.n)
+            out[f"{query.modality_name}2{gallery.modality_name}"] = {
+                "p1": precision_at_k(ranked, query.labels, gallery.labels, 1),
+                "p10": precision_at_k(ranked, query.labels, gallery.labels, k),
+                "map": float(np.mean(average_precisions(ranked, query.labels, gallery.labels))),
+            }
+    return out

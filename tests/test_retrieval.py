@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csalign import (
     EmbeddingBatch,
@@ -11,8 +13,9 @@ from csalign import (
     rank_gallery,
     top_k_hits,
 )
-from csalign.retrieval import SCORE_BLOCK_ROWS
+from csalign.retrieval import SCORE_BLOCK_ROWS, average_precisions, rank_scores
 from csalign.errors import BadK, NoRelevantItems, ShapeMismatch, ZeroNormRow
+import retrieval_oracle as oracle
 
 
 class TestRankGallery:
@@ -41,6 +44,47 @@ class TestRankGallery:
     def test_dim_mismatch(self):
         with pytest.raises(ShapeMismatch):
             rank_gallery(np.ones((2, 3)), np.ones((2, 4)))
+
+
+class TestRankScores:
+    """The unstable sort plus tie repair against the stable argsort."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 40),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_integer_scores_with_heavy_ties(self, rows, cols, levels, seed):
+        scores = np.random.default_rng(seed).integers(-levels, levels, size=(rows, cols))
+        scores = scores.astype(np.float64)
+        assert np.array_equal(rank_scores(scores), oracle.stable_ranking(scores))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_wide_blocks_with_copied_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        scores = np.round(rng.normal(size=(SCORE_BLOCK_ROWS, 300)), 2)
+        scores[:, rng.choice(300, 40)] = scores[:, rng.choice(300, 40)]
+        assert np.array_equal(rank_scores(scores), oracle.stable_ranking(scores))
+
+    def test_all_equal_rows(self):
+        scores = np.full((4, 9), 0.25)
+        scores[2] = -1.0
+        assert np.array_equal(rank_scores(scores), np.tile(np.arange(9), (4, 1)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_signed_zeros_tie(self, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.choice([0.0, -0.0, 0.5, -0.5], size=(7, 30))
+        assert np.array_equal(rank_scores(scores), oracle.stable_ranking(scores))
+
+    def test_one_column_and_one_row(self):
+        column = np.array([[0.3], [-0.0], [0.0]])
+        assert np.array_equal(rank_scores(column), np.zeros((3, 1), dtype=int))
+        row = np.array([[0.1, -0.0, 0.7, 0.0, 0.7, 0.1]])
+        assert rank_scores(row).tolist() == [[2, 4, 0, 5, 1, 3]]
+        assert np.array_equal(rank_scores(row), oracle.stable_ranking(row))
 
 
 class TestPrecisionAtK:
@@ -131,6 +175,46 @@ class TestMeanAveragePrecision:
     def test_no_relevant_items_raises(self):
         with pytest.raises(NoRelevantItems):
             mean_average_precision(np.array([[0, 1]]), [9], [0, 1])
+
+
+class TestAveragePrecisions:
+    """Vectorised AP against the one-query-at-a-time loop, compared with ==."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_unequal_classes_in_mixed_row_order(self, seed):
+        rng = np.random.default_rng(seed)
+        gallery_labels = rng.choice(5, size=90, p=[0.5, 0.25, 0.15, 0.07, 0.03])
+        query_labels = rng.choice(np.unique(gallery_labels), size=37)
+        scores = rng.integers(0, 6, size=(37, 90)).astype(np.float64)
+        ranked = oracle.stable_ranking(scores)
+        assert average_precisions(ranked, query_labels, gallery_labels) == (
+            oracle.average_precisions(ranked, query_labels, gallery_labels)
+        )
+
+    def test_one_class_gallery(self):
+        rng = np.random.default_rng(11)
+        ranked = oracle.stable_ranking(rng.normal(size=(6, 15)))
+        values = average_precisions(ranked, np.full(6, 3), np.full(15, 3))
+        assert values == oracle.average_precisions(ranked, np.full(6, 3), np.full(15, 3))
+        assert values == [1.0] * 6
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_truncated_rankings(self, seed):
+        # a ranking cut at k columns: queries of one class can see different counts
+        rng = np.random.default_rng(seed)
+        gallery_labels = rng.integers(0, 3, size=50)
+        query_labels = rng.integers(0, 3, size=20)
+        ranked = oracle.stable_ranking(rng.normal(size=(20, 50)))[:, :12]
+        expected = oracle.average_precisions(ranked, query_labels, gallery_labels)
+        keep = [i for i, v in enumerate(expected) if v is not None]
+        assert average_precisions(ranked[keep], query_labels[keep], gallery_labels) == [
+            expected[i] for i in keep
+        ]
+
+    def test_first_query_without_relevant_item_is_named(self):
+        ranked = np.tile(np.arange(4), (5, 1))
+        with pytest.raises(NoRelevantItems, match="^query 2 "):
+            average_precisions(ranked, [0, 1, 7, 0, 8], [0, 1, 0, 1])
 
 
 class TestInvariances:

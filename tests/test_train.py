@@ -11,14 +11,12 @@ from csalign import (
     ablation_run,
     build_encoders,
     generate_synthetic,
-    mean_average_precision,
-    precision_at_k,
-    rank_gallery,
     train_run,
 )
-from csalign.errors import ConfigError
+from csalign.errors import ConfigError, NoRelevantItems
 from csalign.retrieval import SCORE_BLOCK_ROWS, cosine_scores
 from csalign.train import clip_global_norm, evaluate_directions, supervised_directions
+from retrieval_oracle import direction_metrics
 
 
 def tiny_setup(**train_overrides):
@@ -196,23 +194,6 @@ def tied_batches(n, num_classes, seed):
     return batches
 
 
-def ranked_reference(batches):
-    """P@1, P@10 and MAP of every direction from the full stable ranking."""
-    out = {}
-    for query in batches:
-        for gallery in batches:
-            if query is gallery:
-                continue
-            ranked = rank_gallery(query, gallery)
-            k = min(10, gallery.n)
-            out[f"{query.modality_name}2{gallery.modality_name}"] = {
-                "p1": precision_at_k(ranked, query.labels, gallery.labels, 1),
-                "p10": precision_at_k(ranked, query.labels, gallery.labels, k),
-                "map": mean_average_precision(ranked, query.labels, gallery.labels),
-            }
-    return out
-
-
 class TestEvaluateDirections:
     @pytest.mark.parametrize(
         "n, num_classes",
@@ -225,7 +206,7 @@ class TestEvaluateDirections:
     )
     def test_equals_full_ranking_exactly(self, n, num_classes):
         batches = tied_batches(n, num_classes, seed=n)
-        reference = ranked_reference(batches)
+        reference = direction_metrics(batches)
         assert evaluate_directions(batches, with_map=True) == reference
         assert evaluate_directions(batches) == {
             d: {"p1": v["p1"], "p10": v["p10"]} for d, v in reference.items()
@@ -238,6 +219,34 @@ class TestEvaluateDirections:
         scores = cosine_scores(a.data, b.data)
         kth = np.sort(scores, axis=1)[:, -10, None]
         assert np.count_nonzero(np.count_nonzero(scores >= kth, axis=1) > 10) > 100
+
+    def test_ties_across_the_relevance_boundary(self):
+        # 1280 rows with 64 gallery rows copied onto rows of another label:
+        # every query sees tied pairs of which one item is relevant and one not
+        rng = np.random.default_rng(17)
+        n = 5 * SCORE_BLOCK_ROWS
+        labels = rng.integers(0, 8, size=n)
+        src = rng.choice(n, 64, replace=False)
+        dst = np.array([rng.choice(np.flatnonzero(labels != labels[s])) for s in src])
+        batches = []
+        for name in "ABC":
+            x = rng.normal(size=(n, 16))
+            x[dst] = x[src]
+            batches.append(EmbeddingBatch(x, labels, name))
+        assert evaluate_directions(batches, with_map=True) == direction_metrics(batches)
+
+    def test_query_without_relevant_item_named_by_row_and_direction(self):
+        rng = np.random.default_rng(18)
+        n = SCORE_BLOCK_ROWS + 44
+        query_labels = rng.integers(0, 5, size=n)
+        query_labels[260] = 5  # in the second block; the gallery has no label 5
+        batches = [
+            EmbeddingBatch(rng.normal(size=(n, 4)), query_labels, "A"),
+            EmbeddingBatch(rng.normal(size=(n, 4)), rng.integers(0, 5, size=n), "B"),
+        ]
+        evaluate_directions(batches)  # P@K alone needs no relevant item
+        with pytest.raises(NoRelevantItems, match="^A2B: query 260 has no relevant"):
+            evaluate_directions(batches, with_map=True)
 
 
 class TestSupervision:
