@@ -11,11 +11,12 @@ independent oracle: a plain two-sided difference quotient per
 coordinate, which any analytic gradient here must match to ~1e-5
 relative error at the default step.
 
-The projection-matching kinds (CS, GCS ring, pairwise CS, KL) have no
-loop of their own here: ``loss_gradient`` returns the total and the
-gradients of ``losses.matching_loss``, the log-domain engine that the
-forward losses run too, and the finite-difference closure differentiates
-that engine's total.
+Every kind has one code path, ``stack_loss_gradient`` on arrays, which
+``loss_gradient`` and the trainer call. The projection-matching kinds
+(CS, GCS ring, pairwise CS, KL) have no loop of their own here: they
+return the total and the gradients of ``losses.stack_matching_loss``,
+the log-domain engine that the forward losses run too, and the
+finite-difference closure differentiates that engine's total.
 
 The MMD median-heuristic bandwidth is resolved once at the evaluation
 point and then treated as a constant, both in the analytic path and in
@@ -33,8 +34,8 @@ from scipy.spatial.distance import cdist
 
 from .divergence import KlConfig, MmdConfig, coral_loss, mmd_squared, resolve_bandwidth
 from .errors import ConfigError, NonFinitePerturbation
-from .losses import MATCHING_KINDS, ModalityRing, matching_loss
-from .pmf import AlignConfig, EmbeddingBatch
+from .losses import MATCHING_KINDS, MatchStrategy, ModalityRing, stack_matching_loss
+from .pmf import AlignConfig
 
 LOSS_KINDS = ("bimodal_cs", "gcs_ring", "pairwise_cs", "kl", "mmd", "coral")
 
@@ -54,9 +55,7 @@ class GradientBundle:
         return self.grads[i]
 
 
-def _mmd_grad(ring: ModalityRing, sigma: float):
-    x = ring.batches[0].data
-    y = ring.batches[1].data
+def _mmd_grad(x: np.ndarray, y: np.ndarray, sigma: float):
     n_x, n_y = x.shape[0], y.shape[0]
     gamma = 1.0 / (2.0 * sigma * sigma)
     k_xx = np.exp(-gamma * cdist(x, x, "sqeuclidean"))
@@ -75,9 +74,7 @@ def _mmd_grad(ring: ModalityRing, sigma: float):
     return value, [g_x, g_y]
 
 
-def _coral_grad(ring: ModalityRing):
-    x = ring.batches[0].data
-    y = ring.batches[1].data
+def _coral_grad(x: np.ndarray, y: np.ndarray):
     d = x.shape[1]
     xc = x - x.mean(axis=0, keepdims=True)
     yc = y - y.mean(axis=0, keepdims=True)
@@ -94,6 +91,28 @@ def _coral_grad(ring: ModalityRing):
 # ---------------------------------------------------------------------------
 # public API
 
+def stack_loss_gradient(
+    loss_kind: str,
+    stack: np.ndarray,
+    labels: np.ndarray,
+    names: Sequence[str],
+    strategy: MatchStrategy,
+    tau: float,
+    *,
+    kl_cfg: KlConfig | None = None,
+    mmd_cfg: MmdConfig | None = None,
+) -> tuple[float, list[np.ndarray]]:
+    """``loss_gradient`` on the unchecked arguments of
+    ``losses.stack_matching_loss``; one n x d gradient per modality."""
+    if loss_kind == "mmd":
+        sigma = resolve_bandwidth(stack[0], stack[1], mmd_cfg)
+        return _mmd_grad(stack[0], stack[1], sigma)
+    if loss_kind == "coral":
+        return _coral_grad(stack[0], stack[1])
+    report, grads = stack_matching_loss(loss_kind, stack, labels, names, strategy, tau, kl_cfg)
+    return report.total, grads
+
+
 def loss_gradient(
     loss_kind: str,
     ring: ModalityRing,
@@ -109,15 +128,11 @@ def loss_gradient(
     bit for bit; the bundle holds one n x d gradient matrix per ring
     modality.
     """
-    _check_kind(loss_kind, ring)
-    if loss_kind == "mmd":
-        sigma = resolve_bandwidth(ring.batches[0].data, ring.batches[1].data, mmd_cfg)
-        value, grads = _mmd_grad(ring, sigma)
-    elif loss_kind == "coral":
-        value, grads = _coral_grad(ring)
-    else:
-        report, grads = matching_loss(loss_kind, ring, align_cfg, kl_cfg)
-        value = report.total
+    check_kind(loss_kind, ring.m)
+    tau = (align_cfg or AlignConfig()).temperature
+    value, grads = stack_loss_gradient(
+        loss_kind, *ring.arrays(), tau, kl_cfg=kl_cfg, mmd_cfg=mmd_cfg
+    )
     return value, GradientBundle(tuple(grads))
 
 
@@ -169,18 +184,12 @@ def _loss_closure(
     Data-dependent constants (the MMD bandwidth) are frozen here so the
     closure is smooth in its arguments.
     """
-    labels = ring.labels
-    names = [b.modality_name for b in ring.batches]
-    strategy = ring.strategy
-
-    def rebuild(arrays: Sequence[np.ndarray]) -> ModalityRing:
-        batches = tuple(
-            EmbeddingBatch(np.asarray(a), labels, name) for a, name in zip(arrays, names)
-        )
-        return ModalityRing(batches, strategy)
-
     if loss_kind in MATCHING_KINDS:
-        return lambda arrays: matching_loss(loss_kind, rebuild(arrays), align_cfg, kl_cfg)[0].total
+        _, *ring_args = ring.arrays()
+        tau = (align_cfg or AlignConfig()).temperature
+        return lambda arrays: stack_matching_loss(
+            loss_kind, np.stack(arrays), *ring_args, tau, kl_cfg
+        )[0].total
     if loss_kind == "mmd":
         sigma = resolve_bandwidth(ring.batches[0].data, ring.batches[1].data, mmd_cfg)
         frozen = MmdConfig(sigma)
@@ -199,18 +208,19 @@ def finite_diff_gradient(
     step: float = 1e-5,
 ) -> GradientBundle:
     """Finite-difference oracle for :func:`loss_gradient`."""
-    _check_kind(loss_kind, ring)
+    check_kind(loss_kind, ring.m)
     fn = _loss_closure(loss_kind, ring, align_cfg, kl_cfg, mmd_cfg)
     grads = central_difference(fn, [b.data for b in ring.batches], step)
     return GradientBundle(tuple(grads))
 
 
-def _check_kind(loss_kind: str, ring: ModalityRing) -> None:
+def check_kind(loss_kind: str, m: int) -> None:
+    """Reject an unknown loss kind, or one that is not defined for M modalities."""
     if loss_kind not in LOSS_KINDS:
         raise ConfigError(f"unknown loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
-    if loss_kind in _PAIR_ONLY and ring.m != 2:
+    if loss_kind in _PAIR_ONLY and m != 2:
         raise ConfigError(f"loss kind {loss_kind!r} is defined for exactly two modalities")
-    if loss_kind == "bimodal_cs" and ring.m != 2:
+    if loss_kind == "bimodal_cs" and m != 2:
         raise ConfigError("bimodal_cs needs a two-modality ring")
 
 

@@ -19,7 +19,7 @@ replaces: one directional projection-matching loss per ordered modality
 pair, M(M-1) in total versus 2M for the mixed ring.
 
 All of them, and ``gradients.loss_gradient``, are thin calls into
-``matching_loss``, which evaluates every pass from its logit matrices
+``stack_matching_loss``, which evaluates every pass from its logit matrices
 ``z_m = cos_m / tau`` in the log domain and returns the per-sample and
 per-direction breakdown together with the embedding gradients. CS and
 GCS are scale invariant, so the softmax normalisers cancel and the
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,6 +87,22 @@ class MatchStrategy(Enum):
     MIXED = "mixed"
 
 
+def check_paired(batches: Sequence[EmbeddingBatch]) -> None:
+    """Check that M >= 2 batches share n and labels position by position
+    (row i of every modality is the same instance) and have unique names."""
+    if len(batches) < 2:
+        raise TooFewDistributions(f"a ring needs M >= 2 modalities, got {len(batches)}")
+    first = batches[0]
+    for b in batches[1:]:
+        if b.n != first.n:
+            raise ShapeMismatch(f"all modalities must share n; got {b.n} vs {first.n}")
+        if not np.array_equal(b.labels, first.labels):
+            raise ShapeMismatch("modalities must carry identical labels position-wise")
+    names = [b.modality_name for b in batches]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"modality names must be unique, got {names}")
+
+
 @dataclass(frozen=True)
 class ModalityRing:
     """Ordered cycle of M paired modality batches.
@@ -100,25 +116,19 @@ class ModalityRing:
 
     def __post_init__(self) -> None:
         batches = tuple(self.batches)
-        if len(batches) < 2:
-            raise TooFewDistributions(f"a ring needs M >= 2 modalities, got {len(batches)}")
-        first = batches[0]
-        for b in batches[1:]:
-            if b.n != first.n or b.d != first.d:
-                raise ShapeMismatch(
-                    f"all ring batches must share (n, d); "
-                    f"got ({b.n},{b.d}) vs ({first.n},{first.d})"
-                )
-            if not np.array_equal(b.labels, first.labels):
-                raise ShapeMismatch("ring batches must carry identical labels position-wise")
-        names = [b.modality_name for b in batches]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"modality names must be unique, got {names}")
+        check_paired(batches)
+        if len({b.d for b in batches}) != 1:
+            raise ShapeMismatch(f"all ring batches must share d, got {[b.d for b in batches]}")
         object.__setattr__(self, "batches", batches)
 
     @property
     def m(self) -> int:
         return len(self.batches)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, list[str], MatchStrategy]:
+        """The engine's inputs: the (M, n, d) stack, labels, names and strategy."""
+        names = [b.modality_name for b in self.batches]
+        return np.stack([b.data for b in self.batches]), self.labels, names, self.strategy
 
     @property
     def n(self) -> int:
@@ -142,8 +152,9 @@ class LossReport:
         object.__setattr__(self, "per_sample", np.asarray(self.per_sample, dtype=np.float64))
 
 
-def direction_label(src: EmbeddingBatch, dst: EmbeddingBatch) -> str:
-    return f"{src.modality_name}2{dst.modality_name}"
+def direction_label(src: str, dst: str) -> str:
+    """The name of the pass, or retrieval direction, from modality ``src`` to ``dst``."""
+    return f"{src}2{dst}"
 
 
 def ring_edges(m: int, direction: str) -> list[tuple[int, int]]:
@@ -347,6 +358,24 @@ def matching_loss(
     are one n x d matrix per ring modality, index-aligned with
     ``ring.batches``.
 
+    The ring validates the input; ``stack_matching_loss`` does the work.
+    """
+    return stack_matching_loss(kind, *ring.arrays(), (cfg or AlignConfig()).temperature, kl_cfg)
+
+
+def stack_matching_loss(
+    kind: str,
+    stack: np.ndarray,
+    labels: np.ndarray,
+    names: Sequence[str],
+    strategy: MatchStrategy,
+    tau: float,
+    kl_cfg: KlConfig | None = None,
+) -> tuple[LossReport, list[np.ndarray]]:
+    """``matching_loss`` on unchecked arrays: the (M, n, d) ``stack``, the n
+    labels all modalities share and M unique ``names`` (for the direction
+    labels).
+
     Every backward ring edge is a forward edge reversed, and every
     ordered pair (d, s) the pair (s, d) reversed, so the passes come in
     groups evaluated once: the ring's M matrices ``z_m = U_m U_{m+1}^T /
@@ -359,51 +388,48 @@ def matching_loss(
     global _ASSOCIATION_PMF_COUNT
     if kind not in MATCHING_KINDS:
         raise ConfigError(f"unknown matching loss {kind!r}; expected one of {MATCHING_KINDS}")
-    batches = ring.batches
-    m = ring.m
+    m, n = stack.shape[:2]
     if kind == "gcs_ring":
-        order = ring_passes(ring.strategy)
+        order = ring_passes(strategy)
         groups = [(slice(None), (np.arange(m) + 1) % m, "forward", "backward")]
     else:
-        label = lambda s, d: direction_label(batches[s], batches[d])
+        label = lambda s, d: direction_label(names[s], names[d])
         order = [label(s, d) for s in range(m) for d in range(m) if s != d]
         groups = [
             (slice(s, s + 1), slice(d, d + 1), label(s, d), label(d, s))
             for s in range(m) for d in range(s + 1, m)
         ]
-    tau = (cfg or AlignConfig()).temperature
     if kind == "kl":
-        same_label = ring.labels[:, None] == ring.labels[None, :]
+        same_label = labels[:, None] == labels[None, :]
         q = same_label / same_label.sum(axis=1, keepdims=True)
         log_q = np.log(q + (kl_cfg or KlConfig()).epsilon)
         group_rows = lambda logits, rows, cols: _kl_logit_pair(logits, log_q)
     else:
-        support = label_support(ring.labels)
+        support = label_support(labels)
         group_rows = lambda logits, rows, cols: gcs_logit_rows(logits, support, tau, rows, cols)
 
-    data = np.stack([b.data for b in batches])
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(data, axis=2, keepdims=True)
+        norms = np.linalg.norm(stack, axis=2, keepdims=True)
     # an overflowing norm would make zero unit rows and a wrong finite
     # loss; as nan it makes the loss and the report non-finite instead
     norms[np.isinf(norms)] = np.nan
-    units = data / norms
+    units = stack / norms
     scaled_t = units.transpose(0, 2, 1) / tau
     g_units = np.zeros_like(units)
     # one logit buffer per call: the kernel writes its gradients over it
-    buffer = np.empty((m if kind == "gcs_ring" else 1, ring.n, ring.n))
+    buffer = np.empty((m if kind == "gcs_ring" else 1, n, n))
     values: dict[str, np.ndarray] = {}
     for src, dst, row_name, col_name in groups:
-        names = [name for name in (row_name, col_name) if name in order]
+        passes = [name for name in (row_name, col_name) if name in order]
         logits = np.matmul(units[src], scaled_t[dst], out=buffer)
         group_values, grads = group_rows(logits, row_name in order, col_name in order)
-        values.update(zip(names, group_values))
-        _ASSOCIATION_PMF_COUNT += len(buffer) * len(names)
+        values.update(zip(passes, group_values))
+        _ASSOCIATION_PMF_COUNT += len(buffer) * len(passes)
         # within a group no modality is the source, or the target, of two edges
         g_units[src] += grads @ units[dst]
         g_units[dst] += grads.transpose(0, 2, 1) @ units[src]
     total = 0.0
-    per_sample = np.zeros(ring.n)
+    per_sample = np.zeros(n)
     per_direction: dict[str, float] = {}
     for name in order:
         per_direction[name] = float(values[name].mean())
@@ -412,7 +438,7 @@ def matching_loss(
     # the batch mean and dz/dcos = 1/tau scale every logit gradient alike;
     # d(a/||a||)/da removes the radial component and divides by the norm
     radial = (g_units * units).sum(axis=2, keepdims=True) * units
-    grads = list((g_units - radial) * (1.0 / (ring.n * tau)) / norms)
+    grads = list((g_units - radial) * (1.0 / (n * tau)) / norms)
     # a non-finite pass mean makes the total non-finite as well
     finite = bool(np.isfinite(total) and np.all(np.isfinite(per_sample)))
     return LossReport(total, per_direction, per_sample, finite), grads

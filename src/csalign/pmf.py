@@ -34,8 +34,25 @@ from .errors import (
 # Row sums of a PmfMatrix must hit 1 within this tolerance.
 PMF_ROW_SUM_TOL = 1e-9
 
-# Rows with Euclidean norm below this are rejected by cosine similarity.
+# Rows with Euclidean norm below this are rejected (see ``row_norms``).
 MIN_ROW_NORM = 1e-30
+
+
+def row_norms(data: np.ndarray, what: str) -> np.ndarray:
+    """Euclidean norms of the rows (last axis) of ``data``, keepdims.
+
+    A nan or inf entry, or a row too large to square, raises
+    ``NonFiniteSimilarity``; a norm below ``MIN_ROW_NORM`` (zero, or so
+    small that the squares underflow) raises ``ZeroNormRow``.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(data, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(norms)):
+        raise NonFiniteSimilarity(f"{what} contains non-finite values or a row whose norm overflows")
+    if np.any(norms < MIN_ROW_NORM):
+        raise ZeroNormRow(f"{what} has a row whose norm is below MIN_ROW_NORM = {MIN_ROW_NORM:g}")
+    return norms
+
 
 @dataclass(frozen=True)
 class AlignConfig:
@@ -60,9 +77,8 @@ class EmbeddingBatch:
     """One modality's mini-batch: an n x d matrix plus class labels.
 
     Invariants enforced at construction: n >= 2, d >= 1, one label per
-    row, every row with strictly positive and finite Euclidean norm
-    (cosine similarity is undefined on zero rows, and a row whose norm
-    overflows would normalise to zero).
+    row, and every row's Euclidean norm finite and at least
+    ``MIN_ROW_NORM`` (see ``row_norms``).
     """
 
     data: np.ndarray
@@ -81,15 +97,7 @@ class EmbeddingBatch:
             raise ShapeMismatch(f"labels must have shape ({n},), got {labels.shape}")
         if np.any(labels < 0):
             raise NotAPmf("class labels must be non-negative integers")
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(data, axis=1)
-        # a nan or inf entry, or a finite row too large to square, makes its norm non-finite
-        if not np.all(np.isfinite(norms)):
-            raise NonFiniteSimilarity(
-                f"batch '{self.modality_name}' contains non-finite values or a row whose norm overflows"
-            )
-        if np.any(norms == 0.0):
-            raise ZeroNormRow(f"batch '{self.modality_name}' has a zero-norm row")
+        row_norms(data, f"batch '{self.modality_name}'")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "labels", labels)
 
@@ -182,17 +190,14 @@ def cosine_similarity_matrix(a: EmbeddingBatch, b: EmbeddingBatch) -> Similarity
     ------
     ShapeMismatch
         If the batches differ in n or d.
-    ZeroNormRow
-        If any row norm falls below ``MIN_ROW_NORM``.
     """
     if a.n != b.n or a.d != b.d:
         raise ShapeMismatch(
             f"batches must agree in shape: ({a.n},{a.d}) vs ({b.n},{b.d})"
         )
+    # EmbeddingBatch guarantees every norm is finite and >= MIN_ROW_NORM
     norm_a = np.linalg.norm(a.data, axis=1)
     norm_b = np.linalg.norm(b.data, axis=1)
-    if np.any(norm_a < MIN_ROW_NORM) or np.any(norm_b < MIN_ROW_NORM):
-        raise ZeroNormRow("a row norm is below the cosine-similarity floor")
     values = (a.data / norm_a[:, None]) @ (b.data / norm_b[:, None]).T
     np.clip(values, -1.0, 1.0, out=values)
     return SimilarityMatrix(values, a.modality_name, b.modality_name)

@@ -7,32 +7,23 @@ one unstable sort of the scores, then a sort of integer keys that puts
 each run of tied scores in index order. A gallery item is *relevant* to
 a query iff their class labels agree. P@K is computed either from a
 ranking (``precision_at_k``) or straight from the scores by top-k
-selection under the same tie rule (``precision_at_k_scores``); the two
-agree exactly. ``average_precisions`` scores all queries with the same
-number of relevant items in one vectorised sum.
+selection under the same tie rule (``top_k_hits``); the two agree
+exactly. ``average_precisions`` scores all queries with the same number
+of relevant items in one vectorised sum. ``top_k_hits`` and
+``average_precisions`` take a boolean relevance mask, so a caller that
+scores many blocks against one label layout builds it once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BadK, NoRelevantItems, NonFiniteSimilarity, ShapeMismatch, ZeroNormRow
-from .pmf import MIN_ROW_NORM, EmbeddingBatch
+from .errors import BadK, NoRelevantItems, ShapeMismatch
+from .pmf import EmbeddingBatch, row_norms
 
 # Query rows scored per block: bounds the temporaries of one retrieval
 # direction to O(SCORE_BLOCK_ROWS x gallery size).
 SCORE_BLOCK_ROWS = 256
-
-
-@dataclass(frozen=True)
-class RetrievalMetrics:
-    """P@K values and MAP for one retrieval direction."""
-
-    direction: str
-    p_at: dict[int, float]
-    map_score: float
 
 
 def _as_data(x: EmbeddingBatch | np.ndarray) -> np.ndarray:
@@ -52,22 +43,15 @@ def cosine_scores(
     a multiple of the block gives the same bits as the matching rows of
     the whole matrix. (A BLAS product over a different number of rows
     may round differently in the last place, which could reorder
-    near-ties.) A zero-norm row raises ``ZeroNormRow``; a row whose norm
-    is not finite (it overflows, or holds nan) raises
-    ``NonFiniteSimilarity``.
+    near-ties.) A row whose norm is below ``MIN_ROW_NORM`` raises
+    ``ZeroNormRow``; a row whose norm is not finite (it overflows, or
+    holds nan) raises ``NonFiniteSimilarity`` (see ``row_norms``).
     """
     q = _as_data(query)
     g = _as_data(gallery)
     if q.shape[1] != g.shape[1]:
         raise ShapeMismatch(f"feature dims differ: {q.shape[1]} vs {g.shape[1]}")
-    with np.errstate(over="ignore"):
-        qn = np.linalg.norm(q, axis=1, keepdims=True)
-        gn = np.linalg.norm(g, axis=1, keepdims=True)
-    if np.any(qn < MIN_ROW_NORM) or np.any(gn < MIN_ROW_NORM):
-        raise ZeroNormRow("zero-norm row; cosine ranking undefined")
-    if not (np.all(np.isfinite(qn)) and np.all(np.isfinite(gn))):
-        raise NonFiniteSimilarity("a row norm is not finite; cosine ranking undefined")
-    unit_q, unit_g = q / qn, (g / gn).T
+    unit_q, unit_g = q / row_norms(q, "the query rows"), (g / row_norms(g, "the gallery rows")).T
     scores = np.empty((q.shape[0], g.shape[0]))
     for start in range(0, q.shape[0], SCORE_BLOCK_ROWS):
         rows = slice(start, start + SCORE_BLOCK_ROWS)
@@ -127,36 +111,33 @@ def precision_at_k(
     return float(hits.mean())
 
 
-def top_k_hits(
-    scores: np.ndarray,
-    query_labels: np.ndarray,
-    gallery_labels: np.ndarray,
-    k: int,
-) -> int:
-    """Same-label items among each query's top k, summed over queries.
+def top_k_hits(scores: np.ndarray, relevant: np.ndarray, k: int) -> int:
+    """Relevant items among each query's top k, summed over queries;
+    ``relevant[i, j]`` says whether gallery item j is relevant to query i.
 
     The top k is that of ``rank_gallery`` (descending score, then
     ascending gallery index), found without sorting: every item scoring
     above the k-th largest score is in it, and the remaining slots go to
-    the items tied at that score in ascending index order.
+    the items tied at that score in ascending index order. Every row has
+    at least k items at or above its k-th score, so only a block with
+    more than k per row in all can need that tie repair.
     """
     scores = np.asarray(scores)
-    query_labels = np.asarray(query_labels)
-    gallery_labels = np.asarray(gallery_labels)
-    n = scores.shape[1]
+    rows, n = scores.shape
     if not (1 <= k <= n):
         raise BadK(f"k must be in [1, {n}], got {k}")
     if k == 1:
         best = np.argmax(scores, axis=1)  # the first maximum: lowest index wins ties
-        return int(np.count_nonzero(gallery_labels[best] == query_labels))
+        return int(np.count_nonzero(relevant[np.arange(rows), best]))
     kth = np.partition(scores, n - k, axis=1)[:, n - k, None]
     top = scores >= kth
-    relevant = gallery_labels == query_labels[:, None]
-    hits = np.count_nonzero(top & relevant)
-    over = np.flatnonzero(np.count_nonzero(top, axis=1) > k)
-    if over.size:
+    crowded = np.count_nonzero(top) > k * rows
+    over = np.flatnonzero(np.count_nonzero(top, axis=1) > k) if crowded else ()
+    top &= relevant
+    hits = np.count_nonzero(top)
+    if crowded:
         # more items tie at the k-th score than there are slots left:
-        # drop the ties past the first ``need`` by gallery index
+        # drop the ties past the first ``need`` by index
         tied = scores[over] == kth[over]
         need = k - np.count_nonzero(scores[over] > kth[over], axis=1)
         dropped = tied & (np.cumsum(tied, axis=1) > need[:, None])
@@ -164,21 +145,10 @@ def top_k_hits(
     return int(hits)
 
 
-def precision_at_k_scores(
-    scores: np.ndarray,
-    query_labels: np.ndarray,
-    gallery_labels: np.ndarray,
-    k: int,
-) -> float:
-    """``precision_at_k`` of the ranking ``rank_gallery`` would give for
-    these scores, computed by top-k selection (``top_k_hits``)."""
-    return top_k_hits(scores, query_labels, gallery_labels, k) / (np.shape(scores)[0] * k)
-
-
-def average_precisions(
-    ranked: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarray
-) -> list[float]:
-    """Average precision of each ranked query, in query order.
+def average_precisions(relevant: np.ndarray) -> list[float]:
+    """Average precision of each ranked query, in query order, where
+    ``relevant[i, r]`` says whether query i's item at rank r + 1 is
+    relevant to it.
 
     AP for one query is ``(1/R) * sum over relevant ranks r of
     (relevant hits at or before r) / r``. Queries with the same R are
@@ -186,15 +156,11 @@ def average_precisions(
     array, and summing its rows adds each query's terms in the order
     and grouping of a one-query sum.
     """
-    ranked = np.asarray(ranked)
-    query_labels = np.asarray(query_labels)
-    gallery_labels = np.asarray(gallery_labels)
-    relevant = gallery_labels[ranked] == query_labels[:, None]
     totals = np.count_nonzero(relevant, axis=1)
     if not totals.all():
         raise NoRelevantItems(f"query {np.argmin(totals)} has no relevant gallery item")
-    width = ranked.shape[1]
-    ap_values = np.empty(ranked.shape[0])
+    width = relevant.shape[1]
+    ap_values = np.empty(relevant.shape[0])
     for total in np.unique(totals):
         rows = np.flatnonzero(totals == total)
         flat = np.flatnonzero(relevant[rows]).reshape(rows.size, total)
@@ -208,23 +174,5 @@ def mean_average_precision(
 ) -> float:
     """Mean over queries of average precision over all relevant items
     (see ``average_precisions``)."""
-    return float(np.mean(average_precisions(ranked, query_labels, gallery_labels)))
-
-
-def evaluate_retrieval(
-    query: EmbeddingBatch,
-    gallery: EmbeddingBatch,
-    ks: tuple[int, ...] = (1, 10),
-) -> RetrievalMetrics:
-    """Rank, then report P@K for each requested K (capped at the gallery
-    size) and MAP, labelled ``<query>2<gallery>``."""
-    ranked = rank_gallery(query, gallery)
-    p_at = {
-        k: precision_at_k(ranked, query.labels, gallery.labels, min(k, gallery.n))
-        for k in ks
-    }
-    return RetrievalMetrics(
-        direction=f"{query.modality_name}2{gallery.modality_name}",
-        p_at=p_at,
-        map_score=mean_average_precision(ranked, query.labels, gallery.labels),
-    )
+    relevant = np.asarray(gallery_labels)[np.asarray(ranked)] == np.asarray(query_labels)[:, None]
+    return float(np.mean(average_precisions(relevant)))

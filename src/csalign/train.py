@@ -12,20 +12,15 @@ split. Everything is deterministic given the config seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import permutations
 
 import numpy as np
 
 from .errors import ConfigError, NoRelevantItems, ShapeMismatch
-from .gradients import LOSS_KINDS, loss_gradient
-from .losses import MatchStrategy, ModalityRing, ring_edges, ring_passes
-from .pmf import AlignConfig, EmbeddingBatch
-from .retrieval import (
-    SCORE_BLOCK_ROWS,
-    average_precisions,
-    cosine_scores,
-    rank_scores,
-    top_k_hits,
-)
+from .gradients import LOSS_KINDS, check_kind, stack_loss_gradient
+from .losses import MatchStrategy, check_paired, direction_label, ring_edges, ring_passes
+from .pmf import AlignConfig, EmbeddingBatch, row_norms
+from .retrieval import SCORE_BLOCK_ROWS, average_precisions, rank_scores, top_k_hits
 
 
 @dataclass(frozen=True)
@@ -208,17 +203,42 @@ def supervised_directions(
     m = len(names)
     if loss_kind == "gcs_ring":
         edges = [e for direction in ring_passes(strategy) for e in ring_edges(m, direction)]
-        return {f"{names[s]}2{names[d]}" for s, d in edges}
-    return {f"{names[s]}2{names[d]}" for s in range(m) for d in range(m) if s != d}
+    else:
+        edges = permutations(range(m), 2)
+    return {direction_label(names[s], names[d]) for s, d in edges}
 
 
-def _encode_split(
-    encoders: list[Encoder], data: list[EmbeddingBatch], idx: np.ndarray
-) -> list[EmbeddingBatch]:
-    return [
-        EmbeddingBatch(enc.forward(b.data[idx])[0], b.labels[idx], b.modality_name)
-        for enc, b in zip(encoders, data)
-    ]
+def _evaluate(units, names: list[str], labels, relevance, with_map: bool):
+    """``evaluate_directions`` on checked arrays: ``units[m]`` holds the
+    unit rows of modality m and ``labels[m]`` their labels, and the P@K
+    pass reads ``relevance(q, g)[i, j]``: whether item j of modality g is
+    relevant to query i of modality q."""
+    metrics: dict[str, dict[str, float]] = {}
+    for qi, gi in permutations(range(len(units)), 2):
+        direction = direction_label(names[qi], names[gi])
+        missing = np.flatnonzero(~np.isin(labels[qi], labels[gi])) if with_map else ()
+        if len(missing):
+            raise NoRelevantItems(f"{direction}: query {missing[0]} has no relevant gallery item")
+        relevant = None if with_map else relevance(qi, gi)
+        query, gallery_t = units[qi], units[gi].T
+        n, k = query.shape[0], min(10, gallery_t.shape[1])
+        hits_1 = hits_k = 0
+        ap_values: list[float] = []
+        for start in range(0, n, SCORE_BLOCK_ROWS):
+            rows = slice(start, start + SCORE_BLOCK_ROWS)
+            scores = query[rows] @ gallery_t
+            if with_map:
+                ranked = labels[gi][rank_scores(scores)] == labels[qi][rows, None]
+                hits_1 += np.count_nonzero(ranked[:, :1])
+                hits_k += np.count_nonzero(ranked[:, :k])
+                ap_values += average_precisions(ranked)
+            else:
+                hits_1 += top_k_hits(scores, relevant[rows], 1)
+                hits_k += top_k_hits(scores, relevant[rows], k)
+        metrics[direction] = {"p1": hits_1 / n, "p10": hits_k / (n * k)}
+        if with_map:
+            metrics[direction]["map"] = float(np.mean(ap_values))
+    return metrics
 
 
 def evaluate_directions(
@@ -226,48 +246,23 @@ def evaluate_directions(
 ) -> dict[str, dict[str, float]]:
     """P@1 / P@10 (and optionally MAP) for every ordered modality pair.
 
-    P@K comes from top-k selection on the cosine scores (``top_k_hits``)
-    with ``rank_gallery``'s tie rule: descending cosine, then ascending
-    gallery index; no full ranking is built. Queries are scored in blocks
-    of ``SCORE_BLOCK_ROWS`` rows, so temporaries stay O(block x gallery);
-    the MAP pass ranks each block with ``rank_scores`` (one unstable sort
-    plus an integer tie repair) and scores it with ``average_precisions``
-    (one vectorised sum per group of queries with equally many relevant
-    items). Hit counts are summed over blocks and divided once, so every
-    value equals the one from ``rank_gallery`` + ``precision_at_k`` /
-    ``mean_average_precision`` exactly. With ``with_map``, a query whose
-    label no gallery item has raises ``NoRelevantItems`` naming the
-    direction and the query's row.
+    Each modality is normalised once. P@K comes from top-k selection on
+    the cosine scores (``top_k_hits``) with ``rank_gallery``'s tie
+    rule: descending cosine, then ascending gallery index; no full
+    ranking is built. Queries are scored in the blocks of
+    ``cosine_scores``, so temporaries stay O(block x gallery) and the
+    scores keep their bits. The MAP pass ranks each block with
+    ``rank_scores`` and reads P@1, P@10 and the average precisions off
+    the relevance of that ranking. Hit counts are summed over blocks and
+    divided once, so every value equals the one from ``rank_gallery`` +
+    ``precision_at_k`` / ``mean_average_precision`` exactly. With
+    ``with_map``, a query whose label no gallery item has raises
+    ``NoRelevantItems`` naming the direction and the query's row.
     """
-    metrics: dict[str, dict[str, float]] = {}
-    for qi, query in enumerate(batches):
-        for gi, gallery in enumerate(batches):
-            if qi == gi:
-                continue
-            direction = f"{query.modality_name}2{gallery.modality_name}"
-            if with_map:
-                missing = np.flatnonzero(~np.isin(query.labels, gallery.labels))
-                if missing.size:
-                    raise NoRelevantItems(
-                        f"{direction}: query {missing[0]} has no relevant gallery item"
-                    )
-            k = min(10, gallery.n)
-            hits_1 = hits_k = 0
-            ap_values: list[float] = []
-            for start in range(0, query.n, SCORE_BLOCK_ROWS):
-                rows = slice(start, start + SCORE_BLOCK_ROWS)
-                scores = cosine_scores(query.data[rows], gallery.data)
-                labels = query.labels[rows]
-                hits_1 += top_k_hits(scores, labels, gallery.labels, 1)
-                hits_k += top_k_hits(scores, labels, gallery.labels, k)
-                if with_map:
-                    ranked = rank_scores(scores)
-                    ap_values += average_precisions(ranked, labels, gallery.labels)
-            entry = {"p1": hits_1 / query.n, "p10": hits_k / (query.n * k)}
-            if with_map:
-                entry["map"] = float(np.mean(ap_values))
-            metrics[direction] = entry
-    return metrics
+    units = [b.data / row_norms(b.data, f"batch '{b.modality_name}'") for b in batches]
+    names, labels = [b.modality_name for b in batches], [b.labels for b in batches]
+    relevance = lambda qi, gi: labels[gi] == labels[qi][:, None]
+    return _evaluate(units, names, labels, relevance, with_map)
 
 
 def train_run(
@@ -275,21 +270,42 @@ def train_run(
 ) -> TrainingTrace:
     """Train the encoders on the configured loss; return the full trace.
 
+    The inputs are checked once, before the first step, with the error
+    classes ``ModalityRing`` and ``loss_gradient`` raise: one encoder per
+    modality, one embedding dimension, one n, the same labels position by
+    position, unique names, and a loss kind defined for M modalities.
+    From then on the run works on arrays: each step stacks the encoder
+    outputs and calls ``stack_loss_gradient``, each evaluation scores the
+    held-out embeddings as ``evaluate_directions`` does, against one
+    relevance mask per run, and ``row_norms`` checks each stack.
+
     Rows are shuffled per epoch without replacement (seeded); a
     non-finite batch loss aborts the run, returning the trace so far
     with ``aborted=True``.
     """
     if len(data) != len(encoders):
         raise ShapeMismatch(f"{len(data)} modalities but {len(encoders)} encoders")
+    check_paired(data)
+    check_kind(cfg.loss_kind, len(data))
+    if len({enc.weights[-1].shape[1] for enc in encoders}) != 1:
+        raise ShapeMismatch("encoders must share one embedding dimension")
     names = [b.modality_name for b in data]
     labels = data[0].labels
-    align_cfg = AlignConfig(cfg.temperature)
+    tau = AlignConfig(cfg.temperature).temperature
     rng = np.random.default_rng(cfg.seed)
 
     n = data[0].n
     perm = rng.permutation(n)
     n_test = min(max(2, int(round(cfg.holdout_fraction * n))), n - 2)
     test_idx, train_idx = perm[:n_test], perm[n_test:]
+    test_inputs = [b.data[test_idx] for b in data]
+    test_labels = [labels[test_idx]] * len(data)
+    relevant = test_labels[0] == test_labels[0][:, None]
+
+    def evaluate(with_map: bool = False) -> dict[str, dict[str, float]]:
+        stack = np.stack([enc.forward(x)[0] for enc, x in zip(encoders, test_inputs)])
+        units = stack / row_norms(stack, "the held-out embeddings")
+        return _evaluate(units, names, test_labels, lambda qi, gi: relevant, with_map)
 
     adam = Adam(
         [p for enc in encoders for p in enc.parameters()],
@@ -299,9 +315,7 @@ def train_run(
         cfg.adam_epsilon,
         cfg.weight_decay,
     )
-    directions = sorted(
-        f"{q}2{g}" for q in names for g in names if q != g
-    )
+    directions = sorted(direction_label(q, g) for q, g in permutations(names, 2))
     supervised = {
         d: d in supervised_directions(names, cfg.loss_kind, cfg.strategy)
         for d in directions
@@ -317,33 +331,29 @@ def train_run(
             idx = order[start : start + cfg.batch_size]
             if idx.size < 2:
                 continue
-            ring_batches = []
-            caches = []
-            for enc, batch in zip(encoders, data):
-                emb, cache = enc.forward(batch.data[idx])
-                ring_batches.append(EmbeddingBatch(emb, labels[idx], batch.modality_name))
-                caches.append(cache)
-            ring = ModalityRing(tuple(ring_batches), cfg.strategy)
-            value, bundle = loss_gradient(cfg.loss_kind, ring, align_cfg)
+            outputs = [enc.forward(b.data[idx]) for enc, b in zip(encoders, data)]
+            stack = np.stack([emb for emb, _ in outputs])
+            row_norms(stack, "the step's embeddings")
+            value, grads = stack_loss_gradient(
+                cfg.loss_kind, stack, labels[idx], names, cfg.strategy, tau
+            )
             if not np.isfinite(value):
                 batch_losses.append(value)
                 aborted = True
                 break
             param_grads: list[np.ndarray] = []
-            for enc, cache, grad_emb in zip(encoders, caches, bundle):
+            for enc, (_, cache), grad_emb in zip(encoders, outputs, grads):
                 param_grads.extend(enc.backward(cache, grad_emb))
             clipped, _ = clip_global_norm(param_grads, cfg.grad_clip_norm)
             adam.step(clipped, lr_scale)
             batch_losses.append(value)
         epoch_loss = float(np.mean(batch_losses)) if batch_losses else float("nan")
-        metrics = evaluate_directions(_encode_split(encoders, data, test_idx))
         records.append(
-            EpochRecord(epoch, epoch_loss, bool(np.isfinite(epoch_loss)), metrics)
+            EpochRecord(epoch, epoch_loss, bool(np.isfinite(epoch_loss)), evaluate())
         )
         if aborted:
             break
-    final = evaluate_directions(_encode_split(encoders, data, test_idx), with_map=True)
-    return TrainingTrace(records, aborted, directions, supervised, final)
+    return TrainingTrace(records, aborted, directions, supervised, evaluate(with_map=True))
 
 
 @dataclass(frozen=True)

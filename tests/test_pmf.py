@@ -21,6 +21,7 @@ from csalign.errors import (
     ShapeMismatch,
     ZeroNormRow,
 )
+from csalign.retrieval import cosine_scores
 
 
 def batch(data, labels, name="A"):
@@ -59,6 +60,18 @@ class TestCosineSimilarity:
     def test_zero_norm_row_rejected_at_construction(self):
         with pytest.raises(ZeroNormRow):
             batch([[0, 0], [1, 0]], [0, 1])
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170])
+    def test_rows_below_min_row_norm_rejected_by_one_rule(self, scale):
+        # at 1e-160 the squares are subnormal and the computed norms are off
+        # (the batch used to be accepted with a wrong loss); at 1e-170 they
+        # underflow to 0 (it was rejected as a zero-norm row, though no row is)
+        rows = np.random.default_rng(41).normal(size=(4, 3))
+        with pytest.raises(ZeroNormRow, match=r"below MIN_ROW_NORM = 1e-30"):
+            batch(rows * scale, [0, 0, 1, 1])
+        with pytest.raises(ZeroNormRow, match=r"below MIN_ROW_NORM = 1e-30"):
+            cosine_scores(rows * scale, rows)
+        assert np.array_equal(batch(rows * 1e-28, [0, 0, 1, 1]).data, rows * 1e-28)
 
 
 class TestAssociationPmf:

@@ -4,18 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csalign import (
-    EmbeddingBatch,
     cosine_scores,
-    evaluate_retrieval,
     mean_average_precision,
     precision_at_k,
-    precision_at_k_scores,
     rank_gallery,
     top_k_hits,
 )
 from csalign.retrieval import SCORE_BLOCK_ROWS, average_precisions, rank_scores
 from csalign.errors import BadK, NoRelevantItems, ShapeMismatch, ZeroNormRow
 import retrieval_oracle as oracle
+
+
+def relevance(query_labels, gallery_labels):
+    """The (query, gallery) relevance mask of two label vectors."""
+    return np.asarray(gallery_labels) == np.asarray(query_labels)[:, None]
+
+
+def ranked_relevance(ranked, query_labels, gallery_labels):
+    """Whether each query's item at each rank is relevant to it."""
+    return np.asarray(gallery_labels)[ranked] == np.asarray(query_labels)[:, None]
 
 
 class TestRankGallery:
@@ -118,22 +125,22 @@ class TestScorePrecisionAtK:
         q_labels, g_labels = rng.integers(0, 3, 25), rng.integers(0, 3, 17)
         ranked = np.argsort(-scores, axis=1, kind="stable")
         for k in range(1, 18):
-            assert precision_at_k_scores(scores, q_labels, g_labels, k) == precision_at_k(
-                ranked, q_labels, g_labels, k
+            assert top_k_hits(scores, relevance(q_labels, g_labels), k) / (25 * k) == (
+                precision_at_k(ranked, q_labels, g_labels, k)
             )
 
     def test_ties_at_kth_score_go_to_lower_indices(self):
         scores = np.array([[0.5, 0.9, 0.5, 0.5, 0.1]])
         # ranking 1, 0, 2, 3, 4: the top 3 takes ties 0 and 2, not 3
-        assert top_k_hits(scores, [7], [7, 0, 7, 0, 7], 3) == 2
-        assert top_k_hits(scores, [7], [0, 0, 0, 7, 0], 3) == 0
-        assert top_k_hits(scores, [7], [0, 7, 0, 0, 0], 1) == 1
+        assert top_k_hits(scores, relevance([7], [7, 0, 7, 0, 7]), 3) == 2
+        assert top_k_hits(scores, relevance([7], [0, 0, 0, 7, 0]), 3) == 0
+        assert top_k_hits(scores, relevance([7], [0, 7, 0, 0, 0]), 1) == 1
 
     def test_bad_k(self):
         with pytest.raises(BadK):
-            top_k_hits(np.zeros((2, 3)), [0, 0], [0, 0, 0], 4)
+            top_k_hits(np.zeros((2, 3)), relevance([0, 0], [0, 0, 0]), 4)
         with pytest.raises(BadK):
-            precision_at_k_scores(np.zeros((2, 3)), [0, 0], [0, 0, 0], 0)
+            top_k_hits(np.zeros((2, 3)), relevance([0, 0], [0, 0, 0]), 0)
 
 
 class TestCosineScores:
@@ -187,14 +194,14 @@ class TestAveragePrecisions:
         query_labels = rng.choice(np.unique(gallery_labels), size=37)
         scores = rng.integers(0, 6, size=(37, 90)).astype(np.float64)
         ranked = oracle.stable_ranking(scores)
-        assert average_precisions(ranked, query_labels, gallery_labels) == (
+        assert average_precisions(ranked_relevance(ranked, query_labels, gallery_labels)) == (
             oracle.average_precisions(ranked, query_labels, gallery_labels)
         )
 
     def test_one_class_gallery(self):
         rng = np.random.default_rng(11)
         ranked = oracle.stable_ranking(rng.normal(size=(6, 15)))
-        values = average_precisions(ranked, np.full(6, 3), np.full(15, 3))
+        values = average_precisions(ranked_relevance(ranked, np.full(6, 3), np.full(15, 3)))
         assert values == oracle.average_precisions(ranked, np.full(6, 3), np.full(15, 3))
         assert values == [1.0] * 6
 
@@ -207,14 +214,13 @@ class TestAveragePrecisions:
         ranked = oracle.stable_ranking(rng.normal(size=(20, 50)))[:, :12]
         expected = oracle.average_precisions(ranked, query_labels, gallery_labels)
         keep = [i for i, v in enumerate(expected) if v is not None]
-        assert average_precisions(ranked[keep], query_labels[keep], gallery_labels) == [
-            expected[i] for i in keep
-        ]
+        relevant = ranked_relevance(ranked[keep], query_labels[keep], gallery_labels)
+        assert average_precisions(relevant) == [expected[i] for i in keep]
 
     def test_first_query_without_relevant_item_is_named(self):
         ranked = np.tile(np.arange(4), (5, 1))
         with pytest.raises(NoRelevantItems, match="^query 2 "):
-            average_precisions(ranked, [0, 1, 7, 0, 8], [0, 1, 0, 1])
+            average_precisions(ranked_relevance(ranked, [0, 1, 7, 0, 8], [0, 1, 0, 1]))
 
 
 class TestInvariances:
@@ -240,14 +246,3 @@ class TestInvariances:
         scales_g = rng.uniform(0.1, 10.0, size=(8, 1))
         assert np.array_equal(rank_gallery(q, g), rank_gallery(q * scales_q, g * scales_g))
 
-
-class TestEvaluateRetrieval:
-    def test_direction_label_and_caps(self):
-        rng = np.random.default_rng(4)
-        labels = np.array([0, 0, 1, 1])
-        q = EmbeddingBatch(rng.normal(size=(4, 3)), labels, "img")
-        g = EmbeddingBatch(rng.normal(size=(4, 3)), labels, "txt")
-        metrics = evaluate_retrieval(q, g, ks=(1, 10))
-        assert metrics.direction == "img2txt"
-        assert set(metrics.p_at) == {1, 10}
-        assert 0.0 <= metrics.map_score <= 1.0

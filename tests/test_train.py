@@ -1,19 +1,33 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from csalign import (
+    LOSS_KINDS,
     Adam,
+    AlignConfig,
     EmbeddingBatch,
     Encoder,
     MatchStrategy,
+    ModalityRing,
     SynthConfig,
     TrainConfig,
     ablation_run,
     build_encoders,
     generate_synthetic,
+    loss_gradient,
     train_run,
 )
-from csalign.errors import ConfigError, NoRelevantItems
+from csalign.errors import (
+    ConfigError,
+    NoRelevantItems,
+    NonFiniteSimilarity,
+    ShapeMismatch,
+    TooFewDistributions,
+    ZeroNormRow,
+)
+from csalign.losses import MATCHING_KINDS, matching_loss, stack_matching_loss
 from csalign.retrieval import SCORE_BLOCK_ROWS, cosine_scores
 from csalign.train import clip_global_norm, evaluate_directions, supervised_directions
 from retrieval_oracle import direction_metrics
@@ -156,21 +170,172 @@ class TestTrainRun:
         import csalign.train as train_mod
 
         data, encoders, cfg = tiny_setup(max_epochs=5)
-        real = train_mod.loss_gradient
+        real = train_mod.stack_loss_gradient
         calls = {"n": 0}
 
-        def poisoned(kind, ring, align_cfg=None, **kwargs):
+        def poisoned(kind, stack, labels, names, *args, **kwargs):
             calls["n"] += 1
-            value, bundle = real(kind, ring, align_cfg, **kwargs)
+            value, grads = real(kind, stack, labels, names, *args, **kwargs)
             if calls["n"] >= 3:
-                return float("nan"), bundle
-            return value, bundle
+                return float("nan"), grads
+            return value, grads
 
-        monkeypatch.setattr(train_mod, "loss_gradient", poisoned)
+        monkeypatch.setattr(train_mod, "stack_loss_gradient", poisoned)
         trace = train_run(data, encoders, cfg)
         assert trace.aborted
         assert len(trace.records) < cfg.max_epochs
         assert not trace.records[-1].finite
+
+
+def held_out_rows(data, cfg):
+    """The rows ``train_run`` holds out for evaluation (its seeded split)."""
+    n = data[0].n
+    n_test = min(max(2, int(round(cfg.holdout_fraction * n))), n - 2)
+    return np.random.default_rng(cfg.seed).permutation(n)[:n_test]
+
+
+def pair_setup(**train_overrides):
+    """``tiny_setup`` cut to its first two modalities."""
+    data, encoders, cfg = tiny_setup(**train_overrides)
+    return data[:2], encoders[:2], cfg
+
+
+class TestArrayStep:
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_step_equals_ring_wrappers_bit_for_bit(self, kind, monkeypatch):
+        import csalign.train as train_mod
+
+        setup = pair_setup if kind in ("bimodal_cs", "mmd", "coral") else tiny_setup
+        data, encoders, cfg = setup(loss_kind=kind, max_epochs=2, temperature=0.5)
+        real = train_mod.stack_loss_gradient
+        steps = []
+
+        def checked(kind, stack, labels, names, strategy, tau):
+            value, grads = real(kind, stack, labels, names, strategy, tau)
+            ring = ModalityRing(
+                tuple(EmbeddingBatch(x, labels, name) for x, name in zip(stack, names)), strategy
+            )
+            ring_value, bundle = loss_gradient(kind, ring, AlignConfig(tau))
+            assert value == ring_value
+            assert all(np.array_equal(g, r) for g, r in zip(grads, bundle, strict=True))
+            if kind in MATCHING_KINDS:
+                report, _ = stack_matching_loss(kind, stack, labels, names, strategy, tau)
+                ring_report, _ = matching_loss(kind, ring, AlignConfig(tau))
+                assert report.total == ring_report.total
+                assert report.per_direction == ring_report.per_direction
+                assert np.array_equal(report.per_sample, ring_report.per_sample)
+            steps.append(value)
+            return value, grads
+
+        monkeypatch.setattr(train_mod, "stack_loss_gradient", checked)
+        trace = train_run(data, encoders, cfg)
+        assert len(steps) == 8 and not trace.aborted
+
+    def test_no_wrappers_built_per_step_or_eval(self, monkeypatch):
+        counts = Counter()
+        for cls in (EmbeddingBatch, ModalityRing):
+            def counted(self, original=cls.__post_init__, name=cls.__name__):
+                counts[name] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+
+        def constructions(**overrides):
+            data, encoders, cfg = tiny_setup(**overrides)
+            counts.clear()
+            train_run(data, encoders, cfg)
+            return dict(counts)
+
+        assert constructions(max_epochs=1) == constructions(max_epochs=4)
+        assert constructions(max_epochs=1) == constructions(max_epochs=1, batch_size=3)
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("labels", ShapeMismatch),
+            ("n", ShapeMismatch),
+            ("names", ConfigError),
+            ("mmd_m3", ConfigError),
+            ("bimodal_m3", ConfigError),
+            ("encoders", ShapeMismatch),
+            ("embed_dim", ShapeMismatch),
+            ("one_modality", TooFewDistributions),
+        ],
+    )
+    def test_bad_inputs_raise_before_the_first_step(self, case, error, monkeypatch):
+        data, encoders, cfg = tiny_setup()
+        a, b, c = data
+        if case == "labels":
+            data = [a, EmbeddingBatch(b.data, b.labels[::-1], b.modality_name), c]
+        elif case == "n":
+            data = [a, b, EmbeddingBatch(c.data[:-1], c.labels[:-1], c.modality_name)]
+        elif case == "names":
+            data = [a, b, EmbeddingBatch(c.data, c.labels, a.modality_name)]
+        elif case == "mmd_m3":
+            cfg = TrainConfig(loss_kind="mmd", max_epochs=1, batch_size=8)
+        elif case == "bimodal_m3":
+            cfg = TrainConfig(loss_kind="bimodal_cs", max_epochs=1, batch_size=8)
+        elif case == "encoders":
+            encoders = encoders[:2]
+        elif case == "embed_dim":
+            encoders[2] = Encoder(c.d, 5, rng=np.random.default_rng(0))
+        else:
+            data, encoders = data[:1], encoders[:1]
+
+        def no_step(self, x):
+            pytest.fail("an encoder ran before the inputs were checked")
+
+        monkeypatch.setattr(Encoder, "forward", no_step)
+        with pytest.raises(error):
+            train_run(data, encoders, cfg)
+
+    @pytest.mark.parametrize(
+        "init_scale, error", [(1e300, NonFiniteSimilarity), (0.0, ZeroNormRow)]
+    )
+    def test_degenerate_embeddings_raise_at_the_first_step(self, init_scale, error, monkeypatch):
+        import csalign.train as train_mod
+
+        data, encoders, cfg = tiny_setup(init_scale=init_scale)
+        monkeypatch.setattr(
+            train_mod, "stack_loss_gradient", lambda *args: pytest.fail("the engine ran")
+        )
+        with pytest.raises(error):
+            train_run(data, encoders, cfg)
+
+    def test_evaluation_equals_the_reference_ranking(self):
+        data, encoders, cfg = tiny_setup(max_epochs=3)
+        trace = train_run(data, encoders, cfg)
+        test_idx = held_out_rows(data, cfg)
+        held_out = [
+            EmbeddingBatch(enc.forward(b.data[test_idx])[0], b.labels[test_idx], b.modality_name)
+            for enc, b in zip(encoders, data)
+        ]
+        reference = direction_metrics(held_out)
+        assert trace.final_metrics == reference
+        assert trace.records[-1].metrics == {
+            d: {"p1": v["p1"], "p10": v["p10"]} for d, v in reference.items()
+        }
+
+    def test_held_out_rows_are_checked(self, monkeypatch):
+        # parameters stay put (lr 0, no decay) and the encoders have no bias,
+        # so held-out inputs scaled to norm 1e-29 embed below MIN_ROW_NORM
+        # (weights ~0.02) while every training step sees ordinary rows
+        import csalign.train as train_mod
+
+        data, encoders, cfg = tiny_setup(learning_rate=0.0, weight_decay=0.0, max_epochs=2)
+        test_idx = held_out_rows(data, cfg)
+        a = data[0]
+        scaled = a.data.copy()
+        scaled[test_idx] *= 1e-29 / np.linalg.norm(scaled[test_idx], axis=1, keepdims=True)
+        data[0] = EmbeddingBatch(scaled, a.labels, a.modality_name)
+        real = train_mod.stack_loss_gradient
+        steps = []
+        monkeypatch.setattr(
+            train_mod, "stack_loss_gradient", lambda *args: steps.append(1) or real(*args)
+        )
+        with pytest.raises(ZeroNormRow):
+            train_run(data, encoders, cfg)
+        assert len(steps) == 4  # the first epoch's steps ran; its evaluation raised
 
 
 def tied_batches(n, num_classes, seed):
@@ -206,6 +371,20 @@ class TestEvaluateDirections:
     )
     def test_equals_full_ranking_exactly(self, n, num_classes):
         batches = tied_batches(n, num_classes, seed=n)
+        reference = direction_metrics(batches)
+        assert evaluate_directions(batches, with_map=True) == reference
+        assert evaluate_directions(batches) == {
+            d: {"p1": v["p1"], "p10": v["p10"]} for d, v in reference.items()
+        }
+
+    def test_modalities_with_different_labels(self):
+        # same classes, different rows per modality: query and gallery
+        # labels differ position by position in every direction
+        rng = np.random.default_rng(19)
+        batches = [
+            EmbeddingBatch(b.data, rng.permutation(b.labels), b.modality_name)
+            for b in tied_batches(SCORE_BLOCK_ROWS + 40, 4, seed=19)
+        ]
         reference = direction_metrics(batches)
         assert evaluate_directions(batches, with_map=True) == reference
         assert evaluate_directions(batches) == {
