@@ -58,9 +58,12 @@ from .pmf import (
 )
 from .props import run_property_suite
 from .retrieval import (
+    RetrievalMetrics,
     cosine_scores,
+    evaluate_retrieval,
     mean_average_precision,
     precision_at_k,
+    precision_at_k_scores,
     rank_gallery,
     top_k_hits,
 )
@@ -97,6 +100,7 @@ __all__ = [
     "ModalityRing",
     "PmfKind",
     "PmfMatrix",
+    "RetrievalMetrics",
     "SimilarityMatrix",
     "SynthConfig",
     "TrainConfig",
@@ -112,6 +116,7 @@ __all__ = [
     "cosine_scores",
     "cosine_similarity_matrix",
     "cs_divergence",
+    "evaluate_retrieval",
     "finite_diff_gradient",
     "gcs_divergence",
     "gcs_divergence_unnormalized",
@@ -127,6 +132,7 @@ __all__ = [
     "nearest_centroid_accuracy",
     "pairwise_sum_loss",
     "precision_at_k",
+    "precision_at_k_scores",
     "rank_gallery",
     "ring_edges",
     "ring_passes",

@@ -35,7 +35,7 @@ from scipy.spatial.distance import cdist
 from .divergence import KlConfig, MmdConfig, coral_loss, mmd_squared, resolve_bandwidth
 from .errors import ConfigError, NonFinitePerturbation
 from .losses import MATCHING_KINDS, MatchStrategy, ModalityRing, stack_matching_loss
-from .pmf import AlignConfig
+from .pmf import AlignConfig, row_norms
 
 LOSS_KINDS = ("bimodal_cs", "gcs_ring", "pairwise_cs", "kl", "mmd", "coral")
 
@@ -102,14 +102,18 @@ def stack_loss_gradient(
     kl_cfg: KlConfig | None = None,
     mmd_cfg: MmdConfig | None = None,
 ) -> tuple[float, list[np.ndarray]]:
-    """``loss_gradient`` on the unchecked arguments of
-    ``losses.stack_matching_loss``; one n x d gradient per modality."""
+    """``loss_gradient`` on the arguments of ``losses.stack_matching_loss``;
+    one n x d gradient per modality. The stack's row norms are checked
+    here, once (``row_norms``), and handed to the engine."""
+    norms = row_norms(stack, "the embeddings")
     if loss_kind == "mmd":
         sigma = resolve_bandwidth(stack[0], stack[1], mmd_cfg)
         return _mmd_grad(stack[0], stack[1], sigma)
     if loss_kind == "coral":
         return _coral_grad(stack[0], stack[1])
-    report, grads = stack_matching_loss(loss_kind, stack, labels, names, strategy, tau, kl_cfg)
+    report, grads = stack_matching_loss(
+        loss_kind, stack, labels, names, strategy, tau, kl_cfg, norms
+    )
     return report.total, grads
 
 

@@ -371,10 +371,12 @@ def stack_matching_loss(
     strategy: MatchStrategy,
     tau: float,
     kl_cfg: KlConfig | None = None,
+    norms: np.ndarray | None = None,
 ) -> tuple[LossReport, list[np.ndarray]]:
     """``matching_loss`` on unchecked arrays: the (M, n, d) ``stack``, the n
     labels all modalities share and M unique ``names`` (for the direction
-    labels).
+    labels). ``norms`` may hand in the stack's (M, n, 1) row norms, already
+    checked by ``row_norms``; otherwise they are computed here.
 
     Every backward ring edge is a forward edge reversed, and every
     ordered pair (d, s) the pair (s, d) reversed, so the passes come in
@@ -408,11 +410,12 @@ def stack_matching_loss(
         support = label_support(labels)
         group_rows = lambda logits, rows, cols: gcs_logit_rows(logits, support, tau, rows, cols)
 
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(stack, axis=2, keepdims=True)
-    # an overflowing norm would make zero unit rows and a wrong finite
-    # loss; as nan it makes the loss and the report non-finite instead
-    norms[np.isinf(norms)] = np.nan
+    if norms is None:
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(stack, axis=2, keepdims=True)
+        # an overflowing norm would make zero unit rows and a wrong finite
+        # loss; as nan it makes the loss and the report non-finite instead
+        norms[np.isinf(norms)] = np.nan
     units = stack / norms
     scaled_t = units.transpose(0, 2, 1) / tau
     g_units = np.zeros_like(units)

@@ -16,14 +16,26 @@ scores many blocks against one label layout builds it once.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import BadK, NoRelevantItems, ShapeMismatch
+from .losses import direction_label
 from .pmf import EmbeddingBatch, row_norms
 
 # Query rows scored per block: bounds the temporaries of one retrieval
 # direction to O(SCORE_BLOCK_ROWS x gallery size).
 SCORE_BLOCK_ROWS = 256
+
+
+@dataclass(frozen=True)
+class RetrievalMetrics:
+    """P@K values and MAP for one retrieval direction."""
+
+    direction: str
+    p_at: dict[int, float]
+    map_score: float
 
 
 def _as_data(x: EmbeddingBatch | np.ndarray) -> np.ndarray:
@@ -145,6 +157,15 @@ def top_k_hits(scores: np.ndarray, relevant: np.ndarray, k: int) -> int:
     return int(hits)
 
 
+def precision_at_k_scores(
+    scores: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarray, k: int
+) -> float:
+    """``precision_at_k`` of the ranking ``rank_gallery`` would give for
+    these scores, computed by top-k selection (``top_k_hits``)."""
+    relevant = np.asarray(gallery_labels) == np.asarray(query_labels)[:, None]
+    return top_k_hits(scores, relevant, k) / (np.shape(scores)[0] * k)
+
+
 def average_precisions(relevant: np.ndarray) -> list[float]:
     """Average precision of each ranked query, in query order, where
     ``relevant[i, r]`` says whether query i's item at rank r + 1 is
@@ -176,3 +197,14 @@ def mean_average_precision(
     (see ``average_precisions``)."""
     relevant = np.asarray(gallery_labels)[np.asarray(ranked)] == np.asarray(query_labels)[:, None]
     return float(np.mean(average_precisions(relevant)))
+
+
+def evaluate_retrieval(
+    query: EmbeddingBatch, gallery: EmbeddingBatch, ks: tuple[int, ...] = (1, 10)
+) -> RetrievalMetrics:
+    """Rank, then report P@K for each requested K (capped at the gallery
+    size) and MAP, labelled ``<query>2<gallery>``."""
+    ranked = rank_gallery(query, gallery)
+    p_at = {k: precision_at_k(ranked, query.labels, gallery.labels, min(k, gallery.n)) for k in ks}
+    map_score = mean_average_precision(ranked, query.labels, gallery.labels)
+    return RetrievalMetrics(direction_label(query.modality_name, gallery.modality_name), p_at, map_score)

@@ -257,8 +257,11 @@ def evaluate_directions(
     divided once, so every value equals the one from ``rank_gallery`` +
     ``precision_at_k`` / ``mean_average_precision`` exactly. With
     ``with_map``, a query whose label no gallery item has raises
-    ``NoRelevantItems`` naming the direction and the query's row.
+    ``NoRelevantItems`` naming the direction and the query's row;
+    modalities of different embedding dimension raise ``ShapeMismatch``.
     """
+    if len({b.d for b in batches}) != 1:
+        raise ShapeMismatch(f"modalities must share d, got {[b.d for b in batches]}")
     units = [b.data / row_norms(b.data, f"batch '{b.modality_name}'") for b in batches]
     names, labels = [b.modality_name for b in batches], [b.labels for b in batches]
     relevance = lambda qi, gi: labels[gi] == labels[qi][:, None]
@@ -275,9 +278,10 @@ def train_run(
     modality, one embedding dimension, one n, the same labels position by
     position, unique names, and a loss kind defined for M modalities.
     From then on the run works on arrays: each step stacks the encoder
-    outputs and calls ``stack_loss_gradient``, each evaluation scores the
-    held-out embeddings as ``evaluate_directions`` does, against one
-    relevance mask per run, and ``row_norms`` checks each stack.
+    outputs and calls ``stack_loss_gradient``, which checks its row norms
+    once, and each evaluation checks the held-out stack with ``row_norms``
+    and scores it as ``evaluate_directions`` does, against one relevance
+    mask per run.
 
     Rows are shuffled per epoch without replacement (seeded); a
     non-finite batch loss aborts the run, returning the trace so far
@@ -333,7 +337,6 @@ def train_run(
                 continue
             outputs = [enc.forward(b.data[idx]) for enc, b in zip(encoders, data)]
             stack = np.stack([emb for emb, _ in outputs])
-            row_norms(stack, "the step's embeddings")
             value, grads = stack_loss_gradient(
                 cfg.loss_kind, stack, labels[idx], names, cfg.strategy, tau
             )

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csalign import (
+    EmbeddingBatch,
     cosine_scores,
+    evaluate_retrieval,
     mean_average_precision,
     precision_at_k,
+    precision_at_k_scores,
     rank_gallery,
     top_k_hits,
 )
@@ -125,8 +128,8 @@ class TestScorePrecisionAtK:
         q_labels, g_labels = rng.integers(0, 3, 25), rng.integers(0, 3, 17)
         ranked = np.argsort(-scores, axis=1, kind="stable")
         for k in range(1, 18):
-            assert top_k_hits(scores, relevance(q_labels, g_labels), k) / (25 * k) == (
-                precision_at_k(ranked, q_labels, g_labels, k)
+            assert precision_at_k_scores(scores, q_labels, g_labels, k) == precision_at_k(
+                ranked, q_labels, g_labels, k
             )
 
     def test_ties_at_kth_score_go_to_lower_indices(self):
@@ -140,7 +143,7 @@ class TestScorePrecisionAtK:
         with pytest.raises(BadK):
             top_k_hits(np.zeros((2, 3)), relevance([0, 0], [0, 0, 0]), 4)
         with pytest.raises(BadK):
-            top_k_hits(np.zeros((2, 3)), relevance([0, 0], [0, 0, 0]), 0)
+            precision_at_k_scores(np.zeros((2, 3)), [0, 0], [0, 0, 0], 0)
 
 
 class TestCosineScores:
@@ -246,3 +249,14 @@ class TestInvariances:
         scales_g = rng.uniform(0.1, 10.0, size=(8, 1))
         assert np.array_equal(rank_gallery(q, g), rank_gallery(q * scales_q, g * scales_g))
 
+
+class TestEvaluateRetrieval:
+    def test_direction_label_and_caps(self):
+        rng = np.random.default_rng(4)
+        labels = np.array([0, 0, 1, 1])
+        q = EmbeddingBatch(rng.normal(size=(4, 3)), labels, "img")
+        g = EmbeddingBatch(rng.normal(size=(4, 3)), labels, "txt")
+        metrics = evaluate_retrieval(q, g, ks=(1, 10))
+        assert metrics.direction == "img2txt"
+        assert set(metrics.p_at) == {1, 10}
+        assert 0.0 <= metrics.map_score <= 1.0

@@ -293,14 +293,38 @@ class TestArrayStep:
         "init_scale, error", [(1e300, NonFiniteSimilarity), (0.0, ZeroNormRow)]
     )
     def test_degenerate_embeddings_raise_at_the_first_step(self, init_scale, error, monkeypatch):
-        import csalign.train as train_mod
+        import csalign.gradients as gradients_mod
 
         data, encoders, cfg = tiny_setup(init_scale=init_scale)
         monkeypatch.setattr(
-            train_mod, "stack_loss_gradient", lambda *args: pytest.fail("the engine ran")
+            gradients_mod, "stack_matching_loss", lambda *args: pytest.fail("the engine ran")
         )
         with pytest.raises(error):
             train_run(data, encoders, cfg)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_row_norms_computed_once_per_step_and_evaluation(self, kind, monkeypatch):
+        import csalign.train as train_mod
+
+        setup = pair_setup if kind in ("bimodal_cs", "mmd", "coral") else tiny_setup
+        data, encoders, cfg = setup(loss_kind=kind, max_epochs=2)
+        calls = Counter()
+        real_norm, real_step = np.linalg.norm, train_mod.stack_loss_gradient
+
+        def norm(*args, **kwargs):
+            calls["norm"] += 1
+            return real_norm(*args, **kwargs)
+
+        def step(*args):
+            calls["step"] += 1
+            return real_step(*args)
+
+        monkeypatch.setattr(np.linalg, "norm", norm)
+        monkeypatch.setattr(train_mod, "stack_loss_gradient", step)
+        train_run(data, encoders, cfg)
+        # one per step, one per epoch's evaluation and one for the final one
+        assert calls["step"] == 8
+        assert calls["norm"] == calls["step"] + cfg.max_epochs + 1
 
     def test_evaluation_equals_the_reference_ranking(self):
         data, encoders, cfg = tiny_setup(max_epochs=3)
@@ -413,6 +437,13 @@ class TestEvaluateDirections:
             x[dst] = x[src]
             batches.append(EmbeddingBatch(x, labels, name))
         assert evaluate_directions(batches, with_map=True) == direction_metrics(batches)
+
+    def test_modalities_of_different_dimension(self):
+        a, b, c = tied_batches(20, 3, seed=5)
+        wide = EmbeddingBatch(np.hstack([c.data, c.data]), c.labels, c.modality_name)
+        for with_map in (False, True):
+            with pytest.raises(ShapeMismatch, match="share d"):
+                evaluate_directions([a, b, wide], with_map)
 
     def test_query_without_relevant_item_named_by_row_and_direction(self):
         rng = np.random.default_rng(18)
