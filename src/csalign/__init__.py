@@ -23,6 +23,7 @@ from .divergence import (
     kl_alignment,
     median_bandwidth,
     mmd_squared,
+    validate_pmf_row,
 )
 from .errors import CsAlignError
 from .gradients import (
@@ -140,5 +141,6 @@ __all__ = [
     "top_k_hits",
     "train_run",
     "true_match_pmf",
+    "validate_pmf_row",
     "__version__",
 ]

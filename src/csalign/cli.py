@@ -31,6 +31,7 @@ from .divergence import (
     gcs_divergence,
     kl_alignment,
     mmd_squared,
+    validate_pmf_row,
 )
 from .errors import ConfigError, CsAlignError
 from .io import (
@@ -96,10 +97,8 @@ def cmd_divergence(args) -> int:
         result = gcs_divergence([read_pmf_vector(p) for p in paths])
         value, numerator, denominator = result.value, result.numerator, result.denominator
     elif measure == "kl":
-        from .divergence import _validate_pmf_row
-
-        p = _validate_pmf_row(read_pmf_vector(paths[0]), paths[0])[None, :]
-        q = _validate_pmf_row(read_pmf_vector(paths[1]), paths[1])[None, :]
+        p = validate_pmf_row(read_pmf_vector(paths[0]), paths[0])[None, :]
+        q = validate_pmf_row(read_pmf_vector(paths[1]), paths[1])[None, :]
         value = kl_alignment(p, q, KlConfig(args.epsilon))
     elif measure == "mmd":
         cfg = MmdConfig("median" if args.bandwidth == "median" else float(args.bandwidth))

@@ -17,6 +17,11 @@ in its inputs and invariant under positive rescaling of each input.
 
 ``kl_alignment``, ``mmd_squared``, and ``coral_loss`` implement the
 classic alignment baselines that the CS family is compared against.
+
+The module imports numpy only. scipy is used in two places, both on the
+MMD baseline: ``median_bandwidth`` (``pdist``) and ``mmd_squared``
+(``cdist``) import ``scipy.spatial.distance`` inside the function, so
+only a process that computes MMD loads scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import (
     ConfigError,
@@ -115,7 +119,12 @@ def _as_data(x: EmbeddingBatch | np.ndarray) -> np.ndarray:
     return data
 
 
-def _validate_pmf_row(row: np.ndarray, name: str) -> np.ndarray:
+def validate_pmf_row(row: np.ndarray, name: str) -> np.ndarray:
+    """Return ``row`` as a float64 PMF, or raise :class:`NotAPmf` naming ``name``.
+
+    A PMF row is 1-D, finite and non-negative, and sums to 1 within
+    ``PMF_SUM_TOL``; it is never renormalized.
+    """
     row = np.asarray(row, dtype=np.float64)
     if row.ndim != 1:
         raise NotAPmf(f"{name} must be a 1-D vector, got shape {row.shape}")
@@ -142,8 +151,8 @@ def cs_divergence(p: np.ndarray, q: np.ndarray) -> DivergenceValue:
     LengthMismatch
         If the rows differ in length.
     """
-    p = _validate_pmf_row(p, "p")
-    q = _validate_pmf_row(q, "q")
+    p = validate_pmf_row(p, "p")
+    q = validate_pmf_row(q, "q")
     if p.shape != q.shape:
         raise LengthMismatch(f"PMF lengths differ: {p.size} vs {q.size}")
     numerator = float(np.dot(p, q))
@@ -192,7 +201,7 @@ def gcs_divergence(pmfs: list[np.ndarray] | np.ndarray) -> DivergenceValue:
     for i, row in enumerate(rows):
         if row.ndim != 1 or row.size != k:
             raise LengthMismatch(f"PMF {i} has length {row.size}, expected {k}")
-        _validate_pmf_row(row, f"pmf[{i}]")
+        validate_pmf_row(row, f"pmf[{i}]")
     return _gcs_from_stack(np.stack(rows))
 
 
@@ -279,6 +288,8 @@ def median_bandwidth(
     DegenerateBandwidth
         If the median distance is zero (too many duplicate points).
     """
+    from scipy.spatial.distance import pdist
+
     pooled = np.vstack([_as_data(x), _as_data(y)])
     sigma = float(np.median(pdist(pooled)))
     if sigma <= 0.0:
@@ -309,6 +320,8 @@ def mmd_squared(
     The kernel is ``exp(-||u - v||^2 / (2 sigma^2))`` with sigma from
     ``cfg`` (median heuristic by default).
     """
+    from scipy.spatial.distance import cdist
+
     xd = _as_data(x)
     yd = _as_data(y)
     if xd.shape[1] != yd.shape[1]:

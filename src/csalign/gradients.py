@@ -21,7 +21,9 @@ finite-difference closure differentiates that engine's total.
 The MMD median-heuristic bandwidth is resolved once at the evaluation
 point and then treated as a constant, both in the analytic path and in
 the finite-difference closure; the heuristic itself is not
-differentiated.
+differentiated. MMD is the one kind that uses scipy: ``_mmd_grad``
+imports ``cdist`` inside the function (as do the bandwidth and value in
+``divergence``), so training with any other kind never loads scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .divergence import KlConfig, MmdConfig, coral_loss, mmd_squared, resolve_bandwidth
 from .errors import ConfigError, NonFinitePerturbation
@@ -56,6 +57,8 @@ class GradientBundle:
 
 
 def _mmd_grad(x: np.ndarray, y: np.ndarray, sigma: float):
+    from scipy.spatial.distance import cdist
+
     n_x, n_y = x.shape[0], y.shape[0]
     gamma = 1.0 / (2.0 * sigma * sigma)
     k_xx = np.exp(-gamma * cdist(x, x, "sqeuclidean"))

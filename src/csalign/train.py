@@ -11,7 +11,7 @@ split. Everything is deterministic given the config seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import permutations
 
 import numpy as np
@@ -46,6 +46,11 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
+        # a nan passes every ordered comparison below as False
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         for name in ("adam_beta1", "adam_beta2"):
             value = getattr(self, name)
             if not (0.0 <= value < 1.0):
@@ -55,6 +60,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be non-negative")
         if self.max_epochs < 1 or self.batch_size < 2:
             raise ConfigError("need max_epochs >= 1 and batch_size >= 2")
+        if self.lr_decay_every < 1:
+            raise ConfigError(f"lr_decay_every must be at least 1, got {self.lr_decay_every}")
 
 
 class Encoder:

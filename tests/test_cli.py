@@ -143,6 +143,16 @@ class TestTrainCommand:
         cfg.write_text("nonsense_key = 5\n")
         assert main(["train", "--config", str(cfg), "--outdir", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "line", ["lr_decay_every = 0", "grad_clip_norm = nan", "learning_rate = nan", "temperature = inf"]
+    )
+    def test_bad_train_field_is_a_config_error(self, line, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CONFIG + line + "\n")
+        assert main(["train", "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {line.split()[0]} must be")
+        assert not (tmp_path / "run").exists()
+
     def test_aborted_run_exit_4(self, tmp_path, capsys, monkeypatch):
         import csalign.cli as cli_mod
 

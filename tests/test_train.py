@@ -200,6 +200,31 @@ def pair_setup(**train_overrides):
     return data[:2], encoders[:2], cfg
 
 
+FLOAT_FIELDS = (
+    "learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon", "weight_decay",
+    "grad_clip_norm", "temperature", "holdout_fraction", "lr_decay_factor", "init_scale",
+)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_float_field_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_lr_decay_every_below_one_rejected(self, every):
+        with pytest.raises(ConfigError, match="lr_decay_every"):
+            TrainConfig(lr_decay_every=every)
+
+    @pytest.mark.parametrize("norm", [0.0, -1.0])
+    def test_non_positive_grad_clip_norm_disables_clipping(self, norm):
+        grads = [np.full(3, 10.0)]
+        assert TrainConfig(grad_clip_norm=norm).grad_clip_norm == norm
+        assert clip_global_norm(grads, norm)[0][0] is grads[0]
+
+
 class TestArrayStep:
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_step_equals_ring_wrappers_bit_for_bit(self, kind, monkeypatch):
