@@ -5,9 +5,10 @@ The package is organized around one pipeline: paired embedding batches
 engine computes from the logits, value and gradient together
 (``losses``); the closed-form divergences (``divergence``) check the
 values and finite differences (``gradients``) the gradients. It is
-exercised end to end on seeded synthetic data (``synth``, ``train``)
-with retrieval metrics (``retrieval``). ``props`` holds the randomized
-property suite and ``cli`` the command-line interface.
+exercised end to end on seeded synthetic data (``synth``, ``train``),
+whose evaluation ranks blocks of cosine scores with the routines of
+``retrieval``. ``props`` holds the randomized property suite and
+``cli`` the command-line interface.
 """
 
 from .divergence import (
@@ -45,29 +46,9 @@ from .losses import (
     ring_edges,
     ring_passes,
 )
-from .pmf import (
-    AlignConfig,
-    EmbeddingBatch,
-    MatchMatrix,
-    PmfKind,
-    PmfMatrix,
-    SimilarityMatrix,
-    association_pmf,
-    build_match_matrix,
-    cosine_similarity_matrix,
-    true_match_pmf,
-)
+from .pmf import AlignConfig, EmbeddingBatch
 from .props import run_property_suite
-from .retrieval import (
-    RetrievalMetrics,
-    cosine_scores,
-    evaluate_retrieval,
-    mean_average_precision,
-    precision_at_k,
-    precision_at_k_scores,
-    rank_gallery,
-    top_k_hits,
-)
+from .retrieval import top_k_hits
 from .synth import SynthConfig, generate_synthetic, nearest_centroid_accuracy
 from .train import (
     Adam,
@@ -95,29 +76,19 @@ __all__ = [
     "KlConfig",
     "LOSS_KINDS",
     "LossReport",
-    "MatchMatrix",
     "MatchStrategy",
     "MmdConfig",
     "ModalityRing",
-    "PmfKind",
-    "PmfMatrix",
-    "RetrievalMetrics",
-    "SimilarityMatrix",
     "SynthConfig",
     "TrainConfig",
     "TrainingTrace",
     "ablation_run",
-    "association_pmf",
     "association_pmf_count",
     "bimodal_cmpm_cs",
     "build_encoders",
-    "build_match_matrix",
     "central_difference",
     "coral_loss",
-    "cosine_scores",
-    "cosine_similarity_matrix",
     "cs_divergence",
-    "evaluate_retrieval",
     "finite_diff_gradient",
     "gcs_divergence",
     "gcs_divergence_unnormalized",
@@ -127,20 +98,15 @@ __all__ = [
     "kl_alignment",
     "loss_gradient",
     "max_relative_error",
-    "mean_average_precision",
     "median_bandwidth",
     "mmd_squared",
     "nearest_centroid_accuracy",
     "pairwise_sum_loss",
-    "precision_at_k",
-    "precision_at_k_scores",
-    "rank_gallery",
     "ring_edges",
     "ring_passes",
     "run_property_suite",
     "top_k_hits",
     "train_run",
-    "true_match_pmf",
     "validate_pmf_row",
     "__version__",
 ]

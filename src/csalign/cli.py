@@ -184,7 +184,7 @@ def _write_trace_csv(path: Path, trace) -> None:
 
 def _train_setup(args):
     mapping = read_kv_config(args.config)
-    synth_cfg, train_cfg, align_cfg = experiment_configs(mapping)
+    synth_cfg, train_cfg = experiment_configs(mapping)
     if args.seed is not None:
         from dataclasses import replace
 
@@ -192,12 +192,12 @@ def _train_setup(args):
         synth_cfg = replace(synth_cfg, seed=args.seed if "data_seed" not in mapping else synth_cfg.seed)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    return mapping, synth_cfg, train_cfg, align_cfg, outdir
+    return mapping, synth_cfg, train_cfg, outdir
 
 
 def cmd_train(args) -> int:
     started = _now()
-    mapping, synth_cfg, train_cfg, _, outdir = _train_setup(args)
+    mapping, synth_cfg, train_cfg, outdir = _train_setup(args)
     data = generate_synthetic(synth_cfg)
     encoders = build_encoders(synth_cfg.input_dims, synth_cfg.embed_dim, train_cfg)
     trace = train_run(data, encoders, train_cfg)
@@ -229,7 +229,7 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     started = _now()
-    mapping, synth_cfg, train_cfg, _, outdir = _train_setup(args)
+    mapping, synth_cfg, train_cfg, outdir = _train_setup(args)
     data = generate_synthetic(synth_cfg)
     arms = ablation_run(data, train_cfg, embed_dim=synth_cfg.embed_dim)
 

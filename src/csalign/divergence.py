@@ -41,7 +41,7 @@ from .errors import (
     TooFewDistributions,
     TooFewSamples,
 )
-from .pmf import EmbeddingBatch, PmfMatrix
+from .pmf import EmbeddingBatch
 
 # Row-sum tolerance for PMFs arriving at the divergence boundary.
 # Deviations beyond this are rejected, never silently renormalized.
@@ -103,11 +103,6 @@ class MmdConfig:
             raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
 
 
-def _as_rows(x: PmfMatrix | np.ndarray) -> np.ndarray:
-    rows = x.rows if isinstance(x, PmfMatrix) else np.asarray(x, dtype=np.float64)
-    return np.atleast_2d(rows)
-
-
 def _as_data(x: EmbeddingBatch | np.ndarray) -> np.ndarray:
     if isinstance(x, EmbeddingBatch):
         return x.data  # 2-D and finite by construction
@@ -162,6 +157,20 @@ def cs_divergence(p: np.ndarray, q: np.ndarray) -> DivergenceValue:
     return DivergenceValue(float(-np.log(numerator / denominator)), numerator, denominator)
 
 
+def _stack_rows(inputs, noun: str) -> np.ndarray:
+    """Stack ``inputs`` as float64 rows after the checks the GCS family
+    shares: at least two of them (``TooFewDistributions``), each 1-D and
+    of one length (``LengthMismatch``); ``noun`` names them in messages."""
+    rows = [np.asarray(v, dtype=np.float64) for v in inputs]
+    if len(rows) < 2:
+        raise TooFewDistributions(f"need at least 2 {noun}s, got {len(rows)}")
+    k = rows[0].size
+    for i, row in enumerate(rows):
+        if row.ndim != 1 or row.size != k:
+            raise LengthMismatch(f"{noun} {i} has length {row.size}, expected {k}")
+    return np.stack(rows)
+
+
 def _gcs_from_stack(stack: np.ndarray) -> DivergenceValue:
     """GCS on a pre-validated (M, K) stack of non-negative vectors."""
     m = stack.shape[0]
@@ -194,15 +203,10 @@ def gcs_divergence(pmfs: list[np.ndarray] | np.ndarray) -> DivergenceValue:
     NotAPmf
         If any input fails PMF validation.
     """
-    rows = [np.asarray(p, dtype=np.float64) for p in pmfs]
-    if len(rows) < 2:
-        raise TooFewDistributions(f"need at least 2 PMFs, got {len(rows)}")
-    k = rows[0].size
-    for i, row in enumerate(rows):
-        if row.ndim != 1 or row.size != k:
-            raise LengthMismatch(f"PMF {i} has length {row.size}, expected {k}")
+    stack = _stack_rows(pmfs, "PMF")
+    for i, row in enumerate(stack):
         validate_pmf_row(row, f"pmf[{i}]")
-    return _gcs_from_stack(np.stack(rows))
+    return _gcs_from_stack(stack)
 
 
 def gcs_divergence_unnormalized(vectors: list[np.ndarray] | np.ndarray) -> DivergenceValue:
@@ -212,20 +216,15 @@ def gcs_divergence_unnormalized(vectors: list[np.ndarray] | np.ndarray) -> Diver
     vector, so inputs need not sum to one; each must be non-negative
     with at least one positive entry.
     """
-    rows = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if len(rows) < 2:
-        raise TooFewDistributions(f"need at least 2 vectors, got {len(rows)}")
-    k = rows[0].size
-    for i, row in enumerate(rows):
-        if row.ndim != 1 or row.size != k:
-            raise LengthMismatch(f"vector {i} has length {row.size}, expected {k}")
+    stack = _stack_rows(vectors, "vector")
+    for i, row in enumerate(stack):
         if not np.all(np.isfinite(row)):
             raise NotAPmf(f"vector {i} contains non-finite entries")
         if np.any(row < 0):
             raise NegativeEntry(f"vector {i} has a negative entry")
         if row.sum() == 0.0:
             raise NotAPmf(f"vector {i} is all zeros")
-    return _gcs_from_stack(np.stack(rows))
+    return _gcs_from_stack(stack)
 
 
 def holder_check(sequences: list[np.ndarray] | np.ndarray) -> HolderCheck:
@@ -237,16 +236,10 @@ def holder_check(sequences: list[np.ndarray] | np.ndarray) -> HolderCheck:
     ``lhs <= rhs`` holds with equality iff the sequences are pairwise
     proportional.
     """
-    rows = [np.asarray(a, dtype=np.float64) for a in sequences]
-    if len(rows) < 2:
-        raise TooFewDistributions(f"need at least 2 sequences, got {len(rows)}")
-    k = rows[0].size
-    for i, row in enumerate(rows):
-        if row.ndim != 1 or row.size != k:
-            raise LengthMismatch(f"sequence {i} has length {row.size}, expected {k}")
+    stack = _stack_rows(sequences, "sequence")
+    for i, row in enumerate(stack):
         if np.any(row < 0):
             raise NegativeEntry(f"sequence {i} has a negative entry")
-    stack = np.stack(rows)
     m = stack.shape[0]
     lhs = float(np.prod(stack, axis=0).sum())
     rhs = float(np.prod(np.power(stack, m).sum(axis=1) ** (1.0 / m)))
@@ -254,8 +247,8 @@ def holder_check(sequences: list[np.ndarray] | np.ndarray) -> HolderCheck:
 
 
 def kl_alignment(
-    s_pred: PmfMatrix | np.ndarray,
-    s_true: PmfMatrix | np.ndarray,
+    s_pred: np.ndarray,
+    s_true: np.ndarray,
     cfg: KlConfig | None = None,
 ) -> float:
     """KL-style projection-matching objective.
@@ -267,8 +260,8 @@ def kl_alignment(
     the CS alternative.
     """
     cfg = cfg or KlConfig()
-    pred = _as_rows(s_pred)
-    true = _as_rows(s_true)
+    pred = np.atleast_2d(np.asarray(s_pred, dtype=np.float64))
+    true = np.atleast_2d(np.asarray(s_true, dtype=np.float64))
     if pred.shape != true.shape:
         raise ShapeMismatch(f"shape mismatch: {pred.shape} vs {true.shape}")
     mask = pred > 0

@@ -26,10 +26,6 @@ class NonFiniteSample(CsAlignError):
     """A sample matrix passed to MMD or CORAL contains NaN or infinity."""
 
 
-class EmptyMatchRow(CsAlignError):
-    """An anchor instance has no matching item in the batch."""
-
-
 class NotAPmf(CsAlignError):
     """A vector fails PMF validation (negative entry or bad row sum)."""
 

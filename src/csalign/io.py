@@ -6,7 +6,7 @@
   reserved`` followed by n*d float64 values, row major.
 * PMF vectors: a single CSV line of non-negative floats.
 * Config files: flat ``key=value`` lines with ``#`` comments; keys
-  mirror the SynthConfig / TrainConfig / AlignConfig fields.
+  mirror the SynthConfig / TrainConfig fields.
 * JSON reports: floats serialized with 17 significant digits so values
   round-trip exactly; non-finite floats become the strings "inf",
   "-inf", "nan" (strict JSON has no literals for them).
@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .losses import MatchStrategy
-from .pmf import AlignConfig
 from .synth import SynthConfig
 from .train import TrainConfig
 
@@ -176,7 +175,7 @@ def _coerce(key: str, value: str):
 
 
 def experiment_configs(mapping: dict[str, str]):
-    """Split one flat mapping into (SynthConfig, TrainConfig, AlignConfig).
+    """Split one flat mapping into (SynthConfig, TrainConfig).
 
     ``seed`` applies to both the generator and the trainer unless a
     separate ``data_seed`` is given.
@@ -199,8 +198,7 @@ def experiment_configs(mapping: dict[str, str]):
             raise ConfigError(f"bad strategy {train_kwargs['strategy']!r}") from exc
     synth = SynthConfig(**synth_kwargs)
     train = TrainConfig(**train_kwargs)
-    align = AlignConfig(train.temperature)
-    return synth, train, align
+    return synth, train
 
 
 # ---------------------------------------------------------------------------

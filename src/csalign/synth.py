@@ -45,10 +45,10 @@ class SynthConfig:
             raise ConfigError(f"input_dims must be positive, got {self.input_dims}")
         if self.embed_dim < 1:
             raise ConfigError(f"embed_dim must be positive, got {self.embed_dim}")
-        if not (self.class_sep > 0):
-            raise ConfigError(f"class_sep must be positive, got {self.class_sep}")
-        if not (self.noise_sigma > 0):
-            raise ConfigError(f"noise_sigma must be positive, got {self.noise_sigma}")
+        for name in ("class_sep", "noise_sigma"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
 
     @property
     def num_modalities(self) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, NoRelevantItems, ShapeMismatch
 from .gradients import LOSS_KINDS, check_kind, stack_loss_gradient
 from .losses import MatchStrategy, check_paired, direction_label, ring_edges, ring_passes
-from .pmf import AlignConfig, EmbeddingBatch, row_norms
+from .pmf import EmbeddingBatch, row_norms
 from .retrieval import SCORE_BLOCK_ROWS, average_precisions, rank_scores, top_k_hits
 
 
@@ -58,6 +58,8 @@ class TrainConfig:
         for name in ("learning_rate", "weight_decay", "holdout_fraction"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        if self.temperature <= 0:
+            raise ConfigError(f"temperature must be positive, got {self.temperature}")
         if self.max_epochs < 1 or self.batch_size < 2:
             raise ConfigError("need max_epochs >= 1 and batch_size >= 2")
         if self.lr_decay_every < 1:
@@ -253,16 +255,15 @@ def evaluate_directions(
 ) -> dict[str, dict[str, float]]:
     """P@1 / P@10 (and optionally MAP) for every ordered modality pair.
 
-    Each modality is normalised once. P@K comes from top-k selection on
-    the cosine scores (``top_k_hits``) with ``rank_gallery``'s tie
-    rule: descending cosine, then ascending gallery index; no full
-    ranking is built. Queries are scored in the blocks of
-    ``cosine_scores``, so temporaries stay O(block x gallery) and the
-    scores keep their bits. The MAP pass ranks each block with
-    ``rank_scores`` and reads P@1, P@10 and the average precisions off
-    the relevance of that ranking. Hit counts are summed over blocks and
-    divided once, so every value equals the one from ``rank_gallery`` +
-    ``precision_at_k`` / ``mean_average_precision`` exactly. With
+    Each modality is normalised once. Queries are scored in blocks of
+    ``SCORE_BLOCK_ROWS`` rows counted from row 0, so temporaries stay
+    O(block x gallery). P@K comes from top-k selection on the scores
+    (``top_k_hits``) with the tie rule of ``rank_scores``: descending
+    cosine, then ascending gallery index; no full ranking is built. The
+    MAP pass ranks each block with ``rank_scores`` and reads P@1, P@10
+    and the average precisions off the relevance of that ranking. Hit
+    counts are summed over blocks and divided once, so every value equals
+    the one read off a stable argsort of the same scores exactly. With
     ``with_map``, a query whose label no gallery item has raises
     ``NoRelevantItems`` naming the direction and the query's row;
     modalities of different embedding dimension raise ``ShapeMismatch``.
@@ -302,7 +303,6 @@ def train_run(
         raise ShapeMismatch("encoders must share one embedding dimension")
     names = [b.modality_name for b in data]
     labels = data[0].labels
-    tau = AlignConfig(cfg.temperature).temperature
     rng = np.random.default_rng(cfg.seed)
 
     n = data[0].n
@@ -327,10 +327,8 @@ def train_run(
         cfg.weight_decay,
     )
     directions = sorted(direction_label(q, g) for q, g in permutations(names, 2))
-    supervised = {
-        d: d in supervised_directions(names, cfg.loss_kind, cfg.strategy)
-        for d in directions
-    }
+    covered = supervised_directions(names, cfg.loss_kind, cfg.strategy)
+    supervised = {d: d in covered for d in directions}
 
     records: list[EpochRecord] = []
     aborted = False
@@ -345,7 +343,7 @@ def train_run(
             outputs = [enc.forward(b.data[idx]) for enc, b in zip(encoders, data)]
             stack = np.stack([emb for emb, _ in outputs])
             value, grads = stack_loss_gradient(
-                cfg.loss_kind, stack, labels[idx], names, cfg.strategy, tau
+                cfg.loss_kind, stack, labels[idx], names, cfg.strategy, cfg.temperature
             )
             if not np.isfinite(value):
                 batch_losses.append(value)

@@ -4,12 +4,27 @@ for P@K, and one query at a time for average precision.
 
 ``csalign.retrieval`` ranks by an unstable sort plus a tie repair and
 scores AP for whole groups of queries at once; nothing here calls those
-routines.
+routines. The cosine scores are multiplied in the query blocks the
+library scores in (``SCORE_BLOCK_ROWS`` rows counted from row 0): a BLAS
+product over a different number of rows may round differently in the
+last place, which could reorder near-ties.
 """
 
 import numpy as np
 
-from csalign.retrieval import cosine_scores
+from csalign.retrieval import SCORE_BLOCK_ROWS
+
+
+def cosine_scores(query, gallery):
+    """Cosine of every query row with every gallery row: unit rows, one
+    product per block of ``SCORE_BLOCK_ROWS`` query rows."""
+    q, g = np.asarray(query, dtype=np.float64), np.asarray(gallery, dtype=np.float64)
+    unit_q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    unit_g = (g / np.linalg.norm(g, axis=1, keepdims=True)).T
+    return np.vstack([
+        unit_q[start : start + SCORE_BLOCK_ROWS] @ unit_g
+        for start in range(0, q.shape[0], SCORE_BLOCK_ROWS)
+    ])
 
 
 def stable_ranking(scores):
@@ -42,13 +57,13 @@ def average_precisions(ranked, query_labels, gallery_labels):
 
 def direction_metrics(batches):
     """P@1, P@10 and MAP of every ordered pair of batches, from the stable
-    ranking of the whole cosine matrix."""
+    ranking of the blocked cosine scores."""
     out = {}
     for query in batches:
         for gallery in batches:
             if query is gallery:
                 continue
-            ranked = stable_ranking(cosine_scores(query, gallery))
+            ranked = stable_ranking(cosine_scores(query.data, gallery.data))
             k = min(10, gallery.n)
             out[f"{query.modality_name}2{gallery.modality_name}"] = {
                 "p1": precision_at_k(ranked, query.labels, gallery.labels, 1),

@@ -144,13 +144,22 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--outdir", str(tmp_path / "x")]) == 2
 
     @pytest.mark.parametrize(
-        "line", ["lr_decay_every = 0", "grad_clip_norm = nan", "learning_rate = nan", "temperature = inf"]
+        "line",
+        ["lr_decay_every = 0", "grad_clip_norm = nan", "learning_rate = nan", "temperature = inf", "temperature = 0"],
     )
     def test_bad_train_field_is_a_config_error(self, line, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SMALL_CONFIG + line + "\n")
         assert main(["train", "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {line.split()[0]} must be")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("line", ["class_sep = inf", "noise_sigma = inf"])
+    def test_infinite_synth_scale_is_a_config_error(self, line, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CONFIG.replace(line.split()[0] + " =", "# was") + line + "\n")
+        assert main(["train", "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {line.split()[0]} must be finite")
         assert not (tmp_path / "run").exists()
 
     def test_aborted_run_exit_4(self, tmp_path, capsys, monkeypatch):

@@ -8,10 +8,7 @@ from csalign import (
     KlConfig,
     MatchStrategy,
     ModalityRing,
-    association_pmf,
-    build_match_matrix,
     central_difference,
-    cosine_similarity_matrix,
     finite_diff_gradient,
     gcs_divergence,
     gcs_ring_loss,
@@ -19,10 +16,10 @@ from csalign import (
     max_relative_error,
     ring_edges,
     ring_passes,
-    true_match_pmf,
 )
 from csalign.errors import ConfigError, NonFinitePerturbation
 from csalign.losses import STATIC_SHIFT_LIMIT, gcs_logit_rows, label_support, matching_loss
+from pmf_oracle import softmax_pmf, true_pmf
 
 
 def random_ring(seed, m=2, n=8, d=4, strategy=MatchStrategy.MIXED):
@@ -148,19 +145,14 @@ def underflow_ring():
 def linear_domain_gcs_ring(ring, tau):
     """The GCS ring loss and its embedding gradients from the PMFs
     themselves: products, powers, division by p and the softmax backward."""
-    same = (ring.labels[:, None] == ring.labels[None, :]).astype(float)
-    q = same / same.sum(axis=1, keepdims=True)
+    q = true_pmf(ring.labels)
     norms = [np.linalg.norm(b.data, axis=1, keepdims=True) for b in ring.batches]
     units = [b.data / norm for b, norm in zip(ring.batches, norms)]
     g_units = [np.zeros_like(u) for u in units]
     value = 0.0
     for direction in ring_passes(ring.strategy):
         edges = ring_edges(ring.m, direction)
-        pmfs = []
-        for src, dst in edges:
-            z = units[src] @ units[dst].T / tau
-            e = np.exp(z - z.max(axis=1, keepdims=True))
-            pmfs.append(e / e.sum(axis=1, keepdims=True))
+        pmfs = [softmax_pmf(ring.batches[s].data, ring.batches[d].data, tau) for s, d in edges]
         stack = np.stack(pmfs + [q])
         k = stack.shape[0]
         prod_all = np.prod(stack, axis=0)
@@ -199,7 +191,7 @@ class TestLogDomainKernel:
         assert np.isfinite(value)
         assert all(np.all(np.isfinite(g)) for g in bundle)
         support = label_support(ring.labels)
-        q = true_match_pmf(build_match_matrix(ring.labels, ring.labels)).rows
+        q = true_pmf(ring.labels)
         units = [b.data / np.linalg.norm(b.data, axis=1, keepdims=True) for b in ring.batches]
         # the forward matrices read by rows, and by columns for the backward pass
         logits = np.stack([
@@ -214,7 +206,7 @@ class TestLogDomainKernel:
             rows = readings[direction]
             total += rows.mean()
             pmfs = [
-                association_pmf(cosine_similarity_matrix(ring.batches[s], ring.batches[d]), cfg).rows
+                softmax_pmf(ring.batches[s].data, ring.batches[d].data, cfg.temperature)
                 for s, d in edges
             ]
             with np.errstate(all="ignore"):

@@ -113,14 +113,14 @@ class TestKvConfig:
             "class_sep=5\nnoise_sigma=0.5\nseed=9\nmax_epochs=3\nbatch_size=8\n"
             "strategy=clockwise\ntemperature=0.5\n"
         )
-        synth, train, align = experiment_configs(mapping)
+        synth, train = experiment_configs(mapping)
         assert synth.num_classes == 4 and synth.seed == 9
         assert train.seed == 9 and train.strategy is MatchStrategy.CLOCKWISE
-        assert align.temperature == 0.5
+        assert train.temperature == 0.5
 
     def test_data_seed_overrides_generator_only(self):
         mapping = parse_kv_config("seed=1\ndata_seed=2\n")
-        synth, train, _ = experiment_configs(mapping)
+        synth, train = experiment_configs(mapping)
         assert synth.seed == 2 and train.seed == 1
 
     def test_unknown_key_rejected(self):

@@ -28,7 +28,9 @@ from csalign.errors import (
     TooFewDistributions,
 )
 from csalign.losses import label_support, matching_loss
-from csalign.retrieval import cosine_scores
+from csalign.pmf import row_norms
+from csalign.train import evaluate_directions
+from pmf_oracle import softmax_pmf, true_pmf
 
 
 def random_ring(seed, m=3, n=8, d=4, strategy=MatchStrategy.MIXED, classes=3):
@@ -221,20 +223,6 @@ class TestPairwiseSumLoss:
             pairwise_sum_loss(random_ring(21), measure="tv")
 
 
-def softmax_pmf(src, dst, tau):
-    """Association PMF in plain numpy: row softmax of cosine / tau."""
-    a = src / np.linalg.norm(src, axis=1, keepdims=True)
-    b = dst / np.linalg.norm(dst, axis=1, keepdims=True)
-    z = a @ b.T / tau
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def true_pmf(labels):
-    same = (labels[:, None] == labels[None, :]).astype(float)
-    return same / same.sum(axis=1, keepdims=True)
-
-
 def assert_matches_oracle(report, oracle_rows):
     """``oracle_rows`` maps each direction, in pass order, to its per-row values."""
     assert list(report.per_direction) == list(oracle_rows)
@@ -321,9 +309,13 @@ class TestNormOverflow:
         assert isinstance(raised.value, CsAlignError)
         EmbeddingBatch(a * 1e150, labels)
         with pytest.raises(NonFiniteSimilarity):
-            cosine_scores(a * 1e200, b)
-        with pytest.raises(NonFiniteSimilarity):
-            cosine_scores(a, b * 1e200)
+            row_norms(a * 1e200, "the rows")
+        # rows scaled after validation reach evaluation under the same rule
+        for scaled in range(2):
+            batches = [EmbeddingBatch(a, labels, "A"), EmbeddingBatch(b, labels, "B")]
+            object.__setattr__(batches[scaled], "data", batches[scaled].data * 1e200)
+            with pytest.raises(NonFiniteSimilarity, match="row whose norm overflows"):
+                evaluate_directions(batches)
 
     @pytest.mark.parametrize("kind", ["bimodal_cs", "gcs_ring", "pairwise_cs", "kl"])
     def test_engine_reports_non_finite_not_a_wrong_value(self, kind):

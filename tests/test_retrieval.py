@@ -3,18 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csalign import (
-    EmbeddingBatch,
-    cosine_scores,
-    evaluate_retrieval,
-    mean_average_precision,
-    precision_at_k,
-    precision_at_k_scores,
-    rank_gallery,
-    top_k_hits,
-)
+from csalign import EmbeddingBatch, top_k_hits
 from csalign.retrieval import SCORE_BLOCK_ROWS, average_precisions, rank_scores
 from csalign.errors import BadK, NoRelevantItems, ShapeMismatch, ZeroNormRow
+from csalign.pmf import row_norms
+from csalign.train import evaluate_directions
 import retrieval_oracle as oracle
 
 
@@ -29,15 +22,17 @@ def ranked_relevance(ranked, query_labels, gallery_labels):
 
 
 class TestRankGallery:
+    """Galleries ranked by ``rank_scores`` of cosine scores, checked by hand."""
+
     def test_query_vector_in_gallery_ranks_first(self):
         rng = np.random.default_rng(0)
         gallery = rng.normal(size=(6, 4))
-        ranked = rank_gallery(gallery[[2]], gallery)
+        ranked = rank_scores(oracle.cosine_scores(gallery[[2]], gallery))
         assert ranked[0, 0] == 2
 
     def test_ties_broken_by_lower_index(self):
         gallery = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])  # rows 0,1 parallel
-        ranked = rank_gallery(np.array([[1.0, 0.0]]), gallery)
+        ranked = rank_scores(oracle.cosine_scores(np.array([[1.0, 0.0]]), gallery))
         assert ranked[0].tolist() == [0, 1, 2]
 
     def test_matches_bruteforce_sort(self):
@@ -46,14 +41,18 @@ class TestRankGallery:
         sim = (query / np.linalg.norm(query, axis=1, keepdims=True)) @ (
             gallery / np.linalg.norm(gallery, axis=1, keepdims=True)
         ).T
-        ranked = rank_gallery(query, gallery)
+        ranked = rank_scores(sim)
         for qi in range(5):
             expected = sorted(range(7), key=lambda j: (-sim[qi, j], j))
             assert ranked[qi].tolist() == expected
 
     def test_dim_mismatch(self):
+        batches = [
+            EmbeddingBatch(np.ones((2, 3)), [0, 1], "Q"),
+            EmbeddingBatch(np.ones((2, 4)), [0, 1], "G"),
+        ]
         with pytest.raises(ShapeMismatch):
-            rank_gallery(np.ones((2, 3)), np.ones((2, 4)))
+            evaluate_directions(batches)
 
 
 class TestRankScores:
@@ -98,38 +97,40 @@ class TestRankScores:
 
 
 class TestPrecisionAtK:
+    """Hand values of ``top_k_hits``; each score row ranks in index order."""
+
     def test_perfect_clustering(self):
-        ranked = np.array([[0, 1], [1, 0]])
-        assert precision_at_k(ranked, [0, 1], [0, 1], 1) == 1.0
+        scores = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert top_k_hits(scores, relevance([0, 1], [0, 1]), 1) == 2
 
     def test_no_matches(self):
-        ranked = np.array([[0, 1], [0, 1]])
-        assert precision_at_k(ranked, [5, 6], [0, 1], 2) == 0.0
+        scores = np.array([[1.0, 0.0], [1.0, 0.0]])
+        assert top_k_hits(scores, relevance([5, 6], [0, 1]), 2) == 0
 
     def test_hand_two_thirds(self):
-        ranked = np.array([[0], [1], [2]])
-        value = precision_at_k(ranked, [0, 1, 9], [0, 1, 2], 1)
-        assert value == pytest.approx(2 / 3, abs=1e-12)
+        hits = top_k_hits(np.eye(3), relevance([0, 1, 9], [0, 1, 2]), 1)
+        assert hits / 3 == pytest.approx(2 / 3, abs=1e-12)
 
     def test_bad_k(self):
+        scores, relevant = np.array([[1.0, 0.0]]), relevance([0], [0, 1])
         with pytest.raises(BadK):
-            precision_at_k(np.array([[0, 1]]), [0], [0, 1], 3)
+            top_k_hits(scores, relevant, 3)
         with pytest.raises(BadK):
-            precision_at_k(np.array([[0, 1]]), [0], [0, 1], 0)
+            top_k_hits(scores, relevant, 0)
 
 
 class TestScorePrecisionAtK:
-    """Top-k selection on scores against precision_at_k of the stable ranking."""
+    """Top-k selection on scores against P@K of the stable ranking."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_agrees_exactly_with_ranked_precision_under_heavy_ties(self, seed):
         rng = np.random.default_rng(seed)
         scores = rng.integers(0, 4, size=(25, 17)).astype(np.float64)  # many ties per row
         q_labels, g_labels = rng.integers(0, 3, 25), rng.integers(0, 3, 17)
-        ranked = np.argsort(-scores, axis=1, kind="stable")
+        ranked = oracle.stable_ranking(scores)
         for k in range(1, 18):
-            assert precision_at_k_scores(scores, q_labels, g_labels, k) == precision_at_k(
-                ranked, q_labels, g_labels, k
+            assert top_k_hits(scores, relevance(q_labels, g_labels), k) / (25 * k) == (
+                oracle.precision_at_k(ranked, q_labels, g_labels, k)
             )
 
     def test_ties_at_kth_score_go_to_lower_indices(self):
@@ -143,48 +144,65 @@ class TestScorePrecisionAtK:
         with pytest.raises(BadK):
             top_k_hits(np.zeros((2, 3)), relevance([0, 0], [0, 0, 0]), 4)
         with pytest.raises(BadK):
-            precision_at_k_scores(np.zeros((2, 3)), [0, 0], [0, 0, 0], 0)
+            top_k_hits(np.zeros((2, 3)), relevance([0, 0], [0, 0, 0]), 0)
 
 
 class TestCosineScores:
+    """The cosine scores of the evaluation, against the oracle's."""
+
     def test_rank_gallery_sorts_the_scores(self):
         rng = np.random.default_rng(5)
-        q, g = rng.normal(size=(7, 4)), rng.normal(size=(9, 4))
-        assert np.array_equal(
-            rank_gallery(q, g), np.argsort(-cosine_scores(q, g), axis=1, kind="stable")
-        )
+        scores = oracle.cosine_scores(rng.normal(size=(7, 4)), rng.normal(size=(9, 4)))
+        assert np.array_equal(rank_scores(scores), np.argsort(-scores, axis=1, kind="stable"))
 
     def test_aligned_row_blocks_give_the_same_bits(self):
-        rng = np.random.default_rng(6)
-        n = 2 * SCORE_BLOCK_ROWS + 45
-        q, g = rng.normal(size=(n, 16)), rng.normal(size=(n + 3, 16))
-        full = cosine_scores(q, g)
-        for start in range(0, n, SCORE_BLOCK_ROWS):
-            rows = slice(start, start + SCORE_BLOCK_ROWS)
-            assert np.array_equal(cosine_scores(q[rows], g), full[rows])
+        # gallery rows copied onto rows of another label are exact ties whose
+        # order a one-ulp difference in the scores would flip; the oracle
+        # multiplies in the program's blocks, where a whole-matrix product
+        # may round differently
+        for n in (SCORE_BLOCK_ROWS + 1, 2 * SCORE_BLOCK_ROWS + 1, 700):
+            for seed in range(6):
+                rng = np.random.default_rng(seed)
+                labels = rng.integers(0, 8, size=n)
+                src = rng.choice(n, 64, replace=False)
+                dst = np.array([rng.choice(np.flatnonzero(labels != labels[s])) for s in src])
+                batches = []
+                for name in "AB":
+                    x = rng.normal(size=(n, 16))
+                    x[dst] = x[src]
+                    batches.append(EmbeddingBatch(x, labels, name))
+                reference = oracle.direction_metrics(batches)
+                assert evaluate_directions(batches, with_map=True) == reference, (n, seed)
+                assert evaluate_directions(batches) == {
+                    d: {"p1": v["p1"], "p10": v["p10"]} for d, v in reference.items()
+                }, (n, seed)
 
     def test_zero_norm_row_rejected(self):
         with pytest.raises(ZeroNormRow):
-            cosine_scores(np.zeros((1, 3)), np.ones((2, 3)))
+            row_norms(np.zeros((1, 3)), "the query rows")
+        query = EmbeddingBatch(np.ones((2, 3)), [0, 1], "Q")
+        object.__setattr__(query, "data", np.zeros((2, 3)))
+        with pytest.raises(ZeroNormRow, match="^batch 'Q' "):
+            evaluate_directions([query, EmbeddingBatch(np.ones((2, 3)), [0, 1], "G")])
 
 
 class TestMeanAveragePrecision:
+    """Hand values of ``average_precisions`` on one ranked query."""
+
     def test_all_relevant_first(self):
-        ranked = np.array([[0, 1, 2, 3]])
-        assert mean_average_precision(ranked, [1], [1, 1, 0, 0]) == 1.0
+        assert average_precisions(np.array([[True, True, False, False]])) == [1.0]
 
     def test_single_relevant_at_rank_two(self):
-        ranked = np.array([[0, 1, 2]])
-        assert mean_average_precision(ranked, [7], [0, 7, 0]) == pytest.approx(0.5)
+        value = average_precisions(np.array([[False, True, False]]))
+        assert value == [pytest.approx(0.5)]
 
     def test_hand_value_relevant_at_ranks_one_and_three(self):
-        ranked = np.array([[0, 1, 2, 3]])
-        value = mean_average_precision(ranked, [1], [1, 0, 1, 0])
-        assert value == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-12)
+        value = average_precisions(np.array([[True, False, True, False]]))
+        assert value == [pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-12)]
 
     def test_no_relevant_items_raises(self):
         with pytest.raises(NoRelevantItems):
-            mean_average_precision(np.array([[0, 1]]), [9], [0, 1])
+            average_precisions(np.array([[False, False]]))
 
 
 class TestAveragePrecisions:
@@ -232,22 +250,33 @@ class TestInvariances:
         q, g = rng.normal(size=(6, 5)), rng.normal(size=(10, 5))
         q_labels, g_labels = rng.integers(0, 3, 6), rng.integers(0, 3, 10)
         rotation, _ = np.linalg.qr(rng.normal(size=(5, 5)))
-        base, rotated = rank_gallery(q, g), rank_gallery(q @ rotation, g @ rotation)
-        assert np.array_equal(base, rotated)
-        for k in (1, 5):
-            assert precision_at_k(base, q_labels, g_labels, k) == pytest.approx(
-                precision_at_k(rotated, q_labels, g_labels, k), abs=1e-12
-            )
-        assert mean_average_precision(base, q_labels, g_labels) == pytest.approx(
-            mean_average_precision(rotated, q_labels, g_labels), abs=1e-12
-        )
+        base = rank_scores(oracle.cosine_scores(q, g))
+        assert np.array_equal(base, rank_scores(oracle.cosine_scores(q @ rotation, g @ rotation)))
+        batches = [EmbeddingBatch(q, q_labels, "Q"), EmbeddingBatch(g, g_labels, "G")]
+        rotated = [EmbeddingBatch(b.data @ rotation, b.labels, b.modality_name) for b in batches]
+        metrics = evaluate_directions(batches, with_map=True)
+        assert metrics == oracle.direction_metrics(batches)
+        for direction, values in evaluate_directions(rotated, with_map=True).items():
+            for name, value in values.items():
+                assert value == pytest.approx(metrics[direction][name], abs=1e-12)
 
     def test_per_row_rescaling_preserves_ranking(self):
         rng = np.random.default_rng(3)
         q, g = rng.normal(size=(5, 4)), rng.normal(size=(8, 4))
         scales_q = rng.uniform(0.1, 10.0, size=(5, 1))
         scales_g = rng.uniform(0.1, 10.0, size=(8, 1))
-        assert np.array_equal(rank_gallery(q, g), rank_gallery(q * scales_q, g * scales_g))
+        assert np.array_equal(
+            rank_scores(oracle.cosine_scores(q, g)),
+            rank_scores(oracle.cosine_scores(q * scales_q, g * scales_g)),
+        )
+        labels_q, labels_g = np.arange(5) % 2, np.arange(8) % 2
+        batches = [EmbeddingBatch(q, labels_q, "Q"), EmbeddingBatch(g, labels_g, "G")]
+        scaled = [
+            EmbeddingBatch(b.data * scales, b.labels, b.modality_name)
+            for b, scales in zip(batches, (scales_q, scales_g))
+        ]
+        metrics = evaluate_directions(batches, with_map=True)
+        assert evaluate_directions(scaled, with_map=True) == metrics
 
 
 class TestEvaluateRetrieval:
@@ -256,7 +285,7 @@ class TestEvaluateRetrieval:
         labels = np.array([0, 0, 1, 1])
         q = EmbeddingBatch(rng.normal(size=(4, 3)), labels, "img")
         g = EmbeddingBatch(rng.normal(size=(4, 3)), labels, "txt")
-        metrics = evaluate_retrieval(q, g, ks=(1, 10))
-        assert metrics.direction == "img2txt"
-        assert set(metrics.p_at) == {1, 10}
-        assert 0.0 <= metrics.map_score <= 1.0
+        metrics = evaluate_directions([q, g], with_map=True)
+        assert set(metrics) == {"img2txt", "txt2img"}
+        assert metrics == oracle.direction_metrics([q, g])  # P@10 over the 4 gallery items
+        assert all(0.0 <= m["map"] <= 1.0 for m in metrics.values())

@@ -71,3 +71,9 @@ class TestConfigValidation:
     def test_bad_values_rejected(self, overrides):
         with pytest.raises(ConfigError):
             small_cfg(**overrides)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -np.inf])
+    @pytest.mark.parametrize("name", ["class_sep", "noise_sigma"])
+    def test_non_finite_scale_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite and positive"):
+            small_cfg(**{name: value})

@@ -28,9 +28,9 @@ from csalign.errors import (
     ZeroNormRow,
 )
 from csalign.losses import MATCHING_KINDS, matching_loss, stack_matching_loss
-from csalign.retrieval import SCORE_BLOCK_ROWS, cosine_scores
+from csalign.retrieval import SCORE_BLOCK_ROWS
 from csalign.train import clip_global_norm, evaluate_directions, supervised_directions
-from retrieval_oracle import direction_metrics
+from retrieval_oracle import cosine_scores, direction_metrics
 
 
 def tiny_setup(**train_overrides):
@@ -212,6 +212,11 @@ class TestTrainConfig:
     def test_non_finite_float_field_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0])
+    def test_non_positive_temperature_rejected(self, temperature):
+        with pytest.raises(ConfigError, match="temperature must be positive"):
+            TrainConfig(temperature=temperature)
 
     @pytest.mark.parametrize("every", [0, -1])
     def test_lr_decay_every_below_one_rejected(self, every):
