@@ -3,6 +3,7 @@ import pytest
 
 from csalign import AlignConfig, EmbeddingBatch, ModalityRing, bimodal_cmpm_cs
 from csalign.errors import ConfigError, NonFiniteSimilarity, ShapeMismatch, ZeroNormRow
+from csalign.losses import check_paired, gcs_logit_rows, label_support
 from csalign.pmf import row_norms
 from csalign.train import evaluate_directions
 
@@ -83,6 +84,26 @@ class TestCosineSimilarity:
 class TestAssociationPmf:
     """The association softmax as the loss engine evaluates it, from the logits."""
 
+    def test_identical_similarities_give_uniform(self):
+        # every cosine equal: uniform association against c_i same-label
+        # items, so CS = log(n / c_i) / 2 at any temperature
+        labels = np.array([0, 0, 1, 1, 1, 2])
+        a = batch(np.tile([1.0, 2.0, 0.0], (6, 1)), labels)
+        b = batch(np.tile([0.0, 1.0, 3.0], (6, 1)), labels, "B")
+        report = bimodal_cmpm_cs(a, b)
+        uniform = 0.5 * np.log(labels.size / np.bincount(labels)[labels])
+        assert np.abs(report.per_sample - 2 * uniform).max() <= 1e-12
+
+    def test_hand_softmax_thirds(self):
+        # a cosine gap of 1 at tau = 1 / log 2 is a logit gap of log 2: the
+        # association is (1/3, 2/3) against a one-hot true match, and
+        # CS = -log(1/3) + log(5/9) / 2 = log(5) / 2 in each direction
+        a = batch([[1, 0], [0, 1]], [0, 1])
+        b = batch([[0, 1], [1, 0]], [0, 1], "B")
+        report = bimodal_cmpm_cs(a, b, AlignConfig(temperature=1 / np.log(2.0)))
+        for direction in ("A2B", "B2A"):
+            assert report.per_direction[direction] == pytest.approx(np.log(5.0) / 2, rel=1e-12)
+
     def test_extreme_temperature_ratio_is_stable(self):
         # similarity gap of 1 at tau=1e-3 is a logit gap of 1000: the true
         # match's probability underflows to 0 as a number, but not as a log
@@ -91,6 +112,18 @@ class TestAssociationPmf:
         report = bimodal_cmpm_cs(a, b, AlignConfig(temperature=1e-3))
         assert report.finite
         assert report.per_direction["A2B"] == pytest.approx(1000.0, rel=1e-12)
+
+    def test_shift_invariance(self):
+        # one constant added to every logit leaves every softmax, and so
+        # every per-anchor GCS of both readings, unchanged
+        rng = np.random.default_rng(2)
+        base = rng.uniform(-0.5, 0.0, (2, 5, 5))
+        shifted = base + 0.5  # stays inside [-1, 1]
+        support = label_support(np.array([0, 1, 0, 2, 1]))
+        v0, _ = gcs_logit_rows(base.copy(), support, 1.0)
+        v1, _ = gcs_logit_rows(shifted.copy(), support, 1.0)
+        for r0, r1 in zip(v0, v1):
+            assert np.abs(r0 - r1).max() <= 1e-12
 
     def test_huge_temperature_approaches_uniform(self):
         # uniform association against c_i same-label items: CS = log(n / c_i) / 2
@@ -112,6 +145,59 @@ class TestAssociationPmf:
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ConfigError):
             AlignConfig(temperature=0.0)
+
+
+def true_match_rows(labels):
+    """The dense true-match PMF the engine's label support describes."""
+    support = label_support(np.asarray(labels))
+    rows = np.zeros((len(labels), len(labels)))
+    rows[support.rows, support.cols] = np.exp(-support.log_counts[support.rows])
+    return rows
+
+
+class TestMatchMatrix:
+    """The same-label pairs the engine matches, from ``label_support``."""
+
+    def test_paired_instances(self):
+        assert (true_match_rows([0, 1]) > 0).tolist() == [[True, False], [False, True]]
+
+    def test_single_class(self):
+        assert (true_match_rows([0, 0]) > 0).tolist() == [[True, True], [True, True]]
+
+    def test_swapped_labels(self):
+        # modalities are paired position by position: a permutation is rejected
+        with pytest.raises(ShapeMismatch, match="identical labels position-wise"):
+            check_paired([batch(np.eye(2), [0, 1]), batch(np.eye(2), [1, 0], "B")])
+
+    def test_diagonal_guarantee_for_paired_batches(self):
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 4, size=12)
+        assert np.all(np.diag(true_match_rows(labels)) > 0)
+
+    def test_empty_row_rejected(self):
+        # a row without a same-label partner cannot reach the engine
+        with pytest.raises(ShapeMismatch, match="identical labels position-wise"):
+            check_paired([batch(np.eye(2), [0, 1]), batch(np.eye(2), [1, 1], "B")])
+
+
+class TestTrueMatchPmf:
+    @pytest.mark.parametrize(
+        "row,expected",
+        [
+            ([1, 0, 1, 0], [0.5, 0, 0.5, 0]),
+            ([1, 0, 0, 0], [1, 0, 0, 0]),
+            ([1, 1, 1, 1], [0.25, 0.25, 0.25, 0.25]),
+        ],
+    )
+    def test_row_normalization(self, row, expected):
+        # labels whose row 0 matches exactly the marked items
+        labels = np.where(np.asarray(row) == 1, 0, 1)
+        assert true_match_rows(labels)[0] == pytest.approx(expected, abs=1e-15)
+
+    def test_rows_sum_to_one(self):
+        rng = np.random.default_rng(6)
+        labels = rng.integers(0, 3, size=10)
+        assert np.abs(true_match_rows(labels).sum(axis=1) - 1.0).max() <= 1e-9
 
 
 class TestEmbeddingBatch:
