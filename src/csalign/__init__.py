@@ -28,14 +28,13 @@ from .divergence import (
 )
 from .errors import CsAlignError
 from .gradients import (
-    LOSS_KINDS,
-    GradientBundle,
     central_difference,
     finite_diff_gradient,
     loss_gradient,
     max_relative_error,
 )
 from .losses import (
+    LOSS_KINDS,
     LossReport,
     MatchStrategy,
     ModalityRing,
@@ -71,7 +70,6 @@ __all__ = [
     "DivergenceValue",
     "EmbeddingBatch",
     "Encoder",
-    "GradientBundle",
     "HolderCheck",
     "KlConfig",
     "LOSS_KINDS",

@@ -132,6 +132,8 @@ def cmd_props(args) -> int:
     started = _now()
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     gcs_fn = gcs_divergence
     if args.flip_gcs_sign:
         # fault-injection hook: prove the suite catches a broken GCS
@@ -303,6 +305,10 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
     if not 2 <= args.m_min <= args.m_max:
         raise ConfigError(f"need 2 <= --m-min <= --m-max, got {args.m_min} and {args.m_max}")
+    if args.batch < 2 or args.dim < 1:
+        raise ConfigError(f"need --batch >= 2 and --dim >= 1, got {args.batch} and {args.dim}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     rows = []
     for m in range(args.m_min, args.m_max + 1):
         ring = _bench_ring(m, args.batch, args.dim, args.seed)

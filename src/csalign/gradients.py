@@ -28,32 +28,14 @@ imports ``cdist`` inside the function (as do the bandwidth and value in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .divergence import KlConfig, MmdConfig, coral_loss, mmd_squared, resolve_bandwidth
+from .divergence import MmdConfig, coral_loss, mmd_squared, resolve_bandwidth
 from .errors import ConfigError, NonFinitePerturbation
-from .losses import MATCHING_KINDS, MatchStrategy, ModalityRing, stack_matching_loss
+from .losses import MATCHING_KINDS, MatchStrategy, ModalityRing, check_kind, stack_matching_loss
 from .pmf import AlignConfig, row_norms
-
-LOSS_KINDS = ("bimodal_cs", "gcs_ring", "pairwise_cs", "kl", "mmd", "coral")
-
-_PAIR_ONLY = ("mmd", "coral")
-
-
-@dataclass(frozen=True)
-class GradientBundle:
-    """Per-modality gradients, index-aligned with a ring's batches."""
-
-    grads: tuple[np.ndarray, ...]
-
-    def __iter__(self):
-        return iter(self.grads)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.grads[i]
 
 
 def _mmd_grad(x: np.ndarray, y: np.ndarray, sigma: float):
@@ -101,46 +83,34 @@ def stack_loss_gradient(
     names: Sequence[str],
     strategy: MatchStrategy,
     tau: float,
-    *,
-    kl_cfg: KlConfig | None = None,
-    mmd_cfg: MmdConfig | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """``loss_gradient`` on the arguments of ``losses.stack_matching_loss``;
     one n x d gradient per modality. The stack's row norms are checked
-    here, once (``row_norms``), and handed to the engine."""
-    norms = row_norms(stack, "the embeddings")
+    once per call (``row_norms``): by the engine, or here for MMD and
+    CORAL."""
+    if loss_kind not in ("mmd", "coral"):
+        report, grads = stack_matching_loss(loss_kind, stack, labels, names, strategy, tau)
+        return report.total, grads
+    row_norms(stack, "the embeddings")
     if loss_kind == "mmd":
-        sigma = resolve_bandwidth(stack[0], stack[1], mmd_cfg)
-        return _mmd_grad(stack[0], stack[1], sigma)
-    if loss_kind == "coral":
-        return _coral_grad(stack[0], stack[1])
-    report, grads = stack_matching_loss(
-        loss_kind, stack, labels, names, strategy, tau, kl_cfg, norms
-    )
-    return report.total, grads
+        return _mmd_grad(stack[0], stack[1], resolve_bandwidth(stack[0], stack[1]))
+    return _coral_grad(stack[0], stack[1])
 
 
 def loss_gradient(
-    loss_kind: str,
-    ring: ModalityRing,
-    align_cfg: AlignConfig | None = None,
-    *,
-    kl_cfg: KlConfig | None = None,
-    mmd_cfg: MmdConfig | None = None,
-) -> tuple[float, GradientBundle]:
+    loss_kind: str, ring: ModalityRing, align_cfg: AlignConfig | None = None
+) -> tuple[float, tuple[np.ndarray, ...]]:
     """Loss value and exact embedding gradients for one loss kind.
 
     ``loss_kind`` is one of ``LOSS_KINDS``. For the projection-matching
     kinds the scalar is the ``total`` of the corresponding forward loss,
-    bit for bit; the bundle holds one n x d gradient matrix per ring
-    modality.
+    bit for bit; the tuple holds one n x d gradient matrix per ring
+    modality. MMD uses the median-heuristic bandwidth.
     """
     check_kind(loss_kind, ring.m)
     tau = (align_cfg or AlignConfig()).temperature
-    value, grads = stack_loss_gradient(
-        loss_kind, *ring.arrays(), tau, kl_cfg=kl_cfg, mmd_cfg=mmd_cfg
-    )
-    return value, GradientBundle(tuple(grads))
+    value, grads = stack_loss_gradient(loss_kind, *ring.arrays(), tau)
+    return value, tuple(grads)
 
 
 def central_difference(
@@ -180,11 +150,7 @@ def central_difference(
 
 
 def _loss_closure(
-    loss_kind: str,
-    ring: ModalityRing,
-    align_cfg: AlignConfig | None,
-    kl_cfg: KlConfig | None,
-    mmd_cfg: MmdConfig | None,
+    loss_kind: str, ring: ModalityRing, align_cfg: AlignConfig | None
 ) -> Callable[[Sequence[np.ndarray]], float]:
     """Rebuild the loss as a pure function of the embedding arrays.
 
@@ -194,49 +160,29 @@ def _loss_closure(
     if loss_kind in MATCHING_KINDS:
         _, *ring_args = ring.arrays()
         tau = (align_cfg or AlignConfig()).temperature
-        return lambda arrays: stack_matching_loss(
-            loss_kind, np.stack(arrays), *ring_args, tau, kl_cfg
-        )[0].total
+        return lambda a: stack_matching_loss(loss_kind, np.stack(a), *ring_args, tau)[0].total
     if loss_kind == "mmd":
-        sigma = resolve_bandwidth(ring.batches[0].data, ring.batches[1].data, mmd_cfg)
-        frozen = MmdConfig(sigma)
+        frozen = MmdConfig(resolve_bandwidth(ring.batches[0].data, ring.batches[1].data))
         return lambda arrays: mmd_squared(arrays[0], arrays[1], frozen)
     # coral
     return lambda arrays: coral_loss(arrays[0], arrays[1])
 
 
 def finite_diff_gradient(
-    loss_kind: str,
-    ring: ModalityRing,
-    align_cfg: AlignConfig | None = None,
-    *,
-    kl_cfg: KlConfig | None = None,
-    mmd_cfg: MmdConfig | None = None,
-    step: float = 1e-5,
-) -> GradientBundle:
+    loss_kind: str, ring: ModalityRing, align_cfg: AlignConfig | None = None, *, step: float = 1e-5
+) -> tuple[np.ndarray, ...]:
     """Finite-difference oracle for :func:`loss_gradient`."""
     check_kind(loss_kind, ring.m)
-    fn = _loss_closure(loss_kind, ring, align_cfg, kl_cfg, mmd_cfg)
-    grads = central_difference(fn, [b.data for b in ring.batches], step)
-    return GradientBundle(tuple(grads))
-
-
-def check_kind(loss_kind: str, m: int) -> None:
-    """Reject an unknown loss kind, or one that is not defined for M modalities."""
-    if loss_kind not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
-    if loss_kind in _PAIR_ONLY and m != 2:
-        raise ConfigError(f"loss kind {loss_kind!r} is defined for exactly two modalities")
-    if loss_kind == "bimodal_cs" and m != 2:
-        raise ConfigError("bimodal_cs needs a two-modality ring")
+    fn = _loss_closure(loss_kind, ring, align_cfg)
+    return tuple(central_difference(fn, [b.data for b in ring.batches], step))
 
 
 def max_relative_error(
-    analytic: GradientBundle, numeric: GradientBundle, floor: float = 1e-8
+    analytic: Sequence[np.ndarray], numeric: Sequence[np.ndarray], floor: float = 1e-8
 ) -> float:
     """Max over coordinates of |a - b| / max(floor, |a| + |b|)."""
     worst = 0.0
-    for a, b in zip(analytic.grads, numeric.grads):
+    for a, b in zip(analytic, numeric):
         denom = np.maximum(floor, np.abs(a) + np.abs(b))
         worst = max(worst, float((np.abs(a - b) / denom).max()))
     return worst

@@ -190,6 +190,8 @@ def experiment_configs(mapping: dict[str, str]):
     synth_kwargs = {k: v for k, v in values.items() if k in synth_names}
     train_kwargs = {k: v for k, v in values.items() if k in train_names}
     if "data_seed" in values:
+        if values["data_seed"] < 0:
+            raise ConfigError(f"data_seed must be non-negative, got {values['data_seed']}")
         synth_kwargs["seed"] = values["data_seed"]
     if "strategy" in train_kwargs:
         try:

@@ -18,8 +18,10 @@ Two families live here:
 replaces: one directional projection-matching loss per ordered modality
 pair, M(M-1) in total versus 2M for the mixed ring.
 
-All of them, and ``gradients.loss_gradient``, are thin calls into
-``stack_matching_loss``, which evaluates every pass from its logit matrices
+All of them, and ``gradients.loss_gradient``, check the kind against M
+with ``check_kind`` and are thin calls into ``stack_matching_loss``. It
+checks the stack's row norms with ``pmf.row_norms`` (an overflowing or
+zero-norm row raises), evaluates every pass from its logit matrices
 ``z_m = cos_m / tau`` in the log domain and returns the per-sample and
 per-direction breakdown together with the embedding gradients. CS and
 GCS are scale invariant, so the softmax normalisers cancel and the
@@ -59,9 +61,10 @@ import numpy as np
 
 from .divergence import KlConfig
 from .errors import ConfigError, ShapeMismatch, TooFewDistributions
-from .pmf import AlignConfig, EmbeddingBatch
+from .pmf import AlignConfig, EmbeddingBatch, row_norms
 
-MATCHING_KINDS = ("bimodal_cs", "gcs_ring", "pairwise_cs", "kl")
+LOSS_KINDS = ("bimodal_cs", "gcs_ring", "pairwise_cs", "kl", "mmd", "coral")
+MATCHING_KINDS = LOSS_KINDS[:4]
 
 # Normalised association PMFs (one per edge of each pass) evaluated by
 # ``matching_loss`` since import; complexity benchmarks and the
@@ -79,6 +82,14 @@ def association_pmf_count() -> int:
     matrices (M and M(M-1)/2).
     """
     return _ASSOCIATION_PMF_COUNT
+
+
+def check_kind(loss_kind: str, m: int) -> None:
+    """Reject an unknown loss kind, or one that is not defined for M modalities."""
+    if loss_kind not in LOSS_KINDS:
+        raise ConfigError(f"unknown loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
+    if loss_kind in ("bimodal_cs", "mmd", "coral") and m != 2:
+        raise ConfigError(f"loss kind {loss_kind!r} is defined for exactly two modalities")
 
 
 class MatchStrategy(Enum):
@@ -147,9 +158,6 @@ class LossReport:
     per_direction: dict[str, float]
     per_sample: np.ndarray = field(repr=False)
     finite: bool = True
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_sample", np.asarray(self.per_sample, dtype=np.float64))
 
 
 def direction_label(src: str, dst: str) -> str:
@@ -341,26 +349,25 @@ def _kl_logit_pair(logits: np.ndarray, log_q: np.ndarray) -> tuple[list[np.ndarr
 
 
 def matching_loss(
-    kind: str,
-    ring: ModalityRing,
-    cfg: AlignConfig | None = None,
-    kl_cfg: KlConfig | None = None,
+    kind: str, ring: ModalityRing, cfg: AlignConfig | None = None
 ) -> tuple[LossReport, list[np.ndarray]]:
     """Projection-matching loss of one kind, with its embedding gradients.
 
-    ``kind`` is one of ``MATCHING_KINDS``. ``gcs_ring`` sums the passes
-    of the ring's strategy, keyed ``"forward"`` / ``"backward"``;
-    ``bimodal_cs``, ``pairwise_cs`` and ``kl`` sum one-edge passes over
-    every ordered modality pair, keyed by direction label in source-major
-    order (``kl`` smoothed by ``kl_cfg.epsilon``). ``total`` is the sum of
-    the per-pass batch means in that order, ``per_direction`` holds those
+    ``kind`` is one of ``MATCHING_KINDS``, checked against the ring's M
+    by ``check_kind``. ``gcs_ring`` sums the passes of the ring's
+    strategy, keyed ``"forward"`` / ``"backward"``; ``bimodal_cs``,
+    ``pairwise_cs`` and ``kl`` sum one-edge passes over every ordered
+    modality pair, keyed by direction label in source-major order (``kl``
+    smoothed by ``KlConfig().epsilon``). ``total`` is the sum of the
+    per-pass batch means in that order, ``per_direction`` holds those
     means and ``per_sample`` the per-row sums over passes. The gradients
     are one n x d matrix per ring modality, index-aligned with
     ``ring.batches``.
 
     The ring validates the input; ``stack_matching_loss`` does the work.
     """
-    return stack_matching_loss(kind, *ring.arrays(), (cfg or AlignConfig()).temperature, kl_cfg)
+    check_kind(kind, ring.m)
+    return stack_matching_loss(kind, *ring.arrays(), (cfg or AlignConfig()).temperature)
 
 
 def stack_matching_loss(
@@ -370,13 +377,10 @@ def stack_matching_loss(
     names: Sequence[str],
     strategy: MatchStrategy,
     tau: float,
-    kl_cfg: KlConfig | None = None,
-    norms: np.ndarray | None = None,
 ) -> tuple[LossReport, list[np.ndarray]]:
     """``matching_loss`` on unchecked arrays: the (M, n, d) ``stack``, the n
     labels all modalities share and M unique ``names`` (for the direction
-    labels). ``norms`` may hand in the stack's (M, n, 1) row norms, already
-    checked by ``row_norms``; otherwise they are computed here.
+    labels). The stack's row norms are checked here, by ``row_norms``.
 
     Every backward ring edge is a forward edge reversed, and every
     ordered pair (d, s) the pair (s, d) reversed, so the passes come in
@@ -404,18 +408,13 @@ def stack_matching_loss(
     if kind == "kl":
         same_label = labels[:, None] == labels[None, :]
         q = same_label / same_label.sum(axis=1, keepdims=True)
-        log_q = np.log(q + (kl_cfg or KlConfig()).epsilon)
+        log_q = np.log(q + KlConfig().epsilon)
         group_rows = lambda logits, rows, cols: _kl_logit_pair(logits, log_q)
     else:
         support = label_support(labels)
         group_rows = lambda logits, rows, cols: gcs_logit_rows(logits, support, tau, rows, cols)
 
-    if norms is None:
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(stack, axis=2, keepdims=True)
-        # an overflowing norm would make zero unit rows and a wrong finite
-        # loss; as nan it makes the loss and the report non-finite instead
-        norms[np.isinf(norms)] = np.nan
+    norms = row_norms(stack, "the embeddings")
     units = stack / norms
     scaled_t = units.transpose(0, 2, 1) / tau
     g_units = np.zeros_like(units)
@@ -477,17 +476,14 @@ def gcs_ring_loss(ring: ModalityRing, cfg: AlignConfig | None = None) -> LossRep
 
 
 def pairwise_sum_loss(
-    ring: ModalityRing,
-    cfg: AlignConfig | None = None,
-    measure: str = "cs",
-    kl_cfg: KlConfig | None = None,
+    ring: ModalityRing, cfg: AlignConfig | None = None, measure: str = "cs"
 ) -> LossReport:
     """Exhaustive pairwise baseline: one directional projection-matching
     loss per ordered modality pair, summed over all M(M-1) pairs.
 
     ``measure`` selects the per-row divergence: ``"cs"`` or ``"kl"``
-    (the latter smoothed by ``kl_cfg.epsilon``).
+    (the latter smoothed by ``KlConfig().epsilon``).
     """
     if measure not in ("cs", "kl"):
         raise ConfigError(f"measure must be 'cs' or 'kl', got {measure!r}")
-    return matching_loss("pairwise_cs" if measure == "cs" else "kl", ring, cfg, kl_cfg)[0]
+    return matching_loss("pairwise_cs" if measure == "cs" else "kl", ring, cfg)[0]

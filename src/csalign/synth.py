@@ -43,6 +43,8 @@ class SynthConfig:
             raise ConfigError(f"need at least 2 instances per class, got {self.per_class}")
         if any(dim < 1 for dim in self.input_dims) or not self.input_dims:
             raise ConfigError(f"input_dims must be positive, got {self.input_dims}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.embed_dim < 1:
             raise ConfigError(f"embed_dim must be positive, got {self.embed_dim}")
         for name in ("class_sep", "noise_sigma"):

@@ -17,8 +17,10 @@ from itertools import permutations
 import numpy as np
 
 from .errors import ConfigError, NoRelevantItems, ShapeMismatch
-from .gradients import LOSS_KINDS, check_kind, stack_loss_gradient
-from .losses import MatchStrategy, check_paired, direction_label, ring_edges, ring_passes
+from .gradients import stack_loss_gradient
+from .losses import (
+    LOSS_KINDS, MatchStrategy, check_kind, check_paired, direction_label, ring_edges, ring_passes
+)
 from .pmf import EmbeddingBatch, row_norms
 from .retrieval import SCORE_BLOCK_ROWS, average_precisions, rank_scores, top_k_hits
 
@@ -55,7 +57,9 @@ class TrainConfig:
             value = getattr(self, name)
             if not (0.0 <= value < 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1), got {value}")
-        for name in ("learning_rate", "weight_decay", "holdout_fraction"):
+        # a negative adam_epsilon or lr_decay_factor would flip the sign of an Adam step
+        for name in ("learning_rate", "weight_decay", "holdout_fraction", "adam_epsilon",
+                     "lr_decay_factor", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if self.temperature <= 0:

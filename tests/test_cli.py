@@ -145,11 +145,15 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(
         "line",
-        ["lr_decay_every = 0", "grad_clip_norm = nan", "learning_rate = nan", "temperature = inf", "temperature = 0"],
+        [
+            "lr_decay_every = 0", "grad_clip_norm = nan", "learning_rate = nan", "temperature = inf",
+            "temperature = 0", "seed = -2", "data_seed = -2", "lr_decay_factor = -0.1",
+            "adam_epsilon = -1e-8",
+        ],
     )
     def test_bad_train_field_is_a_config_error(self, line, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(SMALL_CONFIG + line + "\n")
+        cfg.write_text(SMALL_CONFIG.replace(line.split()[0] + " =", "# was") + line + "\n")
         assert main(["train", "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {line.split()[0]} must be")
         assert not (tmp_path / "run").exists()
@@ -217,6 +221,10 @@ class TestBenchCommand:
         ["bench", "--m-min", "1", "--m-max", "2"],
         ["props", "--trials", "0"],
         ["props", "--trials", "-3"],
+        ["bench", "--batch", "-5"],
+        ["bench", "--batch", "1"],
+        ["bench", "--dim", "-1"],
+        ["bench", "--dim", "0"],
     ],
 )
 def test_empty_or_invalid_run_is_config_error(argv, capsys):
@@ -224,3 +232,18 @@ def test_empty_or_invalid_run_is_config_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert argv[1] in captured.err
+
+
+@pytest.mark.parametrize("command", ["props", "bench", "train", "ablate"])
+def test_negative_seed_is_a_config_error(command, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    argv = [command, "--seed", "-1"]
+    if command in ("train", "ablate"):
+        argv += ["--config", str(cfg), "--outdir", str(tmp_path / "run")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "seed must be non-negative" in captured.err
+    assert not (tmp_path / "run").exists()

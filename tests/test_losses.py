@@ -222,6 +222,12 @@ class TestPairwiseSumLoss:
         with pytest.raises(ConfigError):
             pairwise_sum_loss(random_ring(21), measure="tv")
 
+    def test_bimodal_kind_on_three_modalities_is_rejected_like_loss_gradient(self):
+        ring = random_ring(22)
+        for evaluate in (matching_loss, loss_gradient):
+            with pytest.raises(ConfigError, match="defined for exactly two modalities"):
+                evaluate("bimodal_cs", ring)
+
 
 def assert_matches_oracle(report, oracle_rows):
     """``oracle_rows`` maps each direction, in pass order, to its per-row values."""
@@ -327,10 +333,8 @@ class TestNormOverflow:
         )))
         assert scaled.finite
         assert scaled.total == pytest.approx(matching_loss(kind, ring)[0].total, rel=1e-12)
-        # rows that passed validation and were scaled afterwards reach the engine as is
+        # rows scaled after validation meet the engine's row-norm check
         for batch in batches:
             object.__setattr__(batch, "data", batch.data * 1e200)
-        report, grads = matching_loss(kind, ring)
-        assert not report.finite
-        assert not np.isfinite(report.total)
-        assert not any(np.all(np.isfinite(g)) for g in grads)
+        with pytest.raises(NonFiniteSimilarity, match="row whose norm overflows"):
+            matching_loss(kind, ring)

@@ -323,12 +323,11 @@ class TestArrayStep:
         "init_scale, error", [(1e300, NonFiniteSimilarity), (0.0, ZeroNormRow)]
     )
     def test_degenerate_embeddings_raise_at_the_first_step(self, init_scale, error, monkeypatch):
-        import csalign.gradients as gradients_mod
+        import csalign.losses as losses_mod
 
         data, encoders, cfg = tiny_setup(init_scale=init_scale)
-        monkeypatch.setattr(
-            gradients_mod, "stack_matching_loss", lambda *args: pytest.fail("the engine ran")
-        )
+        for kernel in ("gcs_logit_rows", "_kl_logit_pair"):
+            monkeypatch.setattr(losses_mod, kernel, lambda *args: pytest.fail("a kernel ran"))
         with pytest.raises(error):
             train_run(data, encoders, cfg)
 
