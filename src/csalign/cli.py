@@ -70,11 +70,13 @@ def _manifest(command: str, config: dict, seed, started: str, outputs: list[str]
     }
 
 
-def _emit(report: dict, out: str | None) -> None:
+def _emit(args, report: dict, config: dict, seed, started: str) -> None:
+    """Print ``report`` with its manifest last; also write it to ``--out``."""
+    report["manifest"] = _manifest(args.command, config, seed, started, [args.out] if args.out else [])
     text = json_dumps(report)
     print(text)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +103,11 @@ def cmd_divergence(args) -> int:
         q = validate_pmf_row(read_pmf_vector(paths[1]), paths[1])[None, :]
         value = kl_alignment(p, q, KlConfig(args.epsilon))
     elif measure == "mmd":
-        cfg = MmdConfig("median" if args.bandwidth == "median" else float(args.bandwidth))
+        try:
+            bandwidth = "median" if args.bandwidth == "median" else float(args.bandwidth)
+        except ValueError as exc:
+            raise ConfigError(f"--bandwidth must be a number or 'median', got {args.bandwidth!r}") from exc
+        cfg = MmdConfig(bandwidth)
         x, _ = read_embeddings(paths[0], args.label_col)
         y, _ = read_embeddings(paths[1], args.label_col)
         value = mmd_squared(x, y, cfg)
@@ -116,12 +122,8 @@ def cmd_divergence(args) -> int:
         "numerator": numerator,
         "denominator": denominator,
         "inputs": [str(p) for p in paths],
-        "manifest": _manifest(
-            "divergence", {"measure": measure, "files": [str(p) for p in paths]},
-            None, started, [args.out] if args.out else [],
-        ),
     }
-    _emit(report, args.out)
+    _emit(args, report, {"measure": measure, "files": [str(p) for p in paths]}, None, started)
     return EXIT_OK
 
 
@@ -152,36 +154,18 @@ def cmd_props(args) -> int:
         ],
         "failures_total": failures,
         "passed": failures == 0,
-        "manifest": _manifest(
-            "props", {"trials": args.trials, "flip_gcs_sign": bool(args.flip_gcs_sign)},
-            args.seed, started, [args.out] if args.out else [],
-        ),
     }
-    _emit(report, args.out)
+    config = {"trials": args.trials, "flip_gcs_sign": bool(args.flip_gcs_sign)}
+    _emit(args, report, config, args.seed, started)
     return EXIT_OK if failures == 0 else EXIT_PROPERTY_FAILURE
 
 
 # ---------------------------------------------------------------------------
 # train / ablate
 
-def _direction_columns(directions: list[str]) -> list[str]:
-    cols = []
-    for d in sorted(directions):
-        cols.extend([f"p1_{d}", f"p10_{d}"])
-    return cols
-
-
-def _write_trace_csv(path: Path, trace) -> None:
-    directions = sorted(trace.directions)
-    header = ["epoch", "loss"] + _direction_columns(directions)
-    lines = [",".join(header)]
-    for record in trace.records:
-        cells = [str(record.epoch), format(record.loss, ".17g")]
-        for d in directions:
-            cells.append(format(record.metrics[d]["p1"], ".17g"))
-            cells.append(format(record.metrics[d]["p10"], ".17g"))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _cell(value) -> str:
+    """One CSV cell: floats at 17 significant digits, so they round-trip."""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _train_setup(args):
@@ -192,22 +176,35 @@ def _train_setup(args):
 
         train_cfg = replace(train_cfg, seed=args.seed)
         synth_cfg = replace(synth_cfg, seed=args.seed if "data_seed" not in mapping else synth_cfg.seed)
+    Path(args.outdir).mkdir(parents=True, exist_ok=True)
+    return mapping, synth_cfg, train_cfg
+
+
+def _write_run(args, mapping, seed, started: str, csv_name: str, table, metrics: dict,
+               aborted: bool) -> int:
+    """Write ``table`` (header first) as ``csv_name``, ``metrics.json`` and
+    ``manifest.json`` into ``--outdir``; print the metrics. An aborted
+    run exits 4."""
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return mapping, synth_cfg, train_cfg, outdir
+    csv_path, metrics_path = outdir / csv_name, outdir / "metrics.json"
+    csv_path.write_text("".join(",".join(map(_cell, row)) + "\n" for row in table), encoding="utf-8")
+    metrics_path.write_text(json_dumps(metrics) + "\n", encoding="utf-8")
+    manifest = _manifest(args.command, dict(mapping), seed, started, [str(csv_path), str(metrics_path)])
+    (outdir / "manifest.json").write_text(json_dumps(manifest) + "\n", encoding="utf-8")
+    print(json_dumps(metrics))
+    return EXIT_NUMERIC_ABORT if aborted else EXIT_OK
 
 
 def cmd_train(args) -> int:
     started = _now()
-    mapping, synth_cfg, train_cfg, outdir = _train_setup(args)
+    mapping, synth_cfg, train_cfg = _train_setup(args)
     data = generate_synthetic(synth_cfg)
     encoders = build_encoders(synth_cfg.input_dims, synth_cfg.embed_dim, train_cfg)
     trace = train_run(data, encoders, train_cfg)
 
-    trace_path = outdir / "trace.csv"
-    metrics_path = outdir / "metrics.json"
-    manifest_path = outdir / "manifest.json"
-    _write_trace_csv(trace_path, trace)
+    columns = [(d, p) for d in sorted(trace.directions) for p in ("p1", "p10")]
+    table = [["epoch", "loss"] + [f"{p}_{d}" for d, p in columns]]
+    table += [[r.epoch, r.loss] + [r.metrics[d][p] for d, p in columns] for r in trace.records]
     metrics = {
         "final": trace.final_metrics,
         "supervised": trace.supervised,
@@ -216,39 +213,25 @@ def cmd_train(args) -> int:
         "first_loss": trace.losses[0] if trace.records else None,
         "final_loss": trace.losses[-1] if trace.records else None,
     }
-    metrics_path.write_text(json_dumps(metrics) + "\n", encoding="utf-8")
-    manifest = _manifest(
-        "train", dict(mapping), train_cfg.seed, started,
-        [str(trace_path), str(metrics_path)],
-    )
-    manifest_path.write_text(json_dumps(manifest) + "\n", encoding="utf-8")
-    print(json_dumps(metrics))
     if trace.aborted:
         print("training aborted on non-finite loss", file=sys.stderr)
-        return EXIT_NUMERIC_ABORT
-    return EXIT_OK
+    return _write_run(args, mapping, train_cfg.seed, started, "trace.csv", table, metrics, trace.aborted)
 
 
 def cmd_ablate(args) -> int:
     started = _now()
-    mapping, synth_cfg, train_cfg, outdir = _train_setup(args)
+    mapping, synth_cfg, train_cfg = _train_setup(args)
     data = generate_synthetic(synth_cfg)
     arms = ablation_run(data, train_cfg, embed_dim=synth_cfg.embed_dim)
 
     directions = sorted(arms[0].trace.directions)
-    header = ["strategy", "avg_p1", "avg_p10"]
-    for d in directions:
-        header.extend([f"p10_{d}", f"supervised_{d}"])
-    lines = [",".join(header)]
+    table = [["strategy", "avg_p1", "avg_p10"]
+             + [f"{col}_{d}" for d in directions for col in ("p10", "supervised")]]
     for arm in arms:
-        cells = [arm.strategy, format(arm.avg_p1, ".17g"), format(arm.avg_p10, ".17g")]
+        row = [arm.strategy, arm.avg_p1, arm.avg_p10]
         for d in directions:
-            cells.append(format(arm.trace.final_metrics[d]["p10"], ".17g"))
-            cells.append("1" if arm.trace.supervised[d] else "0")
-        lines.append(",".join(cells))
-    csv_path = outdir / "ablation.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+            row += [arm.trace.final_metrics[d]["p10"], int(arm.trace.supervised[d])]
+        table.append(row)
     metrics = {
         arm.strategy: {
             "avg_p1": arm.avg_p1,
@@ -259,21 +242,8 @@ def cmd_ablate(args) -> int:
         }
         for arm in arms
     }
-    metrics_path = outdir / "metrics.json"
-    metrics_path.write_text(json_dumps(metrics) + "\n", encoding="utf-8")
-    manifest_path = outdir / "manifest.json"
-    manifest_path.write_text(
-        json_dumps(
-            _manifest("ablate", dict(mapping), train_cfg.seed, started,
-                      [str(csv_path), str(metrics_path)])
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    print(json_dumps(metrics))
-    if any(arm.trace.aborted for arm in arms):
-        return EXIT_NUMERIC_ABORT
-    return EXIT_OK
+    aborted = any(arm.trace.aborted for arm in arms)
+    return _write_run(args, mapping, train_cfg.seed, started, "ablation.csv", table, metrics, aborted)
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +300,9 @@ def cmd_bench(args) -> int:
                 "pairwise_over_circular": pairwise_time / circular_time,
             }
         )
-    report = {
-        "batch": args.batch,
-        "dim": args.dim,
-        "rows": rows,
-        "manifest": _manifest(
-            "bench",
-            {"m_min": args.m_min, "m_max": args.m_max, "batch": args.batch, "dim": args.dim},
-            args.seed, started, [args.out] if args.out else [],
-        ),
-    }
-    _emit(report, args.out)
+    report = {"batch": args.batch, "dim": args.dim, "rows": rows}
+    config = {"m_min": args.m_min, "m_max": args.m_max, "batch": args.batch, "dim": args.dim}
+    _emit(args, report, config, args.seed, started)
     return EXIT_OK
 
 

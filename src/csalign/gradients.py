@@ -177,12 +177,10 @@ def finite_diff_gradient(
     return tuple(central_difference(fn, [b.data for b in ring.batches], step))
 
 
-def max_relative_error(
-    analytic: Sequence[np.ndarray], numeric: Sequence[np.ndarray], floor: float = 1e-8
-) -> float:
-    """Max over coordinates of |a - b| / max(floor, |a| + |b|)."""
+def max_relative_error(analytic: Sequence[np.ndarray], numeric: Sequence[np.ndarray]) -> float:
+    """Max over coordinates of |a - b| / max(1e-8, |a| + |b|)."""
     worst = 0.0
     for a, b in zip(analytic, numeric):
-        denom = np.maximum(floor, np.abs(a) + np.abs(b))
+        denom = np.maximum(1e-8, np.abs(a) + np.abs(b))
         worst = max(worst, float((np.abs(a - b) / denom).max()))
     return worst

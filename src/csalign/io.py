@@ -5,8 +5,9 @@
   a 16-byte little-endian header ``magic "EMB1", u32 n, u32 d, u32
   reserved`` followed by n*d float64 values, row major.
 * PMF vectors: a single CSV line of non-negative floats.
-* Config files: flat ``key=value`` lines with ``#`` comments; keys
-  mirror the SynthConfig / TrainConfig fields.
+* Config files: flat ``key=value`` lines with ``#`` comments. The keys
+  are exactly the SynthConfig / TrainConfig field names plus
+  ``data_seed``, and each value is parsed by its field's type.
 * JSON reports: floats serialized with 17 significant digits so values
   round-trip exactly; non-finite floats become the strings "inf",
   "-inf", "nan" (strict JSON has no literals for them).
@@ -147,31 +148,26 @@ def read_kv_config(path: str | Path) -> dict[str, str]:
     return parse_kv_config(text, str(path))
 
 
-_INT_KEYS = {
-    "num_classes", "per_class", "embed_dim", "max_epochs", "batch_size",
-    "seed", "data_seed", "hidden_dim", "lr_decay_every",
+# one parser per field annotation string (the configs' modules postpone
+# annotations, so ``Field.type`` is the string as written)
+_PARSERS = {
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": lambda value: tuple(int(tok) for tok in value.split(",") if tok.strip()),
+    "MatchStrategy": MatchStrategy,
 }
-_FLOAT_KEYS = {
-    "class_sep", "noise_sigma", "learning_rate", "adam_beta1", "adam_beta2",
-    "adam_epsilon", "weight_decay", "grad_clip_norm", "temperature",
-    "holdout_fraction", "lr_decay_factor", "init_scale",
-}
-_STR_KEYS = {"loss_kind", "strategy"}
-_LIST_KEYS = {"input_dims"}
-_KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS
+_KEY_TYPES = {
+    f.name: f.type for config in (SynthConfig, TrainConfig) for f in fields(config)
+} | {"data_seed": "int"}
 
 
-def _coerce(key: str, value: str):
+def _parse_value(key: str, value: str):
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _LIST_KEYS:
-            return tuple(int(tok) for tok in value.split(",") if tok.strip())
+        return _PARSERS[_KEY_TYPES[key]](value)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    return value
 
 
 def experiment_configs(mapping: dict[str, str]):
@@ -180,10 +176,10 @@ def experiment_configs(mapping: dict[str, str]):
     ``seed`` applies to both the generator and the trainer unless a
     separate ``data_seed`` is given.
     """
-    unknown = set(mapping) - _KNOWN_KEYS
+    unknown = set(mapping) - set(_KEY_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    values = {k: _coerce(k, v) for k, v in mapping.items()}
+    values = {k: _parse_value(k, v) for k, v in mapping.items()}
 
     synth_names = {f.name for f in fields(SynthConfig)}
     train_names = {f.name for f in fields(TrainConfig)}
@@ -193,11 +189,6 @@ def experiment_configs(mapping: dict[str, str]):
         if values["data_seed"] < 0:
             raise ConfigError(f"data_seed must be non-negative, got {values['data_seed']}")
         synth_kwargs["seed"] = values["data_seed"]
-    if "strategy" in train_kwargs:
-        try:
-            train_kwargs["strategy"] = MatchStrategy(train_kwargs["strategy"])
-        except ValueError as exc:
-            raise ConfigError(f"bad strategy {train_kwargs['strategy']!r}") from exc
     synth = SynthConfig(**synth_kwargs)
     train = TrainConfig(**train_kwargs)
     return synth, train

@@ -475,15 +475,10 @@ def gcs_ring_loss(ring: ModalityRing, cfg: AlignConfig | None = None) -> LossRep
     return matching_loss("gcs_ring", ring, cfg)[0]
 
 
-def pairwise_sum_loss(
-    ring: ModalityRing, cfg: AlignConfig | None = None, measure: str = "cs"
-) -> LossReport:
+def pairwise_sum_loss(ring: ModalityRing, cfg: AlignConfig | None = None) -> LossReport:
     """Exhaustive pairwise baseline: one directional projection-matching
-    loss per ordered modality pair, summed over all M(M-1) pairs.
-
-    ``measure`` selects the per-row divergence: ``"cs"`` or ``"kl"``
-    (the latter smoothed by ``KlConfig().epsilon``).
+    CS loss per ordered modality pair, summed over all M(M-1) pairs.
+    ``matching_loss("kl", ring)`` is the same sum with the smoothed KL
+    divergence per row.
     """
-    if measure not in ("cs", "kl"):
-        raise ConfigError(f"measure must be 'cs' or 'kl', got {measure!r}")
-    return matching_loss("pairwise_cs" if measure == "cs" else "kl", ring, cfg)[0]
+    return matching_loss("pairwise_cs", ring, cfg)[0]

@@ -1,9 +1,12 @@
 """Seeded randomized property checks for the divergence family.
 
-Each check draws its own tuples from a deterministic generator and
-reports a failure count plus the worst observed margin, so the suite
-doubles as a regression gate (all failure counts must be zero) and a
-diagnostic (how close the worst case came to its tolerance).
+Each property is a row of ``_PROPERTIES``: a one-trial function that
+draws its tuple and returns ``(margin, held)``, and the rule (``min``
+or ``max``) that picks the worst margin. ``run_property_suite`` runs
+every row from its own deterministic generator and reports a failure
+count plus the worst observed margin, so the suite doubles as a
+regression gate (all failure counts must be zero) and a diagnostic
+(how close the worst case came to its tolerance).
 
 ``gcs_fn`` is injectable purely as a fault hook: the CLI's
 ``--flip-gcs-sign`` flag wraps the real divergence to prove the suite
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,44 +49,29 @@ def _random_pmfs(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def _draw_mk(rng: np.random.Generator, m_range=(2, 5), k_range=(2, 64)) -> tuple[int, int]:
-    m = int(rng.integers(m_range[0], m_range[1] + 1))
-    k = int(rng.integers(k_range[0], k_range[1] + 1))
+def _draw_mk(rng: np.random.Generator, m_min: int = 2) -> tuple[int, int]:
+    """M in [m_min, 5], then K in [2, 64]."""
+    m = int(rng.integers(m_min, 6))
+    k = int(rng.integers(2, 65))
     return m, k
 
 
-def prop_non_negativity(trials: int, seed: int, gcs_fn: GcsFn = gcs_divergence) -> PropertyResult:
+def _non_negativity(rng, gcs_fn):
     """GCS of random PMF tuples is never below -1e-12."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = np.inf
-    for _ in range(trials):
-        m, k = _draw_mk(rng)
-        value = gcs_fn(list(_random_pmfs(rng, m, k))).value
-        worst = min(worst, value)
-        if value < -1e-12:
-            failures += 1
-    return PropertyResult("non_negativity", trials, failures, float(worst))
+    m, k = _draw_mk(rng)
+    value = gcs_fn(list(_random_pmfs(rng, m, k))).value
+    return value, not value < -1e-12
 
 
-def prop_identity_zero(trials: int, seed: int, gcs_fn: GcsFn = gcs_divergence) -> PropertyResult:
+def _identity_zero(rng, gcs_fn):
     """M identical PMFs give |GCS| <= 1e-12 (Hoelder equality case)."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
-        m, k = _draw_mk(rng)
-        base = _random_pmfs(rng, 1, k)[0]
-        value = abs(gcs_fn([base.copy() for _ in range(m)]).value)
-        worst = max(worst, value)
-        if value > 1e-12:
-            failures += 1
-    return PropertyResult("identity_zero", trials, failures, float(worst))
+    m, k = _draw_mk(rng)
+    base = _random_pmfs(rng, 1, k)[0]
+    value = abs(gcs_fn([base.copy() for _ in range(m)]).value)
+    return value, not value > 1e-12
 
 
-def prop_perturbation_detected(
-    trials: int, seed: int, gcs_fn: GcsFn = gcs_divergence
-) -> PropertyResult:
+def _perturbation_detected(rng, gcs_fn):
     """+0.01 on one coordinate of one input (renormalized) gives > 1e-6.
 
     Bases are kept moderately skewed (entries in [0.5, 1] before
@@ -92,122 +80,108 @@ def prop_perturbation_detected(
     invisible to the M-th power weighting (tiny coordinate), so the
     true divergence can legitimately fall below the 1e-6 floor there.
     """
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = np.inf
-    for _ in range(trials):
-        m, k = _draw_mk(rng)
-        base = rng.uniform(0.5, 1.0, size=k)
-        base /= base.sum()
-        pmfs = [base.copy() for _ in range(m)]
-        which = int(rng.integers(m))
-        coord = int(rng.integers(k))
-        pmfs[which][coord] += 0.01
-        pmfs[which] /= pmfs[which].sum()
-        value = gcs_fn(pmfs).value
-        worst = min(worst, value)
-        if not value > 1e-6:
-            failures += 1
-    return PropertyResult("perturbation_detected", trials, failures, float(worst))
+    m, k = _draw_mk(rng)
+    base = rng.uniform(0.5, 1.0, size=k)
+    base /= base.sum()
+    pmfs = [base.copy() for _ in range(m)]
+    which = int(rng.integers(m))
+    coord = int(rng.integers(k))
+    pmfs[which][coord] += 0.01
+    pmfs[which] /= pmfs[which].sum()
+    value = gcs_fn(pmfs).value
+    return value, value > 1e-6
 
 
-def prop_symmetry(trials: int, seed: int, gcs_fn: GcsFn = gcs_divergence) -> PropertyResult:
+def _symmetry(rng, gcs_fn):
     """GCS is invariant under every permutation of its inputs (1e-12)."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
-        m, k = _draw_mk(rng, m_range=(3, 5))
-        pmfs = list(_random_pmfs(rng, m, k))
-        reference = gcs_fn(pmfs).value
-        spread = max(
-            abs(gcs_fn([pmfs[i] for i in perm]).value - reference)
-            for perm in itertools.permutations(range(m))
-        )
-        worst = max(worst, spread)
-        if spread > 1e-12:
-            failures += 1
-    return PropertyResult("symmetry", trials, failures, float(worst))
+    m, k = _draw_mk(rng, m_min=3)
+    pmfs = list(_random_pmfs(rng, m, k))
+    reference = gcs_fn(pmfs).value
+    spread = max(
+        abs(gcs_fn([pmfs[i] for i in perm]).value - reference)
+        for perm in itertools.permutations(range(m))
+    )
+    return spread, not spread > 1e-12
 
 
-def prop_scale_invariance(trials: int, seed: int) -> PropertyResult:
-    """Positive per-vector scaling leaves the value unchanged (1e-9 rel)."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
-        m, k = _draw_mk(rng)
-        pmfs = _random_pmfs(rng, m, k)
-        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
-        base = gcs_divergence(list(pmfs)).value
-        scaled = gcs_divergence_unnormalized(list(pmfs * scales[:, None])).value
-        rel = abs(scaled - base) / max(1e-15, abs(base))
-        worst = max(worst, rel)
-        if rel > 1e-9:
-            failures += 1
-    return PropertyResult("scale_invariance", trials, failures, float(worst))
+def _scale_invariance(rng, gcs_fn):
+    """Positive per-vector scaling leaves the value unchanged (1e-9 rel).
+
+    Both sides call the real divergence, not ``gcs_fn``: the property
+    checks the unnormalized entry point against the normalized one.
+    """
+    m, k = _draw_mk(rng)
+    pmfs = _random_pmfs(rng, m, k)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+    base = gcs_divergence(list(pmfs)).value
+    scaled = gcs_divergence_unnormalized(list(pmfs * scales[:, None])).value
+    rel = abs(scaled - base) / max(1e-15, abs(base))
+    return rel, not rel > 1e-9
 
 
-def prop_m2_reduction(trials: int, seed: int, gcs_fn: GcsFn = gcs_divergence) -> PropertyResult:
+def _m2_reduction(rng, gcs_fn):
     """GCS of two PMFs equals the CS divergence to 1e-12."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
-        _, k = _draw_mk(rng)
-        p, q = _random_pmfs(rng, 2, k)
-        gap = abs(gcs_fn([p, q]).value - cs_divergence(p, q).value)
-        worst = max(worst, gap)
-        if gap > 1e-12:
-            failures += 1
-    return PropertyResult("m2_reduction", trials, failures, float(worst))
+    _, k = _draw_mk(rng)
+    p, q = _random_pmfs(rng, 2, k)
+    gap = abs(gcs_fn([p, q]).value - cs_divergence(p, q).value)
+    return gap, not gap > 1e-12
 
 
-def prop_power_sum_bounds(trials: int, seed: int) -> PropertyResult:
+def _power_sum_bounds(rng, gcs_fn):
     """sum p^2 >= 1/K and sum p^M >= 1/K^(M-1), equality at uniform."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = np.inf
-    for _ in range(trials):
-        m, k = _draw_mk(rng)
-        p = _random_pmfs(rng, 1, k)[0]
-        margin2 = float((p * p).sum() - 1.0 / k)
-        margin_m = float(np.power(p, m).sum() - k ** (1.0 - m))
-        uniform = np.full(k, 1.0 / k)
-        eq_gap = abs(float(np.power(uniform, m).sum() - k ** (1.0 - m)))
-        worst = min(worst, margin2, margin_m)
-        if margin2 < -1e-12 or margin_m < -1e-12 or eq_gap > 1e-12:
-            failures += 1
-    return PropertyResult("power_sum_bounds", trials, failures, float(worst))
+    m, k = _draw_mk(rng)
+    p = _random_pmfs(rng, 1, k)[0]
+    margin2 = float((p * p).sum() - 1.0 / k)
+    margin_m = float(np.power(p, m).sum() - k ** (1.0 - m))
+    uniform = np.full(k, 1.0 / k)
+    eq_gap = abs(float(np.power(uniform, m).sum() - k ** (1.0 - m)))
+    failed = margin2 < -1e-12 or margin_m < -1e-12 or eq_gap > 1e-12
+    return min(margin2, margin_m), not failed
 
 
-def prop_holder_inequality(trials: int, seed: int) -> PropertyResult:
+def _holder_inequality(rng, gcs_fn):
     """lhs <= rhs for random non-negative tuples, zeros included."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = -np.inf
-    for _ in range(trials):
-        m, k = _draw_mk(rng)
-        rows = rng.uniform(0.0, 1.0, size=(m, k))
-        rows[rng.uniform(size=(m, k)) < 0.15] = 0.0
-        check = holder_check(list(rows))
-        worst = max(worst, check.lhs - check.rhs)
-        if not check.holds:
-            failures += 1
-    return PropertyResult("holder_inequality", trials, failures, float(worst))
+    m, k = _draw_mk(rng)
+    rows = rng.uniform(0.0, 1.0, size=(m, k))
+    rows[rng.uniform(size=(m, k)) < 0.15] = 0.0
+    check = holder_check(list(rows))
+    return check.lhs - check.rhs, check.holds
+
+
+class _Property(NamedTuple):
+    name: str
+    trial: Callable  # (rng, gcs_fn) -> (margin, held)
+    worst: Callable  # min or max: which margin is the worst case
+    start: float  # the worst margin before the first trial
+    halved: bool = False  # run max(1, trials // 2) trials instead of trials
+
+
+# property i draws from default_rng(seed + i)
+_PROPERTIES = (
+    _Property("non_negativity", _non_negativity, min, np.inf),
+    _Property("identity_zero", _identity_zero, max, 0.0),
+    _Property("perturbation_detected", _perturbation_detected, min, np.inf),
+    _Property("symmetry", _symmetry, max, 0.0, halved=True),  # M! permutations per trial
+    _Property("scale_invariance", _scale_invariance, max, 0.0),
+    _Property("m2_reduction", _m2_reduction, max, 0.0),
+    _Property("power_sum_bounds", _power_sum_bounds, min, np.inf),
+    _Property("holder_inequality", _holder_inequality, max, -np.inf),
+)
 
 
 def run_property_suite(
     trials: int = 200, seed: int = 0, gcs_fn: GcsFn = gcs_divergence
 ) -> list[PropertyResult]:
-    """Run every property with ``trials`` tuples each."""
-    return [
-        prop_non_negativity(trials, seed, gcs_fn),
-        prop_identity_zero(trials, seed + 1, gcs_fn),
-        prop_perturbation_detected(trials, seed + 2, gcs_fn),
-        prop_symmetry(max(1, trials // 2), seed + 3, gcs_fn),
-        prop_scale_invariance(trials, seed + 4),
-        prop_m2_reduction(trials, seed + 5, gcs_fn),
-        prop_power_sum_bounds(trials, seed + 6),
-        prop_holder_inequality(trials, seed + 7),
-    ]
+    """Run every property with ``trials`` tuples each (symmetry, whose
+    trials evaluate every permutation, with half as many)."""
+    results = []
+    for i, prop in enumerate(_PROPERTIES):
+        rng = np.random.default_rng(seed + i)
+        count = max(1, trials // 2) if prop.halved else trials
+        failures, worst = 0, prop.start
+        for _ in range(count):
+            margin, held = prop.trial(rng, gcs_fn)
+            worst = prop.worst(worst, margin)
+            failures += not held
+        results.append(PropertyResult(prop.name, count, failures, float(worst)))
+    return results

@@ -68,6 +68,12 @@ class TrainConfig:
             raise ConfigError("need max_epochs >= 1 and batch_size >= 2")
         if self.lr_decay_every < 1:
             raise ConfigError(f"lr_decay_every must be at least 1, got {self.lr_decay_every}")
+        # 0 (like None) means no hidden layer
+        if self.hidden_dim is not None and self.hidden_dim < 0:
+            raise ConfigError(f"hidden_dim must be non-negative, got {self.hidden_dim}")
+        # zero weights give zero-norm embeddings; a negative scale only mirrors the draw
+        if self.init_scale == 0:
+            raise ConfigError(f"init_scale must be non-zero, got {self.init_scale}")
 
 
 class Encoder:
@@ -163,10 +169,11 @@ class Adam:
                 p -= lr * self.weight_decay * p
 
 
-def clip_global_norm(grads: list[np.ndarray], max_norm: float | None):
-    """Scale all gradients jointly so their global norm is <= max_norm."""
+def clip_global_norm(grads: list[np.ndarray], max_norm: float):
+    """Scale all gradients jointly so their global norm is <= max_norm;
+    ``max_norm <= 0`` disables clipping."""
     total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
-    if max_norm is not None and max_norm > 0 and total > max_norm:
+    if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         grads = [g * scale for g in grads]
     return grads, total

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from csalign.cli import main
+from csalign.divergence import gcs_divergence
 from csalign.io import write_emb1, write_embedding_csv
+from csalign.props import run_property_suite
 
 SMALL_CONFIG = """
 num_classes = 3
@@ -68,6 +70,14 @@ class TestDivergenceCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_bad_bandwidth_exit_2(self, tmp_path, capsys):
+        x = tmp_path / "x.csv"
+        write_embedding_csv(x, np.eye(3))
+        assert main(["divergence", "--measure", "mmd", str(x), str(x), "--bandwidth", "abc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --bandwidth")
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,numbers\n")
@@ -99,6 +109,43 @@ class TestDivergenceCommand:
         main(["divergence", "--measure", "cs", str(onehot), str(uniform), "--out", str(out)])
         capsys.readouterr()
         assert json.loads(out.read_text())["value"] == pytest.approx(0.3465736, abs=1e-6)
+
+
+def flipped_gcs(pmfs):
+    result = gcs_divergence(pmfs)
+    return type(result)(-result.value, result.numerator, result.denominator)
+
+
+# (name, trials, failures, worst) of run_property_suite(trials=20, seed=0),
+# pinned so that a change to any property's rng stream shows
+SUITE_20_0 = [
+    ("non_negativity", 20, 0, 0.18516989428603559),
+    ("identity_zero", 20, 0, 1.7763568394002505e-15),
+    ("perturbation_detected", 20, 0, 0.000714693576625347),
+    ("symmetry", 10, 0, 1.7763568394002505e-15),
+    ("scale_invariance", 20, 0, 1.807533020452033e-14),
+    ("m2_reduction", 20, 0, 6.106226635438361e-16),
+    ("power_sum_bounds", 20, 0, 1.9870350059730528e-07),
+    ("holder_inequality", 20, 0, -2.216833729549019),
+]
+SUITE_20_0_FLIPPED = [
+    ("non_negativity", 20, 20, -1.7779943786013632),
+    ("identity_zero", 20, 0, 1.7763568394002505e-15),
+    ("perturbation_detected", 20, 20, -0.01805295729760914),
+    ("symmetry", 10, 0, 1.7763568394002505e-15),
+    ("scale_invariance", 20, 0, 1.807533020452033e-14),
+    ("m2_reduction", 20, 20, 0.6223243240685634),
+    ("power_sum_bounds", 20, 0, 1.9870350059730528e-07),
+    ("holder_inequality", 20, 0, -2.216833729549019),
+]
+
+
+@pytest.mark.parametrize(
+    "gcs_fn, expected", [(gcs_divergence, SUITE_20_0), (flipped_gcs, SUITE_20_0_FLIPPED)]
+)
+def test_property_suite_values_are_pinned(gcs_fn, expected):
+    results = run_property_suite(trials=20, seed=0, gcs_fn=gcs_fn)
+    assert [(r.name, r.trials, r.failures, r.worst) for r in results] == expected
 
 
 class TestPropsCommand:
@@ -148,7 +195,7 @@ class TestTrainCommand:
         [
             "lr_decay_every = 0", "grad_clip_norm = nan", "learning_rate = nan", "temperature = inf",
             "temperature = 0", "seed = -2", "data_seed = -2", "lr_decay_factor = -0.1",
-            "adam_epsilon = -1e-8",
+            "adam_epsilon = -1e-8", "hidden_dim = -3", "init_scale = 0",
         ],
     )
     def test_bad_train_field_is_a_config_error(self, line, tmp_path, capsys):

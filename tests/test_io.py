@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from csalign.errors import ConfigError
 from csalign.io import (
+    _KEY_TYPES,
     experiment_configs,
     json_dumps,
     parse_kv_config,
@@ -14,6 +17,8 @@ from csalign.io import (
     write_embedding_csv,
 )
 from csalign.losses import MatchStrategy
+from csalign.synth import SynthConfig
+from csalign.train import TrainConfig
 
 
 class TestEmbeddingCsv:
@@ -126,6 +131,69 @@ class TestKvConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             experiment_configs({"learning_rat": "0.1"})
+
+
+# the keys a config file accepts, pinned so that adding, renaming or
+# dropping a config field shows here
+ACCEPTED_KEYS = {
+    "num_classes", "per_class", "embed_dim", "max_epochs", "batch_size", "seed", "data_seed",
+    "hidden_dim", "lr_decay_every", "class_sep", "noise_sigma", "learning_rate", "adam_beta1",
+    "adam_beta2", "adam_epsilon", "weight_decay", "grad_clip_norm", "temperature",
+    "holdout_fraction", "lr_decay_factor", "init_scale", "loss_kind", "strategy", "input_dims",
+}
+
+# every config field: its string form and the value (and type) that form parses to
+FIELD_CASES = [
+    ("num_classes", "4", 4),
+    ("per_class", "10", 10),
+    ("input_dims", "8, 9,", (8, 9)),
+    ("embed_dim", "5", 5),
+    ("class_sep", "5", 5.0),
+    ("noise_sigma", "0.5", 0.5),
+    ("seed", "9", 9),
+    ("learning_rate", "1e-3", 0.001),
+    ("adam_beta1", "0.8", 0.8),
+    ("adam_beta2", "0.99", 0.99),
+    ("adam_epsilon", "1e-7", 1e-07),
+    ("weight_decay", "0", 0.0),
+    ("grad_clip_norm", "2", 2.0),
+    ("max_epochs", "3", 3),
+    ("batch_size", "8", 8),
+    ("loss_kind", "kl", "kl"),
+    ("strategy", "clockwise", MatchStrategy.CLOCKWISE),
+    ("temperature", "0.5", 0.5),
+    ("holdout_fraction", "0.25", 0.25),
+    ("lr_decay_factor", "0.5", 0.5),
+    ("lr_decay_every", "7", 7),
+    ("hidden_dim", "12", 12),
+    ("init_scale", "-0.1", -0.1),
+]
+
+
+class TestConfigFields:
+    def test_accepted_keys_are_the_fields_plus_data_seed(self):
+        names = {f.name for config in (SynthConfig, TrainConfig) for f in fields(config)}
+        assert {key for key, _, _ in FIELD_CASES} == names
+        assert set(_KEY_TYPES) == names | {"data_seed"} == ACCEPTED_KEYS
+
+    @pytest.mark.parametrize("key, text, expected", FIELD_CASES)
+    def test_field_parses_from_its_string_form(self, key, text, expected):
+        configs = [c for c in experiment_configs({key: text}) if key in {f.name for f in fields(c)}]
+        assert configs  # seed lands in both
+        for config in configs:
+            value = getattr(config, key)
+            assert value == expected and type(value) is type(expected)
+            if isinstance(value, tuple):
+                assert all(type(v) is int for v in value)
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [("num_classes", "4.0"), ("input_dims", "8,x"), ("class_sep", "wide"),
+         ("strategy", "sideways"), ("hidden_dim", "none"), ("data_seed", "1.5")],
+    )
+    def test_bad_value_names_the_key(self, key, text):
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            experiment_configs({key: text})
 
 
 class TestJsonDumps:

@@ -205,8 +205,8 @@ class TestPairwiseSumLoss:
                 assert association_pmf_count() - before == m * (m - 1)
 
     def test_directions_keyed_source_major(self):
-        for measure in ("cs", "kl"):
-            report = pairwise_sum_loss(random_ring(18, m=4), measure=measure)
+        ring = random_ring(18, m=4)
+        for report in (pairwise_sum_loss(ring), matching_loss("kl", ring)[0]):
             assert list(report.per_direction) == [
                 f"{chr(65 + s)}2{chr(65 + d)}" for s in range(4) for d in range(4) if s != d
             ]
@@ -214,13 +214,13 @@ class TestPairwiseSumLoss:
 
     def test_kl_measure_runs_and_differs_from_cs(self):
         ring = random_ring(19)
-        cs = pairwise_sum_loss(ring, measure="cs")
-        kl = pairwise_sum_loss(ring, measure="kl")
+        cs = pairwise_sum_loss(ring)
+        kl = matching_loss("kl", ring)[0]
         assert kl.finite and kl.total != pytest.approx(cs.total)
 
     def test_unknown_measure_rejected(self):
         with pytest.raises(ConfigError):
-            pairwise_sum_loss(random_ring(21), measure="tv")
+            matching_loss("tv", random_ring(21))
 
     def test_bimodal_kind_on_three_modalities_is_rejected_like_loss_gradient(self):
         ring = random_ring(22)
@@ -263,7 +263,7 @@ class TestValueOracle:
         cs = {name: cs_rows(s, d) for name, (s, d) in zip(names, pairs)}
         assert_matches_oracle(pairwise_sum_loss(base, cfg), cs)
         kl = {name: kl_rows(s, d) for name, (s, d) in zip(names, pairs)}
-        assert_matches_oracle(pairwise_sum_loss(base, cfg, "kl"), kl)
+        assert_matches_oracle(matching_loss("kl", base, cfg)[0], kl)
         if m == 2:
             assert_matches_oracle(bimodal_cmpm_cs(*base.batches, cfg), cs)
 

@@ -229,6 +229,11 @@ class TestTrainConfig:
         assert TrainConfig(grad_clip_norm=norm).grad_clip_norm == norm
         assert clip_global_norm(grads, norm)[0][0] is grads[0]
 
+    def test_zero_hidden_dim_and_negative_init_scale_accepted(self):
+        cfg = TrainConfig(hidden_dim=0, init_scale=-0.02)
+        (encoder,) = build_encoders((5,), 3, cfg)
+        assert [w.shape for w in encoder.weights] == [(5, 3)]
+
 
 class TestArrayStep:
     @pytest.mark.parametrize("kind", LOSS_KINDS)
@@ -325,7 +330,12 @@ class TestArrayStep:
     def test_degenerate_embeddings_raise_at_the_first_step(self, init_scale, error, monkeypatch):
         import csalign.losses as losses_mod
 
-        data, encoders, cfg = tiny_setup(init_scale=init_scale)
+        data, _, cfg = tiny_setup()
+        # TrainConfig rejects init_scale 0, so the encoders are built directly
+        encoders = [
+            Encoder(b.d, 6, rng=np.random.default_rng([cfg.seed, i]), init_scale=init_scale)
+            for i, b in enumerate(data)
+        ]
         for kernel in ("gcs_logit_rows", "_kl_logit_pair"):
             monkeypatch.setattr(losses_mod, kernel, lambda *args: pytest.fail("a kernel ran"))
         with pytest.raises(error):
