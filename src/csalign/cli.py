@@ -90,6 +90,14 @@ def cmd_divergence(args) -> int:
         raise ConfigError(f"measure {measure!r} takes exactly 2 input files, got {len(paths)}")
     if len(paths) < 2:
         raise ConfigError("need at least 2 input files")
+    try:
+        kl_cfg = KlConfig(args.epsilon)
+    except ConfigError as exc:
+        raise ConfigError(f"--epsilon: {exc}") from exc
+    try:
+        mmd_cfg = MmdConfig("median" if args.bandwidth == "median" else float(args.bandwidth))
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"--bandwidth must be a positive number or 'median', got {args.bandwidth!r}") from exc
 
     numerator = denominator = None
     if measure == "cs":
@@ -101,16 +109,11 @@ def cmd_divergence(args) -> int:
     elif measure == "kl":
         p = validate_pmf_row(read_pmf_vector(paths[0]), paths[0])[None, :]
         q = validate_pmf_row(read_pmf_vector(paths[1]), paths[1])[None, :]
-        value = kl_alignment(p, q, KlConfig(args.epsilon))
+        value = kl_alignment(p, q, kl_cfg)
     elif measure == "mmd":
-        try:
-            bandwidth = "median" if args.bandwidth == "median" else float(args.bandwidth)
-        except ValueError as exc:
-            raise ConfigError(f"--bandwidth must be a number or 'median', got {args.bandwidth!r}") from exc
-        cfg = MmdConfig(bandwidth)
         x, _ = read_embeddings(paths[0], args.label_col)
         y, _ = read_embeddings(paths[1], args.label_col)
-        value = mmd_squared(x, y, cfg)
+        value = mmd_squared(x, y, mmd_cfg)
     else:  # coral
         x, _ = read_embeddings(paths[0], args.label_col)
         y, _ = read_embeddings(paths[1], args.label_col)

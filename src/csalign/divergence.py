@@ -84,7 +84,7 @@ class KlConfig:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ConfigError(f"epsilon must be non-negative, got {self.epsilon}")
+            raise ConfigError(f"epsilon must be finite and non-negative, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

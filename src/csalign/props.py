@@ -1,12 +1,12 @@
 """Seeded randomized property checks for the divergence family.
 
 Each property is a row of ``_PROPERTIES``: a one-trial function that
-draws its tuple and returns ``(margin, held)``, and the rule (``min``
-or ``max``) that picks the worst margin. ``run_property_suite`` runs
-every row from its own deterministic generator and reports a failure
-count plus the worst observed margin, so the suite doubles as a
-regression gate (all failure counts must be zero) and a diagnostic
-(how close the worst case came to its tolerance).
+draws its tuple and returns ``(margin, held)``, and the rule that picks
+the worst margin; a nan margin never holds and is the worst.
+``run_property_suite`` runs every row from its own deterministic
+generator and reports a failure count plus the worst observed margin,
+so the suite doubles as a regression gate (all failure counts must be
+zero) and a diagnostic (how close the worst case came to its tolerance).
 
 ``gcs_fn`` is injectable purely as a fault hook: the CLI's
 ``--flip-gcs-sign`` flag wraps the real divergence to prove the suite
@@ -60,7 +60,7 @@ def _non_negativity(rng, gcs_fn):
     """GCS of random PMF tuples is never below -1e-12."""
     m, k = _draw_mk(rng)
     value = gcs_fn(list(_random_pmfs(rng, m, k))).value
-    return value, not value < -1e-12
+    return value, value >= -1e-12
 
 
 def _identity_zero(rng, gcs_fn):
@@ -68,7 +68,7 @@ def _identity_zero(rng, gcs_fn):
     m, k = _draw_mk(rng)
     base = _random_pmfs(rng, 1, k)[0]
     value = abs(gcs_fn([base.copy() for _ in range(m)]).value)
-    return value, not value > 1e-12
+    return value, value <= 1e-12
 
 
 def _perturbation_detected(rng, gcs_fn):
@@ -97,11 +97,11 @@ def _symmetry(rng, gcs_fn):
     m, k = _draw_mk(rng, m_min=3)
     pmfs = list(_random_pmfs(rng, m, k))
     reference = gcs_fn(pmfs).value
-    spread = max(
+    spread = np.max([
         abs(gcs_fn([pmfs[i] for i in perm]).value - reference)
         for perm in itertools.permutations(range(m))
-    )
-    return spread, not spread > 1e-12
+    ])
+    return spread, spread <= 1e-12
 
 
 def _scale_invariance(rng, gcs_fn):
@@ -116,7 +116,7 @@ def _scale_invariance(rng, gcs_fn):
     base = gcs_divergence(list(pmfs)).value
     scaled = gcs_divergence_unnormalized(list(pmfs * scales[:, None])).value
     rel = abs(scaled - base) / max(1e-15, abs(base))
-    return rel, not rel > 1e-9
+    return rel, rel <= 1e-9
 
 
 def _m2_reduction(rng, gcs_fn):
@@ -124,7 +124,7 @@ def _m2_reduction(rng, gcs_fn):
     _, k = _draw_mk(rng)
     p, q = _random_pmfs(rng, 2, k)
     gap = abs(gcs_fn([p, q]).value - cs_divergence(p, q).value)
-    return gap, not gap > 1e-12
+    return gap, gap <= 1e-12
 
 
 def _power_sum_bounds(rng, gcs_fn):
@@ -151,21 +151,21 @@ def _holder_inequality(rng, gcs_fn):
 class _Property(NamedTuple):
     name: str
     trial: Callable  # (rng, gcs_fn) -> (margin, held)
-    worst: Callable  # min or max: which margin is the worst case
+    worst: Callable  # np.minimum or np.maximum: the worst margin, nan if any is nan
     start: float  # the worst margin before the first trial
     halved: bool = False  # run max(1, trials // 2) trials instead of trials
 
 
 # property i draws from default_rng(seed + i)
 _PROPERTIES = (
-    _Property("non_negativity", _non_negativity, min, np.inf),
-    _Property("identity_zero", _identity_zero, max, 0.0),
-    _Property("perturbation_detected", _perturbation_detected, min, np.inf),
-    _Property("symmetry", _symmetry, max, 0.0, halved=True),  # M! permutations per trial
-    _Property("scale_invariance", _scale_invariance, max, 0.0),
-    _Property("m2_reduction", _m2_reduction, max, 0.0),
-    _Property("power_sum_bounds", _power_sum_bounds, min, np.inf),
-    _Property("holder_inequality", _holder_inequality, max, -np.inf),
+    _Property("non_negativity", _non_negativity, np.minimum, np.inf),
+    _Property("identity_zero", _identity_zero, np.maximum, 0.0),
+    _Property("perturbation_detected", _perturbation_detected, np.minimum, np.inf),
+    _Property("symmetry", _symmetry, np.maximum, 0.0, halved=True),  # M! permutations per trial
+    _Property("scale_invariance", _scale_invariance, np.maximum, 0.0),
+    _Property("m2_reduction", _m2_reduction, np.maximum, 0.0),
+    _Property("power_sum_bounds", _power_sum_bounds, np.minimum, np.inf),
+    _Property("holder_inequality", _holder_inequality, np.maximum, -np.inf),
 )
 
 

@@ -4,14 +4,16 @@ Queries from one modality are ranked against a gallery from another by
 descending cosine similarity, ties broken by ascending gallery index so
 rankings are deterministic; ``train._evaluate`` computes those scores in
 blocks of ``SCORE_BLOCK_ROWS`` query rows. ``rank_scores`` builds every
-ranking: one unstable sort of the scores, then a sort of integer keys
-that puts each run of tied scores in index order. A gallery item is
-*relevant* to a query iff their class labels agree. ``top_k_hits``
-counts the relevant items in each top k straight from the scores, by
-top-k selection under the same tie rule. ``average_precisions`` scores
-all queries with the same number of relevant items in one vectorised
-sum. Both take a boolean relevance mask, so a caller that scores many
-blocks against one label layout builds it once.
+ranking with one sort of int64 keys per row, a score's float bits above
+and its column index in the low bits; the rare row whose distinct scores
+share a key's high bits is ranked again by a stable argsort, so every
+ranking is exact. A gallery item is *relevant* to a query iff their
+class labels agree. ``top_k_hits`` counts the relevant items in each
+top k straight from the scores, by top-k selection under the same tie
+rule. ``average_precisions`` scores all queries with the same number
+of relevant items in one vectorised sum. Both take a boolean relevance
+mask, so a caller that scores many blocks against one label layout
+builds it once.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .errors import BadK, NoRelevantItems
 # Query rows scored per block: bounds the temporaries of one retrieval
 # direction to O(SCORE_BLOCK_ROWS x gallery size).
 SCORE_BLOCK_ROWS = 256
+# Score rows ``rank_scores`` keys and sorts at a time.
+_KEY_ROWS = 32
 
 
 def rank_scores(scores: np.ndarray) -> np.ndarray:
@@ -30,25 +34,33 @@ def rank_scores(scores: np.ndarray) -> np.ndarray:
     score, ties in ascending index (``-0.0`` ties with ``0.0``), the
     order of a stable argsort of ``-scores``. Scores must not hold nan.
 
-    One unstable argsort orders each row; the runs of equal scores along
-    the sorted row are numbered, and sorting the distinct keys
-    ``run * n + index`` (``n`` columns) puts every run in index order
-    without moving it, so subtracting ``run * n`` leaves the indices.
+    Each ``-score`` becomes an int64 key that rises with its value (its
+    float bits, all but the sign flipped when the sign is set), and the
+    column index overwrites the key's low ``w`` bits. One sort then ranks
+    the row, equal scores in index order, and the low bits read the
+    ranking back. Distinct scores that agree above bit ``w`` rank by index
+    too, so a row where a score follows a lower one is ranked again by a
+    stable argsort. Rows are keyed ``_KEY_ROWS`` at a time, so the
+    temporaries stay a fraction of the block.
     """
     scores = np.asarray(scores)
     n = scores.shape[1]
-    order = np.argsort(-scores, axis=1)
-    ranked = np.take_along_axis(scores, order, axis=1)
-    new_run = ranked[:, 1:] != ranked[:, :-1]
-    del ranked  # free it before the run numbers take the same room
-    run_base = np.zeros(scores.shape, dtype=np.intp)
-    run_base[:, 1:] = new_run
-    np.cumsum(run_base, axis=1, out=run_base)
-    run_base *= n
-    keys = order
-    keys += run_base
-    keys.sort(axis=1)
-    keys -= run_base
+    w = max(1, (n - 1).bit_length())
+    columns, offsets = np.arange(n), np.arange(0, _KEY_ROWS * n, n)[:, None]
+    keys = np.subtract(0.0, scores, dtype=np.float64).view(np.int64)  # -0.0 ties 0.0
+    for start in range(0, len(keys), _KEY_ROWS):
+        part, block = keys[start : start + _KEY_ROWS], scores[start : start + _KEY_ROWS]
+        part ^= (part >> 63) & 0x7FFF_FFFF_FFFF_FFFF
+        part &= -1 << w
+        part |= columns
+        part.sort(axis=1)
+        part &= (1 << w) - 1
+        part += offsets[: len(part)]  # flat positions in ``block``
+        ranked = np.take(block.ravel(), part, mode="clip")
+        part -= offsets[: len(part)]
+        clash = start + np.flatnonzero((ranked[:, 1:] > ranked[:, :-1]).any(axis=1))
+        if clash.size:
+            keys[clash] = np.argsort(-scores[clash], axis=1, kind="stable")
     return keys
 
 

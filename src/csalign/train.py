@@ -230,9 +230,10 @@ def supervised_directions(
 
 def _evaluate(units, names: list[str], labels, relevance, with_map: bool):
     """``evaluate_directions`` on checked arrays: ``units[m]`` holds the
-    unit rows of modality m and ``labels[m]`` their labels, and the P@K
-    pass reads ``relevance(q, g)[i, j]``: whether item j of modality g is
-    relevant to query i of modality q."""
+    unit rows of modality m and ``labels[m]`` their int64 labels, and the
+    P@K pass reads ``relevance(q, g)[i, j]``: whether item j of modality g
+    is relevant to query i of modality q. Blocks are scored into one
+    buffer per direction, which the MAP pass refills with ranked labels."""
     metrics: dict[str, dict[str, float]] = {}
     for qi, gi in permutations(range(len(units)), 2):
         direction = direction_label(names[qi], names[gi])
@@ -244,11 +245,16 @@ def _evaluate(units, names: list[str], labels, relevance, with_map: bool):
         n, k = query.shape[0], min(10, gallery_t.shape[1])
         hits_1 = hits_k = 0
         ap_values: list[float] = []
+        block = np.empty((min(n, SCORE_BLOCK_ROWS), gallery_t.shape[1]))
         for start in range(0, n, SCORE_BLOCK_ROWS):
             rows = slice(start, start + SCORE_BLOCK_ROWS)
-            scores = query[rows] @ gallery_t
+            scores = block[: min(SCORE_BLOCK_ROWS, n - start)]
+            np.matmul(query[rows], gallery_t, out=scores)
             if with_map:
-                ranked = labels[gi][rank_scores(scores)] == labels[qi][rows, None]
+                # ranked labels overwrite the spent scores; "clip" writes to
+                # ``out`` directly, where "raise" would buffer a block-sized copy
+                ranked = labels[gi].take(rank_scores(scores), out=scores.view(np.int64), mode="clip")
+                ranked = ranked == labels[qi][rows, None]
                 hits_1 += np.count_nonzero(ranked[:, :1])
                 hits_k += np.count_nonzero(ranked[:, :k])
                 ap_values += average_precisions(ranked)

@@ -2,8 +2,8 @@
 checked against: a stable argsort for the ranking, a count over the top k
 for P@K, and one query at a time for average precision.
 
-``csalign.retrieval`` ranks by an unstable sort plus a tie repair and
-scores AP for whole groups of queries at once; nothing here calls those
+``csalign.retrieval`` ranks by one sort of packed int64 keys and scores
+AP for whole groups of queries at once; nothing here calls those
 routines. The cosine scores are multiplied in the query blocks the
 library scores in (``SCORE_BLOCK_ROWS`` rows counted from row 0): a BLAS
 product over a different number of rows may round differently in the

@@ -78,6 +78,32 @@ class TestDivergenceCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: --bandwidth")
 
+    @pytest.mark.parametrize("measure", ["cs", "gcs", "kl", "mmd", "coral"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--bandwidth", "abc"), ("--bandwidth", "-1"), ("--bandwidth", "nan"),
+         ("--epsilon", "-5"), ("--epsilon", "inf")],
+    )
+    def test_bad_flag_exit_2_before_any_file_is_read(self, measure, flag, value, tmp_path, capsys):
+        # the files do not exist: an error naming the flag shows it was checked first
+        missing = str(tmp_path / "missing.csv")
+        assert main(["divergence", "--measure", measure, missing, missing, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag}")
+
+    def test_bad_bandwidth_and_epsilon_on_cs_exit_2(self, pmf_files, capsys):
+        onehot, uniform = pmf_files
+        argv = ["divergence", "--measure", "cs", str(onehot), str(uniform), "--bandwidth", "abc", "--epsilon", "-5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flags", [[], ["--epsilon", "0"], ["--bandwidth", "median"], ["--bandwidth", "0.5"]])
+    def test_valid_flags_pass_on_kl(self, pmf_files, flags, capsys):
+        onehot, uniform = pmf_files
+        assert main(["divergence", "--measure", "kl", str(onehot), str(uniform), *flags]) == 0
+        assert np.isfinite(json.loads(capsys.readouterr().out)["value"])
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,numbers\n")
@@ -146,6 +172,18 @@ SUITE_20_0_FLIPPED = [
 def test_property_suite_values_are_pinned(gcs_fn, expected):
     results = run_property_suite(trials=20, seed=0, gcs_fn=gcs_fn)
     assert [(r.name, r.trials, r.failures, r.worst) for r in results] == expected
+
+
+def nan_gcs(pmfs):
+    result = gcs_divergence(pmfs)
+    return type(result)(float("nan"), result.numerator, result.denominator)
+
+
+def test_property_suite_fails_a_nan_divergence():
+    results = {r.name: r for r in run_property_suite(trials=20, seed=0, gcs_fn=nan_gcs)}
+    for name in ("non_negativity", "identity_zero", "symmetry", "m2_reduction"):
+        assert results[name].failures == results[name].trials
+        assert np.isnan(results[name].worst)
 
 
 class TestPropsCommand:

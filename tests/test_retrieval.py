@@ -55,8 +55,23 @@ class TestRankGallery:
             evaluate_directions(batches)
 
 
+def ulp_pairs():
+    """Two (lower, higher) score pairs one ulp apart, one positive and one
+    negative, whose sort keys share every bit above the lowest: at any
+    packing width the higher score would rank by index, after the lower."""
+    half, quarter = np.float64(0.5).view(np.int64), np.float64(0.25).view(np.int64)
+    high_pos = np.int64(half + 5).view(np.float64)
+    high_neg = -np.int64(quarter + 4).view(np.float64)
+    return [(np.nextafter(high, -np.inf), high) for high in (high_pos, high_neg)]
+
+
+def same_as_stable(scores):
+    return np.array_equal(rank_scores(scores), oracle.stable_ranking(scores))
+
+
 class TestRankScores:
-    """The unstable sort plus tie repair against the stable argsort."""
+    """The packed-key sort, with its stable re-rank of rows whose distinct
+    scores share a key's high bits, against the stable argsort."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -94,6 +109,50 @@ class TestRankScores:
         row = np.array([[0.1, -0.0, 0.7, 0.0, 0.7, 0.1]])
         assert rank_scores(row).tolist() == [[2, 4, 0, 5, 1, 3]]
         assert np.array_equal(rank_scores(row), oracle.stable_ranking(row))
+
+    @pytest.mark.parametrize("n", [2, 3, 1024, 1025, 2048, 2049])
+    def test_ulp_apart_scores_are_ranked_again(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        scores = rng.normal(size=(40, n))
+        crafted = [1, 4, 33, 39]  # the other rows need no second ranking
+        for row, (lower, higher) in zip(crafted, ulp_pairs() * 2):
+            low_at, high_at = np.sort(rng.choice(n, 2, replace=False))
+            scores[row, low_at], scores[row, high_at] = lower, higher
+        expected = oracle.stable_ranking(scores)
+        reranked = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, **kw: reranked.append(len(a)) or argsort(a, **kw))
+        assert np.array_equal(rank_scores(scores), expected)
+        assert sum(reranked) == len(crafted)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1024, 1025, 2048, 2049])
+    def test_widths_at_the_packing_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        scores = np.round(rng.normal(size=(5, n)), 1)
+        if n > 1:
+            (scores[0, 0], scores[0, -1]), (scores[3, 0], scores[3, -1]) = ulp_pairs()
+        assert same_as_stable(scores)
+
+    def test_infinities_subnormals_and_signed_zeros(self):
+        tiny = np.nextafter(0.0, 1.0)
+        values = [np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 2 * tiny, 1e-310, -1e-310, 1.0, -1.0]
+        scores = np.random.default_rng(0).choice(values, size=(40, 37))
+        assert same_as_stable(scores)
+
+    def test_float32_and_integer_scores(self):
+        rng = np.random.default_rng(1)
+        single = rng.normal(size=(20, 50)).astype(np.float32)
+        single[:, 10:20] = single[:, :10]
+        assert same_as_stable(single)
+        assert same_as_stable(rng.integers(-4, 4, size=(20, 50)))
+        assert same_as_stable(rng.integers(-(2**62), 2**62, size=(20, 50)))
+
+    def test_retrieval_eval_sized_block(self):
+        rng = np.random.default_rng(2)
+        scores = rng.uniform(-1.0, 1.0, size=(SCORE_BLOCK_ROWS, 1280))
+        src, dst = np.split(rng.choice(1280, 128, replace=False), 2)
+        scores[:, dst] = scores[:, src]
+        assert same_as_stable(scores)
 
 
 class TestPrecisionAtK:
