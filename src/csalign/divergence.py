@@ -107,8 +107,8 @@ def _as_data(x: EmbeddingBatch | np.ndarray) -> np.ndarray:
     if isinstance(x, EmbeddingBatch):
         return x.data  # 2-D and finite by construction
     data = np.asarray(x, dtype=np.float64)
-    if data.ndim != 2:
-        raise ShapeMismatch(f"expected an (n, d) sample matrix, got shape {data.shape}")
+    if data.ndim != 2 or 0 in data.shape:
+        raise ShapeMismatch(f"expected a non-empty (n, d) sample matrix, got shape {data.shape}")
     if not np.all(np.isfinite(data)):
         raise NonFiniteSample("sample matrix contains non-finite values")
     return data
@@ -347,9 +347,9 @@ def coral_loss(
     Raises
     ------
     TooFewSamples
-        If either sample has fewer than two rows.
+        If either sample has one row.
     ShapeMismatch
-        If the feature dimensions differ.
+        If either sample is empty or the feature dimensions differ.
     """
     xd = _as_data(x)
     yd = _as_data(y)

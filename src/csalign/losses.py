@@ -38,17 +38,17 @@ support and is shared by every edge of the pass. CS is the M = 1 case
 (exponent 2): ``bimodal_cs`` and ``pairwise_cs`` are passes with one
 edge.
 
-Every pass has a reverse that uses the same matrices transposed: the
-ring's backward edges are its forward edges reversed, and the ordered
-pair (d, s) is (s, d) reversed. So ``matching_loss`` evaluates each
-group of M matrices (the ring) or one matrix (an unordered pair) once
-and ``gcs_logit_rows`` reads it by rows for one pass and by columns for
-the other: one matmul and one exponential per matrix serve two passes.
-The exponentials use the static shift 1/tau (no cosine exceeds 1)
-wherever that keeps the terms that matter normal floats, and per-row
-and per-column maxima beyond, so the value and gradient stay finite
-wherever the divergence is, at any M and temperature. The scalar
-functions in ``divergence`` remain the independent value oracle.
+Every pass has a reverse over the same matrices transposed (the ring's
+backward edges are its forward edges reversed; pair (d, s) is (s, d)
+reversed). So ``matching_loss`` evaluates each group of M matrices (the
+ring) or one matrix (an unordered pair) once, and one kernel,
+``gcs_logit_rows`` (CS, GCS) or ``kl_logit_rows``, reads it on the
+batch's ``label_support`` by rows for one pass and by columns for the
+other. GCS takes one exponential per matrix, shifted by 1/tau or, past
+``STATIC_SHIFT_LIMIT``, by per-reading maxima, so it stays finite
+wherever the divergence is; KL one per reading, against one log target
+(the smoothed true-match PMF is symmetric). ``divergence`` is the
+independent value oracle.
 """
 
 from __future__ import annotations
@@ -237,6 +237,17 @@ def label_support(labels: np.ndarray) -> LabelSupport:
     return LabelSupport(rows, cols, starts, np.log(counts), starts[cols] + rank[rows])
 
 
+def _softmax(z: np.ndarray, axis: int, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """``softmax(k z)`` and ``lse(k z)`` along ``axis``, shifted by the maxima."""
+    shift = z.max(axis=axis, keepdims=True)
+    e = z - shift
+    e *= k
+    np.exp(e, out=e)
+    sums = e.sum(axis=axis, keepdims=True)
+    e /= sums
+    return e, k * shift + np.log(sums)
+
+
 def gcs_logit_rows(
     logits: np.ndarray, support: LabelSupport, tau: float, rows: bool = True, cols: bool = True
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -263,8 +274,8 @@ def gcs_logit_rows(
     row whose largest cosine is -1 keeps its largest term a normal float
     with e^37 to spare, and the result is that of a max-subtracted
     softmax. Past that limit, a choice made from (k, tau) alone, each
-    reading exponentiates ``z`` shifted by its own row (or column)
-    maxima, so a value stays finite wherever the divergence is.
+    reading takes the ``_softmax`` of ``z``, shifted by its own row (or
+    column) maxima, so a value stays finite wherever the divergence is.
     """
     m, n = logits.shape[:2]
     k = m + 1
@@ -304,48 +315,44 @@ def gcs_logit_rows(
             # E / rowsum + E / colsum
             z *= scale
         else:
-            parts = []
+            grad = None
             for (axis, _), lse in zip(readings, power_lse):
-                shift = z.max(axis=axis, keepdims=True)
-                e = z - shift
-                e *= k
-                np.exp(e, out=e)
-                sums = e.sum(axis=axis, keepdims=True)
-                lse += (k * shift + np.log(sums)).reshape(n)
-                e /= sums
-                parts.append(e)
-            z[...] = parts.pop()
-            for part in parts:
-                z += part
+                p, reading_lse = _softmax(z, axis, k)
+                lse += reading_lse.reshape(n)
+                grad = p if grad is None else np.add(p, grad, out=p)
+            z[...] = grad
         z.reshape(n * n)[pairs] -= w_pairs
     values = [lse / k - top - np.log(total) for lse, top, total in zip(power_lse, tops, totals)]
     return values, logits
 
 
-def _kl_logit_rows(logits: np.ndarray, log_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row ``KL(softmax(z) || q)`` of a one-edge pass and its gradient
-    with respect to z, given ``log_q``, the log of the smoothed true-match
-    PMF. The gradient is written over ``logits``."""
-    logits -= logits.max(axis=2, keepdims=True)
-    p = np.exp(logits)
-    total = p.sum(axis=2, keepdims=True)
-    p /= total
-    logits -= np.log(total)
-    logits -= log_q
-    values = np.einsum("eij,eij->ei", p, logits)
-    logits -= values[:, :, None]
-    logits *= p
-    return values.sum(axis=0), logits
+def kl_log_target(support: LabelSupport) -> np.ndarray:
+    """``log(q + KlConfig().epsilon)`` of the true-match PMF q, from its support."""
+    eps, n = KlConfig().epsilon, support.starts.size
+    log_q = np.full((n, n), np.log(eps))
+    q = 1.0 / np.bincount(support.rows, minlength=n)
+    log_q.reshape(n * n)[support.rows * n + support.cols] = np.log(q + eps)[support.rows]
+    return log_q
 
 
-def _kl_logit_pair(logits: np.ndarray, log_q: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Both directions of a one-matrix KL group: the rows of ``logits`` and
-    the rows of its transpose, with the summed gradient over ``logits``."""
-    reverse = logits.transpose(0, 2, 1).copy()
-    row_values, grads = _kl_logit_rows(logits, log_q)
-    col_values, reverse_grads = _kl_logit_rows(reverse, log_q)
-    grads += reverse_grads.transpose(0, 2, 1)
-    return [row_values, col_values], grads
+def kl_logit_rows(
+    logits: np.ndarray, support: LabelSupport, tau: float, rows: bool = True, cols: bool = True
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """``gcs_logit_rows`` for the smoothed KL (``tau`` unused): each reading's n values
+    ``sum_m KL(p || q_i)``, p the softmax of row (or column) i of ``z_m``, and the summed
+    gradient ``p (log p - log q - KL)`` as a new array. One exponential per reading."""
+    log_q = kl_log_target(support)
+    values, grads = [], None
+    for axis in [axis for axis, wanted in ((2, rows), (1, cols)) if wanted]:
+        p, lse = _softmax(logits, axis, 1)
+        diff = logits - lse
+        diff -= log_q
+        kl = (p * diff).sum(axis=axis, keepdims=True)
+        values.append(kl.sum(axis=0).reshape(-1))
+        diff -= kl
+        diff *= p
+        grads = diff if grads is None else np.add(diff, grads, out=diff)
+    return values, grads
 
 
 def matching_loss(
@@ -397,34 +404,26 @@ def stack_matching_loss(
     m, n = stack.shape[:2]
     if kind == "gcs_ring":
         order = ring_passes(strategy)
-        groups = [(slice(None), (np.arange(m) + 1) % m, "forward", "backward")]
+        groups = [(slice(None), [d for _, d in ring_edges(m, "forward")], "forward", "backward")]
     else:
         label = lambda s, d: direction_label(names[s], names[d])
         order = [label(s, d) for s in range(m) for d in range(m) if s != d]
-        groups = [
-            (slice(s, s + 1), slice(d, d + 1), label(s, d), label(d, s))
-            for s in range(m) for d in range(s + 1, m)
-        ]
-    if kind == "kl":
-        same_label = labels[:, None] == labels[None, :]
-        q = same_label / same_label.sum(axis=1, keepdims=True)
-        log_q = np.log(q + KlConfig().epsilon)
-        group_rows = lambda logits, rows, cols: _kl_logit_pair(logits, log_q)
-    else:
-        support = label_support(labels)
-        group_rows = lambda logits, rows, cols: gcs_logit_rows(logits, support, tau, rows, cols)
+        groups = [(slice(s, s + 1), slice(d, d + 1), label(s, d), label(d, s))
+                  for s in range(m) for d in range(s + 1, m)]
+    kernel = kl_logit_rows if kind == "kl" else gcs_logit_rows
+    support = label_support(labels)
 
     norms = row_norms(stack, "the embeddings")
     units = stack / norms
     scaled_t = units.transpose(0, 2, 1) / tau
     g_units = np.zeros_like(units)
-    # one logit buffer per call: the kernel writes its gradients over it
-    buffer = np.empty((m if kind == "gcs_ring" else 1, n, n))
+    # one logit buffer per call, a matrix per edge of a group; the kernel may spend it
+    buffer = np.empty((len(units[groups[0][0]]), n, n))
     values: dict[str, np.ndarray] = {}
     for src, dst, row_name, col_name in groups:
         passes = [name for name in (row_name, col_name) if name in order]
         logits = np.matmul(units[src], scaled_t[dst], out=buffer)
-        group_values, grads = group_rows(logits, row_name in order, col_name in order)
+        group_values, grads = kernel(logits, support, tau, row_name in order, col_name in order)
         values.update(zip(passes, group_values))
         _ASSOCIATION_PMF_COUNT += len(buffer) * len(passes)
         # within a group no modality is the source, or the target, of two edges

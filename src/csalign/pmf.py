@@ -59,7 +59,8 @@ class EmbeddingBatch:
     """One modality's mini-batch: an n x d matrix plus class labels.
 
     Invariants enforced at construction: n >= 2, d >= 1, one label per
-    row, and every row's Euclidean norm finite and at least
+    row, each a non-negative integer value (``1.0`` passes, ``0.5`` and
+    nan do not), and every row's Euclidean norm finite and at least
     ``MIN_ROW_NORM`` (see ``row_norms``).
     """
 
@@ -69,7 +70,7 @@ class EmbeddingBatch:
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if data.ndim != 2:
             raise ShapeMismatch(f"embedding data must be 2-D, got shape {data.shape}")
         n, d = data.shape
@@ -77,11 +78,14 @@ class EmbeddingBatch:
             raise ShapeMismatch(f"need n >= 2 and d >= 1, got n={n}, d={d}")
         if labels.shape != (n,):
             raise ShapeMismatch(f"labels must have shape ({n},), got {labels.shape}")
-        if np.any(labels < 0):
+        # nan, inf and 1e30 cast to some int64 that differs from them
+        with np.errstate(invalid="ignore"):
+            as_int = labels.astype(np.int64) if labels.dtype.kind in "biuf" else None
+        if as_int is None or np.any(as_int < 0) or np.any(as_int != labels):
             raise NotAPmf("class labels must be non-negative integers")
         row_norms(data, f"batch '{self.modality_name}'")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", as_int)
 
     @property
     def n(self) -> int:

@@ -255,8 +255,8 @@ def _evaluate(units, names: list[str], labels, relevance, with_map: bool):
                 # ``out`` directly, where "raise" would buffer a block-sized copy
                 ranked = labels[gi].take(rank_scores(scores), out=scores.view(np.int64), mode="clip")
                 ranked = ranked == labels[qi][rows, None]
-                hits_1 += np.count_nonzero(ranked[:, :1])
-                hits_k += np.count_nonzero(ranked[:, :k])
+                hits_1 += int(np.count_nonzero(ranked[:, :1]))
+                hits_k += int(np.count_nonzero(ranked[:, :k]))
                 ap_values += average_precisions(ranked)
             else:
                 hits_1 += top_k_hits(scores, relevant[rows], 1)
@@ -300,8 +300,9 @@ def train_run(
 
     The inputs are checked once, before the first step, with the error
     classes ``ModalityRing`` and ``loss_gradient`` raise: one encoder per
-    modality, one embedding dimension, one n, the same labels position by
-    position, unique names, and a loss kind defined for M modalities.
+    modality, one embedding dimension, one n of at least 3 (one held-out
+    row, two to train on), the same labels position by position, unique
+    names, and a loss kind defined for M modalities.
     From then on the run works on arrays: each step stacks the encoder
     outputs and calls ``stack_loss_gradient``, which checks its row norms
     once, and each evaluation checks the held-out stack with ``row_norms``
@@ -318,11 +319,13 @@ def train_run(
     check_kind(cfg.loss_kind, len(data))
     if len({enc.weights[-1].shape[1] for enc in encoders}) != 1:
         raise ShapeMismatch("encoders must share one embedding dimension")
+    n = data[0].n
+    if n < 3:
+        raise ShapeMismatch(f"training needs n >= 3 rows (one held out, two to train on), got n={n}")
     names = [b.modality_name for b in data]
     labels = data[0].labels
     rng = np.random.default_rng(cfg.seed)
 
-    n = data[0].n
     perm = rng.permutation(n)
     n_test = min(max(2, int(round(cfg.holdout_fraction * n))), n - 2)
     test_idx, train_idx = perm[:n_test], perm[n_test:]

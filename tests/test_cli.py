@@ -129,6 +129,16 @@ class TestDivergenceCommand:
         assert captured.out == ""
         assert "non-finite" in captured.err
 
+    @pytest.mark.parametrize("measure, shape", [("mmd", (0, 3)), ("coral", (4, 0))])
+    def test_empty_emb1_sample_exit_3(self, measure, shape, tmp_path, capsys):
+        empty, other = tmp_path / "empty.emb1", tmp_path / "other.emb1"
+        write_emb1(empty, np.zeros(shape))
+        write_emb1(other, np.arange(5 * shape[1], dtype=float).reshape(5, shape[1]))
+        assert main(["divergence", "--measure", measure, str(empty), str(other)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-empty" in captured.err
+
     def test_out_file_written(self, pmf_files, tmp_path, capsys):
         onehot, uniform = pmf_files
         out = tmp_path / "report.json"

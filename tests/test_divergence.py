@@ -258,6 +258,27 @@ class TestCoral:
             coral_loss(np.zeros((1, 2)), np.zeros((5, 2)))
 
 
+class TestEmptySamples:
+    """An empty sample is rejected, not turned into a silent nan."""
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda x, y: mmd_squared(x, y),
+            lambda x, y: mmd_squared(x, y, MmdConfig(1.0)),
+            coral_loss,
+            median_bandwidth,
+        ],
+        ids=["mmd_median", "mmd_fixed", "coral", "median_bandwidth"],
+    )
+    def test_rejected(self, measure, shape):
+        other = np.ones((5, shape[1])) * np.arange(5)[:, None]
+        for x, y in ((np.zeros(shape), other), (other, np.zeros(shape))):
+            with pytest.raises(ShapeMismatch, match="non-empty"):
+                measure(x, y)
+
+
 class TestPowerSumBounds:
     def test_random_pmfs_respect_bounds(self):
         rng = np.random.default_rng(47)

@@ -27,7 +27,7 @@ from csalign.errors import (
     ShapeMismatch,
     TooFewDistributions,
 )
-from csalign.losses import label_support, matching_loss
+from csalign.losses import kl_log_target, kl_logit_rows, label_support, matching_loss
 from csalign.pmf import row_norms
 from csalign.train import evaluate_directions
 from pmf_oracle import softmax_pmf, true_pmf
@@ -297,6 +297,38 @@ class TestLabelSupport:
         # transpose maps pair (i, k) to the position of pair (k, i)
         assert np.array_equal(rows[support.transpose], cols)
         assert np.array_equal(cols[support.transpose], rows)
+
+
+class TestKlKernel:
+    """The KL kernel reads a matrix by rows and by columns against one target."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=40))
+    @example([3, 3, 3, 3, 3])
+    @example([2, 0, 2, 1, 0, 2, 1, 1])
+    def test_log_target_equals_dense_smoothed_pmf(self, labels):
+        labels = np.asarray(labels, dtype=np.int64)
+        same_label = labels[:, None] == labels[None, :]
+        q = same_label / same_label.sum(axis=1, keepdims=True)
+        expected = np.log(q + KlConfig().epsilon)
+        assert np.array_equal(kl_log_target(label_support(labels)), expected)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.05])
+    def test_columns_of_z_are_rows_of_its_transpose(self, tau):
+        rng = np.random.default_rng(61)
+        labels = rng.integers(0, 4, size=12)
+        support = label_support(labels)
+        z = rng.uniform(-1, 1, size=(1, 12, 12)) / tau
+        z_t = z.transpose(0, 2, 1).copy()
+        [col_values], col_grad = kl_logit_rows(z.copy(), support, tau, rows=False, cols=True)
+        [row_values], row_grad = kl_logit_rows(z_t, support, tau, rows=True, cols=False)
+        np.testing.assert_allclose(col_values, row_values, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(col_grad, row_grad.transpose(0, 2, 1), rtol=1e-12, atol=1e-15)
+        # both readings at once: the values of each, and the sum of their gradients
+        [rows, cols], grad = kl_logit_rows(z.copy(), support, tau)
+        [row_only], row_only_grad = kl_logit_rows(z.copy(), support, tau, rows=True, cols=False)
+        assert np.array_equal(rows, row_only) and np.array_equal(cols, col_values)
+        assert np.array_equal(grad, row_only_grad + col_grad)
 
 
 def overflow_pair():

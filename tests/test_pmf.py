@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from csalign import AlignConfig, EmbeddingBatch, ModalityRing, bimodal_cmpm_cs
-from csalign.errors import ConfigError, NonFiniteSimilarity, ShapeMismatch, ZeroNormRow
+from csalign.errors import ConfigError, NonFiniteSimilarity, NotAPmf, ShapeMismatch, ZeroNormRow
 from csalign.losses import check_paired, gcs_logit_rows, label_support
 from csalign.pmf import row_norms
 from csalign.train import evaluate_directions
@@ -204,3 +204,14 @@ class TestEmbeddingBatch:
     def test_labels_length_enforced(self):
         with pytest.raises(ShapeMismatch):
             EmbeddingBatch(np.eye(3), [0, 1])
+
+    @pytest.mark.parametrize(
+        "labels", [[0.5, 1.7, 0.0], [np.nan, 1, 0], [1e30, 1, 0], [np.inf, 1, 0], [-1, 0, 1], ["a", "b", "c"]]
+    )
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(NotAPmf, match="non-negative integers"):
+            EmbeddingBatch(np.eye(3), labels)
+
+    def test_integer_valued_float_labels_accepted(self):
+        labels = EmbeddingBatch(np.eye(3), [1.0, 0.0, 2.0]).labels
+        assert labels.dtype == np.int64 and labels.tolist() == [1, 0, 2]

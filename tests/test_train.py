@@ -324,6 +324,21 @@ class TestArrayStep:
         with pytest.raises(error):
             train_run(data, encoders, cfg)
 
+    def test_two_rows_raise_before_the_first_step(self, monkeypatch):
+        data, encoders, cfg = tiny_setup()
+        data = [EmbeddingBatch(b.data[:2], b.labels[:2], b.modality_name) for b in data]
+        monkeypatch.setattr(Encoder, "forward", lambda self, x: pytest.fail("an encoder ran"))
+        with pytest.raises(ShapeMismatch, match="n=2"):
+            train_run(data, encoders, cfg)
+
+    def test_three_rows_train_on_two_and_hold_out_one(self):
+        data, encoders, cfg = tiny_setup(max_epochs=2)
+        data = [EmbeddingBatch(b.data[:3], b.labels[:3], b.modality_name) for b in data]
+        trace = train_run(data, encoders, cfg)
+        assert not trace.aborted and len(trace.records) == 2
+        assert all(np.isfinite(r.loss) for r in trace.records)
+        assert all(m == {"p1": 1.0, "p10": 1.0, "map": 1.0} for m in trace.final_metrics.values())
+
     @pytest.mark.parametrize(
         "init_scale, error", [(1e300, NonFiniteSimilarity), (0.0, ZeroNormRow)]
     )
@@ -336,7 +351,7 @@ class TestArrayStep:
             Encoder(b.d, 6, rng=np.random.default_rng([cfg.seed, i]), init_scale=init_scale)
             for i, b in enumerate(data)
         ]
-        for kernel in ("gcs_logit_rows", "_kl_logit_pair"):
+        for kernel in ("gcs_logit_rows", "kl_logit_rows"):
             monkeypatch.setattr(losses_mod, kernel, lambda *args: pytest.fail("a kernel ran"))
         with pytest.raises(error):
             train_run(data, encoders, cfg)
@@ -439,6 +454,11 @@ class TestEvaluateDirections:
         assert evaluate_directions(batches) == {
             d: {"p1": v["p1"], "p10": v["p10"]} for d, v in reference.items()
         }
+
+    @pytest.mark.parametrize("with_map", [False, True])
+    def test_both_passes_return_python_floats(self, with_map):
+        metrics = evaluate_directions(tied_batches(30, 3, seed=5), with_map=with_map)
+        assert {type(v) for direction in metrics.values() for v in direction.values()} == {float}
 
     def test_modalities_with_different_labels(self):
         # same classes, different rows per modality: query and gallery
