@@ -18,10 +18,10 @@ in its inputs and invariant under positive rescaling of each input.
 ``kl_alignment``, ``mmd_squared``, and ``coral_loss`` implement the
 classic alignment baselines that the CS family is compared against.
 
-The module imports numpy only. scipy is used in two places, both on the
-MMD baseline: ``median_bandwidth`` (``pdist``) and ``mmd_squared``
-(``cdist``) import ``scipy.spatial.distance`` inside the function, so
-only a process that computes MMD loads scipy.
+The module needs numpy only. MMD's pairwise distances come from one
+kernel, ``sq_distances``; one MMD evaluation computes its three blocks
+(x against x, y against y, x against y) once and takes both the Gaussian
+kernels and the median-heuristic bandwidth from them.
 """
 
 from __future__ import annotations
@@ -48,6 +48,16 @@ from .pmf import EmbeddingBatch
 PMF_SUM_TOL = 1e-6
 
 MEDIAN_HEURISTIC = "median"
+
+# A Gram-form squared distance at or below this share of the two largest
+# squared row norms may have lost its digits to cancellation, so it is
+# recomputed from the row difference. The Gram form's absolute error is
+# about (d + 4) eps times those norms, so every entry kept has a relative
+# error below (d + 4) eps / _CANCELLATION_BOUND: 4e-13 at d = 32.
+_CANCELLATION_BOUND = 1e-2
+# Elements of row differences formed at once by that recomputation, so
+# that a sample of near-equal rows needs no (n, m, d) buffer.
+_RECOMPUTE_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -112,6 +122,16 @@ def _as_data(x: EmbeddingBatch | np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise NonFiniteSample("sample matrix contains non-finite values")
     return data
+
+
+def _paired_samples(
+    x: EmbeddingBatch | np.ndarray, y: EmbeddingBatch | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both samples as checked (n, d) matrices of one feature dimension."""
+    xd, yd = _as_data(x), _as_data(y)
+    if xd.shape[1] != yd.shape[1]:
+        raise ShapeMismatch(f"feature dims differ: {xd.shape[1]} vs {yd.shape[1]}")
+    return xd, yd
 
 
 def validate_pmf_row(row: np.ndarray, name: str) -> np.ndarray:
@@ -271,6 +291,57 @@ def kl_alignment(
     return float(terms.sum())
 
 
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` and of ``b``.
+
+    The Gram form ``|a_i|^2 + |b_j|^2 - 2 a_i . b_j``, from one BLAS
+    product assembled in place. Every entry not above
+    ``_CANCELLATION_BOUND`` times the two largest squared row norms is
+    recomputed from its row difference (so is a nan from norms that
+    overflow), so equal rows give exactly 0 and no entry is negative.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_a = np.einsum("ij,ij->i", a, a)
+        sq_b = sq_a if b is a else np.einsum("ij,ij->i", b, b)
+        out = a @ b.T
+        out *= -2.0
+        out += sq_a[:, None]
+        out += sq_b
+        suspect = np.flatnonzero(~(out > _CANCELLATION_BOUND * (sq_a.max() + sq_b.max())))
+    step = max(1, _RECOMPUTE_ELEMENTS // a.shape[1])
+    for start in range(0, suspect.size, step):
+        flat = suspect[start:start + step]
+        diff = a[flat // b.shape[0]] - b[flat % b.shape[0]]
+        out.flat[flat] = np.einsum("ij,ij->i", diff, diff)
+    return out
+
+
+def _median_distance(d_xx: np.ndarray, d_yy: np.ndarray, d_xy: np.ndarray) -> float:
+    """Median distance over the pooled sample, from its squared-distance
+    blocks: each pair of distinct rows counts once (the lower triangles of
+    the two self blocks and all of the cross block), and an even count
+    takes the mean of the two middle distances, as ``np.median`` does.
+
+    Raises
+    ------
+    DegenerateBandwidth
+        If the median distance is zero (too many duplicate points).
+    """
+    pooled = np.concatenate([
+        d_xx[np.tri(len(d_xx), k=-1, dtype=bool)],
+        d_yy[np.tri(len(d_yy), k=-1, dtype=bool)],
+        d_xy.ravel(),
+    ])
+    half = pooled.size // 2
+    pooled.partition(half)
+    sigma = float(np.sqrt(pooled[half]))
+    if pooled.size % 2 == 0:
+        sigma = (float(np.sqrt(pooled[:half].max())) + sigma) / 2
+    if sigma <= 0.0:
+        raise DegenerateBandwidth("median pairwise distance is zero")
+    return sigma
+
+
 def median_bandwidth(
     x: EmbeddingBatch | np.ndarray, y: EmbeddingBatch | np.ndarray
 ) -> float:
@@ -280,14 +351,11 @@ def median_bandwidth(
     ------
     DegenerateBandwidth
         If the median distance is zero (too many duplicate points).
+    ShapeMismatch
+        If either sample is empty or the feature dimensions differ.
     """
-    from scipy.spatial.distance import pdist
-
-    pooled = np.vstack([_as_data(x), _as_data(y)])
-    sigma = float(np.median(pdist(pooled)))
-    if sigma <= 0.0:
-        raise DegenerateBandwidth("median pairwise distance is zero")
-    return sigma
+    xd, yd = _paired_samples(x, y)
+    return _median_distance(sq_distances(xd, xd), sq_distances(yd, yd), sq_distances(xd, yd))
 
 
 def resolve_bandwidth(
@@ -302,6 +370,35 @@ def resolve_bandwidth(
     return float(cfg.bandwidth)
 
 
+def mmd_kernels(
+    x: EmbeddingBatch | np.ndarray,
+    y: EmbeddingBatch | np.ndarray,
+    cfg: MmdConfig | None = None,
+) -> tuple[float, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`mmd_squared` with the sigma and the kernel blocks it came
+    from: ``(value, sigma, (k_xx, k_yy, k_xy))``.
+
+    The three squared-distance blocks are computed once; the median
+    heuristic reads them, and they then become the kernels in place.
+    """
+    xd, yd = _paired_samples(x, y)
+    cfg = cfg or MmdConfig()
+    blocks = (sq_distances(xd, xd), sq_distances(yd, yd), sq_distances(xd, yd))
+    sigma = _median_distance(*blocks) if isinstance(cfg.bandwidth, str) else float(cfg.bandwidth)
+    gamma = 1.0 / (2.0 * sigma * sigma)
+    for block in blocks:
+        block *= -gamma
+        np.exp(block, out=block)
+    k_xx, k_yy, k_xy = blocks
+    n_x, n_y = xd.shape[0], yd.shape[0]
+    value = float(
+        k_xx.sum() / (n_x * n_x)
+        + k_yy.sum() / (n_y * n_y)
+        - 2.0 * k_xy.sum() / (n_x * n_y)
+    )
+    return value, sigma, blocks
+
+
 def mmd_squared(
     x: EmbeddingBatch | np.ndarray,
     y: EmbeddingBatch | np.ndarray,
@@ -313,23 +410,7 @@ def mmd_squared(
     The kernel is ``exp(-||u - v||^2 / (2 sigma^2))`` with sigma from
     ``cfg`` (median heuristic by default).
     """
-    from scipy.spatial.distance import cdist
-
-    xd = _as_data(x)
-    yd = _as_data(y)
-    if xd.shape[1] != yd.shape[1]:
-        raise ShapeMismatch(f"feature dims differ: {xd.shape[1]} vs {yd.shape[1]}")
-    sigma = resolve_bandwidth(xd, yd, cfg)
-    gamma = 1.0 / (2.0 * sigma * sigma)
-    k_xx = np.exp(-gamma * cdist(xd, xd, "sqeuclidean"))
-    k_yy = np.exp(-gamma * cdist(yd, yd, "sqeuclidean"))
-    k_xy = np.exp(-gamma * cdist(xd, yd, "sqeuclidean"))
-    n_x, n_y = xd.shape[0], yd.shape[0]
-    return float(
-        k_xx.sum() / (n_x * n_x)
-        + k_yy.sum() / (n_y * n_y)
-        - 2.0 * k_xy.sum() / (n_x * n_y)
-    )
+    return mmd_kernels(x, y, cfg)[0]
 
 
 def _sample_covariance(data: np.ndarray) -> np.ndarray:
@@ -351,10 +432,7 @@ def coral_loss(
     ShapeMismatch
         If either sample is empty or the feature dimensions differ.
     """
-    xd = _as_data(x)
-    yd = _as_data(y)
-    if xd.shape[1] != yd.shape[1]:
-        raise ShapeMismatch(f"feature dims differ: {xd.shape[1]} vs {yd.shape[1]}")
+    xd, yd = _paired_samples(x, y)
     if xd.shape[0] < 2 or yd.shape[0] < 2:
         raise TooFewSamples("covariance needs at least two samples per side")
     d = xd.shape[1]

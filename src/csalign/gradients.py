@@ -21,9 +21,10 @@ finite-difference closure differentiates that engine's total.
 The MMD median-heuristic bandwidth is resolved once at the evaluation
 point and then treated as a constant, both in the analytic path and in
 the finite-difference closure; the heuristic itself is not
-differentiated. MMD is the one kind that uses scipy: ``_mmd_grad``
-imports ``cdist`` inside the function (as do the bandwidth and value in
-``divergence``), so training with any other kind never loads scipy.
+differentiated. The analytic path takes the value, the bandwidth and
+the kernel blocks from one ``divergence.mmd_kernels`` call, so it
+computes each pairwise distance once; like the rest of the package it
+needs numpy only.
 """
 
 from __future__ import annotations
@@ -32,23 +33,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .divergence import MmdConfig, coral_loss, mmd_squared, resolve_bandwidth
+from .divergence import MmdConfig, coral_loss, mmd_kernels, mmd_squared, resolve_bandwidth
 from .errors import ConfigError, NonFinitePerturbation
 from .losses import MATCHING_KINDS, MatchStrategy, ModalityRing, check_kind, stack_matching_loss
 from .pmf import AlignConfig, row_norms
 
 
-def _mmd_grad(x: np.ndarray, y: np.ndarray, sigma: float):
-    from scipy.spatial.distance import cdist
-
+def _mmd_grad(x: np.ndarray, y: np.ndarray):
+    value, sigma, (k_xx, k_yy, k_xy) = mmd_kernels(x, y)
     n_x, n_y = x.shape[0], y.shape[0]
-    gamma = 1.0 / (2.0 * sigma * sigma)
-    k_xx = np.exp(-gamma * cdist(x, x, "sqeuclidean"))
-    k_yy = np.exp(-gamma * cdist(y, y, "sqeuclidean"))
-    k_xy = np.exp(-gamma * cdist(x, y, "sqeuclidean"))
-    value = float(
-        k_xx.sum() / n_x**2 + k_yy.sum() / n_y**2 - 2.0 * k_xy.sum() / (n_x * n_y)
-    )
     coef = 2.0 / (sigma * sigma)
     t_xx = k_xx.sum(axis=1, keepdims=True) * x - k_xx @ x
     t_xy = k_xy.sum(axis=1, keepdims=True) * x - k_xy @ y
@@ -93,7 +86,7 @@ def stack_loss_gradient(
         return report.total, grads
     row_norms(stack, "the embeddings")
     if loss_kind == "mmd":
-        return _mmd_grad(stack[0], stack[1], resolve_bandwidth(stack[0], stack[1]))
+        return _mmd_grad(stack[0], stack[1])
     return _coral_grad(stack[0], stack[1])
 
 

@@ -61,8 +61,13 @@ def read_embedding_csv(path: str | Path, label_col: int | None = None):
     if not (-cols <= label_col < cols):
         raise ConfigError(f"{path}: label column {label_col} out of range for {cols} columns")
     labels = data[:, label_col]
-    if np.any(labels != np.round(labels)):
-        raise ConfigError(f"{path}: label column {label_col} holds non-integer values")
+    # integral floats below 2**63 cast to int64 exactly; nan fails every test
+    bad = ~((labels >= 0) & (labels < 2.0**63) & (labels == np.round(labels)))
+    if np.any(bad):
+        raise ConfigError(
+            f"{path}: label column {label_col} holds {float(labels[bad][0])!r}; "
+            "labels must be non-negative integers below 2**63"
+        )
     keep = [c for c in range(cols) if c != label_col % cols]
     return data[:, keep], labels.astype(np.int64)
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,23 @@ class TestDivergenceCommand:
         ok = tmp_path / "ok.csv"
         ok.write_text("0.5,0.5\n")
         assert main(["divergence", "--measure", "cs", str(notpmf), str(ok)]) == 3
+
+    @pytest.mark.parametrize("label", ["1e30", "inf", "-1"])
+    def test_bad_label_exit_2_without_a_warning(self, label, tmp_path):
+        # a fresh interpreter, so that a numpy warning would reach stderr
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        x.write_text(f"0.1,0.2,{label}\n0.3,0.4,1\n0.5,0.1,2\n")
+        y.write_text("0.1,0.2,1\n0.3,0.9,1\n0.5,0.1,2\n")
+        argv = ["divergence", "--measure", "mmd", str(x), str(y), "--label-col", "2"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "csalign.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {x}: label column 2 holds {float(label)!r}")
+        assert "RuntimeWarning" not in proc.stderr
 
     @pytest.mark.parametrize("measure", ["mmd", "coral"])
     def test_non_finite_sample_exit_3(self, measure, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import itertools
+import math
+import statistics
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from csalign import (
     median_bandwidth,
     mmd_squared,
 )
+from csalign.divergence import sq_distances
 from csalign.errors import (
     DegenerateBandwidth,
     LengthMismatch,
@@ -191,6 +194,88 @@ class TestKlAlignment:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             kl_alignment([[0.5, 0.5]], [[0.5, 0.25, 0.25]])
+
+
+def reference_sq_distances(a, b):
+    """Squared distances from the row differences themselves, by broadcasting."""
+    diff = a[:, None, :] - b[None, :, :]
+    return (diff * diff).sum(axis=-1)
+
+
+def reference_median_distance(x, y):
+    """``np.median`` of every pair of distinct pooled rows, listed by hand."""
+    pooled = np.vstack([x, y])
+    n = len(pooled)
+    return statistics.median(math.dist(pooled[i], pooled[j]) for i in range(n) for j in range(i + 1, n))
+
+
+class TestSqDistances:
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("n_a, n_b, d", [(1, 1, 3), (9, 13, 4), (40, 25, 16), (64, 48, 32)])
+    def test_agrees_with_row_differences(self, offset, n_a, n_b, d):
+        # +1e3 puts every entry far inside the cancellation bound, and at
+        # 64 x 48 x 32 the recomputed pairs span more than one chunk
+        rng = np.random.default_rng([n_a, n_b, d])
+        a = rng.normal(size=(n_a, d)) + offset
+        b = rng.normal(size=(n_b, d)) + offset
+        for u, v in ((a, b), (a, a), (b, a)):
+            np.testing.assert_allclose(sq_distances(u, v), reference_sq_distances(u, v), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_equal_rows_give_exact_zero_and_nothing_is_negative(self, offset):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(4, 16)) + offset
+        a = rows[[0, 1, 0, 2, 0, 1]]
+        b = rows[[3, 0, 1, 0]]
+        for u, v in ((a, a), (a, b), (b, a.copy())):
+            dist = sq_distances(u, v)
+            equal = (u[:, None, :] == v[None, :, :]).all(axis=-1)
+            assert np.all(dist[equal] == 0.0)
+            assert np.all(dist[~equal] > 0.0)
+
+    def test_near_equal_rows_are_never_negative(self):
+        rng = np.random.default_rng(5)
+        a = 1e3 + 1e-9 * rng.normal(size=(30, 8))
+        dist = sq_distances(a, a[::-1])
+        assert dist.min() >= 0.0
+        np.testing.assert_allclose(dist, reference_sq_distances(a, a[::-1]), rtol=1e-12, atol=0)
+
+    def test_rows_whose_squared_norms_overflow(self):
+        rng = np.random.default_rng(7)
+        a = 1e160 * (1.0 + 1e-10 * rng.normal(size=(5, 3)))
+        b = 1e160 * (1.0 + 1e-10 * rng.normal(size=(4, 3)))
+        dist = sq_distances(a, b)
+        assert np.all(np.isfinite(dist))
+        np.testing.assert_allclose(dist, reference_sq_distances(a, b), rtol=1e-12, atol=0)
+
+
+class TestMedianBandwidth:
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("n_x, n_y", [(1, 1), (4, 4), (6, 5), (9, 12)])
+    def test_median_of_the_condensed_pairs(self, offset, n_x, n_y):
+        # 1, 28, 55 and 210 pairs: odd and even counts
+        rng = np.random.default_rng([n_x, n_y])
+        x = rng.normal(size=(n_x, 3)) + offset
+        y = rng.normal(size=(n_y, 3)) + offset + 0.5
+        assert median_bandwidth(x, y) == pytest.approx(reference_median_distance(x, y), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("seed", [3, 12])
+    def test_mostly_repeated_non_zero_rows_are_degenerate(self, seed):
+        # the bare Gram form gives these repeated rows a squared distance
+        # of 3.6e-15 (seed 3) or a negative one (seed 12), not 0
+        rng = np.random.default_rng(seed)
+        row, others = rng.normal(size=(1, 2)) + 0.5, rng.normal(size=(2, 2))
+        x = np.vstack([np.repeat(row, 7, axis=0), others[:1]])
+        y = np.vstack([np.repeat(row, 5, axis=0), others[1:]])
+        assert reference_median_distance(x, y) == 0.0
+        with pytest.raises(DegenerateBandwidth):
+            median_bandwidth(x, y)
+        with pytest.raises(DegenerateBandwidth):
+            mmd_squared(x, y)
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            median_bandwidth(np.zeros((3, 2)), np.zeros((3, 3)))
 
 
 class TestMmd:

@@ -1,8 +1,10 @@
-"""What a fresh process loads: numpy only, scipy on the first MMD call.
+"""What a fresh process loads: numpy only, whatever it computes.
 
 Each test starts a new interpreter with ``PYTHONPATH=src`` so that the
 modules the test process has already imported (pytest, hypothesis,
-scipy through other tests) cannot hide an import that csalign makes.
+scipy through other packages) cannot hide an import that csalign makes.
+The MMD runs block scipy's import outright and must still return the
+values of an in-process call.
 """
 
 import json
@@ -82,16 +84,19 @@ def test_training_with_scipy_blocked_writes_the_same_bytes(tmp_path, capsys):
 
 MMD_VALUES = """
 import json, sys
+if sys.argv[1] == "block-scipy":
+    sys.modules["scipy"] = None
 import numpy as np
-from csalign import EmbeddingBatch, ModalityRing, finite_diff_gradient, loss_gradient, mmd_squared
-loaded_before = any(m.startswith("scipy") for m in sys.modules)
-x, y = np.load(sys.argv[1]), np.load(sys.argv[2])
+from csalign import LOSS_KINDS, EmbeddingBatch, ModalityRing, finite_diff_gradient, loss_gradient, mmd_squared
+x, y = np.load(sys.argv[2]), np.load(sys.argv[3])
 labels = np.arange(x.shape[0]) % 3
 ring = ModalityRing((EmbeddingBatch(x, labels, "A"), EmbeddingBatch(y, labels, "B")))
+triple = ModalityRing(ring.batches + (EmbeddingBatch(x[::-1], labels, "C"),))
 value, grads = loss_gradient("mmd", ring)
+for kind in LOSS_KINDS:
+    loss_gradient(kind, triple if kind in ("gcs_ring", "pairwise_cs") else ring)
 print(json.dumps({
-    "loaded_before": loaded_before,
-    "loaded_after": "scipy.spatial.distance" in sys.modules,
+    "scipy": sorted(m for m, mod in sys.modules.items() if mod is not None and m.startswith("scipy")),
     "mmd": mmd_squared(x, y),
     "loss": value,
     "grads": [g.tolist() for g in grads],
@@ -110,15 +115,18 @@ def mmd_samples(tmp_path):
 
 def test_mmd_in_a_fresh_process_equals_an_in_process_call(tmp_path):
     x, y = mmd_samples(tmp_path)
-    fresh = run_fresh(MMD_VALUES, tmp_path / "x.npy", tmp_path / "y.npy", cwd=tmp_path)
-    assert not fresh["loaded_before"] and fresh["loaded_after"]
     labels = np.arange(x.shape[0]) % 3
     ring = ModalityRing((EmbeddingBatch(x, labels, "A"), EmbeddingBatch(y, labels, "B")))
     value, grads = loss_gradient("mmd", ring)
-    assert fresh["mmd"] == mmd_squared(x, y)
-    assert fresh["loss"] == value
-    assert fresh["grads"] == [g.tolist() for g in grads]
-    assert fresh["fd"] == [g.tolist() for g in finite_diff_gradient("mmd", ring)]
+    here = {
+        "scipy": [],
+        "mmd": mmd_squared(x, y),
+        "loss": value,
+        "grads": [g.tolist() for g in grads],
+        "fd": [g.tolist() for g in finite_diff_gradient("mmd", ring)],
+    }
+    for block in ("block-scipy", "-"):
+        assert run_fresh(MMD_VALUES, block, tmp_path / "x.npy", tmp_path / "y.npy", cwd=tmp_path) == here
 
 
 def test_mmd_command_in_a_fresh_process(tmp_path, capsys):
@@ -129,10 +137,10 @@ def test_mmd_command_in_a_fresh_process(tmp_path, capsys):
     def argv(out):
         return ["divergence", "--measure", "mmd", tmp_path / "x.csv", tmp_path / "y.csv", "--out", tmp_path / out]
 
-    fresh = run_cli(*argv("fresh.json"), cwd=tmp_path)
-    assert fresh["code"] == 0 and "scipy.spatial.distance" in fresh["scipy"]
     assert main([str(a) for a in argv("here.json")]) == 0
     capsys.readouterr()
-    value = json.loads((tmp_path / "fresh.json").read_text())["value"]
-    assert value == json.loads((tmp_path / "here.json").read_text())["value"]
+    value = json.loads((tmp_path / "here.json").read_text())["value"]
     assert value == mmd_squared(x, y)
+    for block_scipy in (True, False):
+        assert run_cli(*argv("fresh.json"), cwd=tmp_path, block_scipy=block_scipy) == {"code": 0, "scipy": []}
+        assert json.loads((tmp_path / "fresh.json").read_text())["value"] == value
