@@ -41,7 +41,8 @@ from .io import (
     read_pmf_vector,
     experiment_configs,
 )
-from .losses import MatchStrategy, ModalityRing, association_pmf_count, gcs_ring_loss, pairwise_sum_loss
+from .gradients import loss_gradient
+from .losses import MatchStrategy, ModalityRing, association_pmf_count
 from .pmf import EmbeddingBatch
 from .props import run_property_suite
 from .synth import generate_synthetic, modality_names
@@ -285,22 +286,21 @@ def cmd_bench(args) -> int:
     rows = []
     for m in range(args.m_min, args.m_max + 1):
         ring = _bench_ring(m, args.batch, args.dim, args.seed)
-        before = association_pmf_count()
-        gcs_ring_loss(ring)
-        circular_count = association_pmf_count() - before
-        before = association_pmf_count()
-        pairwise_sum_loss(ring)
-        pairwise_count = association_pmf_count() - before
-        circular_time = _best_time(lambda: gcs_ring_loss(ring), args.repeats)
-        pairwise_time = _best_time(lambda: pairwise_sum_loss(ring), args.repeats)
+        # value plus gradient, the call a training step makes
+        counts, seconds = {}, {}
+        for kind in ("gcs_ring", "pairwise_cs"):
+            before = association_pmf_count()
+            loss_gradient(kind, ring)
+            counts[kind] = association_pmf_count() - before
+            seconds[kind] = _best_time(lambda: loss_gradient(kind, ring), args.repeats)
         rows.append(
             {
                 "m": m,
-                "circular_pmf_count": circular_count,
-                "pairwise_pmf_count": pairwise_count,
-                "circular_seconds": circular_time,
-                "pairwise_seconds": pairwise_time,
-                "pairwise_over_circular": pairwise_time / circular_time,
+                "circular_pmf_count": counts["gcs_ring"],
+                "pairwise_pmf_count": counts["pairwise_cs"],
+                "circular_seconds": seconds["gcs_ring"],
+                "pairwise_seconds": seconds["pairwise_cs"],
+                "pairwise_over_circular": seconds["pairwise_cs"] / seconds["gcs_ring"],
             }
         )
     report = {"batch": args.batch, "dim": args.dim, "rows": rows}

@@ -16,7 +16,9 @@ Every kind has one code path, ``stack_loss_gradient`` on arrays, which
 (CS, GCS ring, pairwise CS, KL) have no loop of their own here: they
 return the total and the gradients of ``losses.stack_matching_loss``,
 the log-domain engine that the forward losses run too, and the
-finite-difference closure differentiates that engine's total.
+finite-difference closure differentiates that engine's total. The
+forward losses and the closure ask the engine for values only
+(``grad=False``): the same total bit for bit, with no gradient formed.
 
 The MMD median-heuristic bandwidth is resolved once at the evaluation
 point and then treated as a constant, both in the analytic path and in
@@ -153,7 +155,9 @@ def _loss_closure(
     if loss_kind in MATCHING_KINDS:
         _, *ring_args = ring.arrays()
         tau = (align_cfg or AlignConfig()).temperature
-        return lambda a: stack_matching_loss(loss_kind, np.stack(a), *ring_args, tau)[0].total
+        return lambda a: stack_matching_loss(
+            loss_kind, np.stack(a), *ring_args, tau, grad=False
+        )[0].total
     if loss_kind == "mmd":
         frozen = MmdConfig(resolve_bandwidth(ring.batches[0].data, ring.batches[1].data))
         return lambda arrays: mmd_squared(arrays[0], arrays[1], frozen)

@@ -23,7 +23,11 @@ with ``check_kind`` and are thin calls into ``stack_matching_loss``. It
 checks the stack's row norms with ``pmf.row_norms`` (an overflowing or
 zero-norm row raises), evaluates every pass from its logit matrices
 ``z_m = cos_m / tau`` in the log domain and returns the per-sample and
-per-direction breakdown together with the embedding gradients. CS and
+per-direction breakdown together with the embedding gradients. The
+forward losses here, and the finite-difference closure in
+``gradients``, discard the gradients, so they ask for values only
+(``grad=False``): the same report bit for bit, with no gradient step
+taken. ``loss_gradient`` and the trainer take the gradient path. CS and
 GCS are scale invariant, so the softmax normalisers cancel and the
 association PMFs are never formed. For one pass with M logit matrices
 (one per edge) and ``c_i`` same-label items in row i, the GCS of the M
@@ -47,8 +51,8 @@ batch's ``label_support`` by rows for one pass and by columns for the
 other. GCS takes one exponential per matrix, shifted by 1/tau or, past
 ``STATIC_SHIFT_LIMIT``, by per-reading maxima, so it stays finite
 wherever the divergence is; KL one per reading, against one log target
-(the smoothed true-match PMF is symmetric). ``divergence`` is the
-independent value oracle.
+built once per call (the smoothed true-match PMF is symmetric).
+``divergence`` is the independent value oracle.
 """
 
 from __future__ import annotations
@@ -237,20 +241,29 @@ def label_support(labels: np.ndarray) -> LabelSupport:
     return LabelSupport(rows, cols, starts, np.log(counts), starts[cols] + rank[rows])
 
 
-def _softmax(z: np.ndarray, axis: int, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """``softmax(k z)`` and ``lse(k z)`` along ``axis``, shifted by the maxima."""
+def _softmax(
+    z: np.ndarray, axis: int, k: float, normalise: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """``softmax(k z)`` and ``lse(k z)`` along ``axis``, shifted by the maxima;
+    with ``normalise`` False the first is left as the shifted exponential."""
     shift = z.max(axis=axis, keepdims=True)
     e = z - shift
     e *= k
     np.exp(e, out=e)
     sums = e.sum(axis=axis, keepdims=True)
-    e /= sums
+    if normalise:
+        e /= sums
     return e, k * shift + np.log(sums)
 
 
 def gcs_logit_rows(
-    logits: np.ndarray, support: LabelSupport, tau: float, rows: bool = True, cols: bool = True
-) -> tuple[list[np.ndarray], np.ndarray]:
+    logits: np.ndarray,
+    support: LabelSupport,
+    tau: float,
+    rows: bool = True,
+    cols: bool = True,
+    grad: bool = True,
+) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Per-anchor GCS of a group's passes and the gradient of their sum.
 
     ``logits`` is the M x n x n stack of a group's logit matrices
@@ -260,7 +273,9 @@ def gcs_logit_rows(
     i is column i, that is row i of ``z_m^T``). ``rows`` / ``cols`` select
     the readings. Returns the n per-anchor divergences of each selected
     reading, rows first, and the M x n x n stack of the derivative of
-    their sum with respect to ``z_m``, written over ``logits``.
+    their sum with respect to ``z_m``, written over ``logits``; with
+    ``grad`` False, ``None`` in its place, and no step that only the
+    gradient needs is taken (the values are the same bits either way).
 
     One exponential per matrix, ``E = exp(k (z - 1/tau))`` with k = M + 1,
     serves both readings: row sums normalise one and column sums the
@@ -297,8 +312,9 @@ def gcs_logit_rows(
         top = 0.0 if static else np.maximum.reduceat(anchor_joint, support.starts)
         w = np.exp(anchor_joint - (m / tau if static else top[support.rows]))
         total = np.add.reduceat(w, support.starts)
-        w /= total[support.rows]
-        w_pairs = w_pairs + w[order]
+        if grad:
+            w /= total[support.rows]
+            w_pairs = w_pairs + w[order]
         tops.append(top)
         totals.append(total)
     power_lse = [support.log_counts.copy() for _ in readings]
@@ -307,23 +323,24 @@ def gcs_logit_rows(
             np.subtract(z, 1.0 / tau, out=z)
             z *= k
             np.exp(z, out=z)
-            scale = 0.0
-            for (axis, _), lse in zip(readings, power_lse):
-                sums = z.sum(axis=axis, keepdims=True)
-                lse += np.log(sums).reshape(n)
-                scale = scale + 1.0 / sums
-            # E / rowsum + E / colsum
-            z *= scale
+            sums = [z.sum(axis=axis, keepdims=True) for axis, _ in readings]
+            for lse, reading_sums in zip(power_lse, sums):
+                lse += np.log(reading_sums).reshape(n)
+            if grad:
+                # E / rowsum + E / colsum
+                z *= sum(1.0 / reading_sums for reading_sums in sums)
         else:
-            grad = None
-            for (axis, _), lse in zip(readings, power_lse):
-                p, reading_lse = _softmax(z, axis, k)
+            softmaxes = [_softmax(z, axis, k, normalise=grad) for axis, _ in readings]
+            for lse, (_, reading_lse) in zip(power_lse, softmaxes):
                 lse += reading_lse.reshape(n)
-                grad = p if grad is None else np.add(p, grad, out=p)
-            z[...] = grad
-        z.reshape(n * n)[pairs] -= w_pairs
+            if grad:
+                z[...] = softmaxes[0][0]
+                for p, _ in softmaxes[1:]:
+                    z += p
+        if grad:
+            z.reshape(n * n)[pairs] -= w_pairs
     values = [lse / k - top - np.log(total) for lse, top, total in zip(power_lse, tops, totals)]
-    return values, logits
+    return values, logits if grad else None
 
 
 def kl_log_target(support: LabelSupport) -> np.ndarray:
@@ -336,12 +353,18 @@ def kl_log_target(support: LabelSupport) -> np.ndarray:
 
 
 def kl_logit_rows(
-    logits: np.ndarray, support: LabelSupport, tau: float, rows: bool = True, cols: bool = True
-) -> tuple[list[np.ndarray], np.ndarray]:
+    logits: np.ndarray,
+    log_q: np.ndarray,
+    tau: float,
+    rows: bool = True,
+    cols: bool = True,
+    grad: bool = True,
+) -> tuple[list[np.ndarray], np.ndarray | None]:
     """``gcs_logit_rows`` for the smoothed KL (``tau`` unused): each reading's n values
     ``sum_m KL(p || q_i)``, p the softmax of row (or column) i of ``z_m``, and the summed
-    gradient ``p (log p - log q - KL)`` as a new array. One exponential per reading."""
-    log_q = kl_log_target(support)
+    gradient ``p (log p - log q - KL)`` as a new array (``None`` with ``grad`` False).
+    ``log_q`` is ``kl_log_target`` of the batch's support, symmetric, so one array serves
+    every reading and group. One exponential per reading."""
     values, grads = [], None
     for axis in [axis for axis, wanted in ((2, rows), (1, cols)) if wanted]:
         p, lse = _softmax(logits, axis, 1)
@@ -349,15 +372,16 @@ def kl_logit_rows(
         diff -= log_q
         kl = (p * diff).sum(axis=axis, keepdims=True)
         values.append(kl.sum(axis=0).reshape(-1))
-        diff -= kl
-        diff *= p
-        grads = diff if grads is None else np.add(diff, grads, out=diff)
+        if grad:
+            diff -= kl
+            diff *= p
+            grads = diff if grads is None else np.add(diff, grads, out=diff)
     return values, grads
 
 
 def matching_loss(
-    kind: str, ring: ModalityRing, cfg: AlignConfig | None = None
-) -> tuple[LossReport, list[np.ndarray]]:
+    kind: str, ring: ModalityRing, cfg: AlignConfig | None = None, *, grad: bool = True
+) -> tuple[LossReport, list[np.ndarray] | None]:
     """Projection-matching loss of one kind, with its embedding gradients.
 
     ``kind`` is one of ``MATCHING_KINDS``, checked against the ring's M
@@ -369,12 +393,14 @@ def matching_loss(
     per-pass batch means in that order, ``per_direction`` holds those
     means and ``per_sample`` the per-row sums over passes. The gradients
     are one n x d matrix per ring modality, index-aligned with
-    ``ring.batches``.
+    ``ring.batches``; with ``grad`` False they are not computed and
+    ``None`` comes in their place, next to the same report bit for bit.
 
     The ring validates the input; ``stack_matching_loss`` does the work.
     """
     check_kind(kind, ring.m)
-    return stack_matching_loss(kind, *ring.arrays(), (cfg or AlignConfig()).temperature)
+    tau = (cfg or AlignConfig()).temperature
+    return stack_matching_loss(kind, *ring.arrays(), tau, grad=grad)
 
 
 def stack_matching_loss(
@@ -384,7 +410,9 @@ def stack_matching_loss(
     names: Sequence[str],
     strategy: MatchStrategy,
     tau: float,
-) -> tuple[LossReport, list[np.ndarray]]:
+    *,
+    grad: bool = True,
+) -> tuple[LossReport, list[np.ndarray] | None]:
     """``matching_loss`` on unchecked arrays: the (M, n, d) ``stack``, the n
     labels all modalities share and M unique ``names`` (for the direction
     labels). The stack's row norms are checked here, by ``row_norms``.
@@ -395,8 +423,9 @@ def stack_matching_loss(
     tau``, read by rows for the forward pass and by columns for the
     backward one, and one matrix per unordered pair, read by rows for
     s -> d and by columns for d -> s. Each group costs one batched
-    matmul, one kernel call and one pair of matmuls back to the
-    embeddings.
+    matmul, one kernel call and, with ``grad``, one pair of matmuls back
+    to the embeddings; without it, the kernel returns values only and no
+    gradient is formed.
     """
     global _ASSOCIATION_PMF_COUNT
     if kind not in MATCHING_KINDS:
@@ -410,25 +439,31 @@ def stack_matching_loss(
         order = [label(s, d) for s in range(m) for d in range(m) if s != d]
         groups = [(slice(s, s + 1), slice(d, d + 1), label(s, d), label(d, s))
                   for s in range(m) for d in range(s + 1, m)]
-    kernel = kl_logit_rows if kind == "kl" else gcs_logit_rows
     support = label_support(labels)
+    if kind == "kl":
+        kernel, target = kl_logit_rows, kl_log_target(support)
+    else:
+        kernel, target = gcs_logit_rows, support
 
     norms = row_norms(stack, "the embeddings")
     units = stack / norms
     scaled_t = units.transpose(0, 2, 1) / tau
-    g_units = np.zeros_like(units)
+    g_units = np.zeros_like(units) if grad else None
     # one logit buffer per call, a matrix per edge of a group; the kernel may spend it
     buffer = np.empty((len(units[groups[0][0]]), n, n))
     values: dict[str, np.ndarray] = {}
     for src, dst, row_name, col_name in groups:
         passes = [name for name in (row_name, col_name) if name in order]
         logits = np.matmul(units[src], scaled_t[dst], out=buffer)
-        group_values, grads = kernel(logits, support, tau, row_name in order, col_name in order)
+        group_values, grads = kernel(
+            logits, target, tau, row_name in order, col_name in order, grad
+        )
         values.update(zip(passes, group_values))
         _ASSOCIATION_PMF_COUNT += len(buffer) * len(passes)
-        # within a group no modality is the source, or the target, of two edges
-        g_units[src] += grads @ units[dst]
-        g_units[dst] += grads.transpose(0, 2, 1) @ units[src]
+        if grad:
+            # within a group no modality is the source, or the target, of two edges
+            g_units[src] += grads @ units[dst]
+            g_units[dst] += grads.transpose(0, 2, 1) @ units[src]
     total = 0.0
     per_sample = np.zeros(n)
     per_direction: dict[str, float] = {}
@@ -436,13 +471,15 @@ def stack_matching_loss(
         per_direction[name] = float(values[name].mean())
         total += per_direction[name]
         per_sample += values[name]
+    # a non-finite pass mean makes the total non-finite as well
+    finite = bool(np.isfinite(total) and np.all(np.isfinite(per_sample)))
+    report = LossReport(total, per_direction, per_sample, finite)
+    if not grad:
+        return report, None
     # the batch mean and dz/dcos = 1/tau scale every logit gradient alike;
     # d(a/||a||)/da removes the radial component and divides by the norm
     radial = (g_units * units).sum(axis=2, keepdims=True) * units
-    grads = list((g_units - radial) * (1.0 / (n * tau)) / norms)
-    # a non-finite pass mean makes the total non-finite as well
-    finite = bool(np.isfinite(total) and np.all(np.isfinite(per_sample)))
-    return LossReport(total, per_direction, per_sample, finite), grads
+    return report, list((g_units - radial) * (1.0 / (n * tau)) / norms)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +495,7 @@ def bimodal_cmpm_cs(
     total sums both directions. Non-finite values are flagged in the
     report, never raised.
     """
-    return matching_loss("bimodal_cs", ModalityRing((a, b)), cfg)[0]
+    return matching_loss("bimodal_cs", ModalityRing((a, b)), cfg, grad=False)[0]
 
 
 def gcs_ring_loss(ring: ModalityRing, cfg: AlignConfig | None = None) -> LossReport:
@@ -471,7 +508,7 @@ def gcs_ring_loss(ring: ModalityRing, cfg: AlignConfig | None = None) -> LossRep
     of the per-anchor sums; ``per_direction`` holds the forward and
     backward components.
     """
-    return matching_loss("gcs_ring", ring, cfg)[0]
+    return matching_loss("gcs_ring", ring, cfg, grad=False)[0]
 
 
 def pairwise_sum_loss(ring: ModalityRing, cfg: AlignConfig | None = None) -> LossReport:
@@ -480,4 +517,4 @@ def pairwise_sum_loss(ring: ModalityRing, cfg: AlignConfig | None = None) -> Los
     ``matching_loss("kl", ring)`` is the same sum with the smoothed KL
     divergence per row.
     """
-    return matching_loss("pairwise_cs", ring, cfg)[0]
+    return matching_loss("pairwise_cs", ring, cfg, grad=False)[0]

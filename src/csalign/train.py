@@ -219,8 +219,11 @@ class TrainingTrace:
 def supervised_directions(
     names: list[str], loss_kind: str, strategy: MatchStrategy
 ) -> set[str]:
-    """Direction labels that receive gradient under the given loss."""
+    """Direction labels that receive gradient under the given loss; none
+    under ``mmd`` and ``coral``, which align the marginals with no label."""
     m = len(names)
+    if loss_kind in ("mmd", "coral"):
+        return set()
     if loss_kind == "gcs_ring":
         edges = [e for direction in ring_passes(strategy) for e in ring_edges(m, direction)]
     else:
@@ -278,7 +281,9 @@ def evaluate_directions(
     (``top_k_hits``) with the tie rule of ``rank_scores``: descending
     cosine, then ascending gallery index; no full ranking is built. The
     MAP pass ranks each block with ``rank_scores`` and reads P@1, P@10
-    and the average precisions off the relevance of that ranking. Hit
+    and the average precisions off the relevance of that ranking. When
+    every modality carries the same label vector, the P@K pass builds one
+    relevance mask for all directions. Hit
     counts are summed over blocks and divided once, so every value equals
     the one read off a stable argsort of the same scores exactly. With
     ``with_map``, a query whose label no gallery item has raises
@@ -289,7 +294,12 @@ def evaluate_directions(
         raise ShapeMismatch(f"modalities must share d, got {[b.d for b in batches]}")
     units = [b.data / row_norms(b.data, f"batch '{b.modality_name}'") for b in batches]
     names, labels = [b.modality_name for b in batches], [b.labels for b in batches]
-    relevance = lambda qi, gi: labels[gi] == labels[qi][:, None]
+    if all(np.array_equal(labels[0], other) for other in labels[1:]):
+        # one mask serves every direction; only the P@K pass reads it
+        relevant = None if with_map else labels[0] == labels[0][:, None]
+        relevance = lambda qi, gi: relevant
+    else:
+        relevance = lambda qi, gi: labels[gi] == labels[qi][:, None]
     return _evaluate(units, names, labels, relevance, with_map)
 
 

@@ -27,7 +27,10 @@ from csalign.errors import (
     ShapeMismatch,
     TooFewDistributions,
 )
-from csalign.losses import kl_log_target, kl_logit_rows, label_support, matching_loss
+from csalign.gradients import _loss_closure
+from csalign.losses import (
+    MATCHING_KINDS, kl_log_target, kl_logit_rows, label_support, matching_loss
+)
 from csalign.pmf import row_norms
 from csalign.train import evaluate_directions
 from pmf_oracle import softmax_pmf, true_pmf
@@ -317,18 +320,69 @@ class TestKlKernel:
     def test_columns_of_z_are_rows_of_its_transpose(self, tau):
         rng = np.random.default_rng(61)
         labels = rng.integers(0, 4, size=12)
-        support = label_support(labels)
+        log_q = kl_log_target(label_support(labels))
         z = rng.uniform(-1, 1, size=(1, 12, 12)) / tau
         z_t = z.transpose(0, 2, 1).copy()
-        [col_values], col_grad = kl_logit_rows(z.copy(), support, tau, rows=False, cols=True)
-        [row_values], row_grad = kl_logit_rows(z_t, support, tau, rows=True, cols=False)
+        [col_values], col_grad = kl_logit_rows(z.copy(), log_q, tau, rows=False, cols=True)
+        [row_values], row_grad = kl_logit_rows(z_t, log_q, tau, rows=True, cols=False)
         np.testing.assert_allclose(col_values, row_values, rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(col_grad, row_grad.transpose(0, 2, 1), rtol=1e-12, atol=1e-15)
         # both readings at once: the values of each, and the sum of their gradients
-        [rows, cols], grad = kl_logit_rows(z.copy(), support, tau)
-        [row_only], row_only_grad = kl_logit_rows(z.copy(), support, tau, rows=True, cols=False)
+        [rows, cols], grad = kl_logit_rows(z.copy(), log_q, tau)
+        [row_only], row_only_grad = kl_logit_rows(z.copy(), log_q, tau, rows=True, cols=False)
         assert np.array_equal(rows, row_only) and np.array_equal(cols, col_values)
         assert np.array_equal(grad, row_only_grad + col_grad)
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_log_target_built_once_per_engine_call(self, grad, monkeypatch):
+        import csalign.losses as losses_mod
+
+        real, calls = losses_mod.kl_log_target, []
+        monkeypatch.setattr(
+            losses_mod, "kl_log_target", lambda support: calls.append(support) or real(support)
+        )
+        matching_loss("kl", random_ring(62, m=3), grad=grad)
+        assert len(calls) == 1
+
+
+# every matching kind at every M it is defined for, of M in {2, 3, 8}
+KINDS_AND_MS = [(kind, m) for kind in MATCHING_KINDS for m in (2, 3, 8)
+                if kind != "bimodal_cs" or m == 2]
+
+
+class TestValuesOnlyPath:
+    """The forward losses and the finite-difference closure ask the engine
+    for values only; what they return is the gradient path's, bit for bit.
+    tau = 0.005 lies past ``STATIC_SHIFT_LIMIT`` at every M here, tau = 1
+    inside it, and tau = 0.05 inside it for M = 2, 3, 8 alike."""
+
+    @pytest.mark.parametrize("tau", [1.0, 0.05, 0.005])
+    @pytest.mark.parametrize("strategy", list(MatchStrategy))
+    @pytest.mark.parametrize("kind, m", KINDS_AND_MS)
+    def test_reports_counts_and_closure_equal_the_gradient_path(self, kind, m, strategy, tau):
+        ring = random_ring(7 * m + int(1 / tau), m=m, n=12, strategy=strategy)
+        cfg = AlignConfig(tau)
+        before = association_pmf_count()
+        want, grads = matching_loss(kind, ring, cfg)
+        want_count = association_pmf_count() - before
+        assert len(grads) == m
+        forward = {
+            "bimodal_cs": lambda: bimodal_cmpm_cs(*ring.batches, cfg),
+            "gcs_ring": lambda: gcs_ring_loss(ring, cfg),
+            "pairwise_cs": lambda: pairwise_sum_loss(ring, cfg),
+            "kl": lambda: matching_loss("kl", ring, cfg, grad=False)[0],
+        }[kind]
+        before = association_pmf_count()
+        got = forward()
+        assert association_pmf_count() - before == want_count
+        assert got.total == want.total
+        assert got.per_direction == want.per_direction
+        assert list(got.per_direction) == list(want.per_direction)
+        assert np.array_equal(got.per_sample, want.per_sample)
+        assert got.finite is want.finite
+        assert matching_loss(kind, ring, cfg, grad=False)[1] is None
+        value, _ = loss_gradient(kind, ring, cfg)
+        assert _loss_closure(kind, ring, cfg)([b.data for b in ring.batches]) == value
 
 
 def overflow_pair():

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -474,6 +475,31 @@ class TestEvaluateDirections:
             d: {"p1": v["p1"], "p10": v["p10"]} for d, v in reference.items()
         }
 
+    def test_one_relevance_mask_when_all_labels_are_shared(self, monkeypatch):
+        import csalign.train as train_mod
+
+        real, masks = train_mod._evaluate, []
+
+        def recording(units, names, labels, relevance, with_map):
+            masks[:] = [relevance(qi, gi) for qi, gi in permutations(range(len(units)), 2)]
+            return real(units, names, labels, relevance, with_map)
+
+        monkeypatch.setattr(train_mod, "_evaluate", recording)
+        a, b, c = tied_batches(SCORE_BLOCK_ROWS + 40, 4, seed=23)
+        evaluate_directions([a, b, c])
+        assert all(mask is masks[0] for mask in masks)
+        assert np.array_equal(masks[0], a.labels == a.labels[:, None])
+        # one modality with labels of its own: every direction its own mask
+        c = EmbeddingBatch(c.data, np.roll(c.labels, 1), c.modality_name)
+        batches = [a, b, c]
+        reference = direction_metrics(batches)
+        assert evaluate_directions(batches) == {
+            d: {"p1": v["p1"], "p10": v["p10"]} for d, v in reference.items()
+        }
+        for mask, (qi, gi) in zip(masks, permutations(range(3), 2), strict=True):
+            want = batches[gi].labels == batches[qi].labels[:, None]
+            assert np.array_equal(mask, want)
+
     def test_ties_straddle_the_kth_score(self):
         # the case the exactness test must cover: more items tie at a
         # query's 10th-best score than there are top-10 slots left
@@ -531,6 +557,15 @@ class TestSupervision:
     def test_pairwise_covers_everything(self):
         names = ["A", "B", "C"]
         assert len(supervised_directions(names, "pairwise_cs", MatchStrategy.MIXED)) == 6
+
+    @pytest.mark.parametrize("kind", ["mmd", "coral"])
+    def test_label_free_kinds_supervise_no_direction(self, kind):
+        # no label reaches MMD or CORAL, so no direction is trained on matches
+        for strategy in MatchStrategy:
+            assert supervised_directions(["A", "B"], kind, strategy) == set()
+        data, encoders, cfg = pair_setup(loss_kind=kind, max_epochs=1)
+        trace = train_run(data, encoders, cfg)
+        assert trace.supervised == {"A2B": False, "B2A": False}
 
 
 class TestAblationRun:
