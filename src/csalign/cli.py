@@ -9,7 +9,8 @@ Subcommands::
     bench        2M vs M(M-1) complexity counts and wall-clock
 
 Exit codes: 0 success, 1 property failure, 2 parse/config error,
-3 validation error, 4 non-finite loss abort.
+3 validation error, 4 numeric abort (a non-finite loss, or embeddings
+that a training step sent past float range).
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def cmd_train(args) -> int:
         "final_loss": trace.losses[-1] if trace.records else None,
     }
     if trace.aborted:
-        print("training aborted on non-finite loss", file=sys.stderr)
+        print("training aborted: non-finite loss or embeddings", file=sys.stderr)
     return _write_run(args, mapping, train_cfg.seed, started, "trace.csv", table, metrics, trace.aborted)
 
 

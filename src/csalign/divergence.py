@@ -380,12 +380,24 @@ def mmd_kernels(
 
     The three squared-distance blocks are computed once; the median
     heuristic reads them, and they then become the kernels in place.
+
+    Raises
+    ------
+    NonFiniteSample
+        If ``1 / (2 sigma^2)`` leaves float range: a median distance that
+        overflows (finite samples with entries near 1e200, say) or a
+        sigma so small that its square underflows. A distance that alone
+        overflows gives a zero kernel entry, its limit.
     """
     xd, yd = _paired_samples(x, y)
     cfg = cfg or MmdConfig()
     blocks = (sq_distances(xd, xd), sq_distances(yd, yd), sq_distances(xd, yd))
     sigma = _median_distance(*blocks) if isinstance(cfg.bandwidth, str) else float(cfg.bandwidth)
-    gamma = 1.0 / (2.0 * sigma * sigma)
+    with np.errstate(over="ignore", divide="ignore"):
+        gamma = float(1.0 / (2.0 * np.float64(sigma) * sigma))
+    if not 0.0 < gamma < np.inf:
+        raise NonFiniteSample(
+            f"MMD kernel scale 1/(2 sigma^2) leaves float range at sigma = {sigma!r} (got {gamma!r})")
     for block in blocks:
         block *= -gamma
         np.exp(block, out=block)
@@ -431,10 +443,17 @@ def coral_loss(
         If either sample has one row.
     ShapeMismatch
         If either sample is empty or the feature dimensions differ.
+    NonFiniteSample
+        If the covariances or the loss overflow float range.
     """
     xd, yd = _paired_samples(x, y)
     if xd.shape[0] < 2 or yd.shape[0] < 2:
         raise TooFewSamples("covariance needs at least two samples per side")
     d = xd.shape[1]
-    diff = _sample_covariance(xd) - _sample_covariance(yd)
-    return float((diff * diff).sum() / (4.0 * d * d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = _sample_covariance(xd) - _sample_covariance(yd)
+        value = float((diff * diff).sum() / (4.0 * d * d))
+    if not np.isfinite(value):
+        raise NonFiniteSample(
+            f"CORAL loss overflows float range ({value!r}): the sample covariances are too large")
+    return value

@@ -23,7 +23,8 @@ class NonFiniteSimilarity(CsAlignError):
 
 
 class NonFiniteSample(CsAlignError):
-    """A sample matrix passed to MMD or CORAL contains NaN or infinity."""
+    """A sample matrix passed to MMD or CORAL contains NaN or infinity, or
+    finite values whose kernel scale or covariances leave float range."""
 
 
 class NotAPmf(CsAlignError):

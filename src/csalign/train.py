@@ -11,12 +11,13 @@ split. Everything is deterministic given the config seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import permutations
 
 import numpy as np
 
-from .errors import ConfigError, NoRelevantItems, ShapeMismatch
+from .errors import ConfigError, NonFiniteSimilarity, NoRelevantItems, ShapeMismatch
 from .gradients import stack_loss_gradient
 from .losses import (
     LOSS_KINDS, MatchStrategy, check_kind, check_paired, direction_label, ring_edges, ring_passes
@@ -171,8 +172,15 @@ class Adam:
 
 def clip_global_norm(grads: list[np.ndarray], max_norm: float):
     """Scale all gradients jointly so their global norm is <= max_norm;
-    ``max_norm <= 0`` disables clipping."""
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+    ``max_norm <= 0`` disables clipping. When the sum of squares
+    overflows, the norm is taken from the gradients divided by their
+    largest magnitude, so a finite norm past sqrt(max float) still clips."""
+    with np.errstate(over="ignore"):
+        total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+    if math.isinf(total):
+        peak = max(float(np.abs(g).max(initial=0.0)) for g in grads)
+        if math.isfinite(peak):  # the squares overflowed, not the gradients
+            total = peak * float(np.sqrt(sum(float(((g / peak) ** 2).sum()) for g in grads)))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         grads = [g * scale for g in grads]
@@ -231,42 +239,71 @@ def supervised_directions(
     return {direction_label(names[s], names[d]) for s, d in edges}
 
 
-def _evaluate(units, names: list[str], labels, relevance, with_map: bool):
+def _ranked_block(scores, query_labels, gallery_labels, k: int):
+    """Top-1 hits, top-k hits and average precisions of one score block,
+    ranked in the block's own memory: the ranking overwrites the spent
+    scores, and the ranked labels the ranking ("clip" writes to ``out``
+    directly, where "raise" would buffer a block-sized copy)."""
+    ranked = scores.view(np.int64)
+    gallery_labels.take(rank_scores(scores, out=ranked), out=ranked, mode="clip")
+    relevant = ranked == query_labels[:, None]
+    hit_1, hit_k = np.count_nonzero(relevant[:, :1]), np.count_nonzero(relevant[:, :k])
+    return int(hit_1), int(hit_k), average_precisions(relevant)
+
+
+def _evaluate(units, names: list[str], labels, with_map: bool):
     """``evaluate_directions`` on checked arrays: ``units[m]`` holds the
-    unit rows of modality m and ``labels[m]`` their int64 labels, and the
-    P@K pass reads ``relevance(q, g)[i, j]``: whether item j of modality g
-    is relevant to query i of modality q. Blocks are scored into one
-    buffer per direction, which the MAP pass refills with ranked labels."""
-    metrics: dict[str, dict[str, float]] = {}
-    for qi, gi in permutations(range(len(units)), 2):
-        direction = direction_label(names[qi], names[gi])
-        missing = np.flatnonzero(~np.isin(labels[qi], labels[gi])) if with_map else ()
-        if len(missing):
-            raise NoRelevantItems(f"{direction}: query {missing[0]} has no relevant gallery item")
-        relevant = None if with_map else relevance(qi, gi)
-        query, gallery_t = units[qi], units[gi].T
-        n, k = query.shape[0], min(10, gallery_t.shape[1])
-        hits_1 = hits_k = 0
-        ap_values: list[float] = []
-        block = np.empty((min(n, SCORE_BLOCK_ROWS), gallery_t.shape[1]))
-        for start in range(0, n, SCORE_BLOCK_ROWS):
-            rows = slice(start, start + SCORE_BLOCK_ROWS)
-            scores = block[: min(SCORE_BLOCK_ROWS, n - start)]
-            np.matmul(query[rows], gallery_t, out=scores)
+    unit rows of modality m and ``labels[m]`` their int64 labels.
+
+    Queries are scored ``SCORE_BLOCK_ROWS`` rows at a time, block by
+    block, and every direction's block goes into one buffer, so the
+    largest array held is that block. The P@K pass builds each block's
+    relevance (``block x gallery`` booleans) from the labels, once for all
+    directions whose query modalities carry the same labels and whose
+    gallery modalities do; those directions are scored back to back. The
+    MAP pass ranks each block into the buffer and writes the ranked
+    labels over the ranking."""
+    pairs = list(permutations(range(len(units)), 2))
+    if with_map:
+        for qi, gi in pairs:
+            missing = np.flatnonzero(~np.isin(labels[qi], labels[gi]))
+            if len(missing):
+                direction = direction_label(names[qi], names[gi])
+                raise NoRelevantItems(f"{direction}: query {missing[0]} has no relevant gallery item")
+    # modalities with equal labels share a label id, and so share masks
+    ids = [next(j for j in range(m + 1) if np.array_equal(labels[j], labels[m]))
+           for m in range(len(units))]
+    order = sorted(pairs, key=lambda pair: (ids[pair[0]], ids[pair[1]]))
+    sizes = [len(u) for u in units]
+    buffer = np.empty(min(max(sizes), SCORE_BLOCK_ROWS) * max(sizes))
+    hits = {pair: [0, 0] for pair in pairs}
+    ap_values = {pair: np.empty(sizes[pair[0]]) if with_map else None for pair in pairs}
+    for start in range(0, max(sizes), SCORE_BLOCK_ROWS):
+        rows, mask_ids = slice(start, start + SCORE_BLOCK_ROWS), None
+        for qi, gi in order:
+            query, gallery = units[qi][rows], units[gi]
+            if not len(query):
+                continue
+            scores = buffer[: len(query) * len(gallery)].reshape(len(query), len(gallery))
+            np.matmul(query, gallery.T, out=scores)
+            k = min(10, len(gallery))
             if with_map:
-                # ranked labels overwrite the spent scores; "clip" writes to
-                # ``out`` directly, where "raise" would buffer a block-sized copy
-                ranked = labels[gi].take(rank_scores(scores), out=scores.view(np.int64), mode="clip")
-                ranked = ranked == labels[qi][rows, None]
-                hits_1 += int(np.count_nonzero(ranked[:, :1]))
-                hits_k += int(np.count_nonzero(ranked[:, :k]))
-                ap_values += average_precisions(ranked)
+                hit_1, hit_k, ap_values[qi, gi][rows] = _ranked_block(
+                    scores, labels[qi][rows], labels[gi], k)
             else:
-                hits_1 += top_k_hits(scores, relevant[rows], 1)
-                hits_k += top_k_hits(scores, relevant[rows], k)
-        metrics[direction] = {"p1": hits_1 / n, "p10": hits_k / (n * k)}
+                if mask_ids != (ids[qi], ids[gi]):
+                    mask = None  # drop the last mask before building the next
+                    mask, mask_ids = labels[gi] == labels[qi][rows, None], (ids[qi], ids[gi])
+                hit_1, hit_k = top_k_hits(scores, mask, 1), top_k_hits(scores, mask, k)
+            hits[qi, gi][0] += hit_1
+            hits[qi, gi][1] += hit_k
+    metrics: dict[str, dict[str, float]] = {}
+    for qi, gi in pairs:
+        n, k = sizes[qi], min(10, sizes[gi])
+        entry = {"p1": hits[qi, gi][0] / n, "p10": hits[qi, gi][1] / (n * k)}
         if with_map:
-            metrics[direction]["map"] = float(np.mean(ap_values))
+            entry["map"] = float(np.mean(ap_values[qi, gi]))
+        metrics[direction_label(names[qi], names[gi])] = entry
     return metrics
 
 
@@ -276,14 +313,15 @@ def evaluate_directions(
     """P@1 / P@10 (and optionally MAP) for every ordered modality pair.
 
     Each modality is normalised once. Queries are scored in blocks of
-    ``SCORE_BLOCK_ROWS`` rows counted from row 0, so temporaries stay
-    O(block x gallery). P@K comes from top-k selection on the scores
-    (``top_k_hits``) with the tie rule of ``rank_scores``: descending
-    cosine, then ascending gallery index; no full ranking is built. The
-    MAP pass ranks each block with ``rank_scores`` and reads P@1, P@10
-    and the average precisions off the relevance of that ranking. When
-    every modality carries the same label vector, the P@K pass builds one
-    relevance mask for all directions. Hit
+    ``SCORE_BLOCK_ROWS`` rows counted from row 0, every direction's block
+    into one shared buffer, so temporaries stay O(block x gallery) and no
+    query x gallery array is built. P@K comes from top-k selection on the
+    scores (``top_k_hits``) with the tie rule of ``rank_scores``:
+    descending cosine, then ascending gallery index; no full ranking is
+    built. Its relevance mask is built per block from the labels, once
+    for all directions whose modalities carry the same labels. The MAP
+    pass ranks each block with ``rank_scores`` and reads P@1, P@10 and
+    the average precisions off the relevance of that ranking. Hit
     counts are summed over blocks and divided once, so every value equals
     the one read off a stable argsort of the same scores exactly. With
     ``with_map``, a query whose label no gallery item has raises
@@ -294,13 +332,7 @@ def evaluate_directions(
         raise ShapeMismatch(f"modalities must share d, got {[b.d for b in batches]}")
     units = [b.data / row_norms(b.data, f"batch '{b.modality_name}'") for b in batches]
     names, labels = [b.modality_name for b in batches], [b.labels for b in batches]
-    if all(np.array_equal(labels[0], other) for other in labels[1:]):
-        # one mask serves every direction; only the P@K pass reads it
-        relevant = None if with_map else labels[0] == labels[0][:, None]
-        relevance = lambda qi, gi: relevant
-    else:
-        relevance = lambda qi, gi: labels[gi] == labels[qi][:, None]
-    return _evaluate(units, names, labels, relevance, with_map)
+    return _evaluate(units, names, labels, with_map)
 
 
 def train_run(
@@ -316,12 +348,17 @@ def train_run(
     From then on the run works on arrays: each step stacks the encoder
     outputs and calls ``stack_loss_gradient``, which checks its row norms
     once, and each evaluation checks the held-out stack with ``row_norms``
-    and scores it as ``evaluate_directions`` does, against one relevance
-    mask per run.
+    and scores it as ``evaluate_directions`` does. Every modality carries
+    the held-out labels, so each score block's relevance mask is built
+    once for all directions.
 
-    Rows are shuffled per epoch without replacement (seeded); a
+    Rows are shuffled per epoch without replacement (seeded). A
     non-finite batch loss aborts the run, returning the trace so far
-    with ``aborted=True``.
+    with ``aborted=True``, and so do embeddings that a step has sent past
+    float range (``NonFiniteSimilarity`` at any step after the first; at
+    the first step it is raised, since the initial encoders are at
+    fault). Held-out embeddings past float range then read nan for every
+    metric.
     """
     if len(data) != len(encoders):
         raise ShapeMismatch(f"{len(data)} modalities but {len(encoders)} encoders")
@@ -341,12 +378,19 @@ def train_run(
     test_idx, train_idx = perm[:n_test], perm[n_test:]
     test_inputs = [b.data[test_idx] for b in data]
     test_labels = [labels[test_idx]] * len(data)
-    relevant = test_labels[0] == test_labels[0][:, None]
 
     def evaluate(with_map: bool = False) -> dict[str, dict[str, float]]:
         stack = np.stack([enc.forward(x)[0] for enc, x in zip(encoders, test_inputs)])
-        units = stack / row_norms(stack, "the held-out embeddings")
-        return _evaluate(units, names, test_labels, lambda qi, gi: relevant, with_map)
+        try:
+            norms = row_norms(stack, "the held-out embeddings")
+        except NonFiniteSimilarity:
+            if not aborted:
+                raise
+            # a diverged run's embeddings have no ranking
+            keys = ("p1", "p10", "map") if with_map else ("p1", "p10")
+            return {direction_label(q, g): dict.fromkeys(keys, float("nan"))
+                    for q, g in permutations(names, 2)}
+        return _evaluate(stack / norms, names, test_labels, with_map)
 
     adam = Adam(
         [p for enc in encoders for p in enc.parameters()],
@@ -372,9 +416,14 @@ def train_run(
                 continue
             outputs = [enc.forward(b.data[idx]) for enc, b in zip(encoders, data)]
             stack = np.stack([emb for emb, _ in outputs])
-            value, grads = stack_loss_gradient(
-                cfg.loss_kind, stack, labels[idx], names, cfg.strategy, cfg.temperature
-            )
+            try:
+                value, grads = stack_loss_gradient(
+                    cfg.loss_kind, stack, labels[idx], names, cfg.strategy, cfg.temperature
+                )
+            except NonFiniteSimilarity:
+                if adam.t == 0:
+                    raise  # the initial encoders are at fault, not a step
+                value = float("nan")  # the last step sent the embeddings past float range
             if not np.isfinite(value):
                 batch_losses.append(value)
                 aborted = True

@@ -150,6 +150,17 @@ class TestDivergenceCommand:
         assert captured.out == ""
         assert "non-finite" in captured.err
 
+    @pytest.mark.parametrize("measure", ["mmd", "coral"])
+    def test_finite_sample_that_overflows_exit_3(self, measure, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("1e200,-1e200,0.5\n-1e200,1e200,0.25\n1e200,1e200,-1e200\n")
+        ok = tmp_path / "ok.csv"
+        ok.write_text("0.1,0.2,0.3\n0.4,-0.5,0.6\n-0.7,0.8,0.9\n1.0,1.1,-1.2\n")
+        assert main(["divergence", "--measure", measure, str(big), str(ok)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "float range" in captured.err
+
     @pytest.mark.parametrize("measure, shape", [("mmd", (0, 3)), ("coral", (4, 0))])
     def test_empty_emb1_sample_exit_3(self, measure, shape, tmp_path, capsys):
         empty, other = tmp_path / "empty.emb1", tmp_path / "other.emb1"
@@ -298,6 +309,24 @@ class TestTrainCommand:
         code = main(["train", "--config", str(cfg), "--outdir", str(tmp_path / "run")])
         capsys.readouterr()
         assert code == 4
+
+
+    @pytest.mark.parametrize("rate", ["1e100", "1e150", "1e300"])
+    def test_diverging_run_exit_4_and_keeps_the_trace(self, rate, tmp_path, capsys):
+        # the first step's update overflows the encoders, so the next
+        # step's embeddings are non-finite
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CONFIG + f"learning_rate = {rate}\n")
+        out = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--config", str(cfg), "--outdir", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("training aborted: non-finite loss or embeddings")
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].split(",")[:3] == ["0", "nan", "nan"]
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["aborted"] is True and metrics["epochs_run"] == 1
+        assert {v for m in metrics["final"].values() for v in m.values()} == {"nan"}
 
 
 class TestAblateCommand:

@@ -24,6 +24,7 @@ from csalign.errors import (
     DegenerateBandwidth,
     LengthMismatch,
     NegativeEntry,
+    NonFiniteSample,
     NotAPmf,
     ShapeMismatch,
     TooFewDistributions,
@@ -315,6 +316,32 @@ class TestMmd:
         with pytest.raises(ShapeMismatch):
             mmd_squared(np.zeros((3, 2)), np.zeros((3, 3)), MmdConfig(1.0))
 
+    # finite samples whose kernel scale 1/(2 sigma^2) leaves float range
+    @pytest.mark.parametrize("scale, bandwidth", [
+        (1e200, "median"),  # the median distance overflows: sigma = inf
+        (1e-161, "median"),  # sigma^2 underflows toward zero
+        (1.0, 1e-200),  # a given sigma whose square underflows
+        (1.0, 1e160),  # a given sigma whose 2 sigma^2 overflows
+    ])
+    def test_kernel_scale_out_of_range_is_named(self, scale, bandwidth):
+        x = np.array([[1.0, -1.0, 0.5], [-1.0, 1.0, 0.25], [1.0, 1.0, -1.0]]) * scale
+        y = np.array([[0.1, 0.2, 0.3], [0.4, -0.5, 0.6]]) * scale
+        with pytest.raises(NonFiniteSample, match="1/\\(2 sigma\\^2\\) leaves float range"):
+            mmd_squared(x, y, MmdConfig(bandwidth))
+
+    def test_distance_that_alone_overflows_gives_a_zero_kernel(self):
+        x = np.array([[1e200, -1e200], [0.3, 0.1], [0.2, 0.4]])
+        y = np.array([[0.1, 0.2], [0.4, -0.5], [-0.7, 0.8]])
+        value = mmd_squared(x, y, MmdConfig(2.0))
+
+        def kernel_sum(a, b):  # sigma = 2: exp(-d^2 / 8)
+            return np.exp(-sq_distances(a, b) / 8.0).sum()
+
+        # the far row's kernel entries are 0, except the 1 with itself
+        near = x[1:]
+        expected = (kernel_sum(near, near) + 1.0 + kernel_sum(y, y) - 2 * kernel_sum(near, y)) / 9
+        assert value == pytest.approx(expected, rel=1e-12)
+
 
 class TestCoral:
     def test_identical_samples_give_zero(self):
@@ -341,6 +368,13 @@ class TestCoral:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             coral_loss(np.zeros((1, 2)), np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_overflow_is_named(self, scale):
+        x = np.array([[1.0, -1.0, 0.5], [-1.0, 1.0, 0.25], [1.0, 1.0, -1.0]]) * scale
+        y = np.array([[0.1, 0.2, 0.3], [0.4, -0.5, 0.6], [-0.7, 0.8, 0.9]])
+        with pytest.raises(NonFiniteSample, match="CORAL loss overflows float range"):
+            coral_loss(x, y)
 
 
 class TestEmptySamples:

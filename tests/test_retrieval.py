@@ -65,8 +65,21 @@ def ulp_pairs():
     return [(np.nextafter(high, -np.inf), high) for high in (high_pos, high_neg)]
 
 
+def ranked_in_place(scores):
+    """``rank_scores`` written over a float64 copy of ``scores``."""
+    buffer = np.array(scores, dtype=np.float64)
+    ranked = rank_scores(buffer, out=buffer.view(np.int64))
+    assert np.shares_memory(ranked, buffer)
+    return ranked
+
+
 def same_as_stable(scores):
-    return np.array_equal(rank_scores(scores), oracle.stable_ranking(scores))
+    """The ranking equals the stable argsort, into a fresh array and into
+    the scores' own memory (float64 scores only: a copy of other dtypes
+    would round)."""
+    expected = oracle.stable_ranking(scores)
+    in_place = np.asarray(scores).dtype != np.float64 or np.array_equal(ranked_in_place(scores), expected)
+    return np.array_equal(rank_scores(scores), expected) and in_place
 
 
 class TestRankScores:
@@ -83,14 +96,14 @@ class TestRankScores:
     def test_integer_scores_with_heavy_ties(self, rows, cols, levels, seed):
         scores = np.random.default_rng(seed).integers(-levels, levels, size=(rows, cols))
         scores = scores.astype(np.float64)
-        assert np.array_equal(rank_scores(scores), oracle.stable_ranking(scores))
+        assert same_as_stable(scores)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_wide_blocks_with_copied_columns(self, seed):
         rng = np.random.default_rng(seed)
         scores = np.round(rng.normal(size=(SCORE_BLOCK_ROWS, 300)), 2)
         scores[:, rng.choice(300, 40)] = scores[:, rng.choice(300, 40)]
-        assert np.array_equal(rank_scores(scores), oracle.stable_ranking(scores))
+        assert same_as_stable(scores)
 
     def test_all_equal_rows(self):
         scores = np.full((4, 9), 0.25)
@@ -101,7 +114,7 @@ class TestRankScores:
     def test_signed_zeros_tie(self, seed):
         rng = np.random.default_rng(seed)
         scores = rng.choice([0.0, -0.0, 0.5, -0.5], size=(7, 30))
-        assert np.array_equal(rank_scores(scores), oracle.stable_ranking(scores))
+        assert same_as_stable(scores)
 
     def test_one_column_and_one_row(self):
         column = np.array([[0.3], [-0.0], [0.0]])
@@ -124,6 +137,8 @@ class TestRankScores:
         monkeypatch.setattr(np, "argsort", lambda a, **kw: reranked.append(len(a)) or argsort(a, **kw))
         assert np.array_equal(rank_scores(scores), expected)
         assert sum(reranked) == len(crafted)
+        assert np.array_equal(ranked_in_place(scores), expected)
+        assert sum(reranked) == 2 * len(crafted)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 1024, 1025, 2048, 2049])
     def test_widths_at_the_packing_boundaries(self, n):

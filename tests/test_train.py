@@ -98,6 +98,31 @@ class TestClipGlobalNorm:
         assert norm == pytest.approx(5.0)
         assert np.linalg.norm(clipped[0]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+    def test_norm_whose_squares_overflow_still_clips(self, scale):
+        grads = [np.array([3.0, 0.0]) * scale, np.array([[4.0]]) * scale]
+        clipped, norm = clip_global_norm(grads, 1.0)
+        assert norm == pytest.approx(5.0 * scale, rel=1e-15)
+        assert clipped[0] == pytest.approx([0.6, 0.0], rel=1e-15)
+        assert clipped[1] == pytest.approx(np.array([[0.8]]), rel=1e-15)
+
+    def test_infinite_gradient_keeps_an_infinite_norm(self):
+        with np.errstate(invalid="ignore"):  # inf times the zero scale
+            assert clip_global_norm([np.array([np.inf, 1.0]), np.array([1e300])], 1.0)[1] == np.inf
+
+    @pytest.mark.parametrize("temperature", [1e-200, 1e-300])
+    def test_tiny_temperature_still_learns(self, temperature):
+        # gradients near 1/temperature: their squares overflow, and the
+        # clipped step must still move the encoders
+        data, encoders, cfg = tiny_setup(temperature=temperature, max_epochs=4)
+        before = [w.copy() for enc in encoders for w in enc.weights]
+        trace = train_run(data, encoders, cfg)
+        assert not trace.aborted and all(np.isfinite(trace.losses))
+        after = [w for enc in encoders for w in enc.weights]
+        # Adam's first steps move each weight by about the learning rate
+        assert max(float(np.abs(a - b).max()) for a, b in zip(after, before)) > 0.5 * cfg.learning_rate
+        assert len({str(r.metrics) for r in trace.records}) > 1
+
 
 class TestEncoder:
     def test_linear_forward_shape(self):
@@ -357,6 +382,19 @@ class TestArrayStep:
         with pytest.raises(error):
             train_run(data, encoders, cfg)
 
+    @pytest.mark.parametrize("rate", [1e100, 1e150, 1e300])
+    def test_embeddings_that_overflow_after_a_step_abort_the_run(self, rate):
+        data, encoders, cfg = tiny_setup(learning_rate=rate)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = train_run(data, encoders, cfg)
+        assert trace.aborted and len(trace.records) == 1
+        (record,) = trace.records
+        assert np.isnan(record.loss) and not record.finite
+        assert set(record.metrics) == set(trace.final_metrics) == set(trace.directions)
+        assert all(np.isnan(v) for m in record.metrics.values() for v in m.values())
+        assert all(set(m) == {"p1", "p10", "map"} and all(np.isnan(v) for v in m.values())
+                   for m in trace.final_metrics.values())
+
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_row_norms_computed_once_per_step_and_evaluation(self, kind, monkeypatch):
         import csalign.train as train_mod
@@ -478,27 +516,86 @@ class TestEvaluateDirections:
     def test_one_relevance_mask_when_all_labels_are_shared(self, monkeypatch):
         import csalign.train as train_mod
 
-        real, masks = train_mod._evaluate, []
+        real, calls = train_mod.top_k_hits, []
 
-        def recording(units, names, labels, relevance, with_map):
-            masks[:] = [relevance(qi, gi) for qi, gi in permutations(range(len(units)), 2)]
-            return real(units, names, labels, relevance, with_map)
+        def recording(scores, relevant, k):
+            calls.append((scores.copy(), relevant))
+            return real(scores, relevant, k)
 
-        monkeypatch.setattr(train_mod, "_evaluate", recording)
+        def masks_by_block(batches):
+            """(block start, query, gallery) -> the masks its calls read,
+            each call placed by its scores among the blocked cosines."""
+            blocks = {
+                (start, qi, gi): full[start : start + SCORE_BLOCK_ROWS]
+                for qi, gi in permutations(range(len(batches)), 2)
+                for full in [cosine_scores(batches[qi].data, batches[gi].data)]
+                for start in range(0, len(full), SCORE_BLOCK_ROWS)
+            }
+            found = {}
+            for scores, relevant in calls:
+                (place,) = [key for key, block in blocks.items() if np.array_equal(scores, block)]
+                found.setdefault(place, []).append(relevant)
+            calls.clear()
+            return found
+
+        def want(batches, start, qi, gi):
+            rows = slice(start, start + SCORE_BLOCK_ROWS)
+            return batches[gi].labels == batches[qi].labels[rows, None]
+
+        monkeypatch.setattr(train_mod, "top_k_hits", recording)
         a, b, c = tied_batches(SCORE_BLOCK_ROWS + 40, 4, seed=23)
-        evaluate_directions([a, b, c])
-        assert all(mask is masks[0] for mask in masks)
-        assert np.array_equal(masks[0], a.labels == a.labels[:, None])
-        # one modality with labels of its own: every direction its own mask
+        # equal labels in arrays of their own still share masks
+        batches = [EmbeddingBatch(x.data, x.labels.copy(), x.modality_name) for x in (a, b, c)]
+        evaluate_directions(batches)
+        found = masks_by_block(batches)
+        assert len(found) == 2 * 6  # two blocks, six directions, two calls each
+        for start in (0, SCORE_BLOCK_ROWS):
+            block_masks = [m for (s, _, _), masks in found.items() if s == start for m in masks]
+            assert len(block_masks) == 12 and all(m is block_masks[0] for m in block_masks)
+            assert np.array_equal(block_masks[0], want(batches, start, 0, 1))
+        # one mask per block: the comparisons of one query x gallery mask
+        assert sum(found[s, 0, 1][0].size for s in (0, SCORE_BLOCK_ROWS)) == a.n * a.n
+
+        # one modality with labels of its own: the directions between the
+        # other two share a block's mask, and so do those from C, and those to C
         c = EmbeddingBatch(c.data, np.roll(c.labels, 1), c.modality_name)
         batches = [a, b, c]
         reference = direction_metrics(batches)
         assert evaluate_directions(batches) == {
             d: {"p1": v["p1"], "p10": v["p10"]} for d, v in reference.items()
         }
-        for mask, (qi, gi) in zip(masks, permutations(range(3), 2), strict=True):
-            want = batches[gi].labels == batches[qi].labels[:, None]
-            assert np.array_equal(mask, want)
+        found = masks_by_block(batches)
+        assert len(found) == 2 * 6
+        for (start, qi, gi), masks in found.items():
+            assert len(masks) == 2 and masks[0] is masks[1]
+            assert np.array_equal(masks[0], want(batches, start, qi, gi))
+        for start in (0, SCORE_BLOCK_ROWS):
+            shared = [{id(found[start, qi, gi][0]) for qi, gi in group}
+                      for group in ([(0, 1), (1, 0)], [(0, 2), (1, 2)], [(2, 0), (2, 1)])]
+            assert [len(ids) for ids in shared] == [1, 1, 1]
+            assert len(set.union(*shared)) == 3
+
+    # one class makes every gallery item relevant to every query, so
+    # average precision meets its largest groups of relevant ranks
+    @pytest.mark.parametrize("with_map, classes", [(False, 50), (True, 50), (True, 1)])
+    def test_each_pass_holds_one_score_block(self, with_map, classes):
+        # one float64 block of scores, plus arrays a fraction of its size:
+        # no query x gallery mask and no second block-sized array
+        import tracemalloc
+
+        n, d = 3000, 16
+        rng = np.random.default_rng(29)
+        labels = rng.integers(0, classes, size=n)
+        batches = [EmbeddingBatch(rng.normal(size=(n, d)), labels, name) for name in "ABC"]
+        evaluate_directions(tied_batches(30, 3, seed=5), with_map)  # lazy imports happen here
+        tracemalloc.start()
+        try:
+            evaluate_directions(batches, with_map)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unit_stack = len(batches) * n * d * 8
+        assert peak < 2 * SCORE_BLOCK_ROWS * n * 8 + unit_stack
 
     def test_ties_straddle_the_kth_score(self):
         # the case the exactness test must cover: more items tie at a
