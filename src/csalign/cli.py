@@ -9,13 +9,16 @@ Subcommands::
     bench        2M vs M(M-1) complexity counts and wall-clock
 
 Exit codes: 0 success, 1 property failure, 2 parse/config error,
-3 validation error, 4 numeric abort (a non-finite loss, or embeddings
-that a training step sent past float range).
+3 validation error, 4 numeric abort (a non-finite loss, embeddings
+that a training step sent past float range, or Adam moments that left
+it).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import platform
 import sys
 import time
 from datetime import datetime, timezone
@@ -60,6 +63,39 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _openblas() -> tuple[str | None, int | None]:
+    """The core kernel and thread count of the OpenBLAS that numpy ships,
+    asked of the library through ctypes; ``None`` for what it cannot tell."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for pattern in ("scipy_openblas_get_{}64_", "openblas_get_{}64_", "openblas_get_{}"):
+            core, threads = (getattr(lib, pattern.format(name), None)
+                             for name in ("corename", "num_threads"))
+            if core is not None and threads is not None:
+                core.restype, core.argtypes = ctypes.c_char_p, []
+                threads.restype, threads.argtypes = ctypes.c_int, []
+                return core().decode(), int(threads())
+    return None, None
+
+
+def _environment() -> dict:
+    """What the numbers of a run depend on beyond its config: byte-identical
+    artifacts hold per BLAS kernel, not across CPUs."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 only prints its config
+        blas = {}
+    core, threads = _openblas()
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_core": core,
+        "blas_threads": threads,
+    }
+
+
 def _manifest(command: str, config: dict, seed, started: str, outputs: list[str]) -> dict:
     return {
         "command": command,
@@ -69,6 +105,7 @@ def _manifest(command: str, config: dict, seed, started: str, outputs: list[str]
         "started": started,
         "finished": _now(),
         "outputs": outputs,
+        "environment": _environment(),
     }
 
 
@@ -219,7 +256,8 @@ def cmd_train(args) -> int:
         "final_loss": trace.losses[-1] if trace.records else None,
     }
     if trace.aborted:
-        print("training aborted: non-finite loss or embeddings", file=sys.stderr)
+        print("training aborted: non-finite loss or embeddings, or Adam moments past float range",
+              file=sys.stderr)
     return _write_run(args, mapping, train_cfg.seed, started, "trace.csv", table, metrics, trace.aborted)
 
 

@@ -53,6 +53,13 @@ other. GCS takes one exponential per matrix, shifted by 1/tau or, past
 wherever the divergence is; KL one per reading, against one log target
 built once per call (the smoothed true-match PMF is symmetric).
 ``divergence`` is the independent value oracle.
+
+On the gradient path the engine's working set is the (M, n, d) stack,
+its unit rows, their scaled transpose, one gradient array and one
+logit buffer (M x n x n for the ring, n x n per pair), plus the
+kernel's n x n and label-support temporaries. The buffer is dropped
+before the epilogue, which scales the gradient array in place through
+one (M, n, d) scratch array.
 """
 
 from __future__ import annotations
@@ -424,8 +431,17 @@ def stack_matching_loss(
     backward one, and one matrix per unordered pair, read by rows for
     s -> d and by columns for d -> s. Each group costs one batched
     matmul, one kernel call and, with ``grad``, one pair of matmuls back
-    to the embeddings; without it, the kernel returns values only and no
-    gradient is formed.
+    to the embeddings (for the ring, edge by edge on views, so no
+    modality's rows are gathered); without it, the kernel returns values
+    only and no gradient is formed.
+
+    Working set with ``grad``: the stack, ``units``, ``scaled_t``,
+    ``g_units`` (each M x n x d) and the logit buffer, which the kernel
+    spends in place for its gradient. The buffer is dropped once the
+    last group's backward is done; the radial projection, ``1/(n tau)``
+    and ``/norms`` then act in place on ``g_units`` through one M x n x d
+    scratch array, and the returned gradients are views of ``g_units``,
+    fresh per call.
     """
     global _ASSOCIATION_PMF_COUNT
     if kind not in MATCHING_KINDS:
@@ -460,10 +476,18 @@ def stack_matching_loss(
         )
         values.update(zip(passes, group_values))
         _ASSOCIATION_PMF_COUNT += len(buffer) * len(passes)
-        if grad:
-            # within a group no modality is the source, or the target, of two edges
+        if not grad:
+            continue
+        if isinstance(dst, list):
+            # the ring, edge by edge on views: no gather of units[dst] or g_units[dst]
+            for i, d in enumerate(dst):
+                g_units[i] += grads[i] @ units[d]
+                g_units[d] += grads[i].T @ units[i]
+        else:
             g_units[src] += grads @ units[dst]
             g_units[dst] += grads.transpose(0, 2, 1) @ units[src]
+    # the logit stack is spent: drop it before the epilogue
+    del buffer, logits, grads
     total = 0.0
     per_sample = np.zeros(n)
     per_direction: dict[str, float] = {}
@@ -478,8 +502,12 @@ def stack_matching_loss(
         return report, None
     # the batch mean and dz/dcos = 1/tau scale every logit gradient alike;
     # d(a/||a||)/da removes the radial component and divides by the norm
-    radial = (g_units * units).sum(axis=2, keepdims=True) * units
-    return report, list((g_units - radial) * (1.0 / (n * tau)) / norms)
+    radial = g_units * units
+    np.multiply(radial.sum(axis=2, keepdims=True), units, out=radial)
+    g_units -= radial
+    g_units *= 1.0 / (n * tau)
+    g_units /= norms
+    return report, list(g_units)
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,12 @@ def generate_synthetic(cfg: SynthConfig) -> list[EmbeddingBatch]:
     for name, dim in zip(names, cfg.input_dims):
         directions = rng.normal(size=(cfg.num_classes, dim))
         means = cfg.class_sep * directions / np.linalg.norm(directions, axis=1, keepdims=True)
-        noise = rng.normal(size=(cfg.num_instances, dim)) * cfg.noise_sigma
-        batches.append(EmbeddingBatch(means[labels] + noise, labels, name))
+        # in place, class block by class block (labels repeat each class
+        # per_class times): the sum of means[labels] + noise, bit for bit
+        data = rng.normal(size=(cfg.num_instances, dim))
+        data *= cfg.noise_sigma
+        data.reshape(cfg.num_classes, cfg.per_class, dim)[...] += means[:, None, :]
+        batches.append(EmbeddingBatch(data, labels, name))
     return batches
 
 

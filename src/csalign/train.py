@@ -153,21 +153,38 @@ class Adam:
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
 
-    def step(self, grads: list[np.ndarray], lr_scale: float = 1.0) -> None:
+    def step(self, grads: list[np.ndarray], lr_scale: float = 1.0) -> bool:
+        """Apply one update; return False, changing no parameter, when a
+        moment leaves float range. No finite step exists then, and the
+        moments are spent. A bias-corrected second moment ``v / bc2`` past
+        float range (early steps with gradients near 1e154) is taken as
+        ``sqrt(v) / sqrt(bc2)``, so the step stays finite."""
         if len(grads) != len(self.params):
             raise ShapeMismatch(f"expected {len(self.params)} gradients, got {len(grads)}")
         self.t += 1
         lr = self.learning_rate * lr_scale
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+        roots = []
+        with np.errstate(over="raise"):
+            try:
+                for g, m, v in zip(grads, self.m, self.v):
+                    m *= self.beta1
+                    m += (1.0 - self.beta1) * g
+                    v *= self.beta2
+                    v += (1.0 - self.beta2) * g * g
+            except FloatingPointError:
+                return False
+            for v in self.v:
+                try:
+                    roots.append(np.sqrt(v / bc2))
+                except FloatingPointError:
+                    roots.append(np.sqrt(v) / math.sqrt(bc2))
+        for p, m, root in zip(self.params, self.m, roots):
+            p -= lr * (m / bc1) / (root + self.epsilon)
             if self.weight_decay:
                 p -= lr * self.weight_decay * p
+        return True
 
 
 def clip_global_norm(grads: list[np.ndarray], max_norm: float):
@@ -357,8 +374,9 @@ def train_run(
     with ``aborted=True``, and so do embeddings that a step has sent past
     float range (``NonFiniteSimilarity`` at any step after the first; at
     the first step it is raised, since the initial encoders are at
-    fault). Held-out embeddings past float range then read nan for every
-    metric.
+    fault), and an Adam step whose moments leave float range (the step
+    is not applied). Held-out embeddings past float range then read nan
+    for every metric.
     """
     if len(data) != len(encoders):
         raise ShapeMismatch(f"{len(data)} modalities but {len(encoders)} encoders")
@@ -432,8 +450,10 @@ def train_run(
             for enc, (_, cache), grad_emb in zip(encoders, outputs, grads):
                 param_grads.extend(enc.backward(cache, grad_emb))
             clipped, _ = clip_global_norm(param_grads, cfg.grad_clip_norm)
-            adam.step(clipped, lr_scale)
             batch_losses.append(value)
+            if not adam.step(clipped, lr_scale):
+                aborted = True  # Adam's moments left float range: no finite step exists
+                break
         epoch_loss = float(np.mean(batch_losses)) if batch_losses else float("nan")
         records.append(
             EpochRecord(epoch, epoch_loss, bool(np.isfinite(epoch_loss)), evaluate())

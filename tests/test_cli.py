@@ -329,6 +329,35 @@ class TestTrainCommand:
         assert {v for m in metrics["final"].values() for v in m.values()} == {"nan"}
 
 
+    def test_adam_overflow_exit_4_and_keeps_the_trace(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CONFIG + "temperature = 1e-200\ngrad_clip_norm = 0\n")
+        out = tmp_path / "run"
+        with np.errstate(over="raise"):  # the abort takes no overflowing step
+            code = main(["train", "--config", str(cfg), "--outdir", str(out)])
+        assert code == 4
+        assert "Adam moments" in capsys.readouterr().err
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert len(rows) == 2 and float(rows[1].split(",")[1]) > 1e199
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["aborted"] is True and metrics["epochs_run"] == 1
+
+    def test_manifest_records_the_environment(self, tmp_path, capsys):
+        import platform
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("max_epochs = 4", "max_epochs = 1"))
+        assert main(["train", "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        env = json.loads((tmp_path / "run" / "manifest.json").read_text())["environment"]
+        assert set(env) == {"python", "numpy", "blas", "blas_version", "blas_core", "blas_threads"}
+        assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert (env["blas"], env["blas_version"]) == (blas.get("name"), blas.get("version"))
+        assert env["blas_core"] is None or isinstance(env["blas_core"], str)
+        assert env["blas_threads"] is None or env["blas_threads"] >= 1
+
+
 class TestAblateCommand:
     def test_rows_and_flags(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

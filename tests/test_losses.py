@@ -29,7 +29,8 @@ from csalign.errors import (
 )
 from csalign.gradients import _loss_closure
 from csalign.losses import (
-    MATCHING_KINDS, kl_log_target, kl_logit_rows, label_support, matching_loss
+    MATCHING_KINDS, kl_log_target, kl_logit_rows, label_support, matching_loss,
+    stack_matching_loss,
 )
 from csalign.pmf import row_norms
 from csalign.train import evaluate_directions
@@ -383,6 +384,40 @@ class TestValuesOnlyPath:
         assert matching_loss(kind, ring, cfg, grad=False)[1] is None
         value, _ = loss_gradient(kind, ring, cfg)
         assert _loss_closure(kind, ring, cfg)([b.data for b in ring.batches]) == value
+
+
+class TestGradientWorkingSet:
+    @pytest.mark.parametrize("kind", ["gcs_ring", "pairwise_cs"])
+    def test_peak_holds_the_design_arrays_only(self, kind):
+        import tracemalloc
+
+        m, n, d = 8, 256, 64
+        ring = random_ring(43, m=m, n=n, d=d, classes=8)
+        loss_gradient(kind, ring)  # lazy imports happen here
+        tracemalloc.start()
+        try:
+            loss_gradient(kind, ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # five (M, n, d) arrays: the stack, its unit rows, their scaled
+        # transpose, the gradient and one scratch array at a time; the
+        # logit buffer (a matrix per edge of a group); two n x n kernel
+        # temporaries. An epilogue that still held the buffer, or built
+        # (M, n, d) temporaries next to it, would not fit.
+        buffer = (m if kind == "gcs_ring" else 1) * n * n
+        assert peak < (5 * m * n * d + buffer + 2 * n * n) * 8
+
+    @pytest.mark.parametrize("kind, m", KINDS_AND_MS)
+    def test_gradients_outlive_the_next_call(self, kind, m):
+        first, second = random_ring(3, m=m, n=12), random_ring(4, m=m, n=12)
+        stack, labels, names, strategy = first.arrays()
+        _, grads = stack_matching_loss(kind, stack, labels, names, strategy, 0.5)
+        kept = [g.copy() for g in grads]
+        stack_matching_loss(kind, *second.arrays(), 0.5)
+        stack_matching_loss(kind, stack, labels, names, strategy, 0.5)
+        assert all(np.array_equal(g, k) for g, k in zip(grads, kept))
+        assert not any(np.shares_memory(g, stack) for g in grads)
 
 
 def overflow_pair():

@@ -27,6 +27,17 @@ class TestGenerateSynthetic:
             assert np.array_equal(x.data, y.data)
             assert np.array_equal(x.labels, y.labels)
 
+    def test_data_is_the_means_plus_scaled_noise_bit_for_bit(self):
+        # the generator works in place; replay the plain expression
+        cfg = small_cfg(noise_sigma=0.3)
+        rng = np.random.default_rng(cfg.seed)
+        labels = np.repeat(np.arange(cfg.num_classes), cfg.per_class)
+        for batch, dim in zip(generate_synthetic(cfg), cfg.input_dims):
+            directions = rng.normal(size=(cfg.num_classes, dim))
+            means = cfg.class_sep * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+            noise = rng.normal(size=(cfg.num_instances, dim)) * cfg.noise_sigma
+            assert batch.data.tobytes() == (means[labels] + noise).tobytes()
+
     def test_labels_position_aligned_across_modalities(self):
         batches = generate_synthetic(small_cfg())
         for b in batches[1:]:

@@ -77,6 +77,22 @@ class TestAdam:
         expected = after1 - 0.05 * (m / (1 - 0.9**2)) / (np.sqrt(v / (1 - 0.999**2)) + 1e-8)
         assert theta[0] == pytest.approx(expected, abs=1e-12)
 
+    def test_second_moment_past_float_range_changes_no_parameter(self):
+        first, second = np.array([1.0, 2.0]), np.array([3.0])
+        opt = Adam([first, second], learning_rate=0.1)
+        assert opt.step([np.array([0.5, -0.5]), np.array([1e200])]) is False
+        assert first.tolist() == [1.0, 2.0] and second.tolist() == [3.0]
+
+    @pytest.mark.parametrize("grad", [1e155, -3e155])
+    def test_bias_corrected_moment_past_float_range_still_steps(self, grad):
+        # v = 1e-3 g^2 is finite, v / (1 - beta2) = g^2 is not: the step
+        # is the exact one, lr * g / |g|, without an overflow
+        theta = np.array([1.0])
+        opt = Adam([theta], learning_rate=0.1)
+        with np.errstate(all="raise"):
+            assert opt.step([np.array([grad])]) is True
+        assert theta[0] == pytest.approx(1.0 - 0.1 * np.sign(grad), rel=1e-15)
+
     def test_decoupled_weight_decay_shrinks_params(self):
         theta = np.array([1.0])
         opt = Adam([theta], learning_rate=0.1, weight_decay=0.5)
@@ -122,6 +138,19 @@ class TestClipGlobalNorm:
         # Adam's first steps move each weight by about the learning rate
         assert max(float(np.abs(a - b).max()) for a, b in zip(after, before)) > 0.5 * cfg.learning_rate
         assert len({str(r.metrics) for r in trace.records}) > 1
+
+
+    def test_adam_moment_overflow_aborts_the_run(self):
+        # unclipped gradients near 1/temperature overflow Adam's second
+        # moment at the first step, which is then not applied
+        data, encoders, cfg = tiny_setup(temperature=1e-200, grad_clip_norm=0, max_epochs=4)
+        before = [p.copy() for enc in encoders for p in enc.parameters()]
+        trace = train_run(data, encoders, cfg)
+        assert trace.aborted and len(trace.records) == 1
+        assert trace.records[0].finite and trace.records[0].loss > 1e199
+        after = [p for enc in encoders for p in enc.parameters()]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        assert all(np.isfinite(v) for m in trace.final_metrics.values() for v in m.values())
 
 
 class TestEncoder:
