@@ -10,6 +10,7 @@ labels, so neither PMF is ever built as a matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ from .errors import ConfigError, NonFiniteSimilarity, NotAPmf, ShapeMismatch, Ze
 
 # Rows with Euclidean norm below this are rejected (see ``row_norms``).
 MIN_ROW_NORM = 1e-30
+# Entries (128 KiB of float64) whose squares ``row_norms`` holds at a time.
+_NORM_CHUNK = 1 << 14
 
 
 def row_norms(data: np.ndarray, what: str) -> np.ndarray:
@@ -25,10 +28,22 @@ def row_norms(data: np.ndarray, what: str) -> np.ndarray:
 
     A nan or inf entry, or a row too large to square, raises
     ``NonFiniteSimilarity``; a norm below ``MIN_ROW_NORM`` (zero, or so
-    small that the squares underflow) raises ``ZeroNormRow``.
+    small that the squares underflow) raises ``ZeroNormRow``. The rows,
+    viewed as ``(-1, d)``, are normed whole rows at a time, about
+    ``_NORM_CHUNK`` entries per chunk, so the squares never take the
+    data's size; each row's norm is the one ``np.linalg.norm`` gives.
     """
+    data = np.asarray(data)
+    rows = data.reshape(math.prod(data.shape[:-1]), data.shape[-1])
+    step = max(1, _NORM_CHUNK // max(1, rows.shape[1]))
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(data, axis=-1, keepdims=True)
+        if len(rows) <= step:  # one chunk: no copies to join
+            norms = np.linalg.norm(data, axis=-1, keepdims=True)
+        else:
+            norms = np.concatenate([
+                np.linalg.norm(rows[start : start + step], axis=-1, keepdims=True)
+                for start in range(0, len(rows), step)
+            ]).reshape(data.shape[:-1] + (1,))
     if not np.all(np.isfinite(norms)):
         raise NonFiniteSimilarity(f"{what} contains non-finite values or a row whose norm overflows")
     if np.any(norms < MIN_ROW_NORM):

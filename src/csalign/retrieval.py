@@ -3,7 +3,9 @@
 Queries from one modality are ranked against a gallery from another by
 descending cosine similarity, ties broken by ascending gallery index so
 rankings are deterministic; ``train._evaluate`` computes those scores in
-blocks of ``SCORE_BLOCK_ROWS`` query rows, one block at a time.
+blocks of query rows that together hold at most ``SCORE_BLOCK_ROWS`` rows:
+one block at a time, or, for a gallery large enough, one block at a
+time on each of several worker threads, with the same values.
 ``rank_scores`` builds every ranking with one sort of int64 keys per
 row, a score's float bits above and its column index in the low bits;
 the rare row whose distinct scores share a key's high bits is ranked
@@ -16,7 +18,8 @@ same number of relevant items in one vectorised sum. Both take a
 boolean relevance mask of the block's shape, so a caller that scores
 several directions with the same labels builds each block's mask once.
 Every temporary is a chunk of rows or a boolean array of the block's
-shape, so evaluation memory stays one float64 block.
+shape, so evaluation memory stays one float64 block of
+``SCORE_BLOCK_ROWS`` rows, however many threads share it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from .errors import BadK, NoRelevantItems
 
 # Query rows scored per block: bounds the temporaries of an evaluation
 # to O(SCORE_BLOCK_ROWS x gallery size), one float64 score block shared by
-# every direction plus boolean arrays of its shape and chunk-sized ones.
+# every direction and every worker, plus boolean arrays of its shape and
+# chunk-sized ones per worker.
 SCORE_BLOCK_ROWS = 256
 # Score rows ``rank_scores`` keys and sorts at a time.
 _KEY_ROWS = 32

@@ -4,26 +4,26 @@ for P@K, and one query at a time for average precision.
 
 ``csalign.retrieval`` ranks by one sort of packed int64 keys and scores
 AP for whole groups of queries at once; nothing here calls those
-routines. The cosine scores are multiplied in the query blocks the
-library scores in (``SCORE_BLOCK_ROWS`` rows counted from row 0): a BLAS
+routines. The cosine scores are multiplied in the query products the
+library multiplies in (``_PRODUCT_ROWS`` rows counted from row 0): a BLAS
 product over a different number of rows may round differently in the
 last place, which could reorder near-ties.
 """
 
 import numpy as np
 
-from csalign.retrieval import SCORE_BLOCK_ROWS
+from csalign.train import _PRODUCT_ROWS
 
 
 def cosine_scores(query, gallery):
     """Cosine of every query row with every gallery row: unit rows, one
-    product per block of ``SCORE_BLOCK_ROWS`` query rows."""
+    product per ``_PRODUCT_ROWS`` query rows."""
     q, g = np.asarray(query, dtype=np.float64), np.asarray(gallery, dtype=np.float64)
     unit_q = q / np.linalg.norm(q, axis=1, keepdims=True)
     unit_g = (g / np.linalg.norm(g, axis=1, keepdims=True)).T
     return np.vstack([
-        unit_q[start : start + SCORE_BLOCK_ROWS] @ unit_g
-        for start in range(0, q.shape[0], SCORE_BLOCK_ROWS)
+        unit_q[start : start + _PRODUCT_ROWS] @ unit_g
+        for start in range(0, q.shape[0], _PRODUCT_ROWS)
     ])
 
 

@@ -4,7 +4,7 @@ import pytest
 from csalign import AlignConfig, EmbeddingBatch, ModalityRing, bimodal_cmpm_cs
 from csalign.errors import ConfigError, NonFiniteSimilarity, NotAPmf, ShapeMismatch, ZeroNormRow
 from csalign.losses import check_paired, gcs_logit_rows, label_support
-from csalign.pmf import row_norms
+from csalign.pmf import _NORM_CHUNK, row_norms
 from csalign.train import evaluate_directions
 
 
@@ -79,6 +79,47 @@ class TestCosineSimilarity:
             with pytest.raises(ZeroNormRow, match=r"^batch 'B' has a row whose norm is below"):
                 evaluate_directions([batch(rows, labels), tiny], with_map)
         assert np.array_equal(batch(rows * 1e-28, labels).data, rows * 1e-28)
+
+
+class TestRowNorms:
+    """``row_norms`` squares a bounded chunk of rows at a time."""
+
+    step = _NORM_CHUNK // 64  # rows of one chunk at d = 64
+
+    @pytest.mark.parametrize(
+        "shape", [(1600, 64), (3, 128, 16), (1000, 3), (3 * step + 5, 64), (7,), (0, 4)])
+    def test_equals_the_unchunked_norm_bit_for_bit(self, shape):
+        data = np.random.default_rng(43).normal(size=shape) * 1e3
+        norms = row_norms(data, "the rows")
+        want = np.linalg.norm(data, axis=-1, keepdims=True)
+        assert norms.shape == want.shape and norms.dtype == want.dtype
+        assert norms.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "value, error", [(np.nan, NonFiniteSimilarity), (np.inf, NonFiniteSimilarity),
+                         (1e200, NonFiniteSimilarity), (0.0, ZeroNormRow)])
+    def test_bad_row_in_a_later_chunk(self, value, error):
+        data = np.random.default_rng(47).normal(size=(1600, 64))
+        data[3 * self.step + 2] = value  # the fourth chunk's third row
+        match = "non-finite values" if error is NonFiniteSimilarity else "below MIN_ROW_NORM"
+        with pytest.raises(error, match=f"^the rows (contains|has a row) .*{match}"):
+            row_norms(data, "the rows")
+
+    def test_peak_is_the_output_and_one_chunk(self):
+        import tracemalloc
+
+        data = np.random.default_rng(53).normal(size=(1600, 64))
+        out = row_norms(data, "the rows")
+        tracemalloc.start()
+        try:
+            row_norms(data, "the rows")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a chunk's squares plus the row sums and roots ``np.linalg.norm``
+        # takes of them, and 1 KiB for the Python objects of the loop
+        chunk = self.step * (64 + 2) * 8
+        assert peak < out.nbytes + chunk + 1024 < data.nbytes
 
 
 class TestAssociationPmf:

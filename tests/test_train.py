@@ -505,6 +505,21 @@ def tied_batches(n, num_classes, seed):
     return batches
 
 
+def copied_row_batches(n=5 * SCORE_BLOCK_ROWS, seed=17):
+    """``n`` rows with 64 gallery rows copied onto rows of another label:
+    every query sees tied pairs of which one item is relevant and one not."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 8, size=n)
+    src = rng.choice(n, 64, replace=False)
+    dst = np.array([rng.choice(np.flatnonzero(labels != labels[s])) for s in src])
+    batches = []
+    for name in "ABC":
+        x = rng.normal(size=(n, 16))
+        x[dst] = x[src]
+        batches.append(EmbeddingBatch(x, labels, name))
+    return batches
+
+
 class TestEvaluateDirections:
     @pytest.mark.parametrize(
         "n, num_classes",
@@ -635,18 +650,7 @@ class TestEvaluateDirections:
         assert np.count_nonzero(np.count_nonzero(scores >= kth, axis=1) > 10) > 100
 
     def test_ties_across_the_relevance_boundary(self):
-        # 1280 rows with 64 gallery rows copied onto rows of another label:
-        # every query sees tied pairs of which one item is relevant and one not
-        rng = np.random.default_rng(17)
-        n = 5 * SCORE_BLOCK_ROWS
-        labels = rng.integers(0, 8, size=n)
-        src = rng.choice(n, 64, replace=False)
-        dst = np.array([rng.choice(np.flatnonzero(labels != labels[s])) for s in src])
-        batches = []
-        for name in "ABC":
-            x = rng.normal(size=(n, 16))
-            x[dst] = x[src]
-            batches.append(EmbeddingBatch(x, labels, name))
+        batches = copied_row_batches()
         assert evaluate_directions(batches, with_map=True) == direction_metrics(batches)
 
     def test_modalities_of_different_dimension(self):
@@ -668,6 +672,144 @@ class TestEvaluateDirections:
         evaluate_directions(batches)  # P@K alone needs no relevant item
         with pytest.raises(NoRelevantItems, match="^A2B: query 260 has no relevant"):
             evaluate_directions(batches, with_map=True)
+
+
+def by_worker_count(monkeypatch, batches, workers):
+    """Both passes of ``evaluate_directions`` with ``workers`` threads."""
+    import csalign.train as train_mod
+
+    monkeypatch.setattr(train_mod, "_worker_count", lambda rows, gallery: workers)
+    return evaluate_directions(batches), evaluate_directions(batches, with_map=True)
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Every thread pool the evaluation builds, with its worker count."""
+    import concurrent.futures
+
+    built = []
+
+    class Spy(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    return built
+
+
+def held_out_run(monkeypatch, cpus, holdout_fraction):
+    """Two epochs on 8 classes x 200 rows with ``cpus`` available CPUs."""
+    import csalign.train as train_mod
+
+    monkeypatch.setattr(train_mod, "_available_cpus", lambda: cpus)
+    synth = SynthConfig(num_classes=8, per_class=200, input_dims=(12, 12, 12), embed_dim=8, seed=4)
+    cfg = TrainConfig(max_epochs=2, batch_size=128, seed=4, holdout_fraction=holdout_fraction)
+    data = generate_synthetic(synth)
+    return train_run(data, build_encoders(synth.input_dims, synth.embed_dim, cfg), cfg)
+
+
+class TestEvaluationWorkers:
+    def rolled(self):
+        a, b, c = tied_batches(2 * SCORE_BLOCK_ROWS + 88, 5, seed=31)
+        return [a, b, EmbeddingBatch(c.data, np.roll(c.labels, 1), c.modality_name)]
+
+    # a gallery of 1300 (not a multiple of 8): OpenBLAS's SkylakeX kernel
+    # rounds its last columns differently in products over different
+    # numbers of query rows, enough to reorder some of its copied rows
+    @pytest.mark.parametrize(
+        "case", ["tied", "copied rows", "odd gallery", "rolled labels", "short last block"])
+    def test_worker_count_changes_no_value(self, case, monkeypatch):
+        batches = {
+            "tied": lambda: tied_batches(2 * SCORE_BLOCK_ROWS + 88, 5, seed=7),
+            "copied rows": copied_row_batches,
+            "odd gallery": lambda: copied_row_batches(5 * SCORE_BLOCK_ROWS + 20, seed=0),
+            "rolled labels": self.rolled,
+            "short last block": lambda: tied_batches(5 * SCORE_BLOCK_ROWS + 88, 6, seed=11),
+        }[case]()
+        serial = by_worker_count(monkeypatch, batches, 1)
+        for workers in (2, 3, 4):
+            assert by_worker_count(monkeypatch, batches, workers) == serial, workers
+
+    def test_more_workers_than_cores_under_a_short_switch_interval(self, monkeypatch):
+        # two jobs writing one slice of the buffer, or one job's average
+        # precisions landing in another's rows, would change the values
+        import sys
+
+        batches = copied_row_batches(5 * SCORE_BLOCK_ROWS + 20, seed=0)
+        serial = by_worker_count(monkeypatch, batches, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = by_worker_count(monkeypatch, batches, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_training_trace_is_the_same_on_one_cpu_or_two(self, monkeypatch, executors):
+        import csalign.train as train_mod
+
+        # 1280 held-out rows: two workers' blocks hold enough scores
+        threaded = held_out_run(monkeypatch, 2, 0.8)
+        assert set(executors) == {2}
+        assert train_mod._worker_count(1280, 1280) == 2
+        executors.clear()
+        assert held_out_run(monkeypatch, 1, 0.8) == threaded
+        assert executors == []
+
+    def test_criterion_seven_evaluation_starts_no_thread(self, monkeypatch, executors):
+        import csalign.train as train_mod
+
+        # 8 classes x 200 rows, 20 % held out: 320 rows, on any number of CPUs
+        trace = held_out_run(monkeypatch, 64, 0.2)
+        assert len(trace.records) == 2 and executors == []
+        assert train_mod._worker_count(320, 320) == 1
+
+    def test_workers_per_cpu_block_and_threshold(self, monkeypatch):
+        import csalign.train as train_mod
+
+        count = train_mod._worker_count
+        monkeypatch.setattr(train_mod, "_available_cpus", lambda: 64)
+        blocks = {w: train_mod._block_rows(w) for w in (1, 2, 3, 4)}
+        assert blocks == {1: SCORE_BLOCK_ROWS, 2: SCORE_BLOCK_ROWS // 2,
+                          3: SCORE_BLOCK_ROWS // 4, 4: SCORE_BLOCK_ROWS // 4}
+        least = train_mod._THREAD_MIN_SCORES
+        gallery = -(-least // blocks[2])  # two workers' blocks just hold the threshold
+        assert count(2 * SCORE_BLOCK_ROWS, gallery) == 2
+        assert count(2 * SCORE_BLOCK_ROWS, gallery - 1) == 1
+        assert count(blocks[2], gallery) == 1  # one block only
+        assert count(100 * SCORE_BLOCK_ROWS, 100 * SCORE_BLOCK_ROWS) == 4  # one product per worker
+        monkeypatch.setattr(train_mod, "_available_cpus", lambda: 1)
+        assert count(100 * SCORE_BLOCK_ROWS, 100 * SCORE_BLOCK_ROWS) == 1
+
+    @pytest.mark.parametrize("with_map", [False, True])
+    def test_fault_in_the_second_block_propagates_and_joins_the_threads(
+        self, with_map, monkeypatch, executors
+    ):
+        import threading
+
+        import csalign.train as train_mod
+
+        monkeypatch.setattr(train_mod, "_available_cpus", lambda: 2)
+        batches = copied_row_batches()
+        rows = train_mod._block_rows(2)
+        second = cosine_scores(batches[0].data, batches[1].data)[rows : 2 * rows]
+        planted = RuntimeError("planted fault")
+        name = "rank_scores" if with_map else "top_k_hits"
+        real = getattr(train_mod, name)
+
+        def faulty(scores, *args, **kwargs):
+            if scores.shape == second.shape and np.array_equal(scores, second):
+                raise planted
+            return real(scores, *args, **kwargs)
+
+        monkeypatch.setattr(train_mod, name, faulty)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            evaluate_directions(batches, with_map)
+        assert raised.value is planted
+        assert executors == [2]
+        assert threading.active_count() == before
 
 
 class TestSupervision:
