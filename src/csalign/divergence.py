@@ -425,9 +425,17 @@ def mmd_squared(
     return mmd_kernels(x, y, cfg)[0]
 
 
-def _sample_covariance(data: np.ndarray) -> np.ndarray:
-    centered = data - data.mean(axis=0, keepdims=True)
-    return centered.T @ centered / (data.shape[0] - 1)
+def coral_terms(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The CORAL value of two float samples and the terms its gradient reads: the
+    centred samples and the covariance difference ``C_x - C_y``. Covariances use
+    the unbiased 1/(n-1) estimator; a value past float range is returned, not raised."""
+    d = x.shape[1]
+    xc = x - x.mean(axis=0, keepdims=True)
+    yc = y - y.mean(axis=0, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = xc.T @ xc / (x.shape[0] - 1) - yc.T @ yc / (y.shape[0] - 1)
+        value = float((diff * diff).sum() / (4.0 * d * d))
+    return value, xc, yc, diff
 
 
 def coral_loss(
@@ -435,7 +443,8 @@ def coral_loss(
 ) -> float:
     """Correlation-alignment loss: ``||C_x - C_y||_F^2 / (4 d^2)``.
 
-    Covariances use the unbiased 1/(n-1) estimator on centered data.
+    Covariances use the unbiased 1/(n-1) estimator on centered data. The
+    value comes from ``coral_terms``, which the analytic gradient calls too.
 
     Raises
     ------
@@ -449,10 +458,7 @@ def coral_loss(
     xd, yd = _paired_samples(x, y)
     if xd.shape[0] < 2 or yd.shape[0] < 2:
         raise TooFewSamples("covariance needs at least two samples per side")
-    d = xd.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = _sample_covariance(xd) - _sample_covariance(yd)
-        value = float((diff * diff).sum() / (4.0 * d * d))
+    value = coral_terms(xd, yd)[0]
     if not np.isfinite(value):
         raise NonFiniteSample(
             f"CORAL loss overflows float range ({value!r}): the sample covariances are too large")

@@ -25,8 +25,9 @@ point and then treated as a constant, both in the analytic path and in
 the finite-difference closure; the heuristic itself is not
 differentiated. The analytic path takes the value, the bandwidth and
 the kernel blocks from one ``divergence.mmd_kernels`` call, so it
-computes each pairwise distance once; like the rest of the package it
-needs numpy only.
+computes each pairwise distance once; CORAL's takes ``coral_loss``'s
+value and its covariance algebra from one ``divergence.coral_terms``
+call. Like the rest of the package it needs numpy only.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .divergence import MmdConfig, coral_loss, mmd_kernels, mmd_squared, resolve_bandwidth
+from .divergence import (MmdConfig, coral_loss, coral_terms, mmd_kernels, mmd_squared,
+                         resolve_bandwidth)
 from .errors import ConfigError, NonFinitePerturbation
 from .losses import MATCHING_KINDS, MatchStrategy, ModalityRing, check_kind, stack_matching_loss
 from .pmf import AlignConfig, row_norms
@@ -55,13 +57,8 @@ def _mmd_grad(x: np.ndarray, y: np.ndarray):
 
 
 def _coral_grad(x: np.ndarray, y: np.ndarray):
+    value, xc, yc, diff = coral_terms(x, y)
     d = x.shape[1]
-    xc = x - x.mean(axis=0, keepdims=True)
-    yc = y - y.mean(axis=0, keepdims=True)
-    c_x = xc.T @ xc / (x.shape[0] - 1)
-    c_y = yc.T @ yc / (y.shape[0] - 1)
-    diff = c_x - c_y
-    value = float((diff * diff).sum() / (4.0 * d * d))
     # columns of xc @ diff have zero mean, so recentring is a no-op
     g_x = xc @ diff / ((x.shape[0] - 1) * d * d)
     g_y = -yc @ diff / ((y.shape[0] - 1) * d * d)

@@ -44,11 +44,12 @@ edge.
 
 Every pass has a reverse over the same matrices transposed (the ring's
 backward edges are its forward edges reversed; pair (d, s) is (s, d)
-reversed). So ``matching_loss`` evaluates each group of M matrices (the
-ring) or one matrix (an unordered pair) once, and one kernel,
-``gcs_logit_rows`` (CS, GCS) or ``kl_logit_rows``, reads it on the
-batch's ``label_support`` by rows for one pass and by columns for the
-other. GCS takes one exponential per matrix, shifted by 1/tau or, past
+reversed). So ``matching_loss`` evaluates each group of edges, the
+ring's M or an unordered pair's one, once: one product per edge, each
+on views of the unit rows. One kernel, ``gcs_logit_rows`` (CS, GCS) or
+``kl_logit_rows``, reads the group's matrices on the batch's
+``label_support`` by rows for one pass and by columns for the other.
+GCS takes one exponential per matrix, shifted by 1/tau or, past
 ``STATIC_SHIFT_LIMIT``, by per-reading maxima, so it stays finite
 wherever the divergence is; KL one per reading, against one log target
 built once per call (the smoothed true-match PMF is symmetric).
@@ -57,9 +58,10 @@ built once per call (the smoothed true-match PMF is symmetric).
 On the gradient path the engine's working set is the (M, n, d) stack,
 its unit rows, their scaled transpose, one gradient array and one
 logit buffer (M x n x n for the ring, n x n per pair), plus the
-kernel's n x n and label-support temporaries. The buffer is dropped
-before the epilogue, which scales the gradient array in place through
-one (M, n, d) scratch array.
+kernel's n x n and label-support temporaries. Every group runs edge by
+edge, forward and backward, so no modality's rows are gathered. The
+buffer is dropped before the epilogue, which scales the gradient array
+in place through one (M, n, d) scratch array.
 """
 
 from __future__ import annotations
@@ -248,18 +250,16 @@ def label_support(labels: np.ndarray) -> LabelSupport:
     return LabelSupport(rows, cols, starts, np.log(counts), starts[cols] + rank[rows])
 
 
-def _softmax(
-    z: np.ndarray, axis: int, k: float, normalise: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """``softmax(k z)`` and ``lse(k z)`` along ``axis``, shifted by the maxima;
-    with ``normalise`` False the first is left as the shifted exponential."""
+def _softmax(z: np.ndarray, axis: int, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """``softmax(k z)`` and ``lse(k z)`` along ``axis``, shifted by the maxima. The
+    log-sum-exp is taken from the sums before the division, so it does not depend
+    on whether a caller reads the softmax."""
     shift = z.max(axis=axis, keepdims=True)
     e = z - shift
     e *= k
     np.exp(e, out=e)
     sums = e.sum(axis=axis, keepdims=True)
-    if normalise:
-        e /= sums
+    e /= sums
     return e, k * shift + np.log(sums)
 
 
@@ -337,7 +337,7 @@ def gcs_logit_rows(
                 # E / rowsum + E / colsum
                 z *= sum(1.0 / reading_sums for reading_sums in sums)
         else:
-            softmaxes = [_softmax(z, axis, k, normalise=grad) for axis, _ in readings]
+            softmaxes = [_softmax(z, axis, k) for axis, _ in readings]
             for lse, (_, reading_lse) in zip(power_lse, softmaxes):
                 lse += reading_lse.reshape(n)
             if grad:
@@ -426,14 +426,15 @@ def stack_matching_loss(
 
     Every backward ring edge is a forward edge reversed, and every
     ordered pair (d, s) the pair (s, d) reversed, so the passes come in
-    groups evaluated once: the ring's M matrices ``z_m = U_m U_{m+1}^T /
-    tau``, read by rows for the forward pass and by columns for the
-    backward one, and one matrix per unordered pair, read by rows for
-    s -> d and by columns for d -> s. Each group costs one batched
-    matmul, one kernel call and, with ``grad``, one pair of matmuls back
-    to the embeddings (for the ring, edge by edge on views, so no
-    modality's rows are gathered); without it, the kernel returns values
-    only and no gradient is formed.
+    groups evaluated once. A group is a list of edges (src, dst): the
+    ring's M, ``ring_edges(m, "forward")``, whose matrices ``z_m = U_m
+    U_{m+1}^T / tau`` are read by rows for the forward pass and by
+    columns for the backward one, or an unordered pair's one, read by
+    rows for s -> d and by columns for d -> s. Each group costs one
+    matmul per edge, one kernel call and, with ``grad``, one pair of
+    matmuls per edge back to the embeddings, all on views, so no
+    modality's rows are gathered; without ``grad``, the kernel returns
+    values only and no gradient is formed.
 
     Working set with ``grad``: the stack, ``units``, ``scaled_t``,
     ``g_units`` (each M x n x d) and the logit buffer, which the kernel
@@ -449,12 +450,11 @@ def stack_matching_loss(
     m, n = stack.shape[:2]
     if kind == "gcs_ring":
         order = ring_passes(strategy)
-        groups = [(slice(None), [d for _, d in ring_edges(m, "forward")], "forward", "backward")]
+        groups = [(ring_edges(m, "forward"), "forward", "backward")]
     else:
         label = lambda s, d: direction_label(names[s], names[d])
         order = [label(s, d) for s in range(m) for d in range(m) if s != d]
-        groups = [(slice(s, s + 1), slice(d, d + 1), label(s, d), label(d, s))
-                  for s in range(m) for d in range(s + 1, m)]
+        groups = [([(s, d)], label(s, d), label(d, s)) for s in range(m) for d in range(s + 1, m)]
     support = label_support(labels)
     if kind == "kl":
         kernel, target = kl_logit_rows, kl_log_target(support)
@@ -466,28 +466,22 @@ def stack_matching_loss(
     scaled_t = units.transpose(0, 2, 1) / tau
     g_units = np.zeros_like(units) if grad else None
     # one logit buffer per call, a matrix per edge of a group; the kernel may spend it
-    buffer = np.empty((len(units[groups[0][0]]), n, n))
+    buffer = np.empty((len(groups[0][0]), n, n))
     values: dict[str, np.ndarray] = {}
-    for src, dst, row_name, col_name in groups:
+    for edges, row_name, col_name in groups:
         passes = [name for name in (row_name, col_name) if name in order]
-        logits = np.matmul(units[src], scaled_t[dst], out=buffer)
+        for i, (s, d) in enumerate(edges):
+            np.matmul(units[s], scaled_t[d], out=buffer[i])
         group_values, grads = kernel(
-            logits, target, tau, row_name in order, col_name in order, grad
-        )
+            buffer, target, tau, row_name in order, col_name in order, grad)
         values.update(zip(passes, group_values))
-        _ASSOCIATION_PMF_COUNT += len(buffer) * len(passes)
-        if not grad:
-            continue
-        if isinstance(dst, list):
-            # the ring, edge by edge on views: no gather of units[dst] or g_units[dst]
-            for i, d in enumerate(dst):
-                g_units[i] += grads[i] @ units[d]
-                g_units[d] += grads[i].T @ units[i]
-        else:
-            g_units[src] += grads @ units[dst]
-            g_units[dst] += grads.transpose(0, 2, 1) @ units[src]
+        _ASSOCIATION_PMF_COUNT += len(edges) * len(passes)
+        if grad:
+            for i, (s, d) in enumerate(edges):
+                g_units[s] += grads[i] @ units[d]
+                g_units[d] += grads[i].T @ units[s]
     # the logit stack is spent: drop it before the epilogue
-    del buffer, logits, grads
+    del buffer, grads
     total = 0.0
     per_sample = np.zeros(n)
     per_direction: dict[str, float] = {}

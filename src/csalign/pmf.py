@@ -29,21 +29,20 @@ def row_norms(data: np.ndarray, what: str) -> np.ndarray:
     A nan or inf entry, or a row too large to square, raises
     ``NonFiniteSimilarity``; a norm below ``MIN_ROW_NORM`` (zero, or so
     small that the squares underflow) raises ``ZeroNormRow``. The rows,
-    viewed as ``(-1, d)``, are normed whole rows at a time, about
-    ``_NORM_CHUNK`` entries per chunk, so the squares never take the
-    data's size; each row's norm is the one ``np.linalg.norm`` gives.
+    viewed as ``(-1, d)``, are normed by one loop, whole rows at a time,
+    about ``_NORM_CHUNK`` entries per chunk (a small input is one chunk),
+    so the squares never take the data's size; each row's norm is the
+    one ``np.linalg.norm`` gives.
     """
     data = np.asarray(data)
     rows = data.reshape(math.prod(data.shape[:-1]), data.shape[-1])
     step = max(1, _NORM_CHUNK // max(1, rows.shape[1]))
     with np.errstate(over="ignore"):
-        if len(rows) <= step:  # one chunk: no copies to join
-            norms = np.linalg.norm(data, axis=-1, keepdims=True)
-        else:
-            norms = np.concatenate([
-                np.linalg.norm(rows[start : start + step], axis=-1, keepdims=True)
-                for start in range(0, len(rows), step)
-            ]).reshape(data.shape[:-1] + (1,))
+        # one pass even for no rows, so empty input gives (..., 1) norms
+        norms = np.concatenate([
+            np.linalg.norm(rows[start : start + step], axis=-1, keepdims=True)
+            for start in range(0, max(len(rows), 1), step)
+        ]).reshape(data.shape[:-1] + (1,))
     if not np.all(np.isfinite(norms)):
         raise NonFiniteSimilarity(f"{what} contains non-finite values or a row whose norm overflows")
     if np.any(norms < MIN_ROW_NORM):
@@ -65,8 +64,10 @@ class AlignConfig:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.temperature) and self.temperature > 0):
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        # below 1/DBL_MAX the scaled embeddings, and with them the logits, overflow
+        if not (0.0 < self.temperature < np.inf and 1.0 / float(self.temperature) < np.inf):
+            raise ConfigError(
+                f"temperature must be positive with a finite 1/temperature, got {self.temperature}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .gradients import stack_loss_gradient
 from .losses import (
     LOSS_KINDS, MatchStrategy, check_kind, check_paired, direction_label, ring_edges, ring_passes
 )
-from .pmf import EmbeddingBatch, row_norms
+from .pmf import AlignConfig, EmbeddingBatch, row_norms
 from .retrieval import SCORE_BLOCK_ROWS, average_precisions, rank_scores, top_k_hits
 
 # Query rows of one score product. ``_evaluate`` multiplies every block
@@ -39,6 +39,8 @@ _THREAD_MIN_SCORES = 100_000
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Trainer settings; ``holdout_fraction``, the share of rows held out, lies in [0, 1)."""
+
     learning_rate: float = 1e-4
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -65,17 +67,16 @@ class TrainConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not np.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        for name in ("adam_beta1", "adam_beta2"):
+        # a holdout_fraction of 1 or more would hold out all rows but two, whatever its value
+        for name in ("adam_beta1", "adam_beta2", "holdout_fraction"):
             value = getattr(self, name)
             if not (0.0 <= value < 1.0):
-                raise ConfigError(f"{name} must lie in [0, 1), got {value}")
+                raise ConfigError(f"{name} must be in [0, 1), got {value}")
         # a negative adam_epsilon or lr_decay_factor would flip the sign of an Adam step
-        for name in ("learning_rate", "weight_decay", "holdout_fraction", "adam_epsilon",
-                     "lr_decay_factor", "seed"):
+        for name in ("learning_rate", "weight_decay", "adam_epsilon", "lr_decay_factor", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        AlignConfig(self.temperature)
         if self.max_epochs < 1 or self.batch_size < 2:
             raise ConfigError("need max_epochs >= 1 and batch_size >= 2")
         if self.lr_decay_every < 1:

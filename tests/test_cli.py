@@ -276,6 +276,8 @@ class TestTrainCommand:
             "lr_decay_every = 0", "grad_clip_norm = nan", "learning_rate = nan", "temperature = inf",
             "temperature = 0", "seed = -2", "data_seed = -2", "lr_decay_factor = -0.1",
             "adam_epsilon = -1e-8", "hidden_dim = -3", "init_scale = 0",
+            # a temperature whose reciprocal overflows, and a hold-out share past [0, 1)
+            "temperature = 1e-320", "holdout_fraction = 1.5",
         ],
     )
     def test_bad_train_field_is_a_config_error(self, line, tmp_path, capsys):

@@ -187,6 +187,12 @@ class TestAssociationPmf:
         with pytest.raises(ConfigError):
             AlignConfig(temperature=0.0)
 
+    @pytest.mark.parametrize("temperature", [1e-310, 1e-320, 5e-324])
+    def test_temperature_whose_inverse_overflows_rejected(self, temperature):
+        # 1/temperature past float range would turn the logits into nan
+        with pytest.raises(ConfigError, match="finite 1/temperature"):
+            AlignConfig(temperature=temperature)
+
 
 def true_match_rows(labels):
     """The dense true-match PMF the engine's label support describes."""

@@ -268,10 +268,20 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=name):
             TrainConfig(**{name: value})
 
-    @pytest.mark.parametrize("temperature", [0.0, -1.0])
+    # 1e-310 and 1e-320 are positive, but their reciprocals overflow
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, 1e-310, 1e-320])
     def test_non_positive_temperature_rejected(self, temperature):
         with pytest.raises(ConfigError, match="temperature must be positive"):
             TrainConfig(temperature=temperature)
+
+    @pytest.mark.parametrize("fraction", [1.0, 1.5, -0.1])
+    def test_holdout_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ConfigError, match=r"holdout_fraction must be in \[0, 1\)"):
+            TrainConfig(holdout_fraction=fraction)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.99])
+    def test_holdout_fraction_inside_unit_interval_accepted(self, fraction):
+        assert TrainConfig(holdout_fraction=fraction).holdout_fraction == fraction
 
     @pytest.mark.parametrize("every", [0, -1])
     def test_lr_decay_every_below_one_rejected(self, every):
