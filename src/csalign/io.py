@@ -157,7 +157,6 @@ def read_kv_config(path: str | Path) -> dict[str, str]:
 # annotations, so ``Field.type`` is the string as written)
 _PARSERS = {
     "int": int,
-    "int | None": int,
     "float": float,
     "str": str,
     "tuple[int, ...]": lambda value: tuple(int(tok) for tok in value.split(",") if tok.strip()),

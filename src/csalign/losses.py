@@ -122,7 +122,11 @@ def check_paired(batches: Sequence[EmbeddingBatch]) -> None:
             raise ShapeMismatch(f"all modalities must share n; got {b.n} vs {first.n}")
         if not np.array_equal(b.labels, first.labels):
             raise ShapeMismatch("modalities must carry identical labels position-wise")
-    names = [b.modality_name for b in batches]
+    check_unique_names([b.modality_name for b in batches])
+
+
+def check_unique_names(names: list[str]) -> None:
+    """Reject repeated modality names: two directions would share one label."""
     if len(set(names)) != len(names):
         raise ConfigError(f"modality names must be unique, got {names}")
 

@@ -11,6 +11,7 @@ labels, so neither PMF is ever built as a matrix.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,14 @@ def row_norms(data: np.ndarray, what: str) -> np.ndarray:
     if np.any(norms < MIN_ROW_NORM):
         raise ZeroNormRow(f"{what} has a row whose norm is below MIN_ROW_NORM = {MIN_ROW_NORM:g}")
     return norms
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; ``ConfigError`` unless it is an int or numpy integer (not ``4.0``)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

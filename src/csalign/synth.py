@@ -10,12 +10,12 @@ from one seeded generator, making repeated calls bit-identical.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError
-from .pmf import EmbeddingBatch
+from .pmf import EmbeddingBatch, check_integer
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,11 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "input_dims", tuple(int(v) for v in self.input_dims))
+        for f in fields(self):
+            if f.type == "int":
+                check_integer(f.name, getattr(self, f.name))
+        dims = tuple(check_integer("every input_dims entry", v) for v in self.input_dims)
+        object.__setattr__(self, "input_dims", dims)
         if self.num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
         if self.per_class < 2:

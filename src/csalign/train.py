@@ -1,12 +1,12 @@
-"""Desk-scale trainer: small encoders + Adam on the alignment losses.
+"""Desk-scale trainer: linear encoders + Adam on the alignment losses.
 
-One encoder per modality projects raw features into the shared space;
-the chosen alignment loss produces embedding gradients (see
+One affine encoder per modality projects raw features into the shared
+space; the chosen alignment loss produces embedding gradients (see
 ``gradients``), which are chained into encoder parameters and applied
-with Adam: bias correction, global-norm gradient clipping, decoupled
-weight decay, and a step-decay learning-rate schedule (x0.1 every 100
-epochs). Retrieval metrics are evaluated each epoch on a held-out
-split. Everything is deterministic given the config seed.
+with Adam: bias correction, global-norm gradient clipping, a fixed
+decoupled weight decay and a fixed step-decay learning-rate schedule
+(x0.1 every 100 epochs). Retrieval metrics are evaluated each epoch on
+a held-out split. Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteSimilarity, NoRelevantItems, ShapeMismatch
 from .gradients import stack_loss_gradient
-from .losses import (
-    LOSS_KINDS, MatchStrategy, check_kind, check_paired, direction_label, ring_edges, ring_passes
-)
-from .pmf import AlignConfig, EmbeddingBatch, row_norms
+from .losses import (LOSS_KINDS, MatchStrategy, check_kind, check_paired, check_unique_names,
+                     direction_label, ring_edges, ring_passes)
+from .pmf import AlignConfig, EmbeddingBatch, check_integer, row_norms
 from .retrieval import SCORE_BLOCK_ROWS, average_precisions, rank_scores, top_k_hits
 
 # Query rows of one score product. ``_evaluate`` multiplies every block
@@ -35,17 +34,20 @@ _PRODUCT_ROWS = SCORE_BLOCK_ROWS // 4
 # ``_evaluate`` to split its blocks across threads: below this, thread
 # start-up and GIL hand-offs cost more than another core gains.
 _THREAD_MIN_SCORES = 100_000
+# Adam's decoupled weight decay, and the step schedule: the learning
+# rate is multiplied by LR_DECAY_FACTOR every LR_DECAY_EVERY epochs.
+WEIGHT_DECAY = 1e-5
+LR_DECAY_FACTOR = 0.1
+LR_DECAY_EVERY = 100
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Trainer settings; ``holdout_fraction``, the share of rows held out, lies in [0, 1)."""
+    """Trainer settings; ``holdout_fraction``, the share of rows held out, lies in [0, 1),
+    and each ``int`` field holds an integer. Adam keeps its default betas and epsilon;
+    weight decay (``WEIGHT_DECAY``) and schedule (``LR_DECAY_*``) are fixed."""
 
     learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    weight_decay: float = 1e-5
     grad_clip_norm: float = 1.0
     max_epochs: int = 100
     batch_size: int = 128
@@ -54,10 +56,6 @@ class TrainConfig:
     strategy: MatchStrategy = MatchStrategy.MIXED
     temperature: float = 1.0
     holdout_fraction: float = 0.2
-    lr_decay_factor: float = 0.1
-    lr_decay_every: int = 100
-    hidden_dim: int | None = None
-    init_scale: float = 0.02
 
     def __post_init__(self) -> None:
         if self.loss_kind not in LOSS_KINDS:
@@ -67,76 +65,39 @@ class TrainConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not np.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.type == "int":
+                check_integer(f.name, value)
         # a holdout_fraction of 1 or more would hold out all rows but two, whatever its value
-        for name in ("adam_beta1", "adam_beta2", "holdout_fraction"):
-            value = getattr(self, name)
-            if not (0.0 <= value < 1.0):
-                raise ConfigError(f"{name} must be in [0, 1), got {value}")
-        # a negative adam_epsilon or lr_decay_factor would flip the sign of an Adam step
-        for name in ("learning_rate", "weight_decay", "adam_epsilon", "lr_decay_factor", "seed"):
+        if not (0.0 <= self.holdout_fraction < 1.0):
+            raise ConfigError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
+        for name in ("learning_rate", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         AlignConfig(self.temperature)
         if self.max_epochs < 1 or self.batch_size < 2:
             raise ConfigError("need max_epochs >= 1 and batch_size >= 2")
-        if self.lr_decay_every < 1:
-            raise ConfigError(f"lr_decay_every must be at least 1, got {self.lr_decay_every}")
-        # 0 (like None) means no hidden layer
-        if self.hidden_dim is not None and self.hidden_dim < 0:
-            raise ConfigError(f"hidden_dim must be non-negative, got {self.hidden_dim}")
-        # zero weights give zero-norm embeddings; a negative scale only mirrors the draw
-        if self.init_scale == 0:
-            raise ConfigError(f"init_scale must be non-zero, got {self.init_scale}")
 
 
 class Encoder:
-    """Affine projection head, optionally with one tanh hidden layer."""
+    """Linear projection head, the affine map ``x @ weight + bias``; the
+    weight is drawn from N(0, init_scale^2) by ``rng``, the bias is zero."""
 
-    def __init__(
-        self,
-        input_dim: int,
-        embed_dim: int,
-        hidden_dim: int | None = None,
-        *,
-        rng: np.random.Generator,
-        init_scale: float = 0.02,
-    ):
-        dims = [input_dim] + ([hidden_dim] if hidden_dim else []) + [embed_dim]
-        self.weights = [
-            rng.normal(size=(dims[i], dims[i + 1])) * init_scale
-            for i in range(len(dims) - 1)
-        ]
-        self.biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
+    def __init__(self, input_dim: int, embed_dim: int, *, rng: np.random.Generator,
+                 init_scale: float = 0.02):
+        self.weight = rng.normal(size=(input_dim, embed_dim)) * init_scale
+        self.bias = np.zeros(embed_dim)
 
     def parameters(self) -> list[np.ndarray]:
-        params: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            params.extend((w, b))
-        return params
+        return [self.weight, self.bias]
 
     def forward(self, x: np.ndarray):
-        activations = [np.asarray(x, dtype=np.float64)]
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = activations[-1] @ w + b
-            if layer < len(self.weights) - 1:
-                z = np.tanh(z)
-            activations.append(z)
-        return activations[-1], activations
+        """The embeddings of the rows of ``x``, and the input :meth:`backward` takes."""
+        x = np.asarray(x, dtype=np.float64)
+        return x @ self.weight + self.bias, x
 
-    def backward(self, activations: list[np.ndarray], grad_out: np.ndarray):
+    def backward(self, x: np.ndarray, grad_out: np.ndarray):
         """Parameter gradients in the order of :meth:`parameters`."""
-        grads: list[np.ndarray] = []
-        grad = grad_out
-        for layer in reversed(range(len(self.weights))):
-            x_in = activations[layer]
-            if layer < len(self.weights) - 1:
-                # tanh': upstream grad is wrt the activated output
-                grad = grad * (1.0 - activations[layer + 1] ** 2)
-            grads.insert(0, grad.sum(axis=0))  # bias
-            grads.insert(0, x_in.T @ grad)  # weight
-            if layer > 0:
-                grad = grad @ self.weights[layer].T
-        return grads
+        return [x.T @ grad_out, grad_out.sum(axis=0)]
 
 
 class Adam:
@@ -216,20 +177,10 @@ def clip_global_norm(grads: list[np.ndarray], max_norm: float):
     return grads, total
 
 
-def build_encoders(
-    input_dims: tuple[int, ...], embed_dim: int, cfg: TrainConfig
-) -> list[Encoder]:
+def build_encoders(input_dims: tuple[int, ...], embed_dim: int, cfg: TrainConfig) -> list[Encoder]:
     """One seeded encoder per modality (stream ``[seed, index]``)."""
-    return [
-        Encoder(
-            dim,
-            embed_dim,
-            cfg.hidden_dim,
-            rng=np.random.default_rng([cfg.seed, i]),
-            init_scale=cfg.init_scale,
-        )
-        for i, dim in enumerate(input_dims)
-    ]
+    return [Encoder(dim, embed_dim, rng=np.random.default_rng([cfg.seed, i]))
+            for i, dim in enumerate(input_dims)]
 
 
 @dataclass(frozen=True)
@@ -410,12 +361,14 @@ def evaluate_directions(
     the one read off a stable argsort of the same scores exactly. With
     ``with_map``, a query whose label no gallery item has raises
     ``NoRelevantItems`` naming the direction and the query's row;
-    modalities of different embedding dimension raise ``ShapeMismatch``.
+    modalities of different embedding dimension raise ``ShapeMismatch``,
+    and repeated modality names ``ConfigError``.
     """
+    names, labels = [b.modality_name for b in batches], [b.labels for b in batches]
+    check_unique_names(names)
     if len({b.d for b in batches}) != 1:
         raise ShapeMismatch(f"modalities must share d, got {[b.d for b in batches]}")
     units = [b.data / row_norms(b.data, f"batch '{b.modality_name}'") for b in batches]
-    names, labels = [b.modality_name for b in batches], [b.labels for b in batches]
     return _evaluate(units, names, labels, with_map)
 
 
@@ -451,7 +404,7 @@ def train_run(
         raise ShapeMismatch(f"{len(data)} modalities but {len(encoders)} encoders")
     check_paired(data)
     check_kind(cfg.loss_kind, len(data))
-    if len({enc.weights[-1].shape[1] for enc in encoders}) != 1:
+    if len({enc.weight.shape[1] for enc in encoders}) != 1:
         raise ShapeMismatch("encoders must share one embedding dimension")
     n = data[0].n
     if n < 3:
@@ -479,14 +432,8 @@ def train_run(
                     for q, g in permutations(names, 2)}
         return _evaluate(stack / norms, names, test_labels, with_map)
 
-    adam = Adam(
-        [p for enc in encoders for p in enc.parameters()],
-        cfg.learning_rate,
-        cfg.adam_beta1,
-        cfg.adam_beta2,
-        cfg.adam_epsilon,
-        cfg.weight_decay,
-    )
+    adam = Adam([p for enc in encoders for p in enc.parameters()], cfg.learning_rate,
+                weight_decay=WEIGHT_DECAY)
     directions = sorted(direction_label(q, g) for q, g in permutations(names, 2))
     covered = supervised_directions(names, cfg.loss_kind, cfg.strategy)
     supervised = {d: d in covered for d in directions}
@@ -494,7 +441,7 @@ def train_run(
     records: list[EpochRecord] = []
     aborted = False
     for epoch in range(cfg.max_epochs):
-        lr_scale = cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
+        lr_scale = LR_DECAY_FACTOR ** (epoch // LR_DECAY_EVERY)
         order = train_idx[rng.permutation(train_idx.size)]
         batch_losses: list[float] = []
         for start in range(0, order.size, cfg.batch_size):
@@ -552,11 +499,7 @@ def ablation_run(
     """
     input_dims = tuple(b.d for b in data)
     arms = []
-    for strategy in (
-        MatchStrategy.CLOCKWISE,
-        MatchStrategy.COUNTERCLOCKWISE,
-        MatchStrategy.MIXED,
-    ):
+    for strategy in MatchStrategy:  # clockwise, counterclockwise, mixed
         cfg = replace(base_cfg, strategy=strategy)
         encoders = build_encoders(input_dims, embed_dim, cfg)
         trace = train_run(data, encoders, cfg)

@@ -273,9 +273,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize(
         "line",
         [
-            "lr_decay_every = 0", "grad_clip_norm = nan", "learning_rate = nan", "temperature = inf",
-            "temperature = 0", "seed = -2", "data_seed = -2", "lr_decay_factor = -0.1",
-            "adam_epsilon = -1e-8", "hidden_dim = -3", "init_scale = 0",
+            "grad_clip_norm = nan", "learning_rate = nan", "temperature = inf",
+            "temperature = 0", "seed = -2", "data_seed = -2",
             # a temperature whose reciprocal overflows, and a hold-out share past [0, 1)
             "temperature = 1e-320", "holdout_fraction = 1.5",
         ],
@@ -285,6 +284,20 @@ class TestTrainCommand:
         cfg.write_text(SMALL_CONFIG.replace(line.split()[0] + " =", "# was") + line + "\n")
         assert main(["train", "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {line.split()[0]} must be")
+        assert not (tmp_path / "run").exists()
+
+    # settings the trainer fixes (Adam's defaults, WEIGHT_DECAY, the
+    # LR_DECAY_* schedule, linear encoders at Encoder's init_scale)
+    @pytest.mark.parametrize(
+        "key",
+        ["adam_beta1", "adam_beta2", "adam_epsilon", "weight_decay", "lr_decay_factor",
+         "lr_decay_every", "hidden_dim", "init_scale"],
+    )
+    def test_removed_train_key_is_unknown(self, key, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CONFIG + f"{key} = 1\n")
+        assert main(["train", "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: unknown config keys: [{key!r}]")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("line", ["class_sep = inf", "noise_sigma = inf"])

@@ -137,9 +137,8 @@ class TestKvConfig:
 # dropping a config field shows here
 ACCEPTED_KEYS = {
     "num_classes", "per_class", "embed_dim", "max_epochs", "batch_size", "seed", "data_seed",
-    "hidden_dim", "lr_decay_every", "class_sep", "noise_sigma", "learning_rate", "adam_beta1",
-    "adam_beta2", "adam_epsilon", "weight_decay", "grad_clip_norm", "temperature",
-    "holdout_fraction", "lr_decay_factor", "init_scale", "loss_kind", "strategy", "input_dims",
+    "class_sep", "noise_sigma", "learning_rate", "grad_clip_norm", "temperature",
+    "holdout_fraction", "loss_kind", "strategy", "input_dims",
 }
 
 # every config field: its string form and the value (and type) that form parses to
@@ -152,10 +151,6 @@ FIELD_CASES = [
     ("noise_sigma", "0.5", 0.5),
     ("seed", "9", 9),
     ("learning_rate", "1e-3", 0.001),
-    ("adam_beta1", "0.8", 0.8),
-    ("adam_beta2", "0.99", 0.99),
-    ("adam_epsilon", "1e-7", 1e-07),
-    ("weight_decay", "0", 0.0),
     ("grad_clip_norm", "2", 2.0),
     ("max_epochs", "3", 3),
     ("batch_size", "8", 8),
@@ -163,10 +158,6 @@ FIELD_CASES = [
     ("strategy", "clockwise", MatchStrategy.CLOCKWISE),
     ("temperature", "0.5", 0.5),
     ("holdout_fraction", "0.25", 0.25),
-    ("lr_decay_factor", "0.5", 0.5),
-    ("lr_decay_every", "7", 7),
-    ("hidden_dim", "12", 12),
-    ("init_scale", "-0.1", -0.1),
 ]
 
 
@@ -189,7 +180,7 @@ class TestConfigFields:
     @pytest.mark.parametrize(
         "key, text",
         [("num_classes", "4.0"), ("input_dims", "8,x"), ("class_sep", "wide"),
-         ("strategy", "sideways"), ("hidden_dim", "none"), ("data_seed", "1.5")],
+         ("strategy", "sideways"), ("max_epochs", "none"), ("data_seed", "1.5")],
     )
     def test_bad_value_names_the_key(self, key, text):
         with pytest.raises(ConfigError, match=f"bad value for {key}"):

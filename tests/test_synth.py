@@ -83,6 +83,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_cfg(**overrides)
 
+    @pytest.mark.parametrize("value", [2.5, 4.0, np.float64(3.0)])
+    @pytest.mark.parametrize("name", ["num_classes", "per_class", "embed_dim", "seed"])
+    def test_non_integer_int_field_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            small_cfg(**{name: value})
+
+    @pytest.mark.parametrize("dims", [(2.5, 3), (8, 12.0), (np.float64(8), 12)])
+    def test_non_integer_input_dim_rejected(self, dims):
+        with pytest.raises(ConfigError, match="^every input_dims entry must be an integer"):
+            small_cfg(input_dims=dims)
+
+    def test_numpy_integer_input_dims_become_ints(self):
+        dims = small_cfg(input_dims=np.array([8, 12])).input_dims
+        assert dims == (8, 12) and all(type(d) is int for d in dims)
+
     @pytest.mark.parametrize("value", [np.inf, np.nan, -np.inf])
     @pytest.mark.parametrize("name", ["class_sep", "noise_sigma"])
     def test_non_finite_scale_rejected(self, name, value):
