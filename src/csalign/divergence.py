@@ -41,7 +41,7 @@ from .errors import (
     TooFewDistributions,
     TooFewSamples,
 )
-from .pmf import EmbeddingBatch
+from .pmf import EmbeddingBatch, check_float
 
 # Row-sum tolerance for PMFs arriving at the divergence boundary.
 # Deviations beyond this are rejected, never silently renormalized.
@@ -93,7 +93,7 @@ class KlConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+        if not (np.isfinite(check_float("epsilon", self.epsilon)) and self.epsilon >= 0):
             raise ConfigError(f"epsilon must be finite and non-negative, got {self.epsilon}")
 
 
@@ -109,7 +109,7 @@ class MmdConfig:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != MEDIAN_HEURISTIC:
                 raise ConfigError(f"unknown bandwidth rule {self.bandwidth!r}")
-        elif not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
+        elif not (np.isfinite(check_float("bandwidth", self.bandwidth)) and self.bandwidth > 0):
             raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
 
 

@@ -99,8 +99,8 @@ def loss_gradient(
     bit for bit; the tuple holds one n x d gradient matrix per ring
     modality. MMD uses the median-heuristic bandwidth.
     """
-    check_kind(loss_kind, ring.m)
     tau = (align_cfg or AlignConfig()).temperature
+    check_kind(loss_kind, ring.m, tau)
     value, grads = stack_loss_gradient(loss_kind, *ring.arrays(), tau)
     return value, tuple(grads)
 
@@ -166,7 +166,7 @@ def finite_diff_gradient(
     loss_kind: str, ring: ModalityRing, align_cfg: AlignConfig | None = None, *, step: float = 1e-5
 ) -> tuple[np.ndarray, ...]:
     """Finite-difference oracle for :func:`loss_gradient`."""
-    check_kind(loss_kind, ring.m)
+    check_kind(loss_kind, ring.m, (align_cfg or AlignConfig()).temperature)
     fn = _loss_closure(loss_kind, ring, align_cfg)
     return tuple(central_difference(fn, [b.data for b in ring.batches], step))
 

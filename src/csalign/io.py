@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .losses import MatchStrategy
+from .losses import MatchStrategy, check_kind
 from .synth import SynthConfig
 from .train import TrainConfig
 
@@ -178,7 +178,8 @@ def experiment_configs(mapping: dict[str, str]):
     """Split one flat mapping into (SynthConfig, TrainConfig).
 
     ``seed`` applies to both the generator and the trainer unless a
-    separate ``data_seed`` is given.
+    separate ``data_seed`` is given. The loss kind and temperature are
+    checked against the number of modalities by ``check_kind``.
     """
     unknown = set(mapping) - set(_KEY_TYPES)
     if unknown:
@@ -195,6 +196,7 @@ def experiment_configs(mapping: dict[str, str]):
         synth_kwargs["seed"] = values["data_seed"]
     synth = SynthConfig(**synth_kwargs)
     train = TrainConfig(**train_kwargs)
+    check_kind(train.loss_kind, synth.num_modalities, train.temperature)
     return synth, train
 
 

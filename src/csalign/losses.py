@@ -18,20 +18,21 @@ Two families live here:
 replaces: one directional projection-matching loss per ordered modality
 pair, M(M-1) in total versus 2M for the mixed ring.
 
-All of them, and ``gradients.loss_gradient``, check the kind against M
-with ``check_kind`` and are thin calls into ``stack_matching_loss``. It
-checks the stack's row norms with ``pmf.row_norms`` (an overflowing or
-zero-norm row raises), evaluates every pass from its logit matrices
-``z_m = cos_m / tau`` in the log domain and returns the per-sample and
-per-direction breakdown together with the embedding gradients. The
-forward losses here, and the finite-difference closure in
-``gradients``, discard the gradients, so they ask for values only
-(``grad=False``): the same report bit for bit, with no gradient step
-taken. ``loss_gradient`` and the trainer take the gradient path. CS and
-GCS are scale invariant, so the softmax normalisers cancel and the
-association PMFs are never formed. For one pass with M logit matrices
-(one per edge) and ``c_i`` same-label items in row i, the GCS of the M
-projections plus the true-match PMF (exponent M+1) is
+All of them, and ``gradients.loss_gradient``, check the kind and tau
+against M with ``check_kind`` and are thin calls into
+``stack_matching_loss``. It checks the stack's row norms with
+``pmf.row_norms`` (an overflowing or zero-norm row raises), evaluates
+every pass from its logit matrices ``z_m = cos_m / tau`` in the log
+domain and returns the per-sample and per-direction breakdown together
+with the embedding gradients. The forward losses here, and the
+finite-difference closure in ``gradients``, discard the gradients, so
+they ask for values only (``grad=False``): the same report bit for bit,
+with no gradient step taken. ``loss_gradient`` and the trainer take the
+gradient path. CS and GCS are scale invariant, so the softmax
+normalisers cancel and the association PMFs are never formed. For one
+pass with M logit matrices (one per edge) and ``c_i`` same-label items
+in row i, the GCS of the M projections plus the true-match PMF (exponent
+M+1) is
 
     l_i = (sum_m lse((M+1) z_m,i) + log c_i) / (M+1)
           - lse_{k: y_k = y_i} (sum_m z_m,ik)
@@ -49,11 +50,10 @@ ring's M or an unordered pair's one, once: one product per edge, each
 on views of the unit rows. One kernel, ``gcs_logit_rows`` (CS, GCS) or
 ``kl_logit_rows``, reads the group's matrices on the batch's
 ``label_support`` by rows for one pass and by columns for the other.
-GCS takes one exponential per matrix, shifted by 1/tau or, past
-``STATIC_SHIFT_LIMIT``, by per-reading maxima, so it stays finite
-wherever the divergence is; KL one per reading, against one log target
-built once per call (the smoothed true-match PMF is symmetric).
-``divergence`` is the independent value oracle.
+GCS takes one exponential per matrix at every tau (past
+``STATIC_SHIFT_LIMIT`` floored, with own shifts for the anchors that
+need them), KL one per reading against one symmetric log target per
+group. ``divergence`` is the independent value oracle.
 
 On the gradient path the engine's working set is the (M, n, d) stack,
 its unit rows, their scaled transpose, one gradient array and one
@@ -97,12 +97,16 @@ def association_pmf_count() -> int:
     return _ASSOCIATION_PMF_COUNT
 
 
-def check_kind(loss_kind: str, m: int) -> None:
-    """Reject an unknown loss kind, or one that is not defined for M modalities."""
+def check_kind(loss_kind: str, m: int, tau: float) -> None:
+    """Reject an unknown loss kind, one not defined for M modalities, or a tau below
+    4 M (M + 1) / DBL_MAX, where the ring's shifted log-sum-exps (down to -2 M (M + 1) / tau)
+    could overflow: from it on, every loss reads a finite value or +inf, never nan or -inf."""
     if loss_kind not in LOSS_KINDS:
         raise ConfigError(f"unknown loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
     if loss_kind in ("bimodal_cs", "mmd", "coral") and m != 2:
         raise ConfigError(f"loss kind {loss_kind!r} is defined for exactly two modalities")
+    if tau < 4 * m * (m + 1) / np.finfo(float).max:
+        raise ConfigError(f"temperature must be >= 4 M (M + 1) / DBL_MAX at M = {m}, got {tau!r}")
 
 
 class MatchStrategy(Enum):
@@ -209,10 +213,11 @@ def ring_passes(strategy: MatchStrategy) -> list[str]:
 # ---------------------------------------------------------------------------
 # the engine: per-group kernels on the logits
 
-# Largest 2k/tau for the static shift: exp(k (z - 1/tau)) is at least
-# exp(-2k/tau), since no cosine is below -1, so up to this limit every row's
-# and column's largest term stays e^37 or more above the smallest normal float.
-STATIC_SHIFT_LIMIT = 670.0
+# Largest 2k/tau for the static shift alone: no cosine is below -1, so up to it every
+# anchor's largest term exp(k (z - 1/tau)) is at least exp(-STATIC_SHIFT_LIMIT). Past it,
+# the floor EXP_FLOOR adds at most n e^-100 to such a sum, and keeps e^EXP_FLOOR / n normal.
+STATIC_SHIFT_LIMIT = 580.0
+EXP_FLOOR = -680.0
 
 
 class LabelSupport(NamedTuple):
@@ -254,13 +259,14 @@ def label_support(labels: np.ndarray) -> LabelSupport:
     return LabelSupport(rows, cols, starts, np.log(counts), starts[cols] + rank[rows])
 
 
-def _softmax(z: np.ndarray, axis: int, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """``softmax(k z)`` and ``lse(k z)`` along ``axis``, shifted by the maxima. The
-    log-sum-exp is taken from the sums before the division, so it does not depend
-    on whether a caller reads the softmax."""
+def _softmax(z: np.ndarray, axis: int, k: float, floor=None) -> tuple[np.ndarray, np.ndarray]:
+    """``softmax(k z)`` and ``lse(k z)`` along ``axis``, shifted by the maxima, with no
+    exponent below ``floor`` if one is given; the lse comes from the sums, not the softmax."""
     shift = z.max(axis=axis, keepdims=True)
     e = z - shift
     e *= k
+    if floor is not None:
+        np.maximum(e, floor, out=e)
     np.exp(e, out=e)
     sums = e.sum(axis=axis, keepdims=True)
     e /= sums
@@ -289,68 +295,62 @@ def gcs_logit_rows(
     gradient needs is taken (the values are the same bits either way).
 
     One exponential per matrix, ``E = exp(k (z - 1/tau))`` with k = M + 1,
-    serves both readings: row sums normalise one and column sums the
-    other, and the gradient is ``E / rowsum + E / colsum - (w + w_rev^T)``
-    on the same-label pairs, where ``w`` is the softmax of ``sum_m z_m``
-    over each anchor's same-label pairs (``w_rev`` that of the reverse
-    reading), evaluated on those pairs only: an exp of a masked ``-inf``
-    entry costs several times that of a finite one. No cosine exceeds 1,
-    so the static shift 1/tau puts every term of E in
-    ``[exp(-2k/tau), 1]``; while ``2k / tau <= STATIC_SHIFT_LIMIT`` even a
-    row whose largest cosine is -1 keeps its largest term a normal float
-    with e^37 to spare, and the result is that of a max-subtracted
-    softmax. Past that limit, a choice made from (k, tau) alone, each
-    reading takes the ``_softmax`` of ``z``, shifted by its own row (or
-    column) maxima, so a value stays finite wherever the divergence is.
+    serves both readings at every temperature: row sums normalise one and
+    column sums the other, and the gradient is ``E / rowsum + E / colsum
+    - (w + w_rev^T)`` on the same-label pairs, where ``w`` is the softmax
+    of ``sum_m z_m`` over each anchor's same-label pairs (``w_rev`` that
+    of the reverse reading), evaluated on those pairs only. No cosine
+    exceeds 1, so every term of E lies in ``[exp(-2k/tau), 1]``. Past
+    ``2k / tau = STATIC_SHIFT_LIMIT`` (decided from k and tau alone), the
+    exponents of E and ``w`` are floored at ``EXP_FLOOR``, ``w`` is also
+    shifted by each anchor's maximum, and an anchor whose largest term is
+    below ``exp(-STATIC_SHIFT_LIMIT)`` takes the ``_softmax`` of a copy of
+    its terms for its ``log(rowsum)`` and ``E / rowsum``. So every value
+    is a max-subtracted softmax's, finite wherever the divergence is.
     """
     m, n = logits.shape[:2]
     k = m + 1
     pairs = support.rows * n + support.cols
     joint = np.take(logits.reshape(m, n * n), pairs, axis=1).sum(axis=0)
     static = 2 * k / tau <= STATIC_SHIFT_LIMIT
-    # a reading sums over axis 1 (rows: the pass) or axis 0 (columns: the
-    # reverse pass); ``order`` lists the pairs grouped by their anchor
-    readings = [
-        (axis, order)
-        for axis, order, wanted in ((1, slice(None), rows), (0, support.transpose, cols))
-        if wanted
-    ]
-    tops, totals = [], []
-    w_pairs = 0.0
+    # anchor i of a reading is row i of z (axis 1: the pass) or of z.T (axis 0:
+    # the reverse pass); ``order`` lists the pairs grouped by their anchor
+    readings = [(axis, order) for axis, order, wanted in (
+        (1, slice(None), rows), (0, support.transpose, cols)) if wanted]
+    w_lse, w_pairs = [], 0.0
     for axis, order in readings:
-        anchor_joint = joint[order]
-        # the static shifts, m/tau here and 1/tau per matrix below, cancel in the values
-        top = 0.0 if static else np.maximum.reduceat(anchor_joint, support.starts)
-        w = np.exp(anchor_joint - (m / tau if static else top[support.rows]))
+        # the values' frame: the static shifts, m/tau here and 1/tau per matrix below, cancel
+        w = joint[order] - m / tau
+        top = 0.0 if static else np.maximum.reduceat(w, support.starts)
+        w = np.exp(w if static else np.maximum(w - top[support.rows], EXP_FLOOR))
         total = np.add.reduceat(w, support.starts)
         if grad:
             w /= total[support.rows]
             w_pairs = w_pairs + w[order]
-        tops.append(top)
-        totals.append(total)
+        w_lse.append(top + np.log(total))
     power_lse = [support.log_counts.copy() for _ in readings]
     for z in logits:
-        if static:
-            np.subtract(z, 1.0 / tau, out=z)
-            z *= k
-            np.exp(z, out=z)
-            sums = [z.sum(axis=axis, keepdims=True) for axis, _ in readings]
-            for lse, reading_sums in zip(power_lse, sums):
-                lse += np.log(reading_sums).reshape(n)
-            if grad:
-                # E / rowsum + E / colsum
-                z *= sum(1.0 / reading_sums for reading_sums in sums)
-        else:
-            softmaxes = [_softmax(z, axis, k) for axis, _ in readings]
-            for lse, (_, reading_lse) in zip(power_lse, softmaxes):
-                lse += reading_lse.reshape(n)
-            if grad:
-                z[...] = softmaxes[0][0]
-                for p, _ in softmaxes[1:]:
-                    z += p
+        np.subtract(z, 1.0 / tau, out=z)
+        z *= k
+        # past the limit, an anchor with all terms below exp(-STATIC_SHIFT_LIMIT) is shifted alone
+        anchors = [z if axis else z.T for axis, _ in readings]
+        low = [np.flatnonzero(a.max(axis=1) < -STATIC_SHIFT_LIMIT) for a in anchors if not static]
+        own = [_softmax(a[i], 1, 1.0, EXP_FLOOR) for a, i in zip(anchors, low)]
+        np.exp(z if static else np.maximum(z, EXP_FLOOR, out=z), out=z)
+        sums = [z.sum(axis=axis, keepdims=True) for axis, _ in readings]
+        log_sums = [np.log(reading_sums).reshape(n) for reading_sums in sums]
+        for reading_sums, log_sum, i, (_, own_lse) in zip(sums, log_sums, low, own):
+            log_sum[i] = own_lse.reshape(-1)
+            reading_sums.reshape(n)[i] = np.inf  # 1 / sum = 0: the own softmax takes over
+        for lse, log_sum in zip(power_lse, log_sums):
+            lse += log_sum
         if grad:
+            # E / rowsum + E / colsum, plus the own-shifted anchors' softmaxes
+            z *= sum(1.0 / reading_sums for reading_sums in sums)
+            for a, i, (p, _) in zip(anchors, low, own):
+                a[i] += p
             z.reshape(n * n)[pairs] -= w_pairs
-    values = [lse / k - top - np.log(total) for lse, top, total in zip(power_lse, tops, totals)]
+    values = [lse / k - joint_lse for lse, joint_lse in zip(power_lse, w_lse)]
     return values, logits if grad else None
 
 
@@ -409,8 +409,8 @@ def matching_loss(
 
     The ring validates the input; ``stack_matching_loss`` does the work.
     """
-    check_kind(kind, ring.m)
     tau = (cfg or AlignConfig()).temperature
+    check_kind(kind, ring.m, tau)
     return stack_matching_loss(kind, *ring.arrays(), tau, grad=grad)
 
 

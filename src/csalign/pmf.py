@@ -11,6 +11,7 @@ labels, so neither PMF is ever built as a matrix.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -59,6 +60,17 @@ def check_integer(name: str, value) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
+def check_float(name: str, value) -> float:
+    """``value`` as a float; ``ConfigError`` unless it is a real number in float range,
+    such as an int or numpy float (not ``"0.1"`` or ``None``)."""
+    try:
+        if isinstance(value, numbers.Real):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{name} must be a number in float range, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AlignConfig:
     """Softmax settings for association-PMF construction.
@@ -74,7 +86,8 @@ class AlignConfig:
 
     def __post_init__(self) -> None:
         # below 1/DBL_MAX the scaled embeddings, and with them the logits, overflow
-        if not (0.0 < self.temperature < np.inf and 1.0 / float(self.temperature) < np.inf):
+        tau = check_float("temperature", self.temperature)
+        if not (0.0 < tau < np.inf and 1.0 / tau < np.inf):
             raise ConfigError(
                 f"temperature must be positive with a finite 1/temperature, got {self.temperature}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
-from .pmf import EmbeddingBatch, check_integer
+from .pmf import EmbeddingBatch, check_float, check_integer
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class SynthConfig:
             raise ConfigError(f"embed_dim must be positive, got {self.embed_dim}")
         for name in ("class_sep", "noise_sigma"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
+            if not (np.isfinite(check_float(name, value)) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
 
     @property

@@ -22,7 +22,7 @@ from .errors import ConfigError, NonFiniteSimilarity, NoRelevantItems, ShapeMism
 from .gradients import stack_loss_gradient
 from .losses import (LOSS_KINDS, MatchStrategy, check_kind, check_paired, check_unique_names,
                      direction_label, ring_edges, ring_passes)
-from .pmf import AlignConfig, EmbeddingBatch, check_integer, row_norms
+from .pmf import AlignConfig, EmbeddingBatch, check_float, check_integer, row_norms
 from .retrieval import SCORE_BLOCK_ROWS, average_precisions, rank_scores, top_k_hits
 
 # Query rows of one score product. ``_evaluate`` multiplies every block
@@ -60,10 +60,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
+        if not isinstance(self.strategy, MatchStrategy):
+            raise ConfigError(f"strategy must be a MatchStrategy, got {self.strategy!r}")
         # a nan passes every ordered comparison below as False
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not np.isfinite(value):
+            if f.type == "float" and not np.isfinite(check_float(f.name, value)):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
             if f.type == "int":
                 check_integer(f.name, value)
@@ -403,7 +405,7 @@ def train_run(
     if len(data) != len(encoders):
         raise ShapeMismatch(f"{len(data)} modalities but {len(encoders)} encoders")
     check_paired(data)
-    check_kind(cfg.loss_kind, len(data))
+    check_kind(cfg.loss_kind, len(data), cfg.temperature)
     if len({enc.weight.shape[1] for enc in encoders}) != 1:
         raise ShapeMismatch("encoders must share one embedding dimension")
     n = data[0].n

@@ -275,8 +275,9 @@ class TestTrainCommand:
         [
             "grad_clip_norm = nan", "learning_rate = nan", "temperature = inf",
             "temperature = 0", "seed = -2", "data_seed = -2",
-            # a temperature whose reciprocal overflows, and a hold-out share past [0, 1)
-            "temperature = 1e-320", "holdout_fraction = 1.5",
+            # a temperature whose reciprocal overflows, one below 4 M (M + 1) / DBL_MAX
+            # at M = 3, and a hold-out share past [0, 1)
+            "temperature = 1e-320", "temperature = 1e-308", "holdout_fraction = 1.5",
         ],
     )
     def test_bad_train_field_is_a_config_error(self, line, tmp_path, capsys):

@@ -184,6 +184,16 @@ class TestLogDomainKernel:
             for got, want in zip(bundle, want_grads):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("tau", [0.05, 0.01, 0.005])
+    @pytest.mark.parametrize("kind, m", [("bimodal_cs", 2)] + [
+        (kind, m) for kind in ("gcs_ring", "pairwise_cs") for m in (2, 3, 8)])
+    def test_no_step_underflows(self, kind, m, tau):
+        # past STATIC_SHIFT_LIMIT the floored exponents keep every term a normal float
+        ring = random_ring(m, m=m, n=12)
+        with np.errstate(under="raise"):
+            value, bundle = loss_gradient(kind, ring, AlignConfig(tau))
+        assert np.isfinite(value) and all(np.all(np.isfinite(g)) for g in bundle)
+
     def test_underflow_ring_is_finite_and_rows_match_oracle(self):
         ring = underflow_ring()
         cfg = AlignConfig(0.005)
@@ -340,17 +350,29 @@ class TestGroupedEngineAgreesWithPerPassEngine:
 
     @pytest.mark.parametrize("m, tau", SHIFT_EDGE_TAUS)
     @pytest.mark.parametrize("strategy", list(MatchStrategy))
-    def test_gcs_ring_either_side_of_static_shift_limit(self, m, tau, strategy):
-        static = 2 * (m + 1) / tau <= STATIC_SHIFT_LIMIT
-        assert static == (tau > 2 * (m + 1) / STATIC_SHIFT_LIMIT)
-        self.check("gcs_ring", random_ring(m, m=m, n=12, strategy=strategy), tau)
+    def test_gcs_ring_either_side_of_static_shift_limit(self, m, tau, strategy, monkeypatch):
+        ring = random_ring(m, m=m, n=12, strategy=strategy)
+        # one exponential per logit matrix on either side of the limit
+        exp, shapes = np.exp, []
 
-    @pytest.mark.parametrize("factor", [1.01, 0.99, 0.67])
+        def spy(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        matching_loss("gcs_ring", ring, AlignConfig(tau))
+        monkeypatch.undo()
+        assert shapes.count((12, 12)) == m
+        self.check("gcs_ring", ring, tau)
+
+    @pytest.mark.parametrize("factor", [1.01, 0.99, 0.67, 0.3, 0.1])
     @pytest.mark.parametrize("m", [3, 8])
     def test_row_whose_best_cosine_is_minus_one(self, m, factor):
         # row 0 of z_01 has every cosine near -1, so its largest term under
-        # the static shift is about exp(-2k/tau): normal inside the limit,
-        # zero at 2k/tau = 1000 (factor 0.67), where the row maxima take over
+        # the static shift is about exp(-2k/tau): at least exp(-STATIC_SHIFT_LIMIT)
+        # inside the limit, below it past the limit (factor 0.99 and less), where
+        # the row takes its own shift while other rows of z_01 keep the static
+        # one; at factors 0.3 and 0.1 more rows and columns take their own
         rng = np.random.default_rng(m)
         labels = np.array([0, 0, 1, 1, 2, 2])
         data = [rng.normal(size=(6, 3)) for _ in range(m)]
@@ -359,8 +381,16 @@ class TestGroupedEngineAgreesWithPerPassEngine:
             EmbeddingBatch(x, labels, f"s{i}") for i, x in enumerate(data)
         ))
         tau = 2 * (m + 1) / STATIC_SHIFT_LIMIT * factor
+        units = [x / np.linalg.norm(x, axis=1, keepdims=True) for x in data[:2]]
+        best = (units[0] @ units[1].T).max(axis=1)
+        below = (m + 1) * (best - 1) / tau < -STATIC_SHIFT_LIMIT
+        assert below[0] == (factor < 1) and not below.all()
         self.check("gcs_ring", ring, tau)
         self.check("pairwise_cs", ring, tau)
+        for kind in ("gcs_ring", "pairwise_cs"):
+            _, analytic = loss_gradient(kind, ring, AlignConfig(tau))
+            numeric = finite_diff_gradient(kind, ring, AlignConfig(tau))
+            assert max_relative_error(analytic, numeric) <= 1e-5
 
     @pytest.mark.parametrize("tau", [1.0, 0.2, 0.02, 0.005])
     @pytest.mark.parametrize("m", range(2, 6))

@@ -386,6 +386,28 @@ class TestValuesOnlyPath:
         assert _loss_closure(kind, ring, cfg)([b.data for b in ring.batches]) == value
 
 
+class TestTemperatureBound:
+    """``check_kind`` refuses tau below 4 M (M + 1) / DBL_MAX, where the ring's
+    shifted log-sum-exps could overflow; from the bound on, every matching
+    loss reads a finite value or +inf (``finite`` False), never nan or -inf."""
+
+    @pytest.mark.parametrize("kind, m", KINDS_AND_MS)
+    def test_bound_and_both_sides(self, kind, m):
+        bound = 4 * m * (m + 1) / np.finfo(float).max
+        ring = random_ring(m, m=m)
+        # just below the bound, and the temperatures a 3-ring read inf and nan at
+        for tau in (np.nextafter(bound, 0), 1e-308, 5.5627e-309):
+            for call in (matching_loss, loss_gradient):
+                with pytest.raises(ConfigError, match=f"temperature must be >= .* at M = {m}, "):
+                    call(kind, ring, AlignConfig(tau))
+        for tau in (bound, np.nextafter(bound, 1), 2 * bound, 1e-300, 1e-200):
+            with np.errstate(over="ignore"):
+                report, _ = matching_loss(kind, ring, AlignConfig(tau))
+            values = np.array([report.total, *report.per_direction.values(), *report.per_sample])
+            assert not np.isnan(values).any() and (values > -np.inf).all(), tau
+            assert report.finite == np.isfinite(values).all()
+
+
 class TestGradientWorkingSet:
     @pytest.mark.parametrize("kind", ["gcs_ring", "pairwise_cs"])
     def test_peak_holds_the_design_arrays_only(self, kind):

@@ -10,7 +10,9 @@ from csalign import (
     AlignConfig,
     EmbeddingBatch,
     Encoder,
+    KlConfig,
     MatchStrategy,
+    MmdConfig,
     ModalityRing,
     SynthConfig,
     TrainConfig,
@@ -257,7 +259,31 @@ def pair_setup(**train_overrides):
 FLOAT_FIELDS = ("learning_rate", "grad_clip_norm", "temperature", "holdout_fraction")
 
 
+@pytest.mark.parametrize("config, kwargs", [
+    (TrainConfig, {"learning_rate": "0.1"}),
+    (TrainConfig, {"temperature": None}),
+    (TrainConfig, {"grad_clip_norm": 10 ** 400}),
+    (SynthConfig, {"class_sep": "6"}),
+    (AlignConfig, {"temperature": "1"}),
+    (KlConfig, {"epsilon": "x"}),
+    (MmdConfig, {"bandwidth": None}),
+])
+def test_non_number_float_field_is_a_config_error(config, kwargs):
+    (name, _), = kwargs.items()
+    with pytest.raises(ConfigError, match=f"^{name} must be a number"):
+        config(**kwargs)
+
+
 class TestTrainConfig:
+    def test_strategy_must_be_a_match_strategy(self):
+        with pytest.raises(ConfigError, match="^strategy must be a MatchStrategy, got 'mixed'"):
+            TrainConfig(strategy="mixed")
+
+    def test_real_numbers_accepted_in_float_fields(self):
+        cfg = TrainConfig(
+            learning_rate=1, temperature=np.float32(0.5), holdout_fraction=np.float64(0.25))
+        assert (cfg.learning_rate, cfg.temperature, cfg.holdout_fraction) == (1, 0.5, 0.25)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", FLOAT_FIELDS)
     def test_non_finite_float_field_rejected(self, name, value):
