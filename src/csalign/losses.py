@@ -98,11 +98,14 @@ def association_pmf_count() -> int:
 
 
 def check_kind(loss_kind: str, m: int, tau: float) -> None:
-    """Reject an unknown loss kind, one not defined for M modalities, or a tau below
-    4 M (M + 1) / DBL_MAX, where the ring's shifted log-sum-exps (down to -2 M (M + 1) / tau)
-    could overflow: from it on, every loss reads a finite value or +inf, never nan or -inf."""
+    """Reject an unknown loss kind, fewer than two modalities, a kind not defined for M, or
+    a tau below 4 M (M + 1) / DBL_MAX, where the ring's shifted log-sum-exps (down to
+    -2 M (M + 1) / tau) could overflow: from it on, every loss reads a finite value or +inf,
+    never nan or -inf."""
     if loss_kind not in LOSS_KINDS:
         raise ConfigError(f"unknown loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
+    if m < 2:
+        raise ConfigError(f"loss kind {loss_kind!r} needs M >= 2 modalities, got M = {m}")
     if loss_kind in ("bimodal_cs", "mmd", "coral") and m != 2:
         raise ConfigError(f"loss kind {loss_kind!r} is defined for exactly two modalities")
     if tau < 4 * m * (m + 1) / np.finfo(float).max:
@@ -126,12 +129,8 @@ def check_paired(batches: Sequence[EmbeddingBatch]) -> None:
             raise ShapeMismatch(f"all modalities must share n; got {b.n} vs {first.n}")
         if not np.array_equal(b.labels, first.labels):
             raise ShapeMismatch("modalities must carry identical labels position-wise")
-    check_unique_names([b.modality_name for b in batches])
-
-
-def check_unique_names(names: list[str]) -> None:
-    """Reject repeated modality names: two directions would share one label."""
-    if len(set(names)) != len(names):
+    names = [b.modality_name for b in batches]
+    if len(set(names)) != len(names):  # two directions would share one label
         raise ConfigError(f"modality names must be unique, got {names}")
 
 

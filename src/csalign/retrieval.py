@@ -15,8 +15,9 @@ query iff their class labels agree. ``top_k_hits`` counts the relevant
 items in each top k straight from the scores, by top-k selection under
 the same tie rule. ``average_precisions`` scores all queries with the
 same number of relevant items in one vectorised sum. Both take a
-boolean relevance mask of the block's shape, so a caller that scores
-several directions with the same labels builds each block's mask once.
+boolean relevance mask of the block's shape. ``train._evaluate`` scores
+paired modalities, which carry one label vector, so it builds each
+block's mask once for every direction.
 Every temporary is a chunk of rows or a boolean array of the block's
 shape, so evaluation memory stays one float64 block of
 ``SCORE_BLOCK_ROWS`` rows, however many threads share it.

@@ -18,9 +18,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteSimilarity, NoRelevantItems, ShapeMismatch
+from .errors import ConfigError, NonFiniteSimilarity, ShapeMismatch
 from .gradients import stack_loss_gradient
-from .losses import (LOSS_KINDS, MatchStrategy, check_kind, check_paired, check_unique_names,
+from .losses import (LOSS_KINDS, MatchStrategy, ModalityRing, check_kind, check_paired,
                      direction_label, ring_edges, ring_passes)
 from .pmf import AlignConfig, EmbeddingBatch, check_float, check_integer, row_norms
 from .retrieval import SCORE_BLOCK_ROWS, average_precisions, rank_scores, top_k_hits
@@ -44,8 +44,10 @@ LR_DECAY_EVERY = 100
 @dataclass(frozen=True)
 class TrainConfig:
     """Trainer settings; ``holdout_fraction``, the share of rows held out, lies in [0, 1),
-    and each ``int`` field holds an integer. Adam keeps its default betas and epsilon;
-    weight decay (``WEIGHT_DECAY``) and schedule (``LR_DECAY_*``) are fixed."""
+    and each ``int`` field holds an integer. ``train_run`` holds out
+    ``min(max(2, round(holdout_fraction * n)), n - 2)`` of the n rows: two at a fraction of
+    0, and one at n = 3. Adam keeps its default betas and epsilon; weight decay
+    (``WEIGHT_DECAY``) and schedule (``LR_DECAY_*``) are fixed."""
 
     learning_rate: float = 1e-4
     grad_clip_norm: float = 1.0
@@ -262,61 +264,46 @@ def _worker_count(rows: int, gallery: int) -> int:
 
 def _evaluate(units, names: list[str], labels, with_map: bool):
     """``evaluate_directions`` on checked arrays: ``units[m]`` holds the
-    unit rows of modality m and ``labels[m]`` their int64 labels.
+    unit rows of modality m, and ``labels`` the int64 labels that row i
+    of every modality carries.
 
     Queries are scored in blocks of ``_block_rows(workers)`` rows, for
     ``_worker_count`` workers. The caller allocates one buffer of at most
-    ``SCORE_BLOCK_ROWS x gallery`` scores, and worker w scores every
+    ``SCORE_BLOCK_ROWS x n`` scores, and worker w scores every
     ``workers``-th block from block w in its own row slice of it, where
     every direction's block goes in turn, multiplied ``_PRODUCT_ROWS``
     rows at a time. Its P@K pass builds each block's relevance
-    (``block x gallery`` booleans) from the labels, once for all
-    directions whose query modalities carry the same labels and whose
-    gallery modalities do; those directions are scored back to back. Its
-    MAP pass ranks each block into the slice and writes the ranked labels
-    over the ranking. A worker returns its integer hit counts, which are
-    summed, and writes its average precisions to its own blocks' rows, so
-    no value depends on the worker count. One worker runs on the calling
-    thread; more run on a pool, whose threads are joined before the first
-    error of a worker propagates."""
+    (``block x n`` booleans) from the labels once, for every direction.
+    Its MAP pass ranks each block into the slice and writes the ranked
+    labels over the ranking. A worker returns its integer hit counts,
+    which are summed, and writes its average precisions to its own
+    blocks' rows, so no value depends on the worker count. One worker
+    runs on the calling thread; more run on a pool, whose threads are
+    joined before the first error of a worker propagates."""
     pairs = list(permutations(range(len(units)), 2))
-    if with_map:
-        for qi, gi in pairs:
-            missing = np.flatnonzero(~np.isin(labels[qi], labels[gi]))
-            if len(missing):
-                direction = direction_label(names[qi], names[gi])
-                raise NoRelevantItems(f"{direction}: query {missing[0]} has no relevant gallery item")
-    # modalities with equal labels share a label id, and so share masks
-    ids = [next(j for j in range(m + 1) if np.array_equal(labels[j], labels[m]))
-           for m in range(len(units))]
-    order = sorted(pairs, key=lambda pair: (ids[pair[0]], ids[pair[1]]))
-    sizes = [len(u) for u in units]
-    workers = _worker_count(max(sizes), max(sizes))
+    n, k = len(labels), min(10, len(labels))
+    workers = _worker_count(n, n)
     step = _block_rows(workers)
-    slot = min(max(sizes), step) * max(sizes)
+    slot = min(n, step) * n
     buffer = np.empty(workers * slot)
-    ap_values = {pair: np.empty(sizes[pair[0]]) if with_map else None for pair in pairs}
+    ap_values = {pair: np.empty(n) if with_map else None for pair in pairs}
 
     def score_blocks(w: int) -> dict[tuple[int, int], list[int]]:
         scratch, hits = buffer[w * slot : (w + 1) * slot], {pair: [0, 0] for pair in pairs}
-        for start in range(w * step, max(sizes), workers * step):
-            rows, mask_ids = slice(start, start + step), None
-            for qi, gi in order:
-                query, gallery = units[qi][rows], units[gi]
-                if not len(query):
-                    continue
-                scores = scratch[: len(query) * len(gallery)].reshape(len(query), len(gallery))
+        for start in range(w * step, n, workers * step):
+            rows, mask = slice(start, start + step), None  # drop the last block's mask first
+            if not with_map:
+                mask = labels == labels[rows, None]
+            for qi, gi in pairs:
+                query = units[qi][rows]
+                scores = scratch[: len(query) * n].reshape(len(query), n)
                 for lo in range(0, len(query), _PRODUCT_ROWS):
                     part = slice(lo, lo + _PRODUCT_ROWS)
-                    np.matmul(query[part], gallery.T, out=scores[part])
-                k = min(10, len(gallery))
+                    np.matmul(query[part], units[gi].T, out=scores[part])
                 if with_map:
                     hit_1, hit_k, ap_values[qi, gi][rows] = _ranked_block(
-                        scores, labels[qi][rows], labels[gi], k)
+                        scores, labels[rows], labels, k)
                 else:
-                    if mask_ids != (ids[qi], ids[gi]):
-                        mask = None  # drop the last mask before building the next
-                        mask, mask_ids = labels[gi] == labels[qi][rows, None], (ids[qi], ids[gi])
                     hit_1, hit_k = top_k_hits(scores, mask, 1), top_k_hits(scores, mask, k)
                 hits[qi, gi][0] += hit_1
                 hits[qi, gi][1] += hit_k
@@ -331,7 +318,6 @@ def _evaluate(units, names: list[str], labels, with_map: bool):
             per_worker = list(pool.map(score_blocks, range(workers)))
     metrics: dict[str, dict[str, float]] = {}
     for qi, gi in pairs:
-        n, k = sizes[qi], min(10, sizes[gi])
         hit_1, hit_k = (sum(hits[qi, gi][j] for hits in per_worker) for j in (0, 1))
         entry = {"p1": hit_1 / n, "p10": hit_k / (n * k)}
         if with_map:
@@ -345,33 +331,32 @@ def evaluate_directions(
 ) -> dict[str, dict[str, float]]:
     """P@1 / P@10 (and optionally MAP) for every ordered modality pair.
 
-    Each modality is normalised once. Queries are scored in blocks of
-    ``SCORE_BLOCK_ROWS`` rows counted from row 0, every direction's block
-    into one shared buffer, so temporaries stay O(block x gallery) and no
-    query x gallery array is built. When one worker's share of a block
-    still holds ``_THREAD_MIN_SCORES`` scores or more, the blocks are
-    split, one per available CPU, and scored on as many threads in row
-    slices of that one buffer (see ``_evaluate``); every value is the same
-    as on one thread. P@K comes from top-k selection on the
-    scores (``top_k_hits``) with the tie rule of ``rank_scores``:
-    descending cosine, then ascending gallery index; no full ranking is
-    built. Its relevance mask is built per block from the labels, once
-    for all directions whose modalities carry the same labels. The MAP
-    pass ranks each block with ``rank_scores`` and reads P@1, P@10 and
-    the average precisions off the relevance of that ranking. Hit
-    counts are summed over blocks and divided once, so every value equals
-    the one read off a stable argsort of the same scores exactly. With
-    ``with_map``, a query whose label no gallery item has raises
-    ``NoRelevantItems`` naming the direction and the query's row;
-    modalities of different embedding dimension raise ``ShapeMismatch``,
-    and repeated modality names ``ConfigError``.
+    The batches must be paired, as ``ModalityRing`` checks: at least two
+    of them (else ``TooFewDistributions``), one n, one embedding
+    dimension and the same labels position by position (else
+    ``ShapeMismatch``), and unique names (else ``ConfigError``). Row i of
+    every modality is one instance, so each query's own row is relevant
+    to it. Each modality is normalised once. Queries are scored in blocks
+    of ``SCORE_BLOCK_ROWS`` rows counted from row 0, every direction's
+    block into one shared buffer, so temporaries stay O(block x n) and no
+    n x n array is built. When one worker's share of a block still holds
+    ``_THREAD_MIN_SCORES`` scores or more, the blocks are split, one per
+    available CPU, and scored on as many threads in row slices of that
+    one buffer (see ``_evaluate``); every value is the same as on one
+    thread. P@K comes from top-k selection on the scores
+    (``top_k_hits``) with the tie rule of ``rank_scores``: descending
+    cosine, then ascending gallery index; no full ranking is built. Its
+    relevance mask is built once per block, from the one label vector,
+    for every direction. The MAP pass ranks each block with
+    ``rank_scores`` and reads P@1, P@10 and the average precisions off
+    the relevance of that ranking. Hit counts are summed over blocks and
+    divided once, so every value equals the one read off a stable
+    argsort of the same scores exactly.
     """
-    names, labels = [b.modality_name for b in batches], [b.labels for b in batches]
-    check_unique_names(names)
-    if len({b.d for b in batches}) != 1:
-        raise ShapeMismatch(f"modalities must share d, got {[b.d for b in batches]}")
-    units = [b.data / row_norms(b.data, f"batch '{b.modality_name}'") for b in batches]
-    return _evaluate(units, names, labels, with_map)
+    ring = ModalityRing(tuple(batches))
+    names = [b.modality_name for b in ring.batches]
+    units = [b.data / row_norms(b.data, f"batch '{b.modality_name}'") for b in ring.batches]
+    return _evaluate(units, names, ring.labels, with_map)
 
 
 def train_run(
@@ -389,9 +374,10 @@ def train_run(
     once, and each evaluation checks the held-out stack with ``row_norms``
     and scores it as ``evaluate_directions`` does, on as many threads as
     the held-out size pays for (none at the 320 rows of an 8 x 200
-    dataset), with the same values on any number of CPUs. Every modality
-    carries the held-out labels, so each score block's relevance mask is
-    built once for all directions.
+    dataset), with the same values on any number of CPUs. The held-out
+    rows (as many as ``TrainConfig`` states) stay paired, so
+    ``_evaluate`` takes their one label vector and builds each score
+    block's relevance mask once.
 
     Rows are shuffled per epoch without replacement (seeded). A
     non-finite batch loss aborts the run, returning the trace so far
@@ -419,7 +405,7 @@ def train_run(
     n_test = min(max(2, int(round(cfg.holdout_fraction * n))), n - 2)
     test_idx, train_idx = perm[:n_test], perm[n_test:]
     test_inputs = [b.data[test_idx] for b in data]
-    test_labels = [labels[test_idx]] * len(data)
+    test_labels = labels[test_idx]
 
     def evaluate(with_map: bool = False) -> dict[str, dict[str, float]]:
         stack = np.stack([enc.forward(x)[0] for enc, x in zip(encoders, test_inputs)])

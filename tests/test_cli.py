@@ -437,3 +437,18 @@ def test_negative_seed_is_a_config_error(command, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "seed must be non-negative" in captured.err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [("train", "gcs_ring"), ("train", "pairwise_cs"), ("train", "kl"), ("ablate", "gcs_ring")],
+)
+def test_one_modality_is_a_config_error(command, kind, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG.replace("input_dims = 10,10,10", "input_dims = 10")
+                   .replace("loss_kind = gcs_ring", f"loss_kind = {kind}"))
+    assert main([command, "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: loss kind {kind!r} needs M >= 2 modalities, got M = 1")
+    assert not (tmp_path / "run").exists()

@@ -321,12 +321,12 @@ class TestAveragePrecisions:
 class TestInvariances:
     def test_orthogonal_rotation_preserves_metrics(self):
         rng = np.random.default_rng(2)
-        q, g = rng.normal(size=(6, 5)), rng.normal(size=(10, 5))
-        q_labels, g_labels = rng.integers(0, 3, 6), rng.integers(0, 3, 10)
+        q, g = rng.normal(size=(10, 5)), rng.normal(size=(10, 5))
+        labels = rng.integers(0, 3, 10)
         rotation, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         base = rank_scores(oracle.cosine_scores(q, g))
         assert np.array_equal(base, rank_scores(oracle.cosine_scores(q @ rotation, g @ rotation)))
-        batches = [EmbeddingBatch(q, q_labels, "Q"), EmbeddingBatch(g, g_labels, "G")]
+        batches = [EmbeddingBatch(q, labels, "Q"), EmbeddingBatch(g, labels, "G")]
         rotated = [EmbeddingBatch(b.data @ rotation, b.labels, b.modality_name) for b in batches]
         metrics = evaluate_directions(batches, with_map=True)
         assert metrics == oracle.direction_metrics(batches)
@@ -336,15 +336,15 @@ class TestInvariances:
 
     def test_per_row_rescaling_preserves_ranking(self):
         rng = np.random.default_rng(3)
-        q, g = rng.normal(size=(5, 4)), rng.normal(size=(8, 4))
-        scales_q = rng.uniform(0.1, 10.0, size=(5, 1))
+        q, g = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
+        scales_q = rng.uniform(0.1, 10.0, size=(8, 1))
         scales_g = rng.uniform(0.1, 10.0, size=(8, 1))
         assert np.array_equal(
             rank_scores(oracle.cosine_scores(q, g)),
             rank_scores(oracle.cosine_scores(q * scales_q, g * scales_g)),
         )
-        labels_q, labels_g = np.arange(5) % 2, np.arange(8) % 2
-        batches = [EmbeddingBatch(q, labels_q, "Q"), EmbeddingBatch(g, labels_g, "G")]
+        labels = np.arange(8) % 2
+        batches = [EmbeddingBatch(q, labels, "Q"), EmbeddingBatch(g, labels, "G")]
         scaled = [
             EmbeddingBatch(b.data * scales, b.labels, b.modality_name)
             for b, scales in zip(batches, (scales_q, scales_g))

@@ -24,7 +24,6 @@ from csalign import (
 )
 from csalign.errors import (
     ConfigError,
-    NoRelevantItems,
     NonFiniteSimilarity,
     ShapeMismatch,
     TooFewDistributions,
@@ -575,20 +574,6 @@ class TestEvaluateDirections:
         metrics = evaluate_directions(tied_batches(30, 3, seed=5), with_map=with_map)
         assert {type(v) for direction in metrics.values() for v in direction.values()} == {float}
 
-    def test_modalities_with_different_labels(self):
-        # same classes, different rows per modality: query and gallery
-        # labels differ position by position in every direction
-        rng = np.random.default_rng(19)
-        batches = [
-            EmbeddingBatch(b.data, rng.permutation(b.labels), b.modality_name)
-            for b in tied_batches(SCORE_BLOCK_ROWS + 40, 4, seed=19)
-        ]
-        reference = direction_metrics(batches)
-        assert evaluate_directions(batches, with_map=True) == reference
-        assert evaluate_directions(batches) == {
-            d: {"p1": v["p1"], "p10": v["p10"]} for d, v in reference.items()
-        }
-
     def test_one_relevance_mask_when_all_labels_are_shared(self, monkeypatch):
         import csalign.train as train_mod
 
@@ -598,58 +583,31 @@ class TestEvaluateDirections:
             calls.append((scores.copy(), relevant))
             return real(scores, relevant, k)
 
-        def masks_by_block(batches):
-            """(block start, query, gallery) -> the masks its calls read,
-            each call placed by its scores among the blocked cosines."""
-            blocks = {
-                (start, qi, gi): full[start : start + SCORE_BLOCK_ROWS]
-                for qi, gi in permutations(range(len(batches)), 2)
-                for full in [cosine_scores(batches[qi].data, batches[gi].data)]
-                for start in range(0, len(full), SCORE_BLOCK_ROWS)
-            }
-            found = {}
-            for scores, relevant in calls:
-                (place,) = [key for key, block in blocks.items() if np.array_equal(scores, block)]
-                found.setdefault(place, []).append(relevant)
-            calls.clear()
-            return found
-
-        def want(batches, start, qi, gi):
-            rows = slice(start, start + SCORE_BLOCK_ROWS)
-            return batches[gi].labels == batches[qi].labels[rows, None]
-
         monkeypatch.setattr(train_mod, "top_k_hits", recording)
         a, b, c = tied_batches(SCORE_BLOCK_ROWS + 40, 4, seed=23)
         # equal labels in arrays of their own still share masks
         batches = [EmbeddingBatch(x.data, x.labels.copy(), x.modality_name) for x in (a, b, c)]
         evaluate_directions(batches)
-        found = masks_by_block(batches)
+        # (block start, query, gallery) -> the masks its calls read, each
+        # call placed by its scores among the blocked cosines
+        blocks = {
+            (start, qi, gi): full[start : start + SCORE_BLOCK_ROWS]
+            for qi, gi in permutations(range(len(batches)), 2)
+            for full in [cosine_scores(batches[qi].data, batches[gi].data)]
+            for start in range(0, len(full), SCORE_BLOCK_ROWS)
+        }
+        found = {}
+        for scores, relevant in calls:
+            (place,) = [key for key, block in blocks.items() if np.array_equal(scores, block)]
+            found.setdefault(place, []).append(relevant)
         assert len(found) == 2 * 6  # two blocks, six directions, two calls each
         for start in (0, SCORE_BLOCK_ROWS):
             block_masks = [m for (s, _, _), masks in found.items() if s == start for m in masks]
             assert len(block_masks) == 12 and all(m is block_masks[0] for m in block_masks)
-            assert np.array_equal(block_masks[0], want(batches, start, 0, 1))
+            rows = slice(start, start + SCORE_BLOCK_ROWS)
+            assert np.array_equal(block_masks[0], a.labels == a.labels[rows, None])
         # one mask per block: the comparisons of one query x gallery mask
         assert sum(found[s, 0, 1][0].size for s in (0, SCORE_BLOCK_ROWS)) == a.n * a.n
-
-        # one modality with labels of its own: the directions between the
-        # other two share a block's mask, and so do those from C, and those to C
-        c = EmbeddingBatch(c.data, np.roll(c.labels, 1), c.modality_name)
-        batches = [a, b, c]
-        reference = direction_metrics(batches)
-        assert evaluate_directions(batches) == {
-            d: {"p1": v["p1"], "p10": v["p10"]} for d, v in reference.items()
-        }
-        found = masks_by_block(batches)
-        assert len(found) == 2 * 6
-        for (start, qi, gi), masks in found.items():
-            assert len(masks) == 2 and masks[0] is masks[1]
-            assert np.array_equal(masks[0], want(batches, start, qi, gi))
-        for start in (0, SCORE_BLOCK_ROWS):
-            shared = [{id(found[start, qi, gi][0]) for qi, gi in group}
-                      for group in ([(0, 1), (1, 0)], [(0, 2), (1, 2)], [(2, 0), (2, 1)])]
-            assert [len(ids) for ids in shared] == [1, 1, 1]
-            assert len(set.union(*shared)) == 3
 
     # one class makes every gallery item relevant to every query, so
     # average precision meets its largest groups of relevant ranks
@@ -700,18 +658,18 @@ class TestEvaluateDirections:
             with pytest.raises(ConfigError, match="modality names must be unique"):
                 evaluate_directions(batches, with_map)
 
-    def test_query_without_relevant_item_named_by_row_and_direction(self):
-        rng = np.random.default_rng(18)
-        n = SCORE_BLOCK_ROWS + 44
-        query_labels = rng.integers(0, 5, size=n)
-        query_labels[260] = 5  # in the second block; the gallery has no label 5
-        batches = [
-            EmbeddingBatch(rng.normal(size=(n, 4)), query_labels, "A"),
-            EmbeddingBatch(rng.normal(size=(n, 4)), rng.integers(0, 5, size=n), "B"),
-        ]
-        evaluate_directions(batches)  # P@K alone needs no relevant item
-        with pytest.raises(NoRelevantItems, match="^A2B: query 260 has no relevant"):
-            evaluate_directions(batches, with_map=True)
+    @pytest.mark.parametrize("with_map", [False, True])
+    def test_only_paired_batches_are_evaluated(self, with_map):
+        # row i of every modality is one instance: one n and one label vector
+        a, b, c = tied_batches(20, 3, seed=5)
+        short = EmbeddingBatch(c.data[:-1], c.labels[:-1], c.modality_name)
+        with pytest.raises(ShapeMismatch, match="share n"):
+            evaluate_directions([a, b, short], with_map)
+        rolled = EmbeddingBatch(c.data, np.roll(c.labels, 1), c.modality_name)
+        with pytest.raises(ShapeMismatch, match="identical labels"):
+            evaluate_directions([a, b, rolled], with_map)
+        with pytest.raises(TooFewDistributions):
+            evaluate_directions([a], with_map)
 
 
 def by_worker_count(monkeypatch, batches, workers):
@@ -750,21 +708,16 @@ def held_out_run(monkeypatch, cpus, holdout_fraction):
 
 
 class TestEvaluationWorkers:
-    def rolled(self):
-        a, b, c = tied_batches(2 * SCORE_BLOCK_ROWS + 88, 5, seed=31)
-        return [a, b, EmbeddingBatch(c.data, np.roll(c.labels, 1), c.modality_name)]
-
     # a gallery of 1300 (not a multiple of 8): OpenBLAS's SkylakeX kernel
     # rounds its last columns differently in products over different
     # numbers of query rows, enough to reorder some of its copied rows
     @pytest.mark.parametrize(
-        "case", ["tied", "copied rows", "odd gallery", "rolled labels", "short last block"])
+        "case", ["tied", "copied rows", "odd gallery", "short last block"])
     def test_worker_count_changes_no_value(self, case, monkeypatch):
         batches = {
             "tied": lambda: tied_batches(2 * SCORE_BLOCK_ROWS + 88, 5, seed=7),
             "copied rows": copied_row_batches,
             "odd gallery": lambda: copied_row_batches(5 * SCORE_BLOCK_ROWS + 20, seed=0),
-            "rolled labels": self.rolled,
             "short last block": lambda: tied_batches(5 * SCORE_BLOCK_ROWS + 88, 6, seed=11),
         }[case]()
         serial = by_worker_count(monkeypatch, batches, 1)
