@@ -191,6 +191,16 @@ def _stack_rows(inputs, noun: str) -> np.ndarray:
     return np.stack(rows)
 
 
+def _check_non_negative(stack: np.ndarray, noun: str) -> None:
+    """Raise ``NotAPmf`` for a row of ``stack`` with a non-finite entry and
+    ``NegativeEntry`` for one with a negative entry, naming the row."""
+    for i, row in enumerate(stack):
+        if not np.all(np.isfinite(row)):
+            raise NotAPmf(f"{noun} {i} contains non-finite entries")
+        if np.any(row < 0):
+            raise NegativeEntry(f"{noun} {i} has a negative entry")
+
+
 def _gcs_from_stack(stack: np.ndarray) -> DivergenceValue:
     """GCS on a pre-validated (M, K) stack of non-negative vectors."""
     m = stack.shape[0]
@@ -237,11 +247,8 @@ def gcs_divergence_unnormalized(vectors: list[np.ndarray] | np.ndarray) -> Diver
     with at least one positive entry.
     """
     stack = _stack_rows(vectors, "vector")
+    _check_non_negative(stack, "vector")
     for i, row in enumerate(stack):
-        if not np.all(np.isfinite(row)):
-            raise NotAPmf(f"vector {i} contains non-finite entries")
-        if np.any(row < 0):
-            raise NegativeEntry(f"vector {i} has a negative entry")
         if row.sum() == 0.0:
             raise NotAPmf(f"vector {i} is all zeros")
     return _gcs_from_stack(stack)
@@ -250,16 +257,15 @@ def gcs_divergence_unnormalized(vectors: list[np.ndarray] | np.ndarray) -> Diver
 def holder_check(sequences: list[np.ndarray] | np.ndarray) -> HolderCheck:
     """Evaluate both sides of the generalized Hoelder inequality.
 
-    For M non-negative sequences of common length,
+    For M finite non-negative sequences of common length,
     ``lhs = sum_k prod_m a[m,k]`` and
     ``rhs = prod_m (sum_k a[m,k]^M)^(1/M)``; the inequality
     ``lhs <= rhs`` holds with equality iff the sequences are pairwise
-    proportional.
+    proportional. A non-finite entry raises ``NotAPmf`` and a negative
+    one ``NegativeEntry``.
     """
     stack = _stack_rows(sequences, "sequence")
-    for i, row in enumerate(stack):
-        if np.any(row < 0):
-            raise NegativeEntry(f"sequence {i} has a negative entry")
+    _check_non_negative(stack, "sequence")
     m = stack.shape[0]
     lhs = float(np.prod(stack, axis=0).sum())
     rhs = float(np.prod(np.power(stack, m).sum(axis=1) ** (1.0 / m)))
@@ -277,13 +283,16 @@ def kl_alignment(
     the convention that terms with ``s_pred[i,j] = 0`` contribute zero.
     With ``eps = 0`` and a zero in ``s_true`` under the support of
     ``s_pred`` the result is ``+inf`` -- the instability that motivates
-    the CS alternative.
+    the CS alternative. A non-finite entry raises ``NotAPmf`` and a
+    negative one ``NegativeEntry``; zeros are valid.
     """
     cfg = cfg or KlConfig()
     pred = np.atleast_2d(np.asarray(s_pred, dtype=np.float64))
     true = np.atleast_2d(np.asarray(s_true, dtype=np.float64))
     if pred.shape != true.shape:
         raise ShapeMismatch(f"shape mismatch: {pred.shape} vs {true.shape}")
+    _check_non_negative(pred, "s_pred row")
+    _check_non_negative(true, "s_true row")
     mask = pred > 0
     terms = np.zeros_like(pred)
     with np.errstate(divide="ignore"):

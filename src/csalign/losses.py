@@ -18,9 +18,10 @@ Two families live here:
 replaces: one directional projection-matching loss per ordered modality
 pair, M(M-1) in total versus 2M for the mixed ring.
 
-All of them, and ``gradients.loss_gradient``, check the kind and tau
-against M with ``check_kind`` and are thin calls into
-``stack_matching_loss``. It checks the stack's row norms with
+All of them check the kind and tau against M with ``check_kind`` and
+are thin calls into ``stack_matching_loss``. ``gradients.loss_gradient``
+checks them too and reaches the engine through
+``gradients.stack_loss_gradient``. The engine checks the stack's row norms with
 ``pmf.row_norms`` (an overflowing or zero-norm row raises), evaluates
 every pass from its logit matrices ``z_m = cos_m / tau`` in the log
 domain and returns the per-sample and per-direction breakdown together

@@ -3,10 +3,11 @@
 One affine encoder per modality projects raw features into the shared
 space; the chosen alignment loss produces embedding gradients (see
 ``gradients``), which are chained into encoder parameters and applied
-with Adam: bias correction, global-norm gradient clipping, a fixed
-decoupled weight decay and a fixed step-decay learning-rate schedule
-(x0.1 every 100 epochs). Retrieval metrics are evaluated each epoch on
-a held-out split. Everything is deterministic given the config seed.
+with Adam: bias correction, global-norm gradient clipping, decoupled
+weight decay and a step-decay learning-rate schedule (x0.1 every 100
+epochs); each of their settings is one module constant. Retrieval metrics
+are evaluated each epoch on a held-out split. Everything is deterministic
+given the config seed.
 """
 
 from __future__ import annotations
@@ -34,11 +35,16 @@ _PRODUCT_ROWS = SCORE_BLOCK_ROWS // 4
 # ``_evaluate`` to split its blocks across threads: below this, thread
 # start-up and GIL hand-offs cost more than another core gains.
 _THREAD_MIN_SCORES = 100_000
-# Adam's decoupled weight decay, and the step schedule: the learning
-# rate is multiplied by LR_DECAY_FACTOR every LR_DECAY_EVERY epochs.
+# Adam's betas and epsilon (Kingma & Ba 2015) and decoupled weight decay,
+# the step schedule (the learning rate is multiplied by LR_DECAY_FACTOR
+# every LR_DECAY_EVERY epochs) and the encoders' initial weight scale.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 WEIGHT_DECAY = 1e-5
 LR_DECAY_FACTOR = 0.1
 LR_DECAY_EVERY = 100
+INIT_SCALE = 0.02
 
 
 @dataclass(frozen=True)
@@ -46,8 +52,9 @@ class TrainConfig:
     """Trainer settings; ``holdout_fraction``, the share of rows held out, lies in [0, 1),
     and each ``int`` field holds an integer. ``train_run`` holds out
     ``min(max(2, round(holdout_fraction * n)), n - 2)`` of the n rows: two at a fraction of
-    0, and one at n = 3. Adam keeps its default betas and epsilon; weight decay
-    (``WEIGHT_DECAY``) and schedule (``LR_DECAY_*``) are fixed."""
+    0, and one at n = 3. Adam's betas and epsilon (``ADAM_*``), weight decay
+    (``WEIGHT_DECAY``), schedule (``LR_DECAY_*``) and the encoders' initial
+    scale (``INIT_SCALE``) are fixed."""
 
     learning_rate: float = 1e-4
     grad_clip_norm: float = 1.0
@@ -84,48 +91,34 @@ class TrainConfig:
 
 class Encoder:
     """Linear projection head, the affine map ``x @ weight + bias``; the
-    weight is drawn from N(0, init_scale^2) by ``rng``, the bias is zero."""
+    weight is drawn from N(0, INIT_SCALE^2) by ``rng``, the bias is zero."""
 
-    def __init__(self, input_dim: int, embed_dim: int, *, rng: np.random.Generator,
-                 init_scale: float = 0.02):
-        self.weight = rng.normal(size=(input_dim, embed_dim)) * init_scale
+    def __init__(self, input_dim: int, embed_dim: int, *, rng: np.random.Generator):
+        self.weight = rng.normal(size=(input_dim, embed_dim)) * INIT_SCALE
         self.bias = np.zeros(embed_dim)
 
     def parameters(self) -> list[np.ndarray]:
         return [self.weight, self.bias]
 
-    def forward(self, x: np.ndarray):
-        """The embeddings of the rows of ``x``, and the input :meth:`backward` takes."""
-        x = np.asarray(x, dtype=np.float64)
-        return x @ self.weight + self.bias, x
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The embeddings of the rows of ``x``."""
+        return x @ self.weight + self.bias
 
-    def backward(self, x: np.ndarray, grad_out: np.ndarray):
-        """Parameter gradients in the order of :meth:`parameters`."""
+    def backward(self, x: np.ndarray, grad_out: np.ndarray) -> list[np.ndarray]:
+        """Parameter gradients, in the order of :meth:`parameters`, at input ``x``."""
         return [x.T @ grad_out, grad_out.sum(axis=0)]
 
 
 class Adam:
-    """Adam with bias correction and decoupled weight decay.
+    """Adam with bias correction and decoupled weight decay (``ADAM_*``, ``WEIGHT_DECAY``).
 
     Parameters are updated in place; the decay term ``lr * wd * p`` is
     applied after the adaptive step, not mixed into the gradient.
     """
 
-    def __init__(
-        self,
-        params: list[np.ndarray],
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: list[np.ndarray], learning_rate: float):
         self.params = params
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self.weight_decay = weight_decay
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
@@ -140,16 +133,16 @@ class Adam:
             raise ShapeMismatch(f"expected {len(self.params)} gradients, got {len(grads)}")
         self.t += 1
         lr = self.learning_rate * lr_scale
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         roots = []
         with np.errstate(over="raise"):
             try:
                 for g, m, v in zip(grads, self.m, self.v):
-                    m *= self.beta1
-                    m += (1.0 - self.beta1) * g
-                    v *= self.beta2
-                    v += (1.0 - self.beta2) * g * g
+                    m *= ADAM_BETA1
+                    m += (1.0 - ADAM_BETA1) * g
+                    v *= ADAM_BETA2
+                    v += (1.0 - ADAM_BETA2) * g * g
             except FloatingPointError:
                 return False
             for v in self.v:
@@ -158,9 +151,8 @@ class Adam:
                 except FloatingPointError:
                     roots.append(np.sqrt(v) / math.sqrt(bc2))
         for p, m, root in zip(self.params, self.m, roots):
-            p -= lr * (m / bc1) / (root + self.epsilon)
-            if self.weight_decay:
-                p -= lr * self.weight_decay * p
+            p -= lr * (m / bc1) / (root + ADAM_EPSILON)
+            p -= lr * WEIGHT_DECAY * p
         return True
 
 
@@ -366,7 +358,8 @@ def train_run(
 
     The inputs are checked once, before the first step, with the error
     classes ``ModalityRing`` and ``loss_gradient`` raise: one encoder per
-    modality, one embedding dimension, one n of at least 3 (one held-out
+    modality, taking that modality's input width (else ``ShapeMismatch``
+    naming it), one embedding dimension, one n of at least 3 (one held-out
     row, two to train on), the same labels position by position, unique
     names, and a loss kind defined for M modalities.
     From then on the run works on arrays: each step stacks the encoder
@@ -392,6 +385,10 @@ def train_run(
         raise ShapeMismatch(f"{len(data)} modalities but {len(encoders)} encoders")
     check_paired(data)
     check_kind(cfg.loss_kind, len(data), cfg.temperature)
+    for enc, b in zip(encoders, data):
+        if enc.weight.shape[0] != b.d:
+            raise ShapeMismatch(f"modality '{b.modality_name}' has {b.d} input features but "
+                                f"its encoder takes {enc.weight.shape[0]}")
     if len({enc.weight.shape[1] for enc in encoders}) != 1:
         raise ShapeMismatch("encoders must share one embedding dimension")
     n = data[0].n
@@ -408,7 +405,7 @@ def train_run(
     test_labels = labels[test_idx]
 
     def evaluate(with_map: bool = False) -> dict[str, dict[str, float]]:
-        stack = np.stack([enc.forward(x)[0] for enc, x in zip(encoders, test_inputs)])
+        stack = np.stack([enc.forward(x) for enc, x in zip(encoders, test_inputs)])
         try:
             norms = row_norms(stack, "the held-out embeddings")
         except NonFiniteSimilarity:
@@ -420,8 +417,7 @@ def train_run(
                     for q, g in permutations(names, 2)}
         return _evaluate(stack / norms, names, test_labels, with_map)
 
-    adam = Adam([p for enc in encoders for p in enc.parameters()], cfg.learning_rate,
-                weight_decay=WEIGHT_DECAY)
+    adam = Adam([p for enc in encoders for p in enc.parameters()], cfg.learning_rate)
     directions = sorted(direction_label(q, g) for q, g in permutations(names, 2))
     covered = supervised_directions(names, cfg.loss_kind, cfg.strategy)
     supervised = {d: d in covered for d in directions}
@@ -436,8 +432,8 @@ def train_run(
             idx = order[start : start + cfg.batch_size]
             if idx.size < 2:
                 continue
-            outputs = [enc.forward(b.data[idx]) for enc, b in zip(encoders, data)]
-            stack = np.stack([emb for emb, _ in outputs])
+            inputs = [b.data[idx] for b in data]
+            stack = np.stack([enc.forward(x) for enc, x in zip(encoders, inputs)])
             try:
                 value, grads = stack_loss_gradient(
                     cfg.loss_kind, stack, labels[idx], names, cfg.strategy, cfg.temperature
@@ -451,8 +447,8 @@ def train_run(
                 aborted = True
                 break
             param_grads: list[np.ndarray] = []
-            for enc, (_, cache), grad_emb in zip(encoders, outputs, grads):
-                param_grads.extend(enc.backward(cache, grad_emb))
+            for enc, x, grad_emb in zip(encoders, inputs, grads):
+                param_grads.extend(enc.backward(x, grad_emb))
             clipped, _ = clip_global_norm(param_grads, cfg.grad_clip_norm)
             batch_losses.append(value)
             if not adam.step(clipped, lr_scale):

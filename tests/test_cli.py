@@ -287,8 +287,8 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith(f"error: {line.split()[0]} must be")
         assert not (tmp_path / "run").exists()
 
-    # settings the trainer fixes (Adam's defaults, WEIGHT_DECAY, the
-    # LR_DECAY_* schedule, linear encoders at Encoder's init_scale)
+    # settings the trainer fixes (ADAM_*, WEIGHT_DECAY, the LR_DECAY_*
+    # schedule, linear encoders drawn at INIT_SCALE)
     @pytest.mark.parametrize(
         "key",
         ["adam_beta1", "adam_beta2", "adam_epsilon", "weight_decay", "lr_decay_factor",

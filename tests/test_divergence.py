@@ -171,6 +171,12 @@ class TestHolder:
         with pytest.raises(NegativeEntry):
             holder_check([[1.0, -0.1], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entry_rejected(self, bad):
+        # an infinite lhs and rhs would otherwise compare as holding
+        with pytest.raises(NotAPmf, match="sequence 0"):
+            holder_check([[bad, 1.0], [1.0, 1.0]])
+
 
 class TestKlAlignment:
     def test_identical_inputs_zero_epsilon(self):
@@ -195,6 +201,19 @@ class TestKlAlignment:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             kl_alignment([[0.5, 0.5]], [[0.5, 0.25, 0.25]])
+
+    @pytest.mark.parametrize("side", ["s_pred", "s_true"])
+    @pytest.mark.parametrize(
+        "bad_row, error",
+        [([0.5, np.nan], NotAPmf), ([np.inf, 0.5], NotAPmf), ([-0.5, 1.5], NegativeEntry)],
+    )
+    def test_bad_entry_rejected(self, side, bad_row, error):
+        # a nan or negative entry would otherwise be dropped by the zero
+        # convention or give a nan or a wrong finite value
+        good = [[0.5, 0.5], [0.25, 0.75]]
+        rows = {"s_pred": good, "s_true": good, side: [good[0], bad_row]}
+        with pytest.raises(error, match=f"{side} row 1"):
+            kl_alignment(rows["s_pred"], rows["s_true"])
 
 
 def reference_sq_distances(a, b):

@@ -31,7 +31,8 @@ from csalign.errors import (
 )
 from csalign.losses import MATCHING_KINDS, matching_loss, stack_matching_loss
 from csalign.retrieval import SCORE_BLOCK_ROWS
-from csalign.train import clip_global_norm, evaluate_directions, supervised_directions
+from csalign.train import (WEIGHT_DECAY, clip_global_norm, evaluate_directions,
+                           supervised_directions)
 from retrieval_oracle import cosine_scores, direction_metrics
 
 
@@ -54,14 +55,17 @@ def tiny_setup(**train_overrides):
 
 
 class TestAdam:
+    # hand computations at betas 0.9 and 0.999, epsilon 1e-8 and decoupled weight decay 1e-5
+
     def test_single_step_matches_hand_computation(self):
         theta = np.array([1.0])
-        opt = Adam([theta], learning_rate=0.1, beta1=0.9, beta2=0.999, epsilon=1e-8)
+        opt = Adam([theta], learning_rate=0.1)
         grad = np.array([0.5])
         opt.step([grad])
         m_hat = (0.1 * 0.5) / (1 - 0.9)
         v_hat = (0.001 * 0.25) / (1 - 0.999)
-        expected = 1.0 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        adaptive = 1.0 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        expected = adaptive - 0.1 * 1e-5 * adaptive
         assert theta[0] == pytest.approx(expected, abs=1e-12)
 
     def test_two_steps_track_moments(self):
@@ -75,7 +79,9 @@ class TestAdam:
         m1_hat = (0.1 * 1.0) / (1 - 0.9)
         v1_hat = (0.001 * 1.0) / (1 - 0.999)
         after1 = 2.0 - 0.05 * m1_hat / (np.sqrt(v1_hat) + 1e-8)
-        expected = after1 - 0.05 * (m / (1 - 0.9**2)) / (np.sqrt(v / (1 - 0.999**2)) + 1e-8)
+        after1 -= 0.05 * 1e-5 * after1
+        after2 = after1 - 0.05 * (m / (1 - 0.9**2)) / (np.sqrt(v / (1 - 0.999**2)) + 1e-8)
+        expected = after2 - 0.05 * 1e-5 * after2
         assert theta[0] == pytest.approx(expected, abs=1e-12)
 
     def test_second_moment_past_float_range_changes_no_parameter(self):
@@ -87,19 +93,25 @@ class TestAdam:
     @pytest.mark.parametrize("grad", [1e155, -3e155])
     def test_bias_corrected_moment_past_float_range_still_steps(self, grad):
         # v = 1e-3 g^2 is finite, v / (1 - beta2) = g^2 is not: the step
-        # is the exact one, lr * g / |g|, without an overflow
+        # is the exact one, lr * g / |g|, without an overflow, then decayed
         theta = np.array([1.0])
         opt = Adam([theta], learning_rate=0.1)
         with np.errstate(all="raise"):
             assert opt.step([np.array([grad])]) is True
-        assert theta[0] == pytest.approx(1.0 - 0.1 * np.sign(grad), rel=1e-15)
+        adaptive = 1.0 - 0.1 * np.sign(grad)
+        assert theta[0] == pytest.approx(adaptive - 0.1 * 1e-5 * adaptive, rel=1e-15)
 
     def test_decoupled_weight_decay_shrinks_params(self):
         theta = np.array([1.0])
-        opt = Adam([theta], learning_rate=0.1, weight_decay=0.5)
+        opt = Adam([theta], learning_rate=0.1)
         opt.step([np.array([0.0])])
-        # zero gradient: only the decay term fires
-        assert theta[0] == pytest.approx(1.0 - 0.1 * 0.5 * 1.0)
+        # zero gradient: only the decay term fires, shrinking by lr * WEIGHT_DECAY
+        assert 1.0 - theta[0] == pytest.approx(0.1 * WEIGHT_DECAY)
+
+    @pytest.mark.parametrize("knob", ["beta1", "beta2", "epsilon", "weight_decay"])
+    def test_fixed_settings_are_not_arguments(self, knob):
+        with pytest.raises(TypeError):
+            Adam([np.array([1.0])], 0.1, **{knob: 0.5})
 
 
 class TestClipGlobalNorm:
@@ -158,8 +170,15 @@ class TestEncoder:
     def test_linear_forward_shape(self):
         rng = np.random.default_rng(0)
         enc = Encoder(5, 3, rng=rng)
-        emb, _ = enc.forward(rng.normal(size=(7, 5)))
+        emb = enc.forward(rng.normal(size=(7, 5)))
         assert emb.shape == (7, 3)
+
+    def test_weights_drawn_at_the_initial_scale(self):
+        enc = Encoder(5, 3, rng=np.random.default_rng(4))
+        assert np.array_equal(enc.weight, np.random.default_rng(4).normal(size=(5, 3)) * 0.02)
+        assert not enc.bias.any()
+        with pytest.raises(TypeError):
+            Encoder(5, 3, rng=np.random.default_rng(4), init_scale=1.0)
 
     def test_backward_matches_finite_difference(self):
         rng = np.random.default_rng(1)
@@ -168,11 +187,9 @@ class TestEncoder:
         target = rng.normal(size=(6, 3))
 
         def loss():
-            emb, _ = enc.forward(x)
-            return float(((emb - target) ** 2).sum())
+            return float(((enc.forward(x) - target) ** 2).sum())
 
-        emb, cache = enc.forward(x)
-        grads = enc.backward(cache, 2.0 * (emb - target))
+        grads = enc.backward(x, 2.0 * (enc.forward(x) - target))
         for param, grad in zip(enc.parameters(), grads):
             flat = param.reshape(-1)
             g_flat = grad.reshape(-1)
@@ -410,6 +427,14 @@ class TestArrayStep:
         with pytest.raises(error):
             train_run(data, encoders, cfg)
 
+    def test_encoder_of_another_input_width_raises_naming_the_modality(self, monkeypatch):
+        synth = SynthConfig(num_classes=2, per_class=6, input_dims=(5, 5), embed_dim=4, seed=1)
+        cfg = TrainConfig(max_epochs=1, batch_size=4, loss_kind="bimodal_cs", seed=1)
+        encoders = build_encoders((5, 7), synth.embed_dim, cfg)
+        monkeypatch.setattr(Encoder, "forward", lambda self, x: pytest.fail("an encoder ran"))
+        with pytest.raises(ShapeMismatch, match="modality 'B' has 5 input features.* takes 7"):
+            train_run(generate_synthetic(synth), encoders, cfg)
+
     def test_two_rows_raise_before_the_first_step(self, monkeypatch):
         data, encoders, cfg = tiny_setup()
         data = [EmbeddingBatch(b.data[:2], b.labels[:2], b.modality_name) for b in data]
@@ -426,17 +451,15 @@ class TestArrayStep:
         assert all(m == {"p1": 1.0, "p10": 1.0, "map": 1.0} for m in trace.final_metrics.values())
 
     @pytest.mark.parametrize(
-        "init_scale, error", [(1e300, NonFiniteSimilarity), (0.0, ZeroNormRow)]
+        "scale, error", [(1e300, NonFiniteSimilarity), (0.0, ZeroNormRow)]
     )
-    def test_degenerate_embeddings_raise_at_the_first_step(self, init_scale, error, monkeypatch):
+    def test_degenerate_embeddings_raise_at_the_first_step(self, scale, error, monkeypatch):
         import csalign.losses as losses_mod
 
-        data, _, cfg = tiny_setup()
-        # build_encoders takes Encoder's default init_scale, so these are built directly
-        encoders = [
-            Encoder(b.d, 6, rng=np.random.default_rng([cfg.seed, i]), init_scale=init_scale)
-            for i, b in enumerate(data)
-        ]
+        data, encoders, cfg = tiny_setup()
+        # encoders draw their weights at INIT_SCALE, so these are set directly
+        for i, enc in enumerate(encoders):
+            enc.weight = np.random.default_rng([cfg.seed, i]).normal(size=enc.weight.shape) * scale
         for kernel in ("gcs_logit_rows", "kl_logit_rows"):
             monkeypatch.setattr(losses_mod, kernel, lambda *args: pytest.fail("a kernel ran"))
         with pytest.raises(error):
@@ -484,7 +507,7 @@ class TestArrayStep:
         trace = train_run(data, encoders, cfg)
         test_idx = held_out_rows(data, cfg)
         held_out = [
-            EmbeddingBatch(enc.forward(b.data[test_idx])[0], b.labels[test_idx], b.modality_name)
+            EmbeddingBatch(enc.forward(b.data[test_idx]), b.labels[test_idx], b.modality_name)
             for enc, b in zip(encoders, data)
         ]
         reference = direction_metrics(held_out)
