@@ -178,14 +178,7 @@ def cmd_props(args) -> int:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    gcs_fn = gcs_divergence
-    if args.flip_gcs_sign:
-        # fault-injection hook: prove the suite catches a broken GCS
-        def gcs_fn(pmfs):
-            result = gcs_divergence(pmfs)
-            return type(result)(-result.value, result.numerator, result.denominator)
-
-    results = run_property_suite(trials=args.trials, seed=args.seed, gcs_fn=gcs_fn)
+    results = run_property_suite(trials=args.trials, seed=args.seed, gcs_fn=gcs_divergence)
     failures = sum(r.failures for r in results)
     report = {
         "trials": args.trials,
@@ -197,7 +190,7 @@ def cmd_props(args) -> int:
         "failures_total": failures,
         "passed": failures == 0,
     }
-    config = {"trials": args.trials, "flip_gcs_sign": bool(args.flip_gcs_sign)}
+    config = {"trials": args.trials}
     _emit(args, report, config, args.seed, started)
     return EXIT_OK if failures == 0 else EXIT_PROPERTY_FAILURE
 
@@ -372,10 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_props.add_argument("--trials", type=int, default=200)
     p_props.add_argument("--seed", type=int, default=0)
     p_props.add_argument("--out", default=None)
-    p_props.add_argument(
-        "--flip-gcs-sign", action="store_true",
-        help="fault-injection hook: negate GCS inside the suite",
-    )
     p_props.set_defaults(func=cmd_props)
 
     p_train = sub.add_parser("train", help="synthetic-data training run")

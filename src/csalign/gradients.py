@@ -12,13 +12,15 @@ coordinate, which any analytic gradient here must match to ~1e-5
 relative error at the default step.
 
 Every kind has one code path, ``stack_loss_gradient`` on arrays, which
-``loss_gradient`` and the trainer call. The projection-matching kinds
-(CS, GCS ring, pairwise CS, KL) have no loop of their own here: they
-return the total and the gradients of ``losses.stack_matching_loss``,
-the log-domain engine that the forward losses run too, and the
+``loss_gradient`` and the trainer call. ``losses.LOSS_TABLE`` is the one
+place where a kind is described. The kinds with edges there (CS, GCS
+ring, pairwise CS, KL) have no loop of their own here: they return the
+total and the gradients of ``losses.stack_matching_loss``, the
+log-domain engine that the forward losses run too, and the
 finite-difference closure differentiates that engine's total. The
 forward losses and the closure ask the engine for values only
 (``grad=False``): the same total bit for bit, with no gradient formed.
+MMD and CORAL, which have no edges, are reached through ``_LABEL_FREE``.
 
 The MMD median-heuristic bandwidth is resolved once at the evaluation
 point and then treated as a constant, both in the analytic path and in
@@ -39,7 +41,7 @@ import numpy as np
 from .divergence import (MmdConfig, coral_loss, coral_terms, mmd_kernels, mmd_squared,
                          resolve_bandwidth)
 from .errors import ConfigError, NonFinitePerturbation
-from .losses import MATCHING_KINDS, MatchStrategy, ModalityRing, check_kind, stack_matching_loss
+from .losses import MatchStrategy, ModalityRing, check_kind, stack_matching_loss
 from .pmf import AlignConfig, row_norms
 
 
@@ -65,6 +67,17 @@ def _coral_grad(x: np.ndarray, y: np.ndarray):
     return value, [g_x, g_y]
 
 
+def _mmd_closure(x: np.ndarray, y: np.ndarray):
+    frozen = MmdConfig(resolve_bandwidth(x, y))
+    return lambda arrays: mmd_squared(arrays[0], arrays[1], frozen)
+
+
+# The kinds with no edges in ``losses.LOSS_TABLE``: each one's analytic value and gradients,
+# and its ``_loss_closure`` built at (x, y) (CORAL has no data-dependent constant to freeze).
+_LABEL_FREE = {"mmd": (_mmd_grad, _mmd_closure),
+               "coral": (_coral_grad, lambda x, y: lambda arrays: coral_loss(*arrays))}
+
+
 # ---------------------------------------------------------------------------
 # public API
 
@@ -80,13 +93,12 @@ def stack_loss_gradient(
     one n x d gradient per modality. The stack's row norms are checked
     once per call (``row_norms``): by the engine, or here for MMD and
     CORAL."""
-    if loss_kind not in ("mmd", "coral"):
+    if loss_kind not in _LABEL_FREE:
         report, grads = stack_matching_loss(loss_kind, stack, labels, names, strategy, tau)
         return report.total, grads
     row_norms(stack, "the embeddings")
-    if loss_kind == "mmd":
-        return _mmd_grad(stack[0], stack[1])
-    return _coral_grad(stack[0], stack[1])
+    gradient, _ = _LABEL_FREE[loss_kind]
+    return gradient(stack[0], stack[1])
 
 
 def loss_gradient(
@@ -146,20 +158,17 @@ def _loss_closure(
 ) -> Callable[[Sequence[np.ndarray]], float]:
     """Rebuild the loss as a pure function of the embedding arrays.
 
-    Data-dependent constants (the MMD bandwidth) are frozen here so the
-    closure is smooth in its arguments.
+    Data-dependent constants (the MMD bandwidth) are frozen when it is
+    built, so the closure is smooth in its arguments.
     """
-    if loss_kind in MATCHING_KINDS:
+    if loss_kind not in _LABEL_FREE:
         _, *ring_args = ring.arrays()
         tau = (align_cfg or AlignConfig()).temperature
         return lambda a: stack_matching_loss(
             loss_kind, np.stack(a), *ring_args, tau, grad=False
         )[0].total
-    if loss_kind == "mmd":
-        frozen = MmdConfig(resolve_bandwidth(ring.batches[0].data, ring.batches[1].data))
-        return lambda arrays: mmd_squared(arrays[0], arrays[1], frozen)
-    # coral
-    return lambda arrays: coral_loss(arrays[0], arrays[1])
+    _, closure = _LABEL_FREE[loss_kind]
+    return closure(ring.batches[0].data, ring.batches[1].data)
 
 
 def finite_diff_gradient(

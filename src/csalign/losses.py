@@ -44,17 +44,18 @@ support and is shared by every edge of the pass. CS is the M = 1 case
 (exponent 2): ``bimodal_cs`` and ``pairwise_cs`` are passes with one
 edge.
 
-Every pass has a reverse over the same matrices transposed (the ring's
-backward edges are its forward edges reversed; pair (d, s) is (s, d)
-reversed). So ``matching_loss`` evaluates each group of edges, the
-ring's M or an unordered pair's one, once: one product per edge, each
-on views of the unit rows. One kernel, ``gcs_logit_rows`` (CS, GCS) or
-``kl_logit_rows``, reads the group's matrices on the batch's
-``label_support`` by rows for one pass and by columns for the other.
-GCS takes one exponential per matrix at every tau (past
-``STATIC_SHIFT_LIMIT`` floored, with own shifts for the anchors that
-need them), KL one per reading against one symmetric log target per
-group. ``divergence`` is the independent value oracle.
+``LOSS_TABLE`` is the one place where a loss kind is described, and
+``loss_groups`` turns its edge layout into groups of edges. Every pass
+has a reverse over the same matrices transposed (the ring's backward
+edges are its forward edges reversed; pair (d, s) is (s, d) reversed),
+so the engine evaluates each group, the ring's M edges or a pair's one,
+once: one product per edge, each on views of the unit rows. The kind's
+kernel, ``gcs_logit_rows`` (CS, GCS) or ``kl_logit_rows``, reads the
+group's matrices on the batch's ``label_support`` by rows for one pass
+and by columns for the other. GCS takes one exponential per matrix at
+every tau (past ``STATIC_SHIFT_LIMIT`` floored, with own shifts for the
+anchors that need them), KL one per reading against one symmetric log
+target per call. ``divergence`` is the independent value oracle.
 
 On the gradient path the engine's working set is the (M, n, d) stack,
 its unit rows, their scaled transpose, one gradient array and one
@@ -69,16 +70,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .divergence import KlConfig
 from .errors import ConfigError, ShapeMismatch, TooFewDistributions
 from .pmf import AlignConfig, EmbeddingBatch, row_norms
-
-LOSS_KINDS = ("bimodal_cs", "gcs_ring", "pairwise_cs", "kl", "mmd", "coral")
-MATCHING_KINDS = LOSS_KINDS[:4]
 
 # Normalised association PMFs (one per edge of each pass) evaluated by
 # ``matching_loss`` since import; complexity benchmarks and the
@@ -103,11 +101,11 @@ def check_kind(loss_kind: str, m: int, tau: float) -> None:
     a tau below 4 M (M + 1) / DBL_MAX, where the ring's shifted log-sum-exps (down to
     -2 M (M + 1) / tau) could overflow: from it on, every loss reads a finite value or +inf,
     never nan or -inf."""
-    if loss_kind not in LOSS_KINDS:
+    if loss_kind not in LOSS_TABLE:
         raise ConfigError(f"unknown loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
     if m < 2:
         raise ConfigError(f"loss kind {loss_kind!r} needs M >= 2 modalities, got M = {m}")
-    if loss_kind in ("bimodal_cs", "mmd", "coral") and m != 2:
+    if LOSS_TABLE[loss_kind].two_modalities and m != 2:
         raise ConfigError(f"loss kind {loss_kind!r} is defined for exactly two modalities")
     if tau < 4 * m * (m + 1) / np.finfo(float).max:
         raise ConfigError(f"temperature must be >= 4 M (M + 1) / DBL_MAX at M = {m}, got {tau!r}")
@@ -390,21 +388,59 @@ def kl_logit_rows(
     return values, grads
 
 
+class LossKind(NamedTuple):
+    """A row of ``LOSS_TABLE``: the kind's edge layout (``"ring"``, ``"pairs"``, or None:
+    no edges, no label), its kernel, the builder of the kernel's true-match argument from
+    the ``label_support`` (None: the support itself) and whether M must be 2."""
+
+    edges: str | None
+    kernel: Callable | None
+    target: Callable | None
+    two_modalities: bool
+
+
+# the one place where a loss kind is described
+LOSS_TABLE: dict[str, LossKind] = {
+    "bimodal_cs": LossKind("pairs", gcs_logit_rows, None, two_modalities=True),
+    "gcs_ring": LossKind("ring", gcs_logit_rows, None, two_modalities=False),
+    "pairwise_cs": LossKind("pairs", gcs_logit_rows, None, two_modalities=False),
+    "kl": LossKind("pairs", kl_logit_rows, kl_log_target, two_modalities=False),
+    "mmd": LossKind(None, None, None, two_modalities=True),
+    "coral": LossKind(None, None, None, two_modalities=True),
+}
+LOSS_KINDS = tuple(LOSS_TABLE)
+MATCHING_KINDS = tuple(kind for kind, row in LOSS_TABLE.items() if row.edges is not None)
+
+
+def loss_groups(kind: str, names: Sequence[str], strategy: MatchStrategy) -> tuple[dict, list]:
+    """The passes ``kind`` sums over ``names``, in summation order, each with its edges
+    (src, dst), and the groups of edges that evaluate them, as ``(edges, rows, cols)``:
+    read by rows, a group's matrices are the pass ``rows``, by columns the pass ``cols``
+    over the same edges reversed. Pair passes are keyed by direction label, source-major."""
+    layout, m = LOSS_TABLE[kind].edges, len(names)
+    if layout == "ring":
+        passes = {name: ring_edges(m, name) for name in ring_passes(strategy)}
+        return passes, [(ring_edges(m, "forward"), "forward", "backward")]
+    if layout == "pairs":
+        label = lambda s, d: direction_label(names[s], names[d])
+        passes = {label(s, d): [(s, d)] for s in range(m) for d in range(m) if s != d}
+        groups = [([(s, d)], label(s, d), label(d, s)) for s in range(m) for d in range(s + 1, m)]
+        return passes, groups
+    return {}, []
+
+
 def matching_loss(
     kind: str, ring: ModalityRing, cfg: AlignConfig | None = None, *, grad: bool = True
 ) -> tuple[LossReport, list[np.ndarray] | None]:
     """Projection-matching loss of one kind, with its embedding gradients.
 
     ``kind`` is one of ``MATCHING_KINDS``, checked against the ring's M
-    by ``check_kind``. ``gcs_ring`` sums the passes of the ring's
-    strategy, keyed ``"forward"`` / ``"backward"``; ``bimodal_cs``,
-    ``pairwise_cs`` and ``kl`` sum one-edge passes over every ordered
-    modality pair, keyed by direction label in source-major order (``kl``
-    smoothed by ``KlConfig().epsilon``). ``total`` is the sum of the
-    per-pass batch means in that order, ``per_direction`` holds those
-    means and ``per_sample`` the per-row sums over passes. The gradients
-    are one n x d matrix per ring modality, index-aligned with
-    ``ring.batches``; with ``grad`` False they are not computed and
+    by ``check_kind``; it sums the passes ``loss_groups`` gives it, keyed
+    by pass name (``kl`` smoothed by ``KlConfig().epsilon``). ``total`` is
+    the sum of the per-pass batch means in that order, ``per_direction``
+    holds those means and ``per_sample`` the per-row sums over passes.
+    The gradients are one n x d matrix per ring modality, index-aligned
+    with ``ring.batches``; with ``grad`` False they are not computed and
     ``None`` comes in their place, next to the same report bit for bit.
 
     The ring validates the input; ``stack_matching_loss`` does the work.
@@ -428,16 +464,12 @@ def stack_matching_loss(
     labels all modalities share and M unique ``names`` (for the direction
     labels). The stack's row norms are checked here, by ``row_norms``.
 
-    Every backward ring edge is a forward edge reversed, and every
-    ordered pair (d, s) the pair (s, d) reversed, so the passes come in
-    groups evaluated once. A group is a list of edges (src, dst): the
-    ring's M, ``ring_edges(m, "forward")``, whose matrices ``z_m = U_m
-    U_{m+1}^T / tau`` are read by rows for the forward pass and by
-    columns for the backward one, or an unordered pair's one, read by
-    rows for s -> d and by columns for d -> s. Each group costs one
-    matmul per edge, one kernel call and, with ``grad``, one pair of
-    matmuls per edge back to the embeddings, all on views, so no
-    modality's rows are gathered; without ``grad``, the kernel returns
+    The passes come in the groups of ``loss_groups``, each evaluated once
+    by the kind's kernel: edge (s, d) has the matrix ``z = U_s U_d^T /
+    tau``, read by rows for one pass and by columns for the other. Each
+    group costs one matmul per edge, one kernel call and, with ``grad``,
+    one pair of matmuls per edge back to the embeddings, all on views, so
+    no modality's rows are gathered; without ``grad``, the kernel returns
     values only and no gradient is formed.
 
     Working set with ``grad``: the stack, ``units``, ``scaled_t``,
@@ -451,19 +483,10 @@ def stack_matching_loss(
     global _ASSOCIATION_PMF_COUNT
     if kind not in MATCHING_KINDS:
         raise ConfigError(f"unknown matching loss {kind!r}; expected one of {MATCHING_KINDS}")
-    m, n = stack.shape[:2]
-    if kind == "gcs_ring":
-        order = ring_passes(strategy)
-        groups = [(ring_edges(m, "forward"), "forward", "backward")]
-    else:
-        label = lambda s, d: direction_label(names[s], names[d])
-        order = [label(s, d) for s in range(m) for d in range(m) if s != d]
-        groups = [([(s, d)], label(s, d), label(d, s)) for s in range(m) for d in range(s + 1, m)]
-    support = label_support(labels)
-    if kind == "kl":
-        kernel, target = kl_logit_rows, kl_log_target(support)
-    else:
-        kernel, target = gcs_logit_rows, support
+    n = stack.shape[1]
+    order, groups = loss_groups(kind, names, strategy)
+    spec, support = LOSS_TABLE[kind], label_support(labels)
+    target = support if spec.target is None else spec.target(support)
 
     norms = row_norms(stack, "the embeddings")
     units = stack / norms
@@ -476,7 +499,7 @@ def stack_matching_loss(
         passes = [name for name in (row_name, col_name) if name in order]
         for i, (s, d) in enumerate(edges):
             np.matmul(units[s], scaled_t[d], out=buffer[i])
-        group_values, grads = kernel(
+        group_values, grads = spec.kernel(
             buffer, target, tau, row_name in order, col_name in order, grad)
         values.update(zip(passes, group_values))
         _ASSOCIATION_PMF_COUNT += len(edges) * len(passes)

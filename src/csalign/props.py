@@ -8,9 +8,9 @@ generator and reports a failure count plus the worst observed margin,
 so the suite doubles as a regression gate (all failure counts must be
 zero) and a diagnostic (how close the worst case came to its tolerance).
 
-``gcs_fn`` is injectable purely as a fault hook: the CLI's
-``--flip-gcs-sign`` flag wraps the real divergence to prove the suite
-actually fails when the math is wrong.
+``gcs_fn`` is injectable purely as a fault hook: the tests pass a
+broken divergence to prove the suite actually fails when the math is
+wrong.
 """
 
 from __future__ import annotations

@@ -5,9 +5,11 @@ space; the chosen alignment loss produces embedding gradients (see
 ``gradients``), which are chained into encoder parameters and applied
 with Adam: bias correction, global-norm gradient clipping, decoupled
 weight decay and a step-decay learning-rate schedule (x0.1 every 100
-epochs); each of their settings is one module constant. Retrieval metrics
-are evaluated each epoch on a held-out split. Everything is deterministic
-given the config seed.
+epochs); each of their settings is one module constant. The loss kind is
+described once, in ``losses.LOSS_TABLE``; the trace's ``supervised`` map
+reads the passes the engine sums off the same ``losses.loss_groups``.
+Retrieval metrics are evaluated each epoch on a held-out split.
+Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, NonFiniteSimilarity, ShapeMismatch
 from .gradients import stack_loss_gradient
 from .losses import (LOSS_KINDS, MatchStrategy, ModalityRing, check_kind, check_paired,
-                     direction_label, ring_edges, ring_passes)
+                     direction_label, loss_groups)
 from .pmf import AlignConfig, EmbeddingBatch, check_float, check_integer, row_norms
 from .retrieval import SCORE_BLOCK_ROWS, average_precisions, rank_scores, top_k_hits
 
@@ -203,16 +205,11 @@ class TrainingTrace:
 def supervised_directions(
     names: list[str], loss_kind: str, strategy: MatchStrategy
 ) -> set[str]:
-    """Direction labels that receive gradient under the given loss; none
-    under ``mmd`` and ``coral``, which align the marginals with no label."""
-    m = len(names)
-    if loss_kind in ("mmd", "coral"):
-        return set()
-    if loss_kind == "gcs_ring":
-        edges = [e for direction in ring_passes(strategy) for e in ring_edges(m, direction)]
-    else:
-        edges = permutations(range(m), 2)
-    return {direction_label(names[s], names[d]) for s, d in edges}
+    """Direction labels that receive gradient under the given loss: those of the
+    passes ``loss_groups`` gives the engine; none under the label-free ``mmd`` and
+    ``coral``."""
+    passes, _ = loss_groups(loss_kind, names, strategy)
+    return {direction_label(names[s], names[d]) for edges in passes.values() for s, d in edges}
 
 
 def _ranked_block(scores, query_labels, gallery_labels, k: int):

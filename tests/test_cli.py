@@ -236,8 +236,11 @@ class TestPropsCommand:
         assert report["failures_total"] == 0
         assert len(report["properties"]) == 8
 
-    def test_fault_injection_fails_with_exit_1(self, capsys):
-        assert main(["props", "--trials", "30", "--flip-gcs-sign"]) == 1
+    def test_fault_injection_fails_with_exit_1(self, capsys, monkeypatch):
+        import csalign.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "gcs_divergence", flipped_gcs)
+        assert main(["props", "--trials", "30"]) == 1
         assert json.loads(capsys.readouterr().out)["passed"] is False
 
 

@@ -29,7 +29,7 @@ from csalign.errors import (
 )
 from csalign.gradients import _loss_closure
 from csalign.losses import (
-    MATCHING_KINDS, kl_log_target, kl_logit_rows, label_support, matching_loss,
+    MATCHING_KINDS, kl_log_target, kl_logit_rows, label_support, loss_groups, matching_loss,
     stack_matching_loss,
 )
 from csalign.pmf import row_norms
@@ -189,12 +189,20 @@ class TestGcsRingLoss:
 
 
 class TestPairwiseSumLoss:
-    def test_m2_cs_equals_bimodal(self):
-        ring = random_ring(13, m=2)
-        pairwise = pairwise_sum_loss(ring)
-        bimodal = bimodal_cmpm_cs(*ring.batches)
-        assert pairwise.total == pytest.approx(bimodal.total, abs=1e-12)
-        assert pairwise.per_direction == pytest.approx(bimodal.per_direction)
+    @pytest.mark.parametrize("tau", [1.0, 0.05, 0.005])  # 2 * 2 / 0.005 > STATIC_SHIFT_LIMIT
+    @pytest.mark.parametrize("n", [12, 64, 128])
+    @pytest.mark.parametrize("seed", [13, 14, 15, 16])
+    def test_m2_cs_equals_bimodal(self, seed, n, tau):
+        # bimodal_cs is pairwise_cs restricted to M = 2: the same bits, values and gradients
+        ring, cfg = random_ring(seed, m=2, n=n), AlignConfig(tau)
+        pairwise, bimodal = pairwise_sum_loss(ring, cfg), bimodal_cmpm_cs(*ring.batches, cfg)
+        assert pairwise.total == bimodal.total
+        assert pairwise.per_direction == bimodal.per_direction
+        assert np.array_equal(pairwise.per_sample, bimodal.per_sample)
+        pairwise_value, pairwise_grads = loss_gradient("pairwise_cs", ring, cfg)
+        bimodal_value, bimodal_grads = loss_gradient("bimodal_cs", ring, cfg)
+        assert pairwise_value == bimodal_value == pairwise.total
+        assert all(np.array_equal(p, b) for p, b in zip(pairwise_grads, bimodal_grads, strict=True))
 
     def test_m3_has_six_directions(self):
         report = pairwise_sum_loss(random_ring(15))
@@ -338,10 +346,10 @@ class TestKlKernel:
     def test_log_target_built_once_per_engine_call(self, grad, monkeypatch):
         import csalign.losses as losses_mod
 
-        real, calls = losses_mod.kl_log_target, []
-        monkeypatch.setattr(
-            losses_mod, "kl_log_target", lambda support: calls.append(support) or real(support)
-        )
+        # the engine reads the target builder off its table row
+        row, calls = losses_mod.LOSS_TABLE["kl"], []
+        counted = row._replace(target=lambda support: calls.append(support) or row.target(support))
+        monkeypatch.setitem(losses_mod.LOSS_TABLE, "kl", counted)
         matching_loss("kl", random_ring(62, m=3), grad=grad)
         assert len(calls) == 1
 
@@ -379,6 +387,9 @@ class TestValuesOnlyPath:
         assert got.total == want.total
         assert got.per_direction == want.per_direction
         assert list(got.per_direction) == list(want.per_direction)
+        # the passes loss_groups names, and so train.supervised_directions, are the ones summed
+        names = [b.modality_name for b in ring.batches]
+        assert list(want.per_direction) == list(loss_groups(kind, names, strategy)[0])
         assert np.array_equal(got.per_sample, want.per_sample)
         assert got.finite is want.finite
         assert matching_loss(kind, ring, cfg, grad=False)[1] is None

@@ -460,8 +460,10 @@ class TestArrayStep:
         # encoders draw their weights at INIT_SCALE, so these are set directly
         for i, enc in enumerate(encoders):
             enc.weight = np.random.default_rng([cfg.seed, i]).normal(size=enc.weight.shape) * scale
-        for kernel in ("gcs_logit_rows", "kl_logit_rows"):
-            monkeypatch.setattr(losses_mod, kernel, lambda *args: pytest.fail("a kernel ran"))
+        # the engine reads each kind's kernel off its table row
+        for kind, row in losses_mod.LOSS_TABLE.items():
+            failing = row._replace(kernel=lambda *args: pytest.fail("a kernel ran"))
+            monkeypatch.setitem(losses_mod.LOSS_TABLE, kind, failing)
         with pytest.raises(error):
             train_run(data, encoders, cfg)
 
