@@ -5,10 +5,9 @@ The package is organized around one pipeline: paired embedding batches
 engine computes from the logits, value and gradient together
 (``losses``); the closed-form divergences (``divergence``) check the
 values and finite differences (``gradients``) the gradients. It is
-exercised end to end on seeded synthetic data (``synth``, ``train``),
-whose evaluation ranks blocks of cosine scores with the routines of
-``retrieval``. ``props`` holds the randomized property suite and
-``cli`` the command-line interface.
+exercised end to end on seeded synthetic data (``synth``, ``train``)
+and evaluated by cross-modal retrieval (``retrieval``). ``props`` holds
+the randomized property suite and ``cli`` the command-line interface.
 """
 
 from .divergence import (

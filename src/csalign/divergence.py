@@ -58,6 +58,7 @@ _CANCELLATION_BOUND = 1e-2
 # Elements of row differences formed at once by that recomputation, so
 # that a sample of near-equal rows needs no (n, m, d) buffer.
 _RECOMPUTE_ELEMENTS = 1 << 16
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,8 @@ class DivergenceValue:
     """A divergence with its log-ratio decomposition.
 
     ``value`` is ``-log(numerator / denominator)``; it is ``+inf`` when
-    the numerator is exactly zero (disjoint supports).
+    the supports are disjoint (a zero numerator). A GCS taken from logs
+    may read a numerator and denominator of 0 or inf with a finite value.
     """
 
     value: float
@@ -202,16 +204,43 @@ def _check_non_negative(stack: np.ndarray, noun: str) -> None:
 
 
 def _gcs_from_stack(stack: np.ndarray) -> DivergenceValue:
-    """GCS on a pre-validated (M, K) stack of non-negative vectors."""
+    """GCS on a pre-validated (M, K) stack of non-negative vectors, from logs
+    (``_gcs_from_logs``) where the supports overlap but the numerator or a
+    power sum leaves the normal float range (as 64^-200 of 200 64-point PMFs)."""
     m = stack.shape[0]
-    numerator = float(np.prod(stack, axis=0).sum())
-    power_sums = np.power(stack, m).sum(axis=1)
-    log_denominator = float(np.log(power_sums).sum() / m)
+    with np.errstate(over="ignore"):
+        numerator = float(np.prod(stack, axis=0).sum())
+        power_sums = np.power(stack, m).sum(axis=1)
+    normal = _TINY <= min(numerator, power_sums.min()) and max(numerator, power_sums.max()) < np.inf
+    if not normal and np.all(stack > 0, axis=0).any():
+        return _gcs_from_logs(stack)
+    with np.errstate(divide="ignore"):  # disjoint supports: a power sum may underflow to 0
+        log_denominator = float(np.log(power_sums).sum() / m)
     denominator = float(np.exp(log_denominator))
     if numerator == 0.0:
         return DivergenceValue(np.inf, numerator, denominator)
     value = float(log_denominator - np.log(numerator))
     return DivergenceValue(value, numerator, denominator)
+
+
+def _gcs_from_logs(stack: np.ndarray) -> DivergenceValue:
+    """GCS on an (M, K) stack whose supports overlap, from the logs
+    ``r = log p - max_k log p`` of each row, whose maxima cancel:
+    ``mean_m log sum_k exp(M r) - log sum_k exp(sum_m r)``. The numerator
+    and denominator are rounded from their logs, to 0 or inf if need be."""
+    m = stack.shape[0]
+    with np.errstate(divide="ignore"):  # log 0 = -inf off a row's support
+        logs = np.log(stack)
+    peaks = logs.max(axis=1)
+    logs -= peaks[:, None]
+    log_norms = np.log(np.exp(m * logs).sum(axis=1)).sum() / m  # each row's peak term is 1
+    joint = logs.sum(axis=0)
+    top = joint.max()  # finite where the supports overlap
+    log_joint = top + np.log(np.exp(joint - top).sum())
+    with np.errstate(over="ignore"):
+        numerator = float(np.exp(peaks.sum() + log_joint))
+        denominator = float(np.exp(peaks.sum() + log_norms))
+    return DivergenceValue(float(log_norms - log_joint), numerator, denominator)
 
 
 def gcs_divergence(pmfs: list[np.ndarray] | np.ndarray) -> DivergenceValue:

@@ -1,39 +1,51 @@
-"""Cross-modal retrieval scoring: ranking, top-k hits and average precision.
+"""Cross-modal retrieval: ranking, top-k hits, average precision, and
+P@1 / P@10 / MAP for every ordered pair of paired modalities.
 
-Queries from one modality are ranked against a gallery from another by
-descending cosine similarity, ties broken by ascending gallery index so
-rankings are deterministic; ``train._evaluate`` computes those scores in
-blocks of query rows that together hold at most ``SCORE_BLOCK_ROWS`` rows:
-one block at a time, or, for a gallery large enough, one block at a
-time on each of several worker threads, with the same values.
-``rank_scores`` builds every ranking with one sort of int64 keys per
-row, a score's float bits above and its column index in the low bits;
-the rare row whose distinct scores share a key's high bits is ranked
-again by a stable argsort, so every ranking is exact. It may write the
-ranking over the block's own scores. A gallery item is *relevant* to a
-query iff their class labels agree. ``top_k_hits`` counts the relevant
-items in each top k straight from the scores, by top-k selection under
-the same tie rule. ``average_precisions`` scores all queries with the
-same number of relevant items in one vectorised sum. Both take a
-boolean relevance mask of the block's shape. ``train._evaluate`` scores
-paired modalities, which carry one label vector, so it builds each
-block's mask once for every direction.
-Every temporary is a chunk of rows or a boolean array of the block's
-shape, so evaluation memory stays one float64 block of
-``SCORE_BLOCK_ROWS`` rows, however many threads share it.
+Queries of one modality are ranked against the gallery of another by
+descending cosine, ties by ascending gallery index; an item is *relevant*
+to a query iff their labels agree. ``rank_scores``, ``top_k_hits`` and
+``average_precisions`` rank and score one block, as their docstrings state.
+
+``evaluate_directions`` checks and normalises its batches, and
+``_evaluate``, which the trainer calls each epoch, scores them. Queries
+are scored in blocks of rows from row 0, every direction's block in turn,
+each multiplied ``_PRODUCT_ROWS`` rows at a time. One worker takes blocks
+of ``SCORE_BLOCK_ROWS`` rows. Where ``_worker_count`` finds that several
+workers' blocks would each still hold ``_THREAD_MIN_SCORES`` scores,
+worker w takes every workers-th block of ``_block_rows`` rows from block
+w, on a thread pool joined before a worker's first error propagates. The
+scores go to one ``(workers, block rows, n)`` float64 buffer, at most
+``SCORE_BLOCK_ROWS x n``, where each worker writes its own slab; every
+other temporary is a chunk of rows or a boolean array of a block's shape.
+The P@K pass builds each block's relevance mask from the one label vector
+once, for every direction, and counts hits with ``top_k_hits``. The MAP
+pass ranks each block in its own memory, writes the ranked labels over the
+ranking, and reads P@1, P@10 and the average precisions off them. Hit
+counts are integer sums and each average precision lands in its query's
+row, so every value equals the one read off a stable argsort of the same
+scores exactly, on any number of threads.
 """
 
 from __future__ import annotations
 
+import os
+from itertools import permutations
+
 import numpy as np
 
 from .errors import BadK, NoRelevantItems
+from .losses import ModalityRing, direction_label
+from .pmf import EmbeddingBatch, row_norms
 
-# Query rows scored per block: bounds the temporaries of an evaluation
-# to O(SCORE_BLOCK_ROWS x gallery size), one float64 score block shared by
-# every direction and every worker, plus boolean arrays of its shape and
-# chunk-sized ones per worker.
+# Query rows of one block, or of all workers' blocks together: bounds an
+# evaluation's score buffer to SCORE_BLOCK_ROWS x gallery size.
 SCORE_BLOCK_ROWS = 256
+# Query rows of one score product at any worker count: a BLAS product over
+# another number of rows may round differently, reordering near-ties.
+_PRODUCT_ROWS = SCORE_BLOCK_ROWS // 4
+# Fewest scores in one worker's block for an evaluation to use threads:
+# below it, thread start-up and GIL hand-offs cost more than a core gains.
+_THREAD_MIN_SCORES = 100_000
 # Score rows ``rank_scores`` keys and sorts at a time.
 _KEY_ROWS = 32
 # Entries (256 KiB of float64) that ``top_k_hits`` and
@@ -165,3 +177,108 @@ def average_precisions(relevant: np.ndarray) -> list[float]:
             positions = flat - np.arange(0, rows.size * width, width)[:, None] + 1
             ap_values[rows] = (np.arange(1, total + 1) / positions).sum(axis=1) / total
     return ap_values.tolist()
+
+
+def _ranked_block(scores, query_labels, gallery_labels, k: int):
+    """Top-1 hits, top-k hits and average precisions of one score block,
+    ranked in its own memory ("clip" writes to ``out`` directly, where
+    "raise" would buffer a block-sized copy)."""
+    ranked = scores.view(np.int64)
+    gallery_labels.take(rank_scores(scores, out=ranked), out=ranked, mode="clip")
+    relevant = ranked == query_labels[:, None]
+    hit_1, hit_k = np.count_nonzero(relevant[:, :1]), np.count_nonzero(relevant[:, :k])
+    return int(hit_1), int(hit_k), average_precisions(relevant)
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _block_rows(workers: int) -> int:
+    """Query rows of one block when ``workers`` threads each hold one:
+    whole products, and no more than ``SCORE_BLOCK_ROWS`` rows in all."""
+    return SCORE_BLOCK_ROWS // workers // _PRODUCT_ROWS * _PRODUCT_ROWS
+
+
+def _worker_count(n: int) -> int:
+    """Threads that score n queries against n gallery items: at most one
+    per available CPU and per product of a full block, and no more than
+    keep each worker's block at ``_THREAD_MIN_SCORES`` scores. Such a
+    block leaves each worker one, as ``_THREAD_MIN_SCORES >= SCORE_BLOCK_ROWS ** 2``."""
+    workers = 1
+    for more in range(2, min(_available_cpus(), SCORE_BLOCK_ROWS // _PRODUCT_ROWS) + 1):
+        if _block_rows(more) * n < _THREAD_MIN_SCORES:
+            break
+        workers = more
+    return workers
+
+
+def _evaluate(units, names: list[str], labels, with_map: bool):
+    """``evaluate_directions`` on checked arrays: ``units[m]`` holds the
+    unit rows of modality m, and ``labels`` the int64 labels that row i
+    of every modality carries. The blocks, workers and passes are those
+    of the module docstring."""
+    pairs = list(permutations(range(len(units)), 2))
+    n, k = len(labels), min(10, len(labels))
+    workers = _worker_count(n)
+    step = _block_rows(workers)
+    buffer = np.empty((workers, min(n, step), n))
+    hits = np.zeros((workers, len(pairs), 2), dtype=np.int64)  # top-1 and top-k hits
+    ap_values = np.empty((len(pairs), n)) if with_map else None
+
+    def score_blocks(w: int) -> None:
+        for start in range(w * step, n, workers * step):
+            rows, mask = slice(start, start + step), None  # drop the last block's mask first
+            if not with_map:
+                mask = labels == labels[rows, None]
+            for j, (qi, gi) in enumerate(pairs):
+                query = units[qi][rows]
+                scores = buffer[w, : len(query)]
+                for lo in range(0, len(query), _PRODUCT_ROWS):
+                    part = slice(lo, lo + _PRODUCT_ROWS)
+                    np.matmul(query[part], units[gi].T, out=scores[part])
+                if with_map:
+                    hit_1, hit_k, ap_values[j, rows] = _ranked_block(
+                        scores, labels[rows], labels, k)
+                else:
+                    hit_1, hit_k = top_k_hits(scores, mask, 1), top_k_hits(scores, mask, k)
+                hits[w, j] += hit_1, hit_k
+
+    if workers == 1:
+        score_blocks(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # loaded by threaded calls only
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(score_blocks, range(workers)))  # raises a worker's first error
+    metrics: dict[str, dict[str, float]] = {}
+    for j, (qi, gi) in enumerate(pairs):
+        hit_1, hit_k = hits[:, j].sum(axis=0).tolist()
+        entry = {"p1": hit_1 / n, "p10": hit_k / (n * k)}
+        if with_map:
+            entry["map"] = float(np.mean(ap_values[j]))
+        metrics[direction_label(names[qi], names[gi])] = entry
+    return metrics
+
+
+def evaluate_directions(
+    batches: list[EmbeddingBatch], with_map: bool = False
+) -> dict[str, dict[str, float]]:
+    """P@1 / P@10 (and optionally MAP) for every ordered modality pair.
+
+    The batches must be paired, as ``ModalityRing`` checks: at least two
+    of them (else ``TooFewDistributions``), one n, one embedding
+    dimension and the same labels position by position (else
+    ``ShapeMismatch``), and unique names (else ``ConfigError``). Row i of
+    every modality is one instance, so each query's own row is relevant
+    to it. Each modality is normalised once and scored as the module
+    docstring states.
+    """
+    ring = ModalityRing(tuple(batches))
+    names = [b.modality_name for b in ring.batches]
+    units = [b.data / row_norms(b.data, f"batch '{b.modality_name}'") for b in ring.batches]
+    return _evaluate(units, names, ring.labels, with_map)

@@ -8,35 +8,27 @@ weight decay and a step-decay learning-rate schedule (x0.1 every 100
 epochs); each of their settings is one module constant. The loss kind is
 described once, in ``losses.LOSS_TABLE``; the trace's ``supervised`` map
 reads the passes the engine sums off the same ``losses.loss_groups``.
-Retrieval metrics are evaluated each epoch on a held-out split.
+Retrieval metrics (``retrieval``) are evaluated each epoch on a held-out split.
 Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 from itertools import permutations
+from operator import add
 
 import numpy as np
 
 from .errors import ConfigError, NonFiniteSimilarity, ShapeMismatch
 from .gradients import stack_loss_gradient
-from .losses import (LOSS_KINDS, MatchStrategy, ModalityRing, check_kind, check_paired,
-                     direction_label, loss_groups)
+from .losses import (LOSS_KINDS, MatchStrategy, check_kind, check_paired, direction_label,
+                     loss_groups)
 from .pmf import AlignConfig, EmbeddingBatch, check_float, check_integer, row_norms
-from .retrieval import SCORE_BLOCK_ROWS, average_precisions, rank_scores, top_k_hits
+from .retrieval import _evaluate, evaluate_directions  # noqa: F401 (re-exported)
 
-# Query rows of one score product. ``_evaluate`` multiplies every block
-# in products of this many rows, counted from row 0, whatever the number
-# of workers: a BLAS product over another number of rows may round
-# differently in the last place, which could reorder near-ties.
-_PRODUCT_ROWS = SCORE_BLOCK_ROWS // 4
-# Fewest scores (query rows x gallery items) in one worker's block for
-# ``_evaluate`` to split its blocks across threads: below this, thread
-# start-up and GIL hand-offs cost more than another core gains.
-_THREAD_MIN_SCORES = 100_000
 # Adam's betas and epsilon (Kingma & Ba 2015) and decoupled weight decay,
 # the step schedule (the learning rate is multiplied by LR_DECAY_FACTOR
 # every LR_DECAY_EVERY epochs) and the encoders' initial weight scale.
@@ -160,15 +152,18 @@ class Adam:
 
 def clip_global_norm(grads: list[np.ndarray], max_norm: float):
     """Scale all gradients jointly so their global norm is <= max_norm;
-    ``max_norm <= 0`` disables clipping. When the sum of squares
-    overflows, the norm is taken from the gradients divided by their
-    largest magnitude, so a finite norm past sqrt(max float) still clips."""
+    ``max_norm <= 0`` disables clipping. The per-array sums of squares are
+    added left to right (the builtin ``sum`` compensates from Python 3.12,
+    so the norm would depend on the version). When their sum overflows,
+    the norm is taken from the gradients divided by their largest
+    magnitude, so a finite norm past sqrt(max float) still clips."""
     with np.errstate(over="ignore"):
-        total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+        total = float(np.sqrt(reduce(add, (float((g * g).sum()) for g in grads), 0.0)))
     if math.isinf(total):
         peak = max(float(np.abs(g).max(initial=0.0)) for g in grads)
         if math.isfinite(peak):  # the squares overflowed, not the gradients
-            total = peak * float(np.sqrt(sum(float(((g / peak) ** 2).sum()) for g in grads)))
+            scaled = (float(((g / peak) ** 2).sum()) for g in grads)
+            total = peak * float(np.sqrt(reduce(add, scaled, 0.0)))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         grads = [g * scale for g in grads]
@@ -212,142 +207,6 @@ def supervised_directions(
     return {direction_label(names[s], names[d]) for edges in passes.values() for s, d in edges}
 
 
-def _ranked_block(scores, query_labels, gallery_labels, k: int):
-    """Top-1 hits, top-k hits and average precisions of one score block,
-    ranked in the block's own memory: the ranking overwrites the spent
-    scores, and the ranked labels the ranking ("clip" writes to ``out``
-    directly, where "raise" would buffer a block-sized copy)."""
-    ranked = scores.view(np.int64)
-    gallery_labels.take(rank_scores(scores, out=ranked), out=ranked, mode="clip")
-    relevant = ranked == query_labels[:, None]
-    hit_1, hit_k = np.count_nonzero(relevant[:, :1]), np.count_nonzero(relevant[:, :k])
-    return int(hit_1), int(hit_k), average_precisions(relevant)
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _block_rows(workers: int) -> int:
-    """Query rows of one block when ``workers`` threads each hold one:
-    whole products, and no more than ``SCORE_BLOCK_ROWS`` rows in all."""
-    return SCORE_BLOCK_ROWS // workers // _PRODUCT_ROWS * _PRODUCT_ROWS
-
-
-def _worker_count(rows: int, gallery: int) -> int:
-    """Threads that score ``rows`` query rows against ``gallery`` items:
-    at most one per available CPU and one per block, and no more than
-    keep each worker's block at ``_THREAD_MIN_SCORES`` scores or more."""
-    workers = 1
-    for more in range(2, min(_available_cpus(), SCORE_BLOCK_ROWS // _PRODUCT_ROWS) + 1):
-        block = _block_rows(more)
-        if block * gallery < _THREAD_MIN_SCORES or -(-rows // block) < more:
-            break
-        workers = more
-    return workers
-
-
-def _evaluate(units, names: list[str], labels, with_map: bool):
-    """``evaluate_directions`` on checked arrays: ``units[m]`` holds the
-    unit rows of modality m, and ``labels`` the int64 labels that row i
-    of every modality carries.
-
-    Queries are scored in blocks of ``_block_rows(workers)`` rows, for
-    ``_worker_count`` workers. The caller allocates one buffer of at most
-    ``SCORE_BLOCK_ROWS x n`` scores, and worker w scores every
-    ``workers``-th block from block w in its own row slice of it, where
-    every direction's block goes in turn, multiplied ``_PRODUCT_ROWS``
-    rows at a time. Its P@K pass builds each block's relevance
-    (``block x n`` booleans) from the labels once, for every direction.
-    Its MAP pass ranks each block into the slice and writes the ranked
-    labels over the ranking. A worker returns its integer hit counts,
-    which are summed, and writes its average precisions to its own
-    blocks' rows, so no value depends on the worker count. One worker
-    runs on the calling thread; more run on a pool, whose threads are
-    joined before the first error of a worker propagates."""
-    pairs = list(permutations(range(len(units)), 2))
-    n, k = len(labels), min(10, len(labels))
-    workers = _worker_count(n, n)
-    step = _block_rows(workers)
-    slot = min(n, step) * n
-    buffer = np.empty(workers * slot)
-    ap_values = {pair: np.empty(n) if with_map else None for pair in pairs}
-
-    def score_blocks(w: int) -> dict[tuple[int, int], list[int]]:
-        scratch, hits = buffer[w * slot : (w + 1) * slot], {pair: [0, 0] for pair in pairs}
-        for start in range(w * step, n, workers * step):
-            rows, mask = slice(start, start + step), None  # drop the last block's mask first
-            if not with_map:
-                mask = labels == labels[rows, None]
-            for qi, gi in pairs:
-                query = units[qi][rows]
-                scores = scratch[: len(query) * n].reshape(len(query), n)
-                for lo in range(0, len(query), _PRODUCT_ROWS):
-                    part = slice(lo, lo + _PRODUCT_ROWS)
-                    np.matmul(query[part], units[gi].T, out=scores[part])
-                if with_map:
-                    hit_1, hit_k, ap_values[qi, gi][rows] = _ranked_block(
-                        scores, labels[rows], labels, k)
-                else:
-                    hit_1, hit_k = top_k_hits(scores, mask, 1), top_k_hits(scores, mask, k)
-                hits[qi, gi][0] += hit_1
-                hits[qi, gi][1] += hit_k
-        return hits
-
-    if workers == 1:
-        per_worker = [score_blocks(0)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # loaded by threaded calls only
-
-        with ThreadPoolExecutor(workers) as pool:
-            per_worker = list(pool.map(score_blocks, range(workers)))
-    metrics: dict[str, dict[str, float]] = {}
-    for qi, gi in pairs:
-        hit_1, hit_k = (sum(hits[qi, gi][j] for hits in per_worker) for j in (0, 1))
-        entry = {"p1": hit_1 / n, "p10": hit_k / (n * k)}
-        if with_map:
-            entry["map"] = float(np.mean(ap_values[qi, gi]))
-        metrics[direction_label(names[qi], names[gi])] = entry
-    return metrics
-
-
-def evaluate_directions(
-    batches: list[EmbeddingBatch], with_map: bool = False
-) -> dict[str, dict[str, float]]:
-    """P@1 / P@10 (and optionally MAP) for every ordered modality pair.
-
-    The batches must be paired, as ``ModalityRing`` checks: at least two
-    of them (else ``TooFewDistributions``), one n, one embedding
-    dimension and the same labels position by position (else
-    ``ShapeMismatch``), and unique names (else ``ConfigError``). Row i of
-    every modality is one instance, so each query's own row is relevant
-    to it. Each modality is normalised once. Queries are scored in blocks
-    of ``SCORE_BLOCK_ROWS`` rows counted from row 0, every direction's
-    block into one shared buffer, so temporaries stay O(block x n) and no
-    n x n array is built. When one worker's share of a block still holds
-    ``_THREAD_MIN_SCORES`` scores or more, the blocks are split, one per
-    available CPU, and scored on as many threads in row slices of that
-    one buffer (see ``_evaluate``); every value is the same as on one
-    thread. P@K comes from top-k selection on the scores
-    (``top_k_hits``) with the tie rule of ``rank_scores``: descending
-    cosine, then ascending gallery index; no full ranking is built. Its
-    relevance mask is built once per block, from the one label vector,
-    for every direction. The MAP pass ranks each block with
-    ``rank_scores`` and reads P@1, P@10 and the average precisions off
-    the relevance of that ranking. Hit counts are summed over blocks and
-    divided once, so every value equals the one read off a stable
-    argsort of the same scores exactly.
-    """
-    ring = ModalityRing(tuple(batches))
-    names = [b.modality_name for b in ring.batches]
-    units = [b.data / row_norms(b.data, f"batch '{b.modality_name}'") for b in ring.batches]
-    return _evaluate(units, names, ring.labels, with_map)
-
-
 def train_run(
     data: list[EmbeddingBatch], encoders: list[Encoder], cfg: TrainConfig
 ) -> TrainingTrace:
@@ -362,12 +221,7 @@ def train_run(
     From then on the run works on arrays: each step stacks the encoder
     outputs and calls ``stack_loss_gradient``, which checks its row norms
     once, and each evaluation checks the held-out stack with ``row_norms``
-    and scores it as ``evaluate_directions`` does, on as many threads as
-    the held-out size pays for (none at the 320 rows of an 8 x 200
-    dataset), with the same values on any number of CPUs. The held-out
-    rows (as many as ``TrainConfig`` states) stay paired, so
-    ``_evaluate`` takes their one label vector and builds each score
-    block's relevance mask once.
+    and scores it as ``evaluate_directions`` does, by ``retrieval._evaluate``.
 
     Rows are shuffled per epoch without replacement (seeded). A
     non-finite batch loss aborts the run, returning the trace so far

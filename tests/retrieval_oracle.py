@@ -12,7 +12,7 @@ last place, which could reorder near-ties.
 
 import numpy as np
 
-from csalign.train import _PRODUCT_ROWS
+from csalign.retrieval import _PRODUCT_ROWS
 
 
 def cosine_scores(query, gallery):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,19 @@ class TestDivergenceCommand:
             p.write_text("0.25,0.25,0.25,0.25\n")
             paths.append(str(p))
         assert main(["divergence", "--measure", "gcs", *paths]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_gcs_of_pmfs_whose_products_underflow(self, tmp_path, capsys):
+        # 200 uniform 64-point PMFs: every product and power sum underflows
+        paths = []
+        for i in range(200):
+            p = tmp_path / f"p{i}.csv"
+            p.write_text(",".join(["0.015625"] * 64) + "\n")
+            paths.append(str(p))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["divergence", "--measure", "gcs", *paths]) == 0
+        assert caught == []
         assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(0.0, abs=1e-12)
 
     def test_mmd_on_embedding_files(self, tmp_path, capsys):

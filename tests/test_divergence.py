@@ -1,6 +1,7 @@
 import itertools
 import math
 import statistics
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -114,6 +115,49 @@ class TestGcsDivergence:
             m = int(rng.integers(2, 6))
             k = int(rng.integers(2, 65))
             assert gcs_divergence(list(random_pmfs(rng, m, k))).value >= -1e-12
+
+
+def decimal_gcs(stack):
+    """GCS of a stack in 40-digit decimal arithmetic, which no product of
+    a few hundred PMF entries underflows."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        rows = [[Decimal(float(x)) for x in row] for row in stack]
+        numerator = sum((math.prod(column, start=Decimal(1)) for column in zip(*rows)), Decimal(0))
+        log_norms = sum(sum(x ** len(rows) for x in row).ln() for row in rows) / len(rows)
+        return float(log_norms - numerator.ln())
+
+
+class TestGcsPastFloatRange:
+    # 200 PMFs of 64 points: their products and 200th powers underflow
+
+    def test_identical_pmfs_give_zero(self):
+        result = gcs_divergence([np.full(64, 1 / 64)] * 200)
+        assert abs(result.value) <= 1e-12
+
+    def test_dirichlet_pmfs_match_a_decimal_reference(self):
+        pmfs = np.random.default_rng(0).dirichlet(np.ones(64), size=200)
+        reference = decimal_gcs(pmfs)
+        assert reference == pytest.approx(388.198, abs=1e-3)
+        assert gcs_divergence(pmfs).value == pytest.approx(reference, rel=1e-9)
+
+    @pytest.mark.parametrize("pmfs", [
+        [np.full(64, 1 / 64)] * 200,
+        np.random.default_rng(0).dirichlet(np.ones(64), size=200),
+    ])
+    def test_rescaled_copies_give_the_same_value(self, pmfs):
+        scales = 10.0 ** np.random.default_rng(1).uniform(-3, 3, size=(len(pmfs), 1))
+        base = gcs_divergence(pmfs).value
+        scaled = gcs_divergence_unnormalized(np.asarray(pmfs) * scales).value
+        assert abs(scaled - base) <= 1e-12 * max(1.0, abs(base))
+
+    def test_vectors_whose_products_overflow(self):
+        assert abs(gcs_divergence_unnormalized([np.full(4, 1e200)] * 3).value) <= 1e-12
+
+    def test_disjoint_supports_stay_infinite(self):
+        left = np.r_[np.full(32, 1 / 32), np.zeros(32)]
+        result = gcs_divergence([left] * 100 + [left[::-1]] * 100)
+        assert result.value == np.inf and result.numerator == 0.0
 
 
 class TestScaleInvariance:

@@ -33,7 +33,7 @@ from csalign.losses import (
     stack_matching_loss,
 )
 from csalign.pmf import row_norms
-from csalign.train import evaluate_directions
+from csalign.retrieval import evaluate_directions
 from pmf_oracle import softmax_pmf, true_pmf
 
 

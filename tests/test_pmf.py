@@ -5,7 +5,7 @@ from csalign import AlignConfig, EmbeddingBatch, ModalityRing, bimodal_cmpm_cs
 from csalign.errors import ConfigError, NonFiniteSimilarity, NotAPmf, ShapeMismatch, ZeroNormRow
 from csalign.losses import check_paired, gcs_logit_rows, label_support
 from csalign.pmf import _NORM_CHUNK, row_norms
-from csalign.train import evaluate_directions
+from csalign.retrieval import evaluate_directions
 
 
 def batch(data, labels, name="A"):

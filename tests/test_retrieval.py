@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csalign import EmbeddingBatch, top_k_hits
-from csalign.retrieval import SCORE_BLOCK_ROWS, average_precisions, rank_scores
+from csalign.retrieval import (SCORE_BLOCK_ROWS, average_precisions, evaluate_directions,
+                               rank_scores)
 from csalign.errors import BadK, NoRelevantItems, ShapeMismatch, ZeroNormRow
 from csalign.pmf import row_norms
-from csalign.train import evaluate_directions
 import retrieval_oracle as oracle
 
 

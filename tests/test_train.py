@@ -30,9 +30,8 @@ from csalign.errors import (
     ZeroNormRow,
 )
 from csalign.losses import MATCHING_KINDS, matching_loss, stack_matching_loss
-from csalign.retrieval import SCORE_BLOCK_ROWS
-from csalign.train import (WEIGHT_DECAY, clip_global_norm, evaluate_directions,
-                           supervised_directions)
+from csalign.retrieval import SCORE_BLOCK_ROWS, evaluate_directions
+from csalign.train import WEIGHT_DECAY, clip_global_norm, supervised_directions
 from retrieval_oracle import cosine_scores, direction_metrics
 
 
@@ -138,6 +137,22 @@ class TestClipGlobalNorm:
     def test_infinite_gradient_keeps_an_infinite_norm(self):
         with np.errstate(invalid="ignore"):  # inf times the zero scale
             assert clip_global_norm([np.array([np.inf, 1.0]), np.array([1e300])], 1.0)[1] == np.inf
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_squares_are_added_left_to_right(self, scale, monkeypatch):
+        # the builtin sum adds floats with compensation from Python 3.12;
+        # shadowed here by fsum, which rounds once, it must not decide the
+        # norm, so the norm has the same bits on every Python version
+        import math
+
+        import csalign.train as train_mod
+
+        monkeypatch.setattr(train_mod, "sum", math.fsum, raising=False)
+        grads = [np.array([square**0.5 * scale]) for square in (1.0, 3e-16, 5e-16)]
+        parts = [float(((g / scale) ** 2).sum()) for g in grads]
+        left_to_right = (parts[0] + parts[1]) + parts[2]
+        assert left_to_right != math.fsum(parts)
+        assert clip_global_norm(grads, 0.0)[1] == scale * float(np.sqrt(left_to_right))
 
     @pytest.mark.parametrize("temperature", [1e-200, 1e-300])
     def test_tiny_temperature_still_learns(self, temperature):
@@ -600,15 +615,15 @@ class TestEvaluateDirections:
         assert {type(v) for direction in metrics.values() for v in direction.values()} == {float}
 
     def test_one_relevance_mask_when_all_labels_are_shared(self, monkeypatch):
-        import csalign.train as train_mod
+        import csalign.retrieval as retrieval_mod
 
-        real, calls = train_mod.top_k_hits, []
+        real, calls = retrieval_mod.top_k_hits, []
 
         def recording(scores, relevant, k):
             calls.append((scores.copy(), relevant))
             return real(scores, relevant, k)
 
-        monkeypatch.setattr(train_mod, "top_k_hits", recording)
+        monkeypatch.setattr(retrieval_mod, "top_k_hits", recording)
         a, b, c = tied_batches(SCORE_BLOCK_ROWS + 40, 4, seed=23)
         # equal labels in arrays of their own still share masks
         batches = [EmbeddingBatch(x.data, x.labels.copy(), x.modality_name) for x in (a, b, c)]
@@ -699,9 +714,9 @@ class TestEvaluateDirections:
 
 def by_worker_count(monkeypatch, batches, workers):
     """Both passes of ``evaluate_directions`` with ``workers`` threads."""
-    import csalign.train as train_mod
+    import csalign.retrieval as retrieval_mod
 
-    monkeypatch.setattr(train_mod, "_worker_count", lambda rows, gallery: workers)
+    monkeypatch.setattr(retrieval_mod, "_worker_count", lambda n: workers)
     return evaluate_directions(batches), evaluate_directions(batches, with_map=True)
 
 
@@ -723,9 +738,9 @@ def executors(monkeypatch):
 
 def held_out_run(monkeypatch, cpus, holdout_fraction):
     """Two epochs on 8 classes x 200 rows with ``cpus`` available CPUs."""
-    import csalign.train as train_mod
+    import csalign.retrieval as retrieval_mod
 
-    monkeypatch.setattr(train_mod, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(retrieval_mod, "_available_cpus", lambda: cpus)
     synth = SynthConfig(num_classes=8, per_class=200, input_dims=(12, 12, 12), embed_dim=8, seed=4)
     cfg = TrainConfig(max_epochs=2, batch_size=128, seed=4, holdout_fraction=holdout_fraction)
     data = generate_synthetic(synth)
@@ -765,40 +780,57 @@ class TestEvaluationWorkers:
         assert threaded == serial
 
     def test_training_trace_is_the_same_on_one_cpu_or_two(self, monkeypatch, executors):
-        import csalign.train as train_mod
+        import csalign.retrieval as retrieval_mod
 
         # 1280 held-out rows: two workers' blocks hold enough scores
         threaded = held_out_run(monkeypatch, 2, 0.8)
         assert set(executors) == {2}
-        assert train_mod._worker_count(1280, 1280) == 2
+        assert retrieval_mod._worker_count(1280) == 2
         executors.clear()
         assert held_out_run(monkeypatch, 1, 0.8) == threaded
         assert executors == []
 
     def test_criterion_seven_evaluation_starts_no_thread(self, monkeypatch, executors):
-        import csalign.train as train_mod
+        import csalign.retrieval as retrieval_mod
 
         # 8 classes x 200 rows, 20 % held out: 320 rows, on any number of CPUs
         trace = held_out_run(monkeypatch, 64, 0.2)
         assert len(trace.records) == 2 and executors == []
-        assert train_mod._worker_count(320, 320) == 1
+        assert retrieval_mod._worker_count(320) == 1
 
     def test_workers_per_cpu_block_and_threshold(self, monkeypatch):
-        import csalign.train as train_mod
+        import csalign.retrieval as retrieval_mod
 
-        count = train_mod._worker_count
-        monkeypatch.setattr(train_mod, "_available_cpus", lambda: 64)
-        blocks = {w: train_mod._block_rows(w) for w in (1, 2, 3, 4)}
+        count = retrieval_mod._worker_count
+        monkeypatch.setattr(retrieval_mod, "_available_cpus", lambda: 64)
+        blocks = {w: retrieval_mod._block_rows(w) for w in (1, 2, 3, 4)}
         assert blocks == {1: SCORE_BLOCK_ROWS, 2: SCORE_BLOCK_ROWS // 2,
                           3: SCORE_BLOCK_ROWS // 4, 4: SCORE_BLOCK_ROWS // 4}
-        least = train_mod._THREAD_MIN_SCORES
-        gallery = -(-least // blocks[2])  # two workers' blocks just hold the threshold
-        assert count(2 * SCORE_BLOCK_ROWS, gallery) == 2
-        assert count(2 * SCORE_BLOCK_ROWS, gallery - 1) == 1
-        assert count(blocks[2], gallery) == 1  # one block only
-        assert count(100 * SCORE_BLOCK_ROWS, 100 * SCORE_BLOCK_ROWS) == 4  # one product per worker
-        monkeypatch.setattr(train_mod, "_available_cpus", lambda: 1)
-        assert count(100 * SCORE_BLOCK_ROWS, 100 * SCORE_BLOCK_ROWS) == 1
+        least = retrieval_mod._THREAD_MIN_SCORES
+        n = -(-least // blocks[2])  # two workers' blocks just hold the threshold
+        assert count(n) == 2
+        assert count(n - 1) == 1
+        assert count(blocks[2]) == 1  # one block, too few scores for a second worker
+        assert count(100 * SCORE_BLOCK_ROWS) == 4  # one product per worker
+        monkeypatch.setattr(retrieval_mod, "_available_cpus", lambda: 1)
+        assert count(100 * SCORE_BLOCK_ROWS) == 1
+
+    # the worker counts of the evaluation's (rows, gallery) = (n, n) calls
+    # before the count took n alone: one worker up to n = 781, two from
+    # 782, and three or four from 1563 where the CPUs exist
+    @pytest.mark.parametrize("cpus, expected", [
+        (1, [1, 1, 1, 1, 1, 1, 1, 1, 1]),
+        (2, [1, 1, 1, 1, 2, 2, 2, 2, 2]),
+        (3, [1, 1, 1, 1, 2, 2, 2, 3, 3]),
+        (4, [1, 1, 1, 1, 2, 2, 2, 4, 4]),
+        (64, [1, 1, 1, 1, 2, 2, 2, 4, 4]),
+    ])
+    def test_worker_count_table(self, cpus, expected, monkeypatch):
+        import csalign.retrieval as retrieval_mod
+
+        monkeypatch.setattr(retrieval_mod, "_available_cpus", lambda: cpus)
+        sizes = [2, 64, 320, 781, 782, 1280, 1562, 1563, 5000]
+        assert [retrieval_mod._worker_count(n) for n in sizes] == expected
 
     @pytest.mark.parametrize("with_map", [False, True])
     def test_fault_in_the_second_block_propagates_and_joins_the_threads(
@@ -806,22 +838,22 @@ class TestEvaluationWorkers:
     ):
         import threading
 
-        import csalign.train as train_mod
+        import csalign.retrieval as retrieval_mod
 
-        monkeypatch.setattr(train_mod, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(retrieval_mod, "_available_cpus", lambda: 2)
         batches = copied_row_batches()
-        rows = train_mod._block_rows(2)
+        rows = retrieval_mod._block_rows(2)
         second = cosine_scores(batches[0].data, batches[1].data)[rows : 2 * rows]
         planted = RuntimeError("planted fault")
         name = "rank_scores" if with_map else "top_k_hits"
-        real = getattr(train_mod, name)
+        real = getattr(retrieval_mod, name)
 
         def faulty(scores, *args, **kwargs):
             if scores.shape == second.shape and np.array_equal(scores, second):
                 raise planted
             return real(scores, *args, **kwargs)
 
-        monkeypatch.setattr(train_mod, name, faulty)
+        monkeypatch.setattr(retrieval_mod, name, faulty)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as raised:
             evaluate_directions(batches, with_map)
