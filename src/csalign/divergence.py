@@ -58,7 +58,11 @@ _CANCELLATION_BOUND = 1e-2
 # Elements of row differences formed at once by that recomputation, so
 # that a sample of near-equal rows needs no (n, m, d) buffer.
 _RECOMPUTE_ELEMENTS = 1 << 16
-_TINY = np.finfo(np.float64).tiny
+# A GCS whose numerator or a power sum lies below this is taken from logs:
+# ``log(denominator) - log(numerator)`` subtracts two logs near
+# ``log(numerator)``, so it loses about |log numerator| eps (1e-13 for 120
+# copies of a 64-point PMF, whose GCS is 0).
+_LOG_ROUTE_BOUND = 2.0**-64
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,10 @@ class DivergenceValue:
     """A divergence with its log-ratio decomposition.
 
     ``value`` is ``-log(numerator / denominator)``; it is ``+inf`` when
-    the supports are disjoint (a zero numerator). A GCS taken from logs
-    may read a numerator and denominator of 0 or inf with a finite value.
+    the supports are disjoint (a zero numerator). A GCS is taken from logs
+    when the supports overlap and its numerator or a power sum lies below
+    2^-64 or overflows; it may then read a numerator and denominator of 0
+    or inf with a finite value.
     """
 
     value: float
@@ -206,12 +212,13 @@ def _check_non_negative(stack: np.ndarray, noun: str) -> None:
 def _gcs_from_stack(stack: np.ndarray) -> DivergenceValue:
     """GCS on a pre-validated (M, K) stack of non-negative vectors, from logs
     (``_gcs_from_logs``) where the supports overlap but the numerator or a
-    power sum leaves the normal float range (as 64^-200 of 200 64-point PMFs)."""
+    power sum lies below ``_LOG_ROUTE_BOUND`` = 2^-64 (as 64^-19 of 20
+    64-point PMFs) or overflows."""
     m = stack.shape[0]
     with np.errstate(over="ignore"):
         numerator = float(np.prod(stack, axis=0).sum())
         power_sums = np.power(stack, m).sum(axis=1)
-    normal = _TINY <= min(numerator, power_sums.min()) and max(numerator, power_sums.max()) < np.inf
+    normal = _LOG_ROUTE_BOUND <= min(numerator, power_sums.min()) and max(numerator, power_sums.max()) < np.inf
     if not normal and np.all(stack > 0, axis=0).any():
         return _gcs_from_logs(stack)
     with np.errstate(divide="ignore"):  # disjoint supports: a power sum may underflow to 0

@@ -106,46 +106,46 @@ class Encoder:
 class Adam:
     """Adam with bias correction and decoupled weight decay (``ADAM_*``, ``WEIGHT_DECAY``).
 
-    Parameters are updated in place; the decay term ``lr * wd * p`` is
-    applied after the adaptive step, not mixed into the gradient.
+    Parameters are updated in place; the decay term ``lr * wd * p`` is applied after
+    the adaptive step. ``m``, ``v`` and the update are flat float64 buffers over all
+    parameters, in order; each parameter subtracts its view of the update.
     """
 
     def __init__(self, params: list[np.ndarray], learning_rate: float):
         self.params = params
         self.learning_rate = learning_rate
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m, self.v, self._update = np.zeros((3, sum(p.size for p in params)))
         self.t = 0
+        splits = np.cumsum([p.size for p in params])[:-1]
+        self._updates = [u.reshape(p.shape) for p, u in zip(params, np.split(self._update, splits))]
 
     def step(self, grads: list[np.ndarray], lr_scale: float = 1.0) -> bool:
-        """Apply one update; return False, changing no parameter, when a
-        moment leaves float range. No finite step exists then, and the
-        moments are spent. A bias-corrected second moment ``v / bc2`` past
-        float range (early steps with gradients near 1e154) is taken as
-        ``sqrt(v) / sqrt(bc2)``, so the step stays finite."""
-        if len(grads) != len(self.params):
-            raise ShapeMismatch(f"expected {len(self.params)} gradients, got {len(grads)}")
+        """Apply one update; return False, changing no parameter, when a moment
+        leaves float range (no finite step exists; the moments are spent). Where
+        ``v / bc2`` overflows (gradients near 1e154 in early steps), every root is
+        ``sqrt(v) / sqrt(bc2)``, so the step stays finite. Gradients of another
+        count or shape than the parameters raise ``ShapeMismatch``, changing nothing."""
+        if [np.shape(g) for g in grads] != [p.shape for p in self.params]:
+            raise ShapeMismatch(f"gradient shapes {[np.shape(g) for g in grads]} differ from the parameters'")
         self.t += 1
         lr = self.learning_rate * lr_scale
-        bc1 = 1.0 - ADAM_BETA1**self.t
-        bc2 = 1.0 - ADAM_BETA2**self.t
-        roots = []
+        bc1, bc2 = 1.0 - ADAM_BETA1**self.t, 1.0 - ADAM_BETA2**self.t
+        flat = np.concatenate([np.ravel(g) for g in grads])
         with np.errstate(over="raise"):
             try:
-                for g, m, v in zip(grads, self.m, self.v):
-                    m *= ADAM_BETA1
-                    m += (1.0 - ADAM_BETA1) * g
-                    v *= ADAM_BETA2
-                    v += (1.0 - ADAM_BETA2) * g * g
+                self.m *= ADAM_BETA1
+                self.m += (1.0 - ADAM_BETA1) * flat
+                self.v *= ADAM_BETA2
+                self.v += (1.0 - ADAM_BETA2) * flat * flat
             except FloatingPointError:
                 return False
-            for v in self.v:
-                try:
-                    roots.append(np.sqrt(v / bc2))
-                except FloatingPointError:
-                    roots.append(np.sqrt(v) / math.sqrt(bc2))
-        for p, m, root in zip(self.params, self.m, roots):
-            p -= lr * (m / bc1) / (root + ADAM_EPSILON)
+            try:
+                root = np.sqrt(self.v / bc2)
+            except FloatingPointError:
+                root = np.sqrt(self.v) / math.sqrt(bc2)
+        np.divide(lr * (self.m / bc1), root + ADAM_EPSILON, out=self._update)
+        for p, update in zip(self.params, self._updates):
+            p -= update
             p -= lr * WEIGHT_DECAY * p
         return True
 

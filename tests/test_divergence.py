@@ -116,6 +116,15 @@ class TestGcsDivergence:
             k = int(rng.integers(2, 65))
             assert gcs_divergence(list(random_pmfs(rng, m, k))).value >= -1e-12
 
+    @pytest.mark.parametrize("m", [20, 60, 120])
+    def test_identical_pmfs_with_normal_but_tiny_products_give_zero(self, m):
+        # 64^-(m - 1) is a normal float, but -log of a ratio of two such
+        # numbers, taken from their logs directly, cancels about |log| eps
+        # (1e-13 at m = 120)
+        pmfs = [np.full(64, 1 / 64)] * m
+        assert abs(gcs_divergence(pmfs).value) <= 1e-15
+        assert abs(gcs_divergence_unnormalized(pmfs).value) <= 1e-15
+
 
 def decimal_gcs(stack):
     """GCS of a stack in 40-digit decimal arithmetic, which no product of

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from itertools import permutations
 
@@ -31,7 +32,8 @@ from csalign.errors import (
 )
 from csalign.losses import MATCHING_KINDS, matching_loss, stack_matching_loss
 from csalign.retrieval import SCORE_BLOCK_ROWS, evaluate_directions
-from csalign.train import WEIGHT_DECAY, clip_global_norm, supervised_directions
+from csalign.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, WEIGHT_DECAY, clip_global_norm,
+                           supervised_directions)
 from retrieval_oracle import cosine_scores, direction_metrics
 
 
@@ -51,6 +53,34 @@ def tiny_setup(**train_overrides):
     data = generate_synthetic(synth)
     encoders = build_encoders(synth.input_dims, synth.embed_dim, cfg)
     return data, encoders, cfg
+
+
+class PerArrayAdam:
+    """Adam keeping one ``m`` and ``v`` per parameter and stepping array by
+    array, each root falling back to ``sqrt(v) / sqrt(bc2)`` on its own."""
+
+    def __init__(self, params, learning_rate):
+        self.params, self.learning_rate, self.t = params, learning_rate, 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, grads, lr_scale=1.0):
+        self.t += 1
+        lr = self.learning_rate * lr_scale
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            with np.errstate(over="raise"):
+                try:
+                    root = np.sqrt(v / bc2)
+                except FloatingPointError:
+                    root = np.sqrt(v) / math.sqrt(bc2)
+            p -= lr * (m / bc1) / (root + ADAM_EPSILON)
+            p -= lr * WEIGHT_DECAY * p
 
 
 class TestAdam:
@@ -106,6 +136,55 @@ class TestAdam:
         opt.step([np.array([0.0])])
         # zero gradient: only the decay term fires, shrinking by lr * WEIGHT_DECAY
         assert 1.0 - theta[0] == pytest.approx(0.1 * WEIGHT_DECAY)
+
+    def test_flat_moments_do_the_per_array_math(self):
+        rng = np.random.default_rng(5)
+        shapes = [(4, 3), (3,), (2, 2)]
+        params = [rng.normal(size=shape) for shape in shapes]
+        reference = [p.copy() for p in params]
+        opt, ref = Adam(params, 0.05), PerArrayAdam(reference, 0.05)
+        clipped_steps = 0
+        for step in range(50):
+            scale = 3.0 if step % 3 == 0 else 0.2
+            grads, norm = clip_global_norm([rng.normal(size=shape) * scale for shape in shapes], 1.0)
+            clipped_steps += norm > 1.0
+            lr_scale = 1.0 if step < 25 else 0.1
+            assert opt.step(grads, lr_scale) is True
+            ref.step(grads, lr_scale)
+        assert clipped_steps >= 10
+        for p, r in zip(params, reference):
+            assert np.array_equal(p, r)
+        assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
+        assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
+
+    def test_root_past_float_range_falls_back_for_every_parameter(self):
+        # v / bc2 overflows in the first array only; the root of both is then
+        # sqrt(v) / sqrt(bc2), which for a gradient of 0.1 is one ulp off sqrt(v / bc2)
+        first, second = np.array([1.0]), np.zeros(2)
+        grads = [np.array([1e155]), np.array([0.1, -0.1])]
+        opt = Adam([first, second], learning_rate=0.1)
+        assert opt.step(grads) is True
+        bc1, bc2 = 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2
+        m, v = (1.0 - ADAM_BETA1) * grads[1], (1.0 - ADAM_BETA2) * grads[1] * grads[1]
+        expected = -0.1 * (m / bc1) / (np.sqrt(v) / math.sqrt(bc2) + ADAM_EPSILON)
+        expected -= 0.1 * WEIGHT_DECAY * expected
+        assert np.array_equal(second, expected)
+        per_array = [np.array([1.0]), np.zeros(2)]
+        PerArrayAdam(per_array, 0.1).step(grads)
+        assert first.tolist() == per_array[0].tolist()
+        assert not np.array_equal(second, per_array[1])
+
+    @pytest.mark.parametrize("param, grads", [
+        (np.zeros(3), [np.ones(1)]),
+        (np.zeros((2, 3)), [np.ones(3)]),
+        (np.zeros((2, 3)), [np.ones((3, 2))]),
+        (np.zeros(3), [np.ones(3), np.ones(3)]),
+    ])
+    def test_gradient_of_another_shape_or_count_changes_nothing(self, param, grads):
+        opt = Adam([param], 0.1)
+        with pytest.raises(ShapeMismatch):
+            opt.step(grads)
+        assert not (param.any() or opt.m.any() or opt.v.any()) and opt.t == 0
 
     @pytest.mark.parametrize("knob", ["beta1", "beta2", "epsilon", "weight_decay"])
     def test_fixed_settings_are_not_arguments(self, knob):
