@@ -8,10 +8,11 @@ Subcommands::
     ablate       clockwise / counterclockwise / mixed comparison
     bench        2M vs M(M-1) complexity counts and wall-clock
 
-Exit codes: 0 success, 1 property failure, 2 parse/config error,
-3 validation error, 4 numeric abort (a non-finite loss, embeddings
-that a training step sent past float range, or Adam moments that left
-it).
+Exit codes: 0 success, 1 property failure, 2 parse/config error (a
+size that cannot be allocated included), 3 validation error, 4 numeric
+abort (a non-finite loss, embeddings that a training step sent past
+float range, or Adam moments that left it). Only a run that exits 0 or
+4 creates its ``--outdir``.
 """
 
 from __future__ import annotations
@@ -203,24 +204,22 @@ def _cell(value) -> str:
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
-def _train_setup(args):
+def _experiment(args):
+    """The config file's mapping, its data, SynthConfig and TrainConfig; ``--seed``
+    enters as the config's own ``seed`` key, so ``data_seed`` still overrides it."""
     mapping = read_kv_config(args.config)
-    synth_cfg, train_cfg = experiment_configs(mapping)
-    if args.seed is not None:
-        from dataclasses import replace
-
-        train_cfg = replace(train_cfg, seed=args.seed)
-        synth_cfg = replace(synth_cfg, seed=args.seed if "data_seed" not in mapping else synth_cfg.seed)
-    Path(args.outdir).mkdir(parents=True, exist_ok=True)
-    return mapping, synth_cfg, train_cfg
+    seed = {} if args.seed is None else {"seed": str(args.seed)}
+    synth_cfg, train_cfg = experiment_configs({**mapping, **seed})
+    return mapping, generate_synthetic(synth_cfg), synth_cfg, train_cfg
 
 
 def _write_run(args, mapping, seed, started: str, csv_name: str, table, metrics: dict,
                aborted: bool) -> int:
     """Write ``table`` (header first) as ``csv_name``, ``metrics.json`` and
-    ``manifest.json`` into ``--outdir``; print the metrics. An aborted
-    run exits 4."""
+    ``manifest.json`` into ``--outdir``, the one place that creates it; print
+    the metrics. An aborted run exits 4."""
     outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     csv_path, metrics_path = outdir / csv_name, outdir / "metrics.json"
     csv_path.write_text("".join(",".join(map(_cell, row)) + "\n" for row in table), encoding="utf-8")
     metrics_path.write_text(json_dumps(metrics) + "\n", encoding="utf-8")
@@ -232,8 +231,7 @@ def _write_run(args, mapping, seed, started: str, csv_name: str, table, metrics:
 
 def cmd_train(args) -> int:
     started = _now()
-    mapping, synth_cfg, train_cfg = _train_setup(args)
-    data = generate_synthetic(synth_cfg)
+    mapping, data, synth_cfg, train_cfg = _experiment(args)
     encoders = build_encoders(synth_cfg.input_dims, synth_cfg.embed_dim, train_cfg)
     trace = train_run(data, encoders, train_cfg)
 
@@ -256,8 +254,7 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     started = _now()
-    mapping, synth_cfg, train_cfg = _train_setup(args)
-    data = generate_synthetic(synth_cfg)
+    mapping, data, synth_cfg, train_cfg = _experiment(args)
     arms = ablation_run(data, train_cfg, embed_dim=synth_cfg.embed_dim)
 
     directions = sorted(arms[0].trace.directions)
@@ -404,6 +401,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a size that no machine can hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

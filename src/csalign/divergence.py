@@ -353,11 +353,11 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out += sq_a[:, None]
         out += sq_b
         suspect = np.flatnonzero(~(out > _CANCELLATION_BOUND * (sq_a.max() + sq_b.max())))
-    step = max(1, _RECOMPUTE_ELEMENTS // a.shape[1])
-    for start in range(0, suspect.size, step):
-        flat = suspect[start:start + step]
-        diff = a[flat // b.shape[0]] - b[flat % b.shape[0]]
-        out.flat[flat] = np.einsum("ij,ij->i", diff, diff)
+        step = max(1, _RECOMPUTE_ELEMENTS // a.shape[1])
+        for start in range(0, suspect.size, step):
+            flat = suspect[start:start + step]
+            diff = a[flat // b.shape[0]] - b[flat % b.shape[0]]
+            out.flat[flat] = np.einsum("ij,ij->i", diff, diff)
     return out
 
 
@@ -475,9 +475,9 @@ def coral_terms(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.nda
     centred samples and the covariance difference ``C_x - C_y``. Covariances use
     the unbiased 1/(n-1) estimator; a value past float range is returned, not raised."""
     d = x.shape[1]
-    xc = x - x.mean(axis=0, keepdims=True)
-    yc = y - y.mean(axis=0, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean(axis=0, keepdims=True)
+        yc = y - y.mean(axis=0, keepdims=True)
         diff = xc.T @ xc / (x.shape[0] - 1) - yc.T @ yc / (y.shape[0] - 1)
         value = float((diff * diff).sum() / (4.0 * d * d))
     return value, xc, yc, diff

@@ -7,7 +7,8 @@
 * PMF vectors: a single CSV line of non-negative floats.
 * Config files: flat ``key=value`` lines with ``#`` comments. The keys
   are exactly the SynthConfig / TrainConfig field names plus
-  ``data_seed``, and each value is parsed by its field's type.
+  ``data_seed``, and each value is parsed by its field's type; integers
+  must lie below 2**63.
 * JSON reports: floats serialized with 17 significant digits so values
   round-trip exactly; non-finite floats become the strings "inf",
   "-inf", "nan" (strict JSON has no literals for them).
@@ -153,13 +154,22 @@ def read_kv_config(path: str | Path) -> dict[str, str]:
     return parse_kv_config(text, str(path))
 
 
+def _int(text: str) -> int:
+    """An integer below 2**63, as CSV labels must be: no larger one fits numpy's int64."""
+    value = int(text)
+    if value >= 2**63:
+        raise ValueError(f"{value} is not below 2**63")
+    return value
+
+
 # one parser per field annotation string (the configs' modules postpone
-# annotations, so ``Field.type`` is the string as written)
+# annotations, so ``Field.type`` is the string as written); a tuple may end
+# in one comma, but an empty token elsewhere is an error, not a dropped entry
 _PARSERS = {
-    "int": int,
+    "int": _int,
     "float": float,
     "str": str,
-    "tuple[int, ...]": lambda value: tuple(int(tok) for tok in value.split(",") if tok.strip()),
+    "tuple[int, ...]": lambda value: tuple(map(_int, value.strip().removesuffix(",").split(","))),
     "MatchStrategy": MatchStrategy,
 }
 _KEY_TYPES = {

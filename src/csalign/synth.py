@@ -51,6 +51,12 @@ class SynthConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.embed_dim < 1:
             raise ConfigError(f"embed_dim must be positive, got {self.embed_dim}")
+        # numpy refuses an array of 2**63 bytes or more; the largest here are the
+        # n x input_dims data and the input_dims x embed_dim encoder weights
+        rows = max(int(self.num_classes) * int(self.per_class), int(self.embed_dim))
+        if 8 * rows * max(self.input_dims) >= 2**63:
+            raise ConfigError(f"num_classes * per_class, input_dims and embed_dim ask for an array "
+                              f"of 2**63 bytes or more ({rows} x {max(self.input_dims)} float64)")
         for name in ("class_sep", "noise_sigma"):
             value = getattr(self, name)
             if not (np.isfinite(check_float(name, value)) and value > 0):

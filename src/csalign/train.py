@@ -255,8 +255,14 @@ def train_run(
     test_inputs = [b.data[test_idx] for b in data]
     test_labels = labels[test_idx]
 
+    def embed(inputs: list[np.ndarray]) -> np.ndarray:
+        # encoders that a step sent past float range give non-finite rows, which
+        # the row_norms check that follows (here or in the engine) rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.stack([enc.forward(x) for enc, x in zip(encoders, inputs)])
+
     def evaluate(with_map: bool = False) -> dict[str, dict[str, float]]:
-        stack = np.stack([enc.forward(x) for enc, x in zip(encoders, test_inputs)])
+        stack = embed(test_inputs)
         try:
             norms = row_norms(stack, "the held-out embeddings")
         except NonFiniteSimilarity:
@@ -284,7 +290,7 @@ def train_run(
             if idx.size < 2:
                 continue
             inputs = [b.data[idx] for b in data]
-            stack = np.stack([enc.forward(x) for enc, x in zip(encoders, inputs)])
+            stack = embed(inputs)
             try:
                 value, grads = stack_loss_gradient(
                     cfg.loss_kind, stack, labels[idx], names, cfg.strategy, cfg.temperature
@@ -302,7 +308,10 @@ def train_run(
                 param_grads.extend(enc.backward(x, grad_emb))
             clipped, _ = clip_global_norm(param_grads, cfg.grad_clip_norm)
             batch_losses.append(value)
-            if not adam.step(clipped, lr_scale):
+            # parameters that this step sends past float range fail the next embed's check
+            with np.errstate(over="ignore", invalid="ignore"):
+                stepped = adam.step(clipped, lr_scale)
+            if not stepped:
                 aborted = True  # Adam's moments left float range: no finite step exists
                 break
         epoch_loss = float(np.mean(batch_losses)) if batch_losses else float("nan")

@@ -175,6 +175,27 @@ class TestDivergenceCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "float range" in captured.err
 
+    @pytest.mark.parametrize(
+        "measure, message",
+        [("mmd", "error: MMD kernel scale 1/(2 sigma^2) leaves float range at sigma = inf"),
+         ("coral", "error: CORAL loss overflows float range (nan)")],
+    )
+    def test_sample_near_the_float_limit_exit_3_without_a_warning(self, measure, message,
+                                                                  tmp_path, capsys):
+        # row differences and column sums past float range: the recompute in
+        # sq_distances and the column means of coral_terms
+        big = tmp_path / "big.csv"
+        big.write_text("1e308,-1e308,5e307\n1e308,-1e308,-5e307\n5e307,1e308,1e308\n")
+        ok = tmp_path / "ok.csv"
+        ok.write_text("0.6,0.1,-0.2\n0.3,0.9,0.5\n-0.4,0.2,1.3\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["divergence", "--measure", measure, str(big), str(ok)]) == 3
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+
     @pytest.mark.parametrize("measure, shape", [("mmd", (0, 3)), ("coral", (4, 0))])
     def test_empty_emb1_sample_exit_3(self, measure, shape, tmp_path, capsys):
         empty, other = tmp_path / "empty.emb1", tmp_path / "other.emb1"
@@ -344,15 +365,17 @@ class TestTrainCommand:
         assert code == 4
 
 
-    @pytest.mark.parametrize("rate", ["1e100", "1e150", "1e300"])
+    @pytest.mark.parametrize("rate", ["1e100", "1e150", "1e300", "1e308"])
     def test_diverging_run_exit_4_and_keeps_the_trace(self, rate, tmp_path, capsys):
         # the first step's update overflows the encoders, so the next
-        # step's embeddings are non-finite
+        # step's embeddings are non-finite; no RuntimeWarning on the way
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SMALL_CONFIG + f"learning_rate = {rate}\n")
         out = tmp_path / "run"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["train", "--config", str(cfg), "--outdir", str(out)])
+        assert caught == []
         assert code == 4
         assert capsys.readouterr().err.startswith("training aborted: non-finite loss or embeddings")
         rows = (out / "trace.csv").read_text().splitlines()
@@ -469,3 +492,66 @@ def test_one_modality_is_a_config_error(command, kind, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: loss kind {kind!r} needs M >= 2 modalities, got M = 1")
     assert not (tmp_path / "run").exists()
+
+
+# sizes past the 47-bit address space, so no overcommit setting can grant
+# them: numpy's allocation fails, its byte count overflows an index, or the
+# integer does not fit int64
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize(
+    "line, named",
+    [("per_class = 1000000000000000", "out of memory: Unable to allocate"),
+     ("embed_dim = 1000000000000000", "out of memory: Unable to allocate"),
+     ("per_class = 3000000000000000000", "2**63 bytes"),
+     ("per_class = 10000000000000000000", "bad value for per_class")],
+)
+def test_size_no_machine_can_hold_is_a_config_error(command, line, named, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG.replace(line.split()[0] + " =", "# was") + line + "\n")
+    assert main([command, "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("dims", ["10,,10", ",10,10", "10,10,,"])
+def test_empty_input_dims_token_is_a_config_error(command, dims, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG.replace("input_dims = 10,10,10", f"input_dims = {dims}"))
+    assert main([command, "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad value for input_dims: {dims!r}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_outdir_below_a_file_exit_2(command, tmp_path, capsys):
+    # the run directory is made when the artifacts are written, after training
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG.replace("max_epochs = 4", "max_epochs = 1"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([command, "--config", str(cfg), "--outdir", str(blocker / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command, csv_name", [("train", "trace.csv"), ("ablate", "ablation.csv")])
+@pytest.mark.parametrize("data_seed", ["", "data_seed = 11\n"])
+def test_seed_flag_is_the_config_seed(command, csv_name, data_seed, tmp_path, capsys):
+    # --seed 7 runs what `seed = 7` in the file runs: data_seed, when given,
+    # still draws the data; the manifest keeps the file's own mapping
+    small = SMALL_CONFIG.replace("max_epochs = 4", "max_epochs = 2") + data_seed
+    flagged, written = tmp_path / "flagged.cfg", tmp_path / "written.cfg"
+    flagged.write_text(small)
+    written.write_text(small.replace("seed = 3", "seed = 7"))
+    assert main([command, "--config", str(flagged), "--outdir", str(tmp_path / "a"), "--seed", "7"]) == 0
+    assert main([command, "--config", str(written), "--outdir", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    for name in (csv_name, "metrics.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert manifest["seed"] == 7 and manifest["config"]["seed"] == "3"

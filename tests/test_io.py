@@ -186,6 +186,15 @@ class TestConfigFields:
         with pytest.raises(ConfigError, match=f"bad value for {key}"):
             experiment_configs({key: text})
 
+    @pytest.mark.parametrize("key", ["seed", "per_class", "max_epochs", "input_dims"])
+    def test_integer_at_or_above_2_63_is_a_bad_value(self, key):
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            experiment_configs({key: str(2**63)})
+
+    def test_integer_below_2_63_parses(self):
+        synth, train = experiment_configs({"seed": str(2**63 - 1)})
+        assert synth.seed == train.seed == 2**63 - 1
+
 
 class TestJsonDumps:
     def test_floats_roundtrip_exactly(self):
