@@ -36,7 +36,6 @@ from .divergence import (
     gcs_divergence,
     kl_alignment,
     mmd_squared,
-    validate_pmf_row,
 )
 from .errors import ConfigError, CsAlignError
 from .io import (
@@ -139,25 +138,19 @@ def cmd_divergence(args) -> int:
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"--bandwidth must be a positive number or 'median', got {args.bandwidth!r}") from exc
 
+    # in file order, so the first faulty file decides the exit code
+    pmfs = measure in ("cs", "gcs", "kl")
+    inputs = [read_pmf_vector(p) if pmfs else read_embeddings(p, args.label_col)[0] for p in paths]
     numerator = denominator = None
-    if measure == "cs":
-        result = cs_divergence(read_pmf_vector(paths[0]), read_pmf_vector(paths[1]))
-        value, numerator, denominator = result.value, result.numerator, result.denominator
-    elif measure == "gcs":
-        result = gcs_divergence([read_pmf_vector(p) for p in paths])
+    if measure in ("cs", "gcs"):
+        result = cs_divergence(*inputs) if measure == "cs" else gcs_divergence(inputs)
         value, numerator, denominator = result.value, result.numerator, result.denominator
     elif measure == "kl":
-        p = validate_pmf_row(read_pmf_vector(paths[0]), paths[0])[None, :]
-        q = validate_pmf_row(read_pmf_vector(paths[1]), paths[1])[None, :]
-        value = kl_alignment(p, q, kl_cfg)
+        value = kl_alignment(inputs[0][None, :], inputs[1][None, :], kl_cfg)
     elif measure == "mmd":
-        x, _ = read_embeddings(paths[0], args.label_col)
-        y, _ = read_embeddings(paths[1], args.label_col)
-        value = mmd_squared(x, y, mmd_cfg)
+        value = mmd_squared(*inputs, mmd_cfg)
     else:  # coral
-        x, _ = read_embeddings(paths[0], args.label_col)
-        y, _ = read_embeddings(paths[1], args.label_col)
-        value = coral_loss(x, y)
+        value = coral_loss(*inputs)
 
     report = {
         "measure": measure,
@@ -217,7 +210,7 @@ def _write_run(args, mapping, seed, started: str, csv_name: str, table, metrics:
                aborted: bool) -> int:
     """Write ``table`` (header first) as ``csv_name``, ``metrics.json`` and
     ``manifest.json`` into ``--outdir``, the one place that creates it; print
-    the metrics. An aborted run exits 4."""
+    the metrics. An aborted run says so on stderr and exits 4."""
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path, metrics_path = outdir / csv_name, outdir / "metrics.json"
@@ -226,7 +219,11 @@ def _write_run(args, mapping, seed, started: str, csv_name: str, table, metrics:
     manifest = _manifest(args.command, dict(mapping), seed, started, [str(csv_path), str(metrics_path)])
     (outdir / "manifest.json").write_text(json_dumps(manifest) + "\n", encoding="utf-8")
     print(json_dumps(metrics))
-    return EXIT_NUMERIC_ABORT if aborted else EXIT_OK
+    if aborted:
+        print("training aborted: non-finite loss or embeddings, or Adam moments past float range",
+              file=sys.stderr)
+        return EXIT_NUMERIC_ABORT
+    return EXIT_OK
 
 
 def cmd_train(args) -> int:
@@ -246,9 +243,6 @@ def cmd_train(args) -> int:
         "first_loss": trace.losses[0] if trace.records else None,
         "final_loss": trace.losses[-1] if trace.records else None,
     }
-    if trace.aborted:
-        print("training aborted: non-finite loss or embeddings, or Adam moments past float range",
-              file=sys.stderr)
     return _write_run(args, mapping, train_cfg.seed, started, "trace.csv", table, metrics, trace.aborted)
 
 

@@ -155,7 +155,8 @@ def validate_pmf_row(row: np.ndarray, name: str) -> np.ndarray:
         raise NotAPmf(f"{name} contains non-finite entries")
     if np.any(row < 0):
         raise NotAPmf(f"{name} has a negative entry")
-    total = float(row.sum())
+    with np.errstate(over="ignore"):  # entries near 1e308 sum to inf, and are reported so
+        total = float(row.sum())
     if abs(total - 1.0) > PMF_SUM_TOL:
         raise NotAPmf(f"{name} sums to {total!r}, outside 1 +/- {PMF_SUM_TOL}")
     return row
@@ -285,7 +286,7 @@ def gcs_divergence_unnormalized(vectors: list[np.ndarray] | np.ndarray) -> Diver
     stack = _stack_rows(vectors, "vector")
     _check_non_negative(stack, "vector")
     for i, row in enumerate(stack):
-        if row.sum() == 0.0:
+        if not row.any():
             raise NotAPmf(f"vector {i} is all zeros")
     return _gcs_from_stack(stack)
 

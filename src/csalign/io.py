@@ -4,7 +4,8 @@
   integer label column chosen by index), or the EMB1 binary format --
   a 16-byte little-endian header ``magic "EMB1", u32 n, u32 d, u32
   reserved`` followed by n*d float64 values, row major.
-* PMF vectors: a single CSV line of non-negative floats.
+* PMF vectors: a single CSV line of non-negative floats summing to 1,
+  checked by ``validate_pmf_row`` under the file's name.
 * Config files: flat ``key=value`` lines with ``#`` comments. The keys
   are exactly the SynthConfig / TrainConfig field names plus
   ``data_seed``, and each value is parsed by its field's type; integers
@@ -13,8 +14,10 @@
   round-trip exactly; non-finite floats become the strings "inf",
   "-inf", "nan" (strict JSON has no literals for them).
 
-Parse failures raise :class:`ConfigError` (CLI exit code 2); domain
-validation failures keep their own error types (exit code 3).
+Every input file is read by ``_read``, as UTF-8 text (a byte-order mark
+is kept) or as bytes. A file that cannot be opened, read or decoded raises
+:class:`ConfigError` naming it, as parse failures do (CLI exit code 2);
+domain validation failures keep their own error types (exit code 3).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .divergence import validate_pmf_row
 from .errors import ConfigError
 from .losses import MatchStrategy, check_kind
 from .synth import SynthConfig
@@ -35,21 +39,29 @@ EMB1_MAGIC = b"EMB1"
 _EMB1_HEADER = struct.Struct("<4sIII")
 
 
+def _read(path: str | Path, size: int = -1, text: bool = True):
+    """The one reader of input files: the first ``size`` bytes of ``path`` (all by
+    default), decoded with ``text`` as UTF-8 with CRLF and CR read as LF, as a
+    text-mode file reads them. ConfigError if it cannot be opened, read or decoded."""
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read(size)
+        return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n") if text else raw
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def read_embedding_csv(path: str | Path, label_col: int | None = None):
     """Parse a numeric CSV into (data, labels or None)."""
     rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    rows.append([float(tok) for tok in line.split(",")])
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{line_no}: {exc}") from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    for line_no, line in enumerate(_read(path).split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line_no}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     widths = {len(r) for r in rows}
@@ -84,10 +96,7 @@ def write_embedding_csv(path: str | Path, data: np.ndarray, labels=None) -> None
 
 
 def read_emb1(path: str | Path) -> np.ndarray:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    raw = _read(path, text=False)
     if len(raw) < _EMB1_HEADER.size:
         raise ConfigError(f"{path}: truncated EMB1 header")
     magic, n, d, _reserved = _EMB1_HEADER.unpack_from(raw)
@@ -110,21 +119,17 @@ def write_emb1(path: str | Path, data: np.ndarray) -> None:
 
 def read_embeddings(path: str | Path, label_col: int | None = None):
     """Dispatch on the EMB1 magic; fall back to CSV."""
-    try:
-        with open(path, "rb") as handle:
-            magic = handle.read(4)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if magic == EMB1_MAGIC:
+    if _read(path, len(EMB1_MAGIC), text=False) == EMB1_MAGIC:
         return read_emb1(path), None
     return read_embedding_csv(path, label_col)
 
 
 def read_pmf_vector(path: str | Path) -> np.ndarray:
+    """The one CSV line of a PMF file, checked as a PMF named by ``path``."""
     data, _ = read_embedding_csv(path)
     if data.shape[0] != 1:
         raise ConfigError(f"{path}: a PMF file holds exactly one CSV line, got {data.shape[0]}")
-    return data[0]
+    return validate_pmf_row(data[0], str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +152,7 @@ def parse_kv_config(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def read_kv_config(path: str | Path) -> dict[str, str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    return parse_kv_config(text, str(path))
+    return parse_kv_config(_read(path), str(path))
 
 
 def _int(text: str) -> int:

@@ -206,6 +206,62 @@ class TestDivergenceCommand:
         assert captured.out == ""
         assert "non-empty" in captured.err
 
+    @pytest.mark.parametrize("measure", ["cs", "gcs", "kl"])
+    def test_pmf_that_fails_validation_is_named_by_file(self, measure, pmf_files, tmp_path, capsys):
+        notpmf = tmp_path / "notpmf.csv"
+        notpmf.write_text("0.9,0.9\n")
+        onehot, _ = pmf_files
+        assert main(["divergence", "--measure", measure, str(onehot), str(notpmf)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {notpmf} sums to 1.8, outside 1 +/- 1e-06\n"
+
+    @pytest.mark.parametrize("measure", ["cs", "gcs", "kl"])
+    def test_pmf_entries_near_float_max_exit_3_without_a_warning(self, measure, pmf_files, tmp_path,
+                                                                 capsys):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("1e308,1e308\n")
+        _, uniform = pmf_files
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["divergence", "--measure", measure, str(huge), str(uniform)]) == 3
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {huge} sums to inf, outside 1 +/- 1e-06\n"
+
+    def test_first_faulty_file_decides_the_exit_code(self, tmp_path, capsys):
+        notpmf = tmp_path / "notpmf.csv"
+        notpmf.write_text("0.9,0.9\n")
+        assert main(["divergence", "--measure", "cs", str(notpmf), str(tmp_path / "absent.csv")]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {notpmf} sums to")
+
+    @pytest.mark.parametrize(
+        "measure, name, content",
+        [("cs", "p.csv", b"0.5,0.5\xe9\n"),
+         ("gcs", "p.csv", b"\xff0.5,0.5\n"),
+         ("mmd", "x.csv", b"0.1,0.2\n0.3,0.4\xe9\n"),
+         ("coral", "x.csv", b"0.1,0.2\n\xe90.3,0.4\n"),
+         ("cs", "p.emb1", None),
+         ("gcs", "p.emb1", None),
+         ("kl", "p.emb1", None),
+         ("kl", "absent.csv", "missing"),
+         ("mmd", "folder", "directory")],
+    )
+    def test_unreadable_input_exit_2_with_one_error_line(self, measure, name, content, tmp_path, capsys):
+        bad = tmp_path / name
+        if content is None:
+            write_emb1(bad, np.array([[0.5, 0.5]]))
+        elif content == "directory":
+            bad.mkdir()
+        elif content != "missing":
+            bad.write_bytes(content)
+        ok = tmp_path / "ok.csv"
+        ok.write_text("0.5,0.5\n" if measure in ("cs", "gcs", "kl") else "0.1,0.2\n0.5,0.1\n0.3,0.9\n")
+        out = tmp_path / "report.json"
+        assert main(["divergence", "--measure", measure, str(bad), str(ok), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"error: cannot read {bad}: ") and captured.err.count("\n") == 1
+
     def test_out_file_written(self, pmf_files, tmp_path, capsys):
         onehot, uniform = pmf_files
         out = tmp_path / "report.json"
@@ -415,6 +471,16 @@ class TestTrainCommand:
 
 
 class TestAblateCommand:
+    def test_diverging_run_exit_4_and_says_why(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("max_epochs = 4", "max_epochs = 2") + "learning_rate = 1e300\n")
+        out = tmp_path / "abl"
+        assert main(["ablate", "--config", str(cfg), "--outdir", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "training aborted: non-finite loss or embeddings, or Adam moments past float range\n")
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert any(arm["aborted"] for arm in metrics.values())
+
     def test_rows_and_flags(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SMALL_CONFIG)
@@ -524,6 +590,18 @@ def test_empty_input_dims_token_is_a_config_error(command, dims, tmp_path, capsy
     assert main([command, "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: bad value for input_dims: {dims!r}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_undecodable_config_is_a_config_error(command, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(SMALL_CONFIG.encode().replace(b"seed = 3", b"seed = 3\xff"))
+    assert main([command, "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {cfg}: 'utf-8' codec can't decode byte 0xff")
+    assert captured.err.count("\n") == 1
     assert not (tmp_path / "run").exists()
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import statistics
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -20,7 +21,7 @@ from csalign import (
     median_bandwidth,
     mmd_squared,
 )
-from csalign.divergence import sq_distances
+from csalign.divergence import sq_distances, validate_pmf_row
 from csalign.errors import (
     DegenerateBandwidth,
     LengthMismatch,
@@ -187,6 +188,15 @@ class TestScaleInvariance:
     def test_all_zero_vector_rejected(self):
         with pytest.raises(NotAPmf):
             gcs_divergence_unnormalized([[0.0, 0.0], [1.0, 1.0]])
+
+    def test_entries_near_float_max_warn_nothing(self):
+        # row sums past float range: the zero check and the PMF check must not
+        # overflow on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert gcs_divergence_unnormalized([[1e308, 1e308], [1.0, 1.0]]).value == 0.0
+            with pytest.raises(NotAPmf, match="p sums to inf"):
+                validate_pmf_row(np.array([1e308, 1e308]), "p")
 
 
 class TestHolder:

@@ -1,9 +1,10 @@
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from csalign.errors import ConfigError
+from csalign.errors import ConfigError, NotAPmf
 from csalign.io import (
     _KEY_TYPES,
     experiment_configs,
@@ -12,6 +13,7 @@ from csalign.io import (
     read_embedding_csv,
     read_embeddings,
     read_emb1,
+    read_kv_config,
     read_pmf_vector,
     write_emb1,
     write_embedding_csv,
@@ -97,6 +99,81 @@ class TestPmfVector:
         path.write_text("0.5,0.5\n0.5,0.5\n")
         with pytest.raises(ConfigError):
             read_pmf_vector(path)
+
+    @pytest.mark.parametrize("line, fault", [("0.9,0.9", "sums to 1.8"), ("1.5,-0.5", "negative entry"),
+                                             ("0.5,nan", "non-finite"), ("1e308,1e308", "sums to inf")])
+    def test_row_that_is_no_pmf_names_the_file(self, line, fault, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(line + "\n")
+        with pytest.raises(NotAPmf, match=f"^{re.escape(str(path))}.*{fault}"):
+            read_pmf_vector(path)
+
+
+READERS = {
+    "csv": read_embedding_csv,
+    "pmf": read_pmf_vector,
+    "embeddings": read_embeddings,
+    "emb1": read_emb1,
+    "config": read_kv_config,
+}
+
+
+class TestOneReader:
+    """Every reader opens its file through one function, with one error rule."""
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("fault", ["missing", "directory"])
+    def test_unreadable_file_is_a_config_error(self, reader, fault, tmp_path):
+        path = tmp_path / "input"
+        if fault == "directory":
+            path.mkdir()
+        with pytest.raises(ConfigError, match=f"^cannot read {re.escape(str(path))}: "):
+            READERS[reader](path)
+
+    @pytest.mark.parametrize("reader", ["csv", "pmf", "embeddings", "config"])
+    @pytest.mark.parametrize("raw", [b"0.5,0.5\xe9\n", b"seed = 1\n\xff\n"])
+    def test_undecodable_bytes_are_a_config_error(self, reader, raw, tmp_path):
+        path = tmp_path / "input"
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError, match=f"^cannot read {re.escape(str(path))}: 'utf-8' codec"):
+            READERS[reader](path)
+
+    def test_undecodable_byte_is_named_by_its_file_offset(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_bytes(b"0.5,0.5\n" * 2500 + b"0.5,0.5\xe9\n")  # past one 8 KiB read
+        with pytest.raises(ConfigError, match="can't decode byte 0xe9 in position 20007:"):
+            read_embedding_csv(path)
+
+    def test_emb1_matrix_is_no_pmf_file(self, tmp_path):
+        path = tmp_path / "p.emb1"
+        write_emb1(path, np.array([[0.5, 0.5]]))
+        with pytest.raises(ConfigError, match=f"^cannot read {re.escape(str(path))}: 'utf-8' codec"):
+            read_pmf_vector(path)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_line_endings_comments_and_line_numbers(self, ending, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_bytes(ending.join(["# head", "1,2", "", "3,4", ""]).encode())
+        data, _ = read_embedding_csv(path)
+        assert data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        path.write_bytes(ending.join(["# head", "1,2", "x,4", ""]).encode())
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: could not convert"):
+            read_embedding_csv(path)
+        config = tmp_path / "exp.cfg"
+        config.write_bytes(ending.join(["# head", "a = 1", "b = 2 # note", ""]).encode())
+        assert read_kv_config(config) == {"a": "1", "b": "2"}
+        config.write_bytes(ending.join(["a = 1", "", "just words"]).encode())
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(config))}:3: expected key=value"):
+            read_kv_config(config)
+
+    def test_byte_order_mark_is_not_stripped(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"\xef\xbb\xbf0.5,0.5\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:1: could not convert string to float"):
+            read_pmf_vector(path)
+        config = tmp_path / "exp.cfg"
+        config.write_bytes(b"\xef\xbb\xbfseed = 1\n")
+        assert read_kv_config(config) == {"\ufeffseed": "1"}
 
 
 class TestKvConfig:
