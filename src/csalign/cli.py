@@ -110,12 +110,13 @@ def _manifest(command: str, config: dict, seed, started: str, outputs: list[str]
 
 
 def _emit(args, report: dict, config: dict, seed, started: str) -> None:
-    """Print ``report`` with its manifest last; also write it to ``--out``."""
+    """Write ``report`` with its manifest last to ``--out``, then print it, so
+    that an ``--out`` that cannot be written leaves stdout empty."""
     report["manifest"] = _manifest(args.command, config, seed, started, [args.out] if args.out else [])
     text = json_dumps(report)
-    print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
+    print(text)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ smoothing constant is ever needed.
 generalized Hoelder inequality: the numerator becomes the sum of
 M-way products and each norm factor is the M-norm ``(sum_k p_k^M)^(1/M)``,
 which is itself bounded below by ``1/K^(M-1)``. The measure is symmetric
-in its inputs and invariant under positive rescaling of each input.
+in its inputs and invariant under positive rescaling of each input. It
+is taken from the row-shifted logs of its inputs, so it stays finite
+where the M-way products or M-th powers leave float range.
 
 ``kl_alignment``, ``mmd_squared``, and ``coral_loss`` implement the
 classic alignment baselines that the CS family is compared against.
@@ -58,11 +60,6 @@ _CANCELLATION_BOUND = 1e-2
 # Elements of row differences formed at once by that recomputation, so
 # that a sample of near-equal rows needs no (n, m, d) buffer.
 _RECOMPUTE_ELEMENTS = 1 << 16
-# A GCS whose numerator or a power sum lies below this is taken from logs:
-# ``log(denominator) - log(numerator)`` subtracts two logs near
-# ``log(numerator)``, so it loses about |log numerator| eps (1e-13 for 120
-# copies of a 64-point PMF, whose GCS is 0).
-_LOG_ROUTE_BOUND = 2.0**-64
 
 
 @dataclass(frozen=True)
@@ -70,10 +67,10 @@ class DivergenceValue:
     """A divergence with its log-ratio decomposition.
 
     ``value`` is ``-log(numerator / denominator)``; it is ``+inf`` when
-    the supports are disjoint (a zero numerator). A GCS is taken from logs
-    when the supports overlap and its numerator or a power sum lies below
-    2^-64 or overflows; it may then read a numerator and denominator of 0
-    or inf with a finite value.
+    the supports are disjoint (a zero numerator). A GCS takes its value
+    from logs and rounds the numerator and denominator from theirs, so
+    where the products underflow or overflow it reads a numerator and
+    denominator of 0 or inf with a finite value.
     """
 
     value: float
@@ -166,7 +163,9 @@ def cs_divergence(p: np.ndarray, q: np.ndarray) -> DivergenceValue:
     """Cauchy-Schwarz divergence between two PMF rows.
 
     Returns ``+inf`` iff the supports are disjoint (zero numerator);
-    the denominator is strictly positive for any valid PMF pair.
+    the denominator is strictly positive for any valid PMF pair. A
+    ``sum_j p_j q_j`` below the smallest normal float has lost digits (as
+    1e-170 * 1e-170 has), so the value is then the GCS of ``[p, q]``.
 
     Raises
     ------
@@ -180,9 +179,9 @@ def cs_divergence(p: np.ndarray, q: np.ndarray) -> DivergenceValue:
     if p.shape != q.shape:
         raise LengthMismatch(f"PMF lengths differ: {p.size} vs {q.size}")
     numerator = float(np.dot(p, q))
+    if numerator < np.finfo(np.float64).tiny:
+        return _gcs(np.stack([p, q]))
     denominator = float(np.sqrt(np.dot(p, p)) * np.sqrt(np.dot(q, q)))
-    if numerator == 0.0:
-        return DivergenceValue(np.inf, numerator, denominator)
     return DivergenceValue(float(-np.log(numerator / denominator)), numerator, denominator)
 
 
@@ -210,42 +209,21 @@ def _check_non_negative(stack: np.ndarray, noun: str) -> None:
             raise NegativeEntry(f"{noun} {i} has a negative entry")
 
 
-def _gcs_from_stack(stack: np.ndarray) -> DivergenceValue:
-    """GCS on a pre-validated (M, K) stack of non-negative vectors, from logs
-    (``_gcs_from_logs``) where the supports overlap but the numerator or a
-    power sum lies below ``_LOG_ROUTE_BOUND`` = 2^-64 (as 64^-19 of 20
-    64-point PMFs) or overflows."""
+def _gcs(stack: np.ndarray) -> DivergenceValue:
+    """GCS on a pre-validated (M, K) stack of non-negative rows, none all zero,
+    from the logs ``r = log p - max_k log p`` of each row, whose maxima cancel:
+    ``mean_m log sum_k exp(M r) - log sum_k exp(sum_m r)``, ``+inf`` where the
+    supports are disjoint (``max_k sum_m r = -inf``). The numerator and
+    denominator are rounded from their logs, to 0 or inf if need be."""
     m = stack.shape[0]
-    with np.errstate(over="ignore"):
-        numerator = float(np.prod(stack, axis=0).sum())
-        power_sums = np.power(stack, m).sum(axis=1)
-    normal = _LOG_ROUTE_BOUND <= min(numerator, power_sums.min()) and max(numerator, power_sums.max()) < np.inf
-    if not normal and np.all(stack > 0, axis=0).any():
-        return _gcs_from_logs(stack)
-    with np.errstate(divide="ignore"):  # disjoint supports: a power sum may underflow to 0
-        log_denominator = float(np.log(power_sums).sum() / m)
-    denominator = float(np.exp(log_denominator))
-    if numerator == 0.0:
-        return DivergenceValue(np.inf, numerator, denominator)
-    value = float(log_denominator - np.log(numerator))
-    return DivergenceValue(value, numerator, denominator)
-
-
-def _gcs_from_logs(stack: np.ndarray) -> DivergenceValue:
-    """GCS on an (M, K) stack whose supports overlap, from the logs
-    ``r = log p - max_k log p`` of each row, whose maxima cancel:
-    ``mean_m log sum_k exp(M r) - log sum_k exp(sum_m r)``. The numerator
-    and denominator are rounded from their logs, to 0 or inf if need be."""
-    m = stack.shape[0]
-    with np.errstate(divide="ignore"):  # log 0 = -inf off a row's support
+    with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf off a row's support
         logs = np.log(stack)
-    peaks = logs.max(axis=1)
-    logs -= peaks[:, None]
-    log_norms = np.log(np.exp(m * logs).sum(axis=1)).sum() / m  # each row's peak term is 1
-    joint = logs.sum(axis=0)
-    top = joint.max()  # finite where the supports overlap
-    log_joint = top + np.log(np.exp(joint - top).sum())
-    with np.errstate(over="ignore"):
+        peaks = logs.max(axis=1)
+        logs -= peaks[:, None]
+        log_norms = np.log(np.exp(m * logs).sum(axis=1)).sum() / m  # each row's peak term is 1
+        joint = logs.sum(axis=0)
+        top = joint.max()
+        log_joint = top + np.log(np.exp(joint - top).sum()) if top > -np.inf else top
         numerator = float(np.exp(peaks.sum() + log_joint))
         denominator = float(np.exp(peaks.sum() + log_norms))
     return DivergenceValue(float(log_norms - log_joint), numerator, denominator)
@@ -273,7 +251,7 @@ def gcs_divergence(pmfs: list[np.ndarray] | np.ndarray) -> DivergenceValue:
     stack = _stack_rows(pmfs, "PMF")
     for i, row in enumerate(stack):
         validate_pmf_row(row, f"pmf[{i}]")
-    return _gcs_from_stack(stack)
+    return _gcs(stack)
 
 
 def gcs_divergence_unnormalized(vectors: list[np.ndarray] | np.ndarray) -> DivergenceValue:
@@ -288,7 +266,7 @@ def gcs_divergence_unnormalized(vectors: list[np.ndarray] | np.ndarray) -> Diver
     for i, row in enumerate(stack):
         if not row.any():
             raise NotAPmf(f"vector {i} is all zeros")
-    return _gcs_from_stack(stack)
+    return _gcs(stack)
 
 
 def holder_check(sequences: list[np.ndarray] | np.ndarray) -> HolderCheck:
@@ -299,13 +277,18 @@ def holder_check(sequences: list[np.ndarray] | np.ndarray) -> HolderCheck:
     ``rhs = prod_m (sum_k a[m,k]^M)^(1/M)``; the inequality
     ``lhs <= rhs`` holds with equality iff the sequences are pairwise
     proportional. A non-finite entry raises ``NotAPmf`` and a negative
-    one ``NegativeEntry``.
+    one ``NegativeEntry``. A side past float range reads ``inf``, without
+    a warning; as ``rhs >= lhs``, an ``inf`` lhs comes with an ``inf``
+    rhs and ``holds`` stays true. A zero factor gives an exact 0 term,
+    never ``inf * 0``.
     """
     stack = _stack_rows(sequences, "sequence")
     _check_non_negative(stack, "sequence")
     m = stack.shape[0]
-    lhs = float(np.prod(stack, axis=0).sum())
-    rhs = float(np.prod(np.power(stack, m).sum(axis=1) ** (1.0 / m)))
+    with np.errstate(over="ignore"):
+        lhs = float(np.prod(stack[:, stack.all(axis=0)], axis=0).sum())
+        norms = np.power(stack, m).sum(axis=1) ** (1.0 / m)
+        rhs = float(np.prod(norms)) if norms.all() else 0.0
     return HolderCheck(lhs, rhs, bool(lhs <= rhs + 1e-12))
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -262,6 +263,18 @@ class TestDivergenceCommand:
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith(f"error: cannot read {bad}: ") and captured.err.count("\n") == 1
 
+    def test_cs_of_overlapping_pmfs_whose_product_underflows(self, tmp_path, capsys):
+        p = tmp_path / "p.csv"
+        p.write_text("1e-170,1,0\n")
+        q = tmp_path / "q.csv"
+        q.write_text("1e-170,0,1\n")
+        values = {}
+        for measure in ("cs", "gcs"):
+            assert main(["divergence", "--measure", measure, str(p), str(q)]) == 0
+            values[measure] = json.loads(capsys.readouterr().out)["value"]
+        assert values["cs"] == pytest.approx(340 * math.log(10), rel=1e-12)
+        assert values["cs"] == values["gcs"]
+
     def test_out_file_written(self, pmf_files, tmp_path, capsys):
         onehot, uniform = pmf_files
         out = tmp_path / "report.json"
@@ -279,21 +292,21 @@ def flipped_gcs(pmfs):
 # pinned so that a change to any property's rng stream shows
 SUITE_20_0 = [
     ("non_negativity", 20, 0, 0.18516989428603559),
-    ("identity_zero", 20, 0, 1.7763568394002505e-15),
-    ("perturbation_detected", 20, 0, 0.000714693576625347),
-    ("symmetry", 10, 0, 1.7763568394002505e-15),
-    ("scale_invariance", 20, 0, 1.807533020452033e-14),
-    ("m2_reduction", 20, 0, 6.106226635438361e-16),
+    ("identity_zero", 20, 0, 0.0),
+    ("perturbation_detected", 20, 0, 0.000714693576624903),
+    ("symmetry", 10, 0, 4.440892098500626e-16),
+    ("scale_invariance", 20, 0, 1.5662760423788641e-15),
+    ("m2_reduction", 20, 0, 1.0547118733938987e-15),
     ("power_sum_bounds", 20, 0, 1.9870350059730528e-07),
     ("holder_inequality", 20, 0, -2.216833729549019),
 ]
 SUITE_20_0_FLIPPED = [
-    ("non_negativity", 20, 20, -1.7779943786013632),
-    ("identity_zero", 20, 0, 1.7763568394002505e-15),
-    ("perturbation_detected", 20, 20, -0.01805295729760914),
-    ("symmetry", 10, 0, 1.7763568394002505e-15),
-    ("scale_invariance", 20, 0, 1.807533020452033e-14),
-    ("m2_reduction", 20, 20, 0.6223243240685634),
+    ("non_negativity", 20, 20, -1.7779943786013623),
+    ("identity_zero", 20, 0, 0.0),
+    ("perturbation_detected", 20, 20, -0.018052957297607364),
+    ("symmetry", 10, 0, 4.440892098500626e-16),
+    ("scale_invariance", 20, 0, 1.5662760423788641e-15),
+    ("m2_reduction", 20, 20, 0.6223243240685639),
     ("power_sum_bounds", 20, 0, 1.9870350059730528e-07),
     ("holder_inequality", 20, 0, -2.216833729549019),
 ]
@@ -507,6 +520,24 @@ class TestBenchCommand:
             m = row["m"]
             assert row["circular_pmf_count"] == 2 * m
             assert row["pairwise_pmf_count"] == m * (m - 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["divergence", "--measure", "cs", "{p}", "{p}"],
+        ["props", "--trials", "2"],
+        ["bench", "--m-min", "2", "--m-max", "2", "--batch", "4", "--dim", "2", "--repeats", "1"],
+    ],
+)
+def test_unwritable_out_exits_2_with_nothing_on_stdout(argv, tmp_path, capsys):
+    pmf = tmp_path / "p.csv"
+    pmf.write_text("0.5,0.5\n")
+    out = tmp_path / "absent" / "report.json"
+    assert main([arg.format(p=pmf) for arg in argv] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

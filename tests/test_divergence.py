@@ -54,6 +54,16 @@ class TestCsDivergence:
         result = cs_divergence([1.0, 0.0], [0.0, 1.0])
         assert np.isinf(result.value) and result.numerator == 0.0
 
+    @pytest.mark.parametrize("exponent", [170, 161])
+    def test_products_below_the_smallest_normal_float_on_overlapping_supports(self, exponent):
+        # the supports overlap at index 0, where p_0 q_0 = 10^(-2 exponent)
+        # underflows to 0 (exponent 170) or to a subnormal with few digits (161)
+        p = [10.0**-exponent, 1.0, 0.0]
+        q = [10.0**-exponent, 0.0, 1.0]
+        result = cs_divergence(p, q)
+        assert result.value == pytest.approx(2 * exponent * math.log(10), rel=1e-12)
+        assert result.value == gcs_divergence([p, q]).value
+
     def test_denominator_at_least_one_over_n(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -125,6 +135,14 @@ class TestGcsDivergence:
         pmfs = [np.full(64, 1 / 64)] * m
         assert abs(gcs_divergence(pmfs).value) <= 1e-15
         assert abs(gcs_divergence_unnormalized(pmfs).value) <= 1e-15
+
+
+def test_identical_copies_of_dirichlet_pmfs_give_zero():
+    # the largest log of each row is shifted out before anything cancels
+    rng = np.random.default_rng(3)
+    for m in range(2, 40):
+        p = rng.dirichlet(np.ones(32))
+        assert abs(gcs_divergence([p] * m).value) <= 1e-15, m
 
 
 def decimal_gcs(stack):
@@ -229,6 +247,18 @@ class TestHolder:
     def test_holder_property(self, rows):
         check = holder_check([np.array(r) for r in rows])
         assert check.lhs <= check.rhs + 1e-12 * max(1.0, check.rhs)
+
+    @pytest.mark.parametrize("rows, lhs, rhs", [
+        ([[1e200, 1.0], [1e200, 1.0]], np.inf, np.inf),
+        # a partial product past float range, then a zero factor
+        ([[1e200, 1.0], [1e200, 1.0], [0.0, 1.0]], 1.0, np.inf),
+        ([[1e200, 1.0], [0.0, 0.0]], 0.0, 0.0),
+    ])
+    def test_sides_past_float_range_warn_nothing(self, rows, lhs, rhs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check = holder_check(rows)
+        assert (check.lhs, check.rhs, check.holds) == (lhs, rhs, True)
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NegativeEntry):
