@@ -276,7 +276,9 @@ def holder_check(sequences: list[np.ndarray] | np.ndarray) -> HolderCheck:
     ``lhs = sum_k prod_m a[m,k]`` and
     ``rhs = prod_m (sum_k a[m,k]^M)^(1/M)``; the inequality
     ``lhs <= rhs`` holds with equality iff the sequences are pairwise
-    proportional. A non-finite entry raises ``NotAPmf`` and a negative
+    proportional. ``holds`` allows rounding by a slack relative to the
+    rhs, ``lhs <= rhs * (1 + 1e-12)``, so it reads the same at any scale
+    of the sequences. A non-finite entry raises ``NotAPmf`` and a negative
     one ``NegativeEntry``. A side past float range reads ``inf``, without
     a warning; as ``rhs >= lhs``, an ``inf`` lhs comes with an ``inf``
     rhs and ``holds`` stays true. A zero factor gives an exact 0 term,
@@ -289,7 +291,7 @@ def holder_check(sequences: list[np.ndarray] | np.ndarray) -> HolderCheck:
         lhs = float(np.prod(stack[:, stack.all(axis=0)], axis=0).sum())
         norms = np.power(stack, m).sum(axis=1) ** (1.0 / m)
         rhs = float(np.prod(norms)) if norms.all() else 0.0
-    return HolderCheck(lhs, rhs, bool(lhs <= rhs + 1e-12))
+    return HolderCheck(lhs, rhs, bool(lhs <= rhs * (1 + 1e-12)))
 
 
 def kl_alignment(

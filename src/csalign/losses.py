@@ -257,18 +257,17 @@ def label_support(labels: np.ndarray) -> LabelSupport:
     return LabelSupport(rows, cols, starts, np.log(counts), starts[cols] + rank[rows])
 
 
-def _softmax(z: np.ndarray, axis: int, k: float, floor=None) -> tuple[np.ndarray, np.ndarray]:
-    """``softmax(k z)`` and ``lse(k z)`` along ``axis``, shifted by the maxima, with no
+def _softmax(z: np.ndarray, axis: int, floor=None) -> tuple[np.ndarray, np.ndarray]:
+    """``softmax(z)`` and ``lse(z)`` along ``axis``, shifted by the maxima, with no
     exponent below ``floor`` if one is given; the lse comes from the sums, not the softmax."""
     shift = z.max(axis=axis, keepdims=True)
     e = z - shift
-    e *= k
     if floor is not None:
         np.maximum(e, floor, out=e)
     np.exp(e, out=e)
     sums = e.sum(axis=axis, keepdims=True)
     e /= sums
-    return e, k * shift + np.log(sums)
+    return e, shift + np.log(sums)
 
 
 def gcs_logit_rows(
@@ -333,7 +332,7 @@ def gcs_logit_rows(
         # past the limit, an anchor with all terms below exp(-STATIC_SHIFT_LIMIT) is shifted alone
         anchors = [z if axis else z.T for axis, _ in readings]
         low = [np.flatnonzero(a.max(axis=1) < -STATIC_SHIFT_LIMIT) for a in anchors if not static]
-        own = [_softmax(a[i], 1, 1.0, EXP_FLOOR) for a, i in zip(anchors, low)]
+        own = [_softmax(a[i], 1, EXP_FLOOR) for a, i in zip(anchors, low)]
         np.exp(z if static else np.maximum(z, EXP_FLOOR, out=z), out=z)
         sums = [z.sum(axis=axis, keepdims=True) for axis, _ in readings]
         log_sums = [np.log(reading_sums).reshape(n) for reading_sums in sums]
@@ -376,7 +375,7 @@ def kl_logit_rows(
     every reading and group. One exponential per reading."""
     values, grads = [], None
     for axis in [axis for axis, wanted in ((2, rows), (1, cols)) if wanted]:
-        p, lse = _softmax(logits, axis, 1)
+        p, lse = _softmax(logits, axis)
         diff = logits - lse
         diff -= log_q
         kl = (p * diff).sum(axis=axis, keepdims=True)

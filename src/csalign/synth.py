@@ -39,6 +39,8 @@ class SynthConfig:
         for f in fields(self):
             if f.type == "int":
                 check_integer(f.name, getattr(self, f.name))
+        if not np.iterable(self.input_dims):
+            raise ConfigError(f"input_dims must be a sequence of integers, got {self.input_dims!r}")
         dims = tuple(check_integer("every input_dims entry", v) for v in self.input_dims)
         object.__setattr__(self, "input_dims", dims)
         if self.num_classes < 2:

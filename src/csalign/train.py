@@ -22,7 +22,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteSimilarity, ShapeMismatch
+from .errors import ConfigError, NonFiniteSimilarity, ShapeMismatch, ZeroNormRow
 from .gradients import stack_loss_gradient
 from .losses import (LOSS_KINDS, MatchStrategy, check_kind, check_paired, direction_label,
                      loss_groups)
@@ -217,20 +217,19 @@ def train_run(
     modality, taking that modality's input width (else ``ShapeMismatch``
     naming it), one embedding dimension, one n of at least 3 (one held-out
     row, two to train on), the same labels position by position, unique
-    names, and a loss kind defined for M modalities.
+    names, a loss kind defined for M modalities, and every row, training
+    and held out, in ``row_norms`` range under its initial encoder.
     From then on the run works on arrays: each step stacks the encoder
     outputs and calls ``stack_loss_gradient``, which checks its row norms
     once, and each evaluation checks the held-out stack with ``row_norms``
     and scores it as ``evaluate_directions`` does, by ``retrieval._evaluate``.
 
-    Rows are shuffled per epoch without replacement (seeded). A
-    non-finite batch loss aborts the run, returning the trace so far
-    with ``aborted=True``, and so do embeddings that a step has sent past
-    float range (``NonFiniteSimilarity`` at any step after the first; at
-    the first step it is raised, since the initial encoders are at
-    fault), and an Adam step whose moments leave float range (the step
-    is not applied). Held-out embeddings past float range then read nan
-    for every metric.
+    Rows are shuffled per epoch without replacement (seeded). A row out of
+    range after that first check was sent there by a step, so either check
+    that meets one aborts the run, returning the trace so far with
+    ``aborted=True`` and a nan loss or nan metrics. A non-finite batch loss
+    and an Adam step whose moments leave float range (the step is not
+    applied) abort it too.
     """
     if len(data) != len(encoders):
         raise ShapeMismatch(f"{len(data)} modalities but {len(encoders)} encoders")
@@ -245,6 +244,9 @@ def train_run(
     n = data[0].n
     if n < 3:
         raise ShapeMismatch(f"training needs n >= 3 rows (one held out, two to train on), got n={n}")
+    with np.errstate(over="ignore", invalid="ignore"):  # row_norms rejects what overflows
+        for enc, b in zip(encoders, data):
+            row_norms(enc.forward(b.data), f"modality '{b.modality_name}' under its initial encoder")
     names = [b.modality_name for b in data]
     labels = data[0].labels
     rng = np.random.default_rng(cfg.seed)
@@ -262,13 +264,12 @@ def train_run(
             return np.stack([enc.forward(x) for enc, x in zip(encoders, inputs)])
 
     def evaluate(with_map: bool = False) -> dict[str, dict[str, float]]:
+        nonlocal aborted
         stack = embed(test_inputs)
         try:
             norms = row_norms(stack, "the held-out embeddings")
-        except NonFiniteSimilarity:
-            if not aborted:
-                raise
-            # a diverged run's embeddings have no ranking
+        except (NonFiniteSimilarity, ZeroNormRow):
+            aborted = True  # a diverged run's embeddings have no ranking
             keys = ("p1", "p10", "map") if with_map else ("p1", "p10")
             return {direction_label(q, g): dict.fromkeys(keys, float("nan"))
                     for q, g in permutations(names, 2)}
@@ -284,43 +285,39 @@ def train_run(
     for epoch in range(cfg.max_epochs):
         lr_scale = LR_DECAY_FACTOR ** (epoch // LR_DECAY_EVERY)
         order = train_idx[rng.permutation(train_idx.size)]
-        batch_losses: list[float] = []
+        batch_losses: list[float] = []  # never empty: the first batch holds 2 rows or more
         for start in range(0, order.size, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             if idx.size < 2:
                 continue
             inputs = [b.data[idx] for b in data]
-            stack = embed(inputs)
             try:
                 value, grads = stack_loss_gradient(
-                    cfg.loss_kind, stack, labels[idx], names, cfg.strategy, cfg.temperature
+                    cfg.loss_kind, embed(inputs), labels[idx], names, cfg.strategy, cfg.temperature
                 )
-            except NonFiniteSimilarity:
-                if adam.t == 0:
-                    raise  # the initial encoders are at fault, not a step
-                value = float("nan")  # the last step sent the embeddings past float range
+            except (NonFiniteSimilarity, ZeroNormRow):
+                value = float("nan")  # the last step sent the embeddings out of range
+            batch_losses.append(value)
             if not np.isfinite(value):
-                batch_losses.append(value)
                 aborted = True
                 break
             param_grads: list[np.ndarray] = []
             for enc, x, grad_emb in zip(encoders, inputs, grads):
                 param_grads.extend(enc.backward(x, grad_emb))
             clipped, _ = clip_global_norm(param_grads, cfg.grad_clip_norm)
-            batch_losses.append(value)
-            # parameters that this step sends past float range fail the next embed's check
+            # parameters that this step sends past float range fail the next row-norm check
             with np.errstate(over="ignore", invalid="ignore"):
-                stepped = adam.step(clipped, lr_scale)
-            if not stepped:
-                aborted = True  # Adam's moments left float range: no finite step exists
-                break
-        epoch_loss = float(np.mean(batch_losses)) if batch_losses else float("nan")
+                if not adam.step(clipped, lr_scale):
+                    aborted = True  # Adam's moments left float range: no finite step exists
+                    break
+        epoch_loss = float(np.mean(batch_losses))
         records.append(
             EpochRecord(epoch, epoch_loss, bool(np.isfinite(epoch_loss)), evaluate())
         )
         if aborted:
             break
-    return TrainingTrace(records, aborted, directions, supervised, evaluate(with_map=True))
+    final_metrics = evaluate(with_map=True)  # read before ``aborted``, which evaluate sets
+    return TrainingTrace(records, aborted, directions, supervised, final_metrics)
 
 
 @dataclass(frozen=True)

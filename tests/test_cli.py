@@ -154,6 +154,14 @@ class TestDivergenceCommand:
         assert proc.stderr.startswith(f"error: {x}: label column 2 holds {float(label)!r}")
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_label_column_out_of_range_exit_2(self, tmp_path, capsys):
+        x = tmp_path / "x.csv"
+        x.write_text("0.1,0.2,0\n0.3,0.4,1\n0.5,0.1,2\n")
+        assert main(["divergence", "--measure", "mmd", str(x), str(x), "--label-col", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {x}: label column 5 out of range for 3 columns")
+
     @pytest.mark.parametrize("measure", ["mmd", "coral"])
     def test_non_finite_sample_exit_3(self, measure, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -506,6 +514,26 @@ class TestAblateCommand:
         assert set(metrics) == {"clockwise", "counterclockwise", "mixed"}
         assert all(metrics["mixed"]["supervised"].values())
         assert sum(1 for v in metrics["clockwise"]["supervised"].values() if not v) == 3
+
+
+# a step that diverges in the one batch of an epoch, and a weight decay of
+# lr * 1e-5 = 1 that sets every parameter to 0
+@pytest.mark.parametrize("command, output", [("train", "trace.csv"), ("ablate", "ablation.csv")])
+@pytest.mark.parametrize("lines", ["batch_size = 64\nlearning_rate = 1e300\n", "learning_rate = 1e5\n"],
+                         ids=["one_batch_diverges", "decay_zeroes"])
+def test_rows_a_step_sends_out_of_range_exit_4_and_keep_the_output(command, output, lines,
+                                                                     tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG.replace("batch_size = 8\n", "") + lines)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--outdir", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "training aborted: non-finite loss or embeddings, or Adam moments past float range\n")
+    assert len((out / output).read_text().splitlines()) >= 2
+    metrics = json.loads((out / "metrics.json").read_text())
+    runs = metrics.values() if command == "ablate" else [metrics]
+    assert all(run["aborted"] is True for run in runs)
+    assert {v for run in runs for m in run["final"].values() for v in m.values()} == {"nan"}
 
 
 class TestBenchCommand:

@@ -23,6 +23,7 @@ from csalign import (
 )
 from csalign.divergence import sq_distances, validate_pmf_row
 from csalign.errors import (
+    ConfigError,
     DegenerateBandwidth,
     LengthMismatch,
     NegativeEntry,
@@ -75,6 +76,10 @@ class TestCsDivergence:
     def test_bad_sum_rejected_not_renormalized(self):
         with pytest.raises(NotAPmf):
             cs_divergence([0.6, 0.6], [0.5, 0.5])
+
+    def test_two_dimensional_row_rejected(self):
+        with pytest.raises(NotAPmf, match="p must be a 1-D vector, got shape \\(1, 2\\)"):
+            validate_pmf_row(np.array([[0.5, 0.5]]), "p")
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NotAPmf):
@@ -236,6 +241,12 @@ class TestHolder:
             rows = rng.uniform(0, 1, size=(m, k))
             assert holder_check(list(rows)).holds
 
+    def test_identical_tuples_hold_at_every_scale(self):
+        # lhs and rhs are equal up to rounding, which scales with them
+        for exponent in range(-100, 101, 5):
+            check = holder_check(np.array([[1.0, 2.0, 3.0]] * 3) * 10.0**exponent)
+            assert check.holds, (exponent, check)
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
@@ -392,6 +403,10 @@ class TestMedianBandwidth:
 
 
 class TestMmd:
+    def test_unknown_bandwidth_rule_rejected(self):
+        with pytest.raises(ConfigError, match="unknown bandwidth rule 'mean'"):
+            MmdConfig("mean")
+
     def test_identical_samples_give_zero(self):
         rng = np.random.default_rng(23)
         x = rng.normal(size=(10, 3))

@@ -49,6 +49,18 @@ class TestCentralDifferenceOracle:
         g6 = finite_diff_gradient("bimodal_cs", ring, step=1e-6)
         assert max_relative_error(g5, g6) <= 1e-4
 
+    @pytest.mark.parametrize("step", [0.0, -1e-5, float("nan")])
+    def test_step_that_is_not_positive_rejected(self, step):
+        with pytest.raises(ConfigError, match="step must be positive"):
+            central_difference(lambda arrays: 0.0, [np.ones((2, 2))], step)
+
+    def test_non_finite_probe_rejected(self):
+        # finite at the base point, inf one step away
+        fn = lambda arrays: float(np.log(arrays[0][0, 0] - 1.0))  # noqa: E731
+        with pytest.raises(NonFinitePerturbation, match="perturbed loss is non-finite"):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                central_difference(fn, [np.array([[1.0 + 1e-5, 1.0]])], step=1e-5)
+
     def test_non_finite_base_rejected(self):
         with pytest.raises(NonFinitePerturbation):
             central_difference(lambda arrays: float("nan"), [np.ones((2, 2))])

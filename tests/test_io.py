@@ -80,6 +80,11 @@ class TestEmb1Binary:
         with pytest.raises(ConfigError):
             read_emb1(path)
 
+    def test_one_dimensional_array_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="EMB1 stores 2-D matrices, got shape \\(3,\\)"):
+            write_emb1(tmp_path / "a.bin", np.ones(3))
+        assert not (tmp_path / "a.bin").exists()
+
     def test_dispatch_by_magic(self, tmp_path):
         binary = tmp_path / "a.bin"
         write_emb1(binary, np.ones((2, 2)))
@@ -293,6 +298,10 @@ class TestJsonDumps:
         obj = {"a": [1, True, None], "b": {"c": np.float64(0.5), "d": np.arange(3)}}
         parsed = json.loads(json_dumps(obj))
         assert parsed == {"a": [1, True, None], "b": {"c": 0.5, "d": [0, 1, 2]}}
+
+    def test_unknown_type_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="cannot serialize object to JSON"):
+            json_dumps({"a": [object()]})
 
     def test_strings_escaped_as_stdlib_json(self):
         import json

@@ -248,6 +248,15 @@ class TestTrueMatchPmf:
 
 
 class TestEmbeddingBatch:
+    @pytest.mark.parametrize("shape, message", [
+        ((3,), "must be 2-D, got shape \\(3,\\)"),
+        ((1, 3), "n=1, d=3"),
+        ((3, 0), "n=3, d=0"),
+    ])
+    def test_bad_data_shape_rejected(self, shape, message):
+        with pytest.raises(ShapeMismatch, match=message):
+            EmbeddingBatch(np.ones(shape), [0] * shape[0])
+
     def test_labels_length_enforced(self):
         with pytest.raises(ShapeMismatch):
             EmbeddingBatch(np.eye(3), [0, 1])

@@ -94,6 +94,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="^every input_dims entry must be an integer"):
             small_cfg(input_dims=dims)
 
+    @pytest.mark.parametrize("dims", [5, None])
+    def test_input_dims_that_is_no_sequence_rejected(self, dims):
+        with pytest.raises(ConfigError, match="^input_dims must be a sequence of integers"):
+            small_cfg(input_dims=dims)
+
     def test_numpy_integer_input_dims_become_ints(self):
         dims = small_cfg(input_dims=np.array([8, 12])).input_dims
         assert dims == (8, 12) and all(type(d) is int for d in dims)

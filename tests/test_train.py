@@ -574,6 +574,33 @@ class TestArrayStep:
         assert all(set(m) == {"p1", "p10", "map"} and all(np.isnan(v) for v in m.values())
                    for m in trace.final_metrics.values())
 
+    @pytest.mark.parametrize("kind", ["gcs_ring", "mmd"])
+    @pytest.mark.parametrize("overrides", [
+        # the epoch's one step diverges, and its evaluation is the first to read that
+        {"batch_size": 64, "learning_rate": 1e300},
+        # lr * WEIGHT_DECAY = 1: the decay sets every parameter to 0
+        {"learning_rate": 1e5},
+    ], ids=["one_batch_diverges", "decay_zeroes"])
+    def test_rows_a_step_sends_out_of_range_abort_the_run(self, kind, overrides):
+        setup = pair_setup if kind == "mmd" else tiny_setup
+        data, encoders, cfg = setup(loss_kind=kind, **overrides)
+        trace = train_run(data, encoders, cfg)
+        assert trace.aborted and len(trace.records) == 1
+        assert all(np.isnan(v) for m in trace.records[0].metrics.values() for v in m.values())
+        assert all(np.isnan(v) for m in trace.final_metrics.values() for v in m.values())
+
+    def test_a_one_row_last_batch_is_skipped(self, monkeypatch):
+        import csalign.train as train_mod
+
+        # 36 rows, 7 held out: 29 to train on, so batches of 4 leave one row over
+        data, encoders, cfg = tiny_setup(batch_size=4, max_epochs=2)
+        assert (data[0].n - held_out_rows(data, cfg).size) % cfg.batch_size == 1
+        real, sizes = train_mod.stack_loss_gradient, []
+        monkeypatch.setattr(train_mod, "stack_loss_gradient",
+                            lambda kind, stack, *args: sizes.append(stack.shape[1]) or real(kind, stack, *args))
+        trace = train_run(data, encoders, cfg)
+        assert not trace.aborted and sizes == [4] * 14
+
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_row_norms_computed_once_per_step_and_evaluation(self, kind, monkeypatch):
         import csalign.train as train_mod
@@ -594,9 +621,10 @@ class TestArrayStep:
         monkeypatch.setattr(np.linalg, "norm", norm)
         monkeypatch.setattr(train_mod, "stack_loss_gradient", step)
         train_run(data, encoders, cfg)
-        # one per step, one per epoch's evaluation and one for the final one
+        # one per modality before the first step, one per step, one per epoch's
+        # evaluation and one for the final one
         assert calls["step"] == 8
-        assert calls["norm"] == calls["step"] + cfg.max_epochs + 1
+        assert calls["norm"] == len(data) + calls["step"] + cfg.max_epochs + 1
 
     def test_evaluation_equals_the_reference_ranking(self):
         data, encoders, cfg = tiny_setup(max_epochs=3)
@@ -629,9 +657,9 @@ class TestArrayStep:
         monkeypatch.setattr(
             train_mod, "stack_loss_gradient", lambda *args: steps.append(1) or real(*args)
         )
-        with pytest.raises(ZeroNormRow):
+        with pytest.raises(ZeroNormRow, match="modality 'A' under its initial encoder"):
             train_run(data, encoders, cfg)
-        assert len(steps) == 4  # the first epoch's steps ran; its evaluation raised
+        assert steps == []  # the check before the first step raised
 
 
 def tied_batches(n, num_classes, seed):
