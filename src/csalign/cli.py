@@ -9,7 +9,8 @@ Subcommands::
     bench        2M vs M(M-1) complexity counts and wall-clock
 
 Exit codes: 0 success, 1 property failure, 2 parse/config error (a
-size that cannot be allocated included), 3 validation error, 4 numeric
+size that cannot be allocated included) or OS error (a held-out scoring
+child that died mid-run included), 3 validation error, 4 numeric
 abort (a non-finite loss, embeddings that a training step sent past
 float range, or Adam moments that left it). Only a run that exits 0 or
 4 creates its ``--outdir``.

@@ -1,0 +1,169 @@
+"""Per-epoch held-out scoring in a forked child, overlapped with training.
+
+``train_run`` scores its held-out split after every epoch. Where
+``child_cpus`` finds that a second process pays and is safe, it forks one
+``ScoringChild`` before the first epoch: at each epoch's end the trainer
+sends it the encoder parameters and trains on, while the child loads them
+into its own (forked) encoders, scores them and writes P@1 and P@10 back.
+The child runs the trainer's own scoring function on the same bytes, so
+its metrics equal an in-process evaluation's exactly.
+"""
+
+from __future__ import annotations
+
+import os
+import select
+import signal
+import sys
+
+import numpy as np
+
+from . import retrieval
+
+# Fewest held-out scores, (epochs the child scores) x n_test^2 x M(M-1),
+# for a run to fork a scoring child. Below it, the fork and the
+# copy-on-write faults that follow it (about 5 ms on a 45 MB process)
+# cost more than the overlap saves: on a 2-core x86_64 VM, M = 3 runs
+# took 1.04x as long with a child at 0.54 M and 0.78 M scores, and
+# 0.965x at 1.1 M.
+CHILD_MIN_SCORES = 1_000_000
+
+
+def child_cpus(scores: int) -> set[int] | None:
+    """The CPUs a scoring child should run on, or None to score in this
+    process. A child is used only where ``os.fork`` and
+    ``os.sched_setaffinity`` exist, ``/proc/self/stat`` shows this process
+    running one OS thread (a fork beside BLAS or other threads can leave
+    the child a lock that no thread will release), ``retrieval`` finds two
+    CPUs or more, and the run scores at least ``CHILD_MIN_SCORES``. The
+    child gets every allowed CPU but the one this process last ran on;
+    left to the scheduler, both often share one CPU."""
+    if scores < CHILD_MIN_SCORES or not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
+        return None
+    try:
+        with open("/proc/self/stat", "rb") as f:
+            stat = f.read()
+    except OSError:
+        return None
+    # fields 20 (threads) and 39 (the CPU last run on), counted past the
+    # parenthesised command name, which may itself hold spaces
+    fields = stat[stat.rindex(b")") + 2 :].split()
+    if int(fields[17]) != 1 or retrieval._available_cpus() < 2:
+        return None
+    allowed = os.sched_getaffinity(0)
+    return allowed - {int(fields[36])} or allowed
+
+
+class ScoringChild:
+    """A forked process that scores the parameters it is sent.
+
+    ``params`` are the arrays the trainer updates in place, ``score`` maps
+    the current parameters to ``{direction: {"p1": ., "p10": ., ...}}`` in
+    the order of ``directions``, and the child is pinned to ``cpus``.
+    Entering the ``with`` block forks the child. ``submit`` sends it the
+    parameters as one float64 message and files the results that have
+    arrived meanwhile, so neither pipe fills while the other waits, and
+    ``collect`` waits for the rest and returns them in the order sent. A
+    child that dies with results outstanding raises ``ChildProcessError``.
+    The child stops on EOF of its task pipe, when the trainer closes it or
+    dies, and leaves through ``os._exit``. Leaving the ``with`` block
+    reaps it, killing it first when an exception is on its way out.
+    """
+
+    def __init__(self, params: list[np.ndarray], score, directions: list[str], cpus: set[int]):
+        self.params, self.score, self.directions, self.cpus = params, score, directions, cpus
+        self.scored: list[dict[str, dict[str, float]]] = []
+        self.sent = 0
+        self.pending = bytearray()
+
+    def __enter__(self) -> ScoringChild:
+        task_in, self.tasks = os.pipe()
+        self.results, result_out = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (task_in, self.tasks, self.results, result_out):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            os.close(self.tasks)
+            os.close(self.results)
+            self._serve(task_in, result_out)
+        os.close(task_in)
+        os.close(result_out)
+        os.set_blocking(self.tasks, False)
+        os.set_blocking(self.results, False)
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        os.close(self.tasks)  # EOF: the child's loop ends
+        os.close(self.results)
+        if self.pid is not None:
+            if exc_type is not None:
+                os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+    def _serve(self, tasks: int, results: int):
+        """The child's loop: score each message until EOF, then exit."""
+        status = 1
+        try:
+            os.sched_setaffinity(0, self.cpus)
+            flat = np.empty(sum(p.size for p in self.params))
+            views = np.split(flat, np.cumsum([p.size for p in self.params])[:-1])
+            with open(tasks, "rb") as reader, open(results, "wb") as writer:
+                while reader.readinto(memoryview(flat).cast("B")) == flat.nbytes:
+                    for p, view in zip(self.params, views):
+                        p[...] = view.reshape(p.shape)
+                    metrics = self.score().values()
+                    writer.write(np.array([(m["p1"], m["p10"]) for m in metrics]).tobytes())
+                    writer.flush()
+            status = 0
+        except BrokenPipeError:
+            pass  # the trainer is gone
+        except Exception:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            os._exit(status)
+
+    def submit(self) -> None:
+        """Send the current parameters to be scored."""
+        task = memoryview(np.concatenate([p.ravel() for p in self.params])).cast("B")
+        self.sent += 1
+        while task:
+            readable, writable, _ = select.select([self.results], [self.tasks], [])
+            if readable:
+                self._read()
+            if writable:
+                try:
+                    task = task[os.write(self.tasks, task) :]
+                except BlockingIOError:
+                    pass
+                except BrokenPipeError:
+                    self._failed()
+
+    def collect(self) -> list[dict[str, dict[str, float]]]:
+        """Every submitted epoch's metrics, in the order sent."""
+        while len(self.scored) < self.sent:
+            select.select([self.results], [], [])
+            self._read()
+        return self.scored
+
+    def _read(self) -> None:
+        chunk = os.read(self.results, 1 << 16)
+        if not chunk:
+            self._failed()
+        self.pending += chunk
+        size = 16 * len(self.directions)
+        while len(self.pending) >= size:
+            values = np.frombuffer(bytes(self.pending[:size])).reshape(-1, 2).tolist()
+            del self.pending[:size]
+            self.scored.append({d: {"p1": p1, "p10": p10}
+                                for d, (p1, p10) in zip(self.directions, values)})
+
+    def _failed(self):
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise ChildProcessError(f"the held-out scoring process {how} "
+                                f"before scoring epoch {len(self.scored)}")

@@ -8,12 +8,14 @@ weight decay and a step-decay learning-rate schedule (x0.1 every 100
 epochs); each of their settings is one module constant. The loss kind is
 described once, in ``losses.LOSS_TABLE``; the trace's ``supervised`` map
 reads the passes the engine sums off the same ``losses.loss_groups``.
-Retrieval metrics (``retrieval``) are evaluated each epoch on a held-out split.
-Everything is deterministic given the config seed.
+Retrieval metrics (``retrieval``) are evaluated each epoch on a held-out split,
+in a forked child where ``heldout`` finds that one pays and is safe.
+Everything is deterministic given the config seed, with or without the child.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
@@ -24,6 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteSimilarity, ShapeMismatch, ZeroNormRow
 from .gradients import stack_loss_gradient
+from .heldout import ScoringChild, child_cpus
 from .losses import (LOSS_KINDS, MatchStrategy, check_kind, check_paired, direction_label,
                      loss_groups)
 from .pmf import AlignConfig, EmbeddingBatch, check_float, check_integer, row_norms
@@ -221,8 +224,20 @@ def train_run(
     and held out, in ``row_norms`` range under its initial encoder.
     From then on the run works on arrays: each step stacks the encoder
     outputs and calls ``stack_loss_gradient``, which checks its row norms
-    once, and each evaluation checks the held-out stack with ``row_norms``
+    once, and each epoch's end checks the held-out stack with ``row_norms``
     and scores it as ``evaluate_directions`` does, by ``retrieval._evaluate``.
+    Each epoch's parameters are scored once: every epoch but the last at
+    P@1 / P@10, and the last (or the one that aborts) by the MAP pass of
+    ``final_metrics``, whose P@1 and P@10 its record reads.
+
+    Where ``heldout.child_cpus`` allows, a ``heldout.ScoringChild`` forked
+    before the first epoch does the P@K scoring: each epoch's end sends it
+    the encoder parameters and training goes on while it scores them; the
+    results are filed as they arrive. The held-out check stays here, so
+    aborts are decided as without a child, and the trace is the same bytes.
+    The child is reaped on every exit path, killed first when an exception
+    leaves this call; a child that dies with epochs unscored raises
+    ``ChildProcessError``.
 
     Rows are shuffled per epoch without replacement (seeded). A row out of
     range after that first check was sent there by a step, so either check
@@ -263,26 +278,19 @@ def train_run(
         with np.errstate(over="ignore", invalid="ignore"):
             return np.stack([enc.forward(x) for enc, x in zip(encoders, inputs)])
 
-    def evaluate(with_map: bool = False) -> dict[str, dict[str, float]]:
-        nonlocal aborted
+    def held_out_units() -> np.ndarray | None:
+        """The unit held-out embeddings; None where a row is out of range."""
         stack = embed(test_inputs)
         try:
-            norms = row_norms(stack, "the held-out embeddings")
+            return stack / row_norms(stack, "the held-out embeddings")
         except (NonFiniteSimilarity, ZeroNormRow):
-            aborted = True  # a diverged run's embeddings have no ranking
-            keys = ("p1", "p10", "map") if with_map else ("p1", "p10")
-            return {direction_label(q, g): dict.fromkeys(keys, float("nan"))
-                    for q, g in permutations(names, 2)}
-        return _evaluate(stack / norms, names, test_labels, with_map)
+            return None
 
-    adam = Adam([p for enc in encoders for p in enc.parameters()], cfg.learning_rate)
-    directions = sorted(direction_label(q, g) for q, g in permutations(names, 2))
-    covered = supervised_directions(names, cfg.loss_kind, cfg.strategy)
-    supervised = {d: d in covered for d in directions}
+    params = [p for enc in encoders for p in enc.parameters()]
+    adam = Adam(params, cfg.learning_rate)
 
-    records: list[EpochRecord] = []
-    aborted = False
-    for epoch in range(cfg.max_epochs):
+    def train_epoch(epoch: int) -> tuple[float, bool]:
+        """One epoch's steps: their mean batch loss, and whether one aborted the run."""
         lr_scale = LR_DECAY_FACTOR ** (epoch // LR_DECAY_EVERY)
         order = train_idx[rng.permutation(train_idx.size)]
         batch_losses: list[float] = []  # never empty: the first batch holds 2 rows or more
@@ -299,8 +307,7 @@ def train_run(
                 value = float("nan")  # the last step sent the embeddings out of range
             batch_losses.append(value)
             if not np.isfinite(value):
-                aborted = True
-                break
+                return float(np.mean(batch_losses)), True
             param_grads: list[np.ndarray] = []
             for enc, x, grad_emb in zip(encoders, inputs, grads):
                 param_grads.extend(enc.backward(x, grad_emb))
@@ -308,15 +315,44 @@ def train_run(
             # parameters that this step sends past float range fail the next row-norm check
             with np.errstate(over="ignore", invalid="ignore"):
                 if not adam.step(clipped, lr_scale):
-                    aborted = True  # Adam's moments left float range: no finite step exists
-                    break
-        epoch_loss = float(np.mean(batch_losses))
-        records.append(
-            EpochRecord(epoch, epoch_loss, bool(np.isfinite(epoch_loss)), evaluate())
-        )
-        if aborted:
-            break
-    final_metrics = evaluate(with_map=True)  # read before ``aborted``, which evaluate sets
+                    # Adam's moments left float range: no finite step exists
+                    return float(np.mean(batch_losses)), True
+        return float(np.mean(batch_losses)), False
+
+    pair_labels = [direction_label(q, g) for q, g in permutations(names, 2)]
+    directions = sorted(pair_labels)
+    covered = supervised_directions(names, cfg.loss_kind, cfg.strategy)
+    supervised = {d: d in covered for d in directions}
+    # every epoch but the last is scored at P@K, by a child where one pays
+    cpus = child_cpus((cfg.max_epochs - 1) * n_test**2 * len(pair_labels))
+    child = None if cpus is None else ScoringChild(
+        params, lambda: _evaluate(held_out_units(), names, test_labels, False), pair_labels, cpus)
+
+    losses: list[float] = []
+    scored: list[dict[str, dict[str, float]]] = []
+    with child or contextlib.nullcontext():
+        for epoch in range(cfg.max_epochs):
+            loss, aborted = train_epoch(epoch)
+            losses.append(loss)
+            units = held_out_units()
+            if units is None or aborted or epoch == cfg.max_epochs - 1:
+                break
+            if child is None:
+                scored.append(_evaluate(units, names, test_labels, False))
+            else:
+                child.submit()
+        # the last epoch's P@1 and P@10 are read off the MAP pass, which equals the P@K pass
+        if units is None:
+            aborted = True  # a diverged run's embeddings have no ranking
+            final_metrics = {d: dict.fromkeys(("p1", "p10", "map"), float("nan"))
+                             for d in pair_labels}
+        else:
+            final_metrics = _evaluate(units, names, test_labels, True)
+        if child is not None:
+            scored = child.collect()
+    scored.append({d: {"p1": m["p1"], "p10": m["p10"]} for d, m in final_metrics.items()})
+    records = [EpochRecord(epoch, loss, bool(np.isfinite(loss)), metrics)
+               for epoch, (loss, metrics) in enumerate(zip(losses, scored))]
     return TrainingTrace(records, aborted, directions, supervised, final_metrics)
 
 

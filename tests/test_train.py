@@ -621,10 +621,44 @@ class TestArrayStep:
         monkeypatch.setattr(np.linalg, "norm", norm)
         monkeypatch.setattr(train_mod, "stack_loss_gradient", step)
         train_run(data, encoders, cfg)
-        # one per modality before the first step, one per step, one per epoch's
-        # evaluation and one for the final one
+        # one per modality before the first step, one per step and one per epoch's
+        # evaluation: the last epoch's record and the final metrics share one
         assert calls["step"] == 8
-        assert calls["norm"] == len(data) + calls["step"] + cfg.max_epochs + 1
+        assert calls["norm"] == len(data) + calls["step"] + cfg.max_epochs
+
+    @pytest.mark.parametrize("overrides, nan_at_step, scored", [
+        ({}, None, "all"),
+        ({}, 10, "all"),  # a step aborts epoch 2, whose parameters are still scored
+        ({"learning_rate": 1e300}, None, "none"),  # the held-out check aborts epoch 0
+    ], ids=["completes", "step_aborts", "evaluation_aborts"])
+    def test_each_epoch_is_scored_once(self, overrides, nan_at_step, scored, monkeypatch):
+        import csalign.train as train_mod
+
+        data, encoders, cfg = tiny_setup(**overrides)
+        real_step, real_evaluate, steps, passes = train_mod.stack_loss_gradient, train_mod._evaluate, [], []
+
+        def step(*args):
+            steps.append(1)
+            value, grads = real_step(*args)
+            return (float("nan") if len(steps) == nan_at_step else value), grads
+
+        def evaluate(units, names, labels, with_map):
+            passes.append(with_map)
+            return real_evaluate(units, names, labels, with_map)
+
+        monkeypatch.setattr(train_mod, "child_cpus", lambda scores: None)
+        monkeypatch.setattr(train_mod, "stack_loss_gradient", step)
+        monkeypatch.setattr(train_mod, "_evaluate", evaluate)
+        trace = train_run(data, encoders, cfg)
+        assert trace.aborted == (overrides != {} or nan_at_step is not None)
+        if scored == "all":
+            # a P@K pass per epoch, and one MAP pass for the last, whose
+            # record reads its P@1 and P@10 off the final metrics
+            assert passes == [False] * (len(trace.records) - 1) + [True]
+            assert trace.records[-1].metrics == {
+                d: {"p1": m["p1"], "p10": m["p10"]} for d, m in trace.final_metrics.items()}
+        else:
+            assert passes == []
 
     def test_evaluation_equals_the_reference_ranking(self):
         data, encoders, cfg = tiny_setup(max_epochs=3)
