@@ -4,21 +4,20 @@
 ``child_cpus`` finds that a second process pays and is safe, it forks one
 ``ScoringChild`` before the first epoch: at each epoch's end the trainer
 sends it the encoder parameters and trains on, while the child loads them
-into its own (forked) encoders, scores them and writes P@1 and P@10 back.
-The child runs the trainer's own scoring function on the same bytes, so
-its metrics equal an in-process evaluation's exactly.
+into its own (forked) encoders and scores them. The child keeps each
+epoch's P@1 and P@10 and writes them all back once, after the last epoch
+is sent, so only one side writes at a time and neither waits on a full
+pipe. The child runs the trainer's own scoring function on the same
+bytes, so its metrics equal an in-process evaluation's exactly.
 """
 
 from __future__ import annotations
 
 import os
-import select
 import signal
 import sys
 
 import numpy as np
-
-from . import retrieval
 
 # Fewest held-out scores, (epochs the child scores) x n_test^2 x M(M-1),
 # for a run to fork a scoring child. Below it, the fork and the
@@ -34,10 +33,11 @@ def child_cpus(scores: int) -> set[int] | None:
     process. A child is used only where ``os.fork`` and
     ``os.sched_setaffinity`` exist, ``/proc/self/stat`` shows this process
     running one OS thread (a fork beside BLAS or other threads can leave
-    the child a lock that no thread will release), ``retrieval`` finds two
-    CPUs or more, and the run scores at least ``CHILD_MIN_SCORES``. The
-    child gets every allowed CPU but the one this process last ran on;
-    left to the scheduler, both often share one CPU."""
+    the child a lock that no thread will release), its affinity mask
+    allows two CPUs or more, and the run scores at least
+    ``CHILD_MIN_SCORES``. The child gets every allowed CPU but the one
+    this process last ran on; left to the scheduler, both often share one
+    CPU."""
     if scores < CHILD_MIN_SCORES or not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
         return None
     try:
@@ -48,9 +48,9 @@ def child_cpus(scores: int) -> set[int] | None:
     # fields 20 (threads) and 39 (the CPU last run on), counted past the
     # parenthesised command name, which may itself hold spaces
     fields = stat[stat.rindex(b")") + 2 :].split()
-    if int(fields[17]) != 1 or retrieval._available_cpus() < 2:
-        return None
     allowed = os.sched_getaffinity(0)
+    if int(fields[17]) != 1 or len(allowed) < 2:
+        return None
     return allowed - {int(fields[36])} or allowed
 
 
@@ -61,62 +61,62 @@ class ScoringChild:
     the current parameters to ``{direction: {"p1": ., "p10": ., ...}}`` in
     the order of ``directions``, and the child is pinned to ``cpus``.
     Entering the ``with`` block forks the child. ``submit`` sends it the
-    parameters as one float64 message and files the results that have
-    arrived meanwhile, so neither pipe fills while the other waits, and
-    ``collect`` waits for the rest and returns them in the order sent. A
-    child that dies with results outstanding raises ``ChildProcessError``.
-    The child stops on EOF of its task pipe, when the trainer closes it or
-    dies, and leaves through ``os._exit``. Leaving the ``with`` block
-    reaps it, killing it first when an exception is on its way out.
+    parameters as one float64 message, a blocking write that the child
+    drains as it scores. ``collect`` closes the task pipe, reads every
+    epoch's results, which the child writes once on that EOF, and returns
+    them in the order sent. A child that dies before its results are all
+    read raises ``ChildProcessError``. The child also stops on EOF when
+    the trainer dies, and leaves through ``os._exit``. Leaving the
+    ``with`` block reaps it, killing it first when an exception is on its
+    way out.
     """
 
     def __init__(self, params: list[np.ndarray], score, directions: list[str], cpus: set[int]):
         self.params, self.score, self.directions, self.cpus = params, score, directions, cpus
-        self.scored: list[dict[str, dict[str, float]]] = []
         self.sent = 0
-        self.pending = bytearray()
 
     def __enter__(self) -> ScoringChild:
-        task_in, self.tasks = os.pipe()
-        self.results, result_out = os.pipe()
+        task_in, task_out = os.pipe()
+        result_in, result_out = os.pipe()
         try:
             self.pid = os.fork()
         except BaseException:
-            for fd in (task_in, self.tasks, self.results, result_out):
+            for fd in (task_in, task_out, result_in, result_out):
                 os.close(fd)
             raise
         if self.pid == 0:
-            os.close(self.tasks)
-            os.close(self.results)
+            os.close(task_out)
+            os.close(result_in)
             self._serve(task_in, result_out)
         os.close(task_in)
         os.close(result_out)
-        os.set_blocking(self.tasks, False)
-        os.set_blocking(self.results, False)
+        self.tasks = open(task_out, "wb", buffering=0)
+        self.results = open(result_in, "rb")
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
-        os.close(self.tasks)  # EOF: the child's loop ends
-        os.close(self.results)
+        self.tasks.close()  # EOF: the child's loop ends
+        self.results.close()
         if self.pid is not None:
             if exc_type is not None:
                 os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
 
     def _serve(self, tasks: int, results: int):
-        """The child's loop: score each message until EOF, then exit."""
+        """The child's loop: score each message until EOF, then write every
+        result and exit."""
         status = 1
         try:
             os.sched_setaffinity(0, self.cpus)
             flat = np.empty(sum(p.size for p in self.params))
             views = np.split(flat, np.cumsum([p.size for p in self.params])[:-1])
+            scored: list[tuple[float, float]] = []
             with open(tasks, "rb") as reader, open(results, "wb") as writer:
                 while reader.readinto(memoryview(flat).cast("B")) == flat.nbytes:
                     for p, view in zip(self.params, views):
                         p[...] = view.reshape(p.shape)
-                    metrics = self.score().values()
-                    writer.write(np.array([(m["p1"], m["p10"]) for m in metrics]).tobytes())
-                    writer.flush()
+                    scored.extend((m["p1"], m["p10"]) for m in self.score().values())
+                writer.write(np.array(scored).tobytes())
             status = 0
         except BrokenPipeError:
             pass  # the trainer is gone
@@ -129,41 +129,25 @@ class ScoringChild:
         """Send the current parameters to be scored."""
         task = memoryview(np.concatenate([p.ravel() for p in self.params])).cast("B")
         self.sent += 1
-        while task:
-            readable, writable, _ = select.select([self.results], [self.tasks], [])
-            if readable:
-                self._read()
-            if writable:
-                try:
-                    task = task[os.write(self.tasks, task) :]
-                except BlockingIOError:
-                    pass
-                except BrokenPipeError:
-                    self._failed()
+        try:
+            while task:
+                task = task[self.tasks.write(task) :]
+        except BrokenPipeError:
+            self._failed()
 
     def collect(self) -> list[dict[str, dict[str, float]]]:
         """Every submitted epoch's metrics, in the order sent."""
-        while len(self.scored) < self.sent:
-            select.select([self.results], [], [])
-            self._read()
-        return self.scored
-
-    def _read(self) -> None:
-        chunk = os.read(self.results, 1 << 16)
-        if not chunk:
+        self.tasks.close()  # EOF: the child writes its results and exits
+        results = self.results.read()
+        if len(results) != 16 * len(self.directions) * self.sent:
             self._failed()
-        self.pending += chunk
-        size = 16 * len(self.directions)
-        while len(self.pending) >= size:
-            values = np.frombuffer(bytes(self.pending[:size])).reshape(-1, 2).tolist()
-            del self.pending[:size]
-            self.scored.append({d: {"p1": p1, "p10": p10}
-                                for d, (p1, p10) in zip(self.directions, values)})
+        values = np.frombuffer(results).reshape(self.sent, len(self.directions), 2).tolist()
+        return [{d: {"p1": p1, "p10": p10} for d, (p1, p10) in zip(self.directions, epoch)}
+                for epoch in values]
 
     def _failed(self):
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         code = os.waitstatus_to_exitcode(status)
         how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise ChildProcessError(f"the held-out scoring process {how} "
-                                f"before scoring epoch {len(self.scored)}")
+        raise ChildProcessError(f"the held-out scoring process {how} before returning its scores")

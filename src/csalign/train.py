@@ -233,11 +233,11 @@ def train_run(
     Where ``heldout.child_cpus`` allows, a ``heldout.ScoringChild`` forked
     before the first epoch does the P@K scoring: each epoch's end sends it
     the encoder parameters and training goes on while it scores them; the
-    results are filed as they arrive. The held-out check stays here, so
-    aborts are decided as without a child, and the trace is the same bytes.
-    The child is reaped on every exit path, killed first when an exception
-    leaves this call; a child that dies with epochs unscored raises
-    ``ChildProcessError``.
+    results come back once, after the last epoch is sent. The held-out
+    check stays here, so aborts are decided as without a child, and the
+    trace is the same bytes. The child is reaped on every exit path,
+    killed first when an exception leaves this call; a child that dies
+    before its results are read raises ``ChildProcessError``.
 
     Rows are shuffled per epoch without replacement (seeded). A row out of
     range after that first check was sent there by a step, so either check

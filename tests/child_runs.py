@@ -13,8 +13,8 @@ import os
 import signal
 import sys
 import threading
+import traceback
 
-import csalign.retrieval as retrieval
 import csalign.train as train
 from csalign import MatchStrategy, SynthConfig, TrainConfig, build_encoders, generate_synthetic
 from csalign.heldout import CHILD_MIN_SCORES
@@ -111,17 +111,39 @@ def _kill_child(value):
     return value
 
 
+def outcome():
+    """How a run with the child forced on ends: what it raised, the
+    ``ScoringChild`` methods that the error left through, and whether a
+    process was left."""
+    try:
+        with_child(True, *setup())
+        raised, methods = None, []
+    except Exception as exc:
+        raised = f"{type(exc).__name__}: {exc}"
+        methods = [frame.name for frame in traceback.extract_tb(exc.__traceback__)
+                   if frame.filename.endswith("heldout.py")]
+    return {"raised": raised, "in": methods, "clean": no_child_left()}
+
+
 def faults():
     out = {}
-    for name, fault in [("exception", _raise), ("killed child", _kill_child)]:
-        real = planted(6, fault)  # in epoch 1, after epoch 0's scores were sent
-        try:
-            with_child(True, *setup())
-            raised = None
-        except Exception as exc:
-            raised = f"{type(exc).__name__}: {exc}"
+    # 4 steps an epoch over 6 epochs: step 6 is in epoch 1, after epoch 0
+    # was sent; step 22 is in epoch 5, after the last task was sent
+    for name, at_call, fault in [("exception", 6, _raise), ("killed child", 6, _kill_child),
+                                 ("killed after the last task", 22, _kill_child)]:
+        real = planted(at_call, fault)
+        out[name] = outcome()
         train.stack_loss_gradient = real
-        out[name] = {"raised": raised, "clean": no_child_left()}
+    trainer, real = os.getpid(), train._evaluate
+
+    def evaluate(*args):
+        if os.getpid() != trainer:
+            raise RuntimeError("planted in the child")
+        return real(*args)
+
+    train._evaluate = evaluate
+    out["exception in the child"] = outcome()
+    train._evaluate = real
     return out
 
 
@@ -139,21 +161,23 @@ def selection():
     below = setup()
     out = {}
 
-    def forks(label, case, cpus):
-        retrieval._available_cpus = lambda: cpus
+    def forks(label, case):
         start = len(FORKS)
         train.train_run(case[0], build_encoders(case[1].input_dims, case[1].embed_dim, case[2]),
                         case[2])
         out[label] = len(FORKS) - start
 
-    forks("all hold", above, 2)
-    forks("one CPU", above, 1)
-    forks("below the constant", below, 2)
+    forks("all hold", above)  # under this process's own affinity: two CPUs or more
+    real = os.sched_getaffinity
+    os.sched_getaffinity = lambda pid: {min(real(pid))}
+    forks("one CPU", above)
+    os.sched_getaffinity = real
+    forks("below the constant", below)
     stop = threading.Event()
     waiter = threading.Thread(target=stop.wait)
     waiter.start()
     try:
-        forks("a second thread", above, 2)
+        forks("a second thread", above)
     finally:
         stop.set()
         waiter.join()

@@ -8,7 +8,6 @@ BLAS threads running cannot meet.
 
 import json
 import os
-import re
 import signal
 import subprocess
 import sys
@@ -25,11 +24,15 @@ HERE = Path(__file__).resolve().parent
 ENV = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"), OPENBLAS_NUM_THREADS="1")
 
 
-def child_runs(scenario, timeout=120):
+def run_scenario(scenario, timeout=120):
     proc = subprocess.run([sys.executable, str(HERE / "child_runs.py"), scenario], env=ENV,
                           capture_output=True, text=True, timeout=timeout, check=False)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc
+
+
+def child_runs(scenario, timeout=120):
+    return json.loads(run_scenario(scenario, timeout).stdout.splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
@@ -50,17 +53,29 @@ def test_run_aborted_midway_equals_in_process_run():
 
 
 def test_exception_and_killed_child_raise_and_leave_no_process():
-    out = child_runs("faults")
-    assert out["exception"] == {"raised": "RuntimeError: planted", "clean": True}
-    # killed in epoch 1: whether it had scored epoch 0 by then is a race
-    assert re.fullmatch("ChildProcessError: the held-out scoring process was killed by signal 9 "
-                        "before scoring epoch [01]", out["killed child"]["raised"])
+    proc = run_scenario("faults")
+    out = json.loads(proc.stdout.splitlines()[-1])
+    killed = ("ChildProcessError: the held-out scoring process was killed by signal 9 "
+              "before returning its scores")
+    assert out["exception"] == {"raised": "RuntimeError: planted", "in": [], "clean": True}
+    # killed in epoch 1: the next submit or collect finds it, whichever runs first after it died
+    assert out["killed child"]["raised"] == killed
     assert out["killed child"]["clean"]
+    # killed after the last submit: only collect is left to find it
+    assert out["killed after the last task"] == {"raised": killed, "in": ["collect", "_failed"],
+                                                 "clean": True}
+    assert out["exception in the child"]["raised"] == (
+        "ChildProcessError: the held-out scoring process exited with status 1 "
+        "before returning its scores")
+    assert out["exception in the child"]["clean"]
+    assert "Traceback" in proc.stderr
+    assert "RuntimeError: planted in the child" in proc.stderr
 
 
 def test_results_past_a_pipe_buffer_do_not_block():
-    # M = 8: each task (66,560 bytes) fills a 64 KiB pipe, and 150 epochs'
-    # results (134 KB) would fill the other if nobody read them during the run
+    # M = 8: each task (66,560 bytes) fills a 64 KiB pipe, and 149 epochs'
+    # results (133,504 bytes) fill the other; the child writes them only
+    # after the trainer's last task, so the two sides never write at once
     assert child_runs("long m8", timeout=60) == {"equal": True, "forks": 1, "clean": True}
 
 
@@ -98,7 +113,7 @@ def test_failed_child_exits_2(tmp_path, capsys, monkeypatch):
 
     def failing(data, encoders, cfg):
         raise ChildProcessError("the held-out scoring process was killed by signal 9 "
-                                "before scoring epoch 3")
+                                "before returning its scores")
 
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(SMALL_CONFIG)
