@@ -44,6 +44,7 @@ from .io import (
     read_embeddings,
     read_kv_config,
     read_pmf_vector,
+    write_csv,
     experiment_configs,
 )
 from .gradients import loss_gradient
@@ -194,11 +195,6 @@ def cmd_props(args) -> int:
 # ---------------------------------------------------------------------------
 # train / ablate
 
-def _cell(value) -> str:
-    """One CSV cell: floats at 17 significant digits, so they round-trip."""
-    return format(value, ".17g") if isinstance(value, float) else str(value)
-
-
 def _experiment(args):
     """The config file's mapping, its data, SynthConfig and TrainConfig; ``--seed``
     enters as the config's own ``seed`` key, so ``data_seed`` still overrides it."""
@@ -216,7 +212,7 @@ def _write_run(args, mapping, seed, started: str, csv_name: str, table, metrics:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path, metrics_path = outdir / csv_name, outdir / "metrics.json"
-    csv_path.write_text("".join(",".join(map(_cell, row)) + "\n" for row in table), encoding="utf-8")
+    write_csv(csv_path, table)
     metrics_path.write_text(json_dumps(metrics) + "\n", encoding="utf-8")
     manifest = _manifest(args.command, dict(mapping), seed, started, [str(csv_path), str(metrics_path)])
     (outdir / "manifest.json").write_text(json_dumps(manifest) + "\n", encoding="utf-8")

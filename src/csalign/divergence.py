@@ -43,7 +43,7 @@ from .errors import (
     TooFewDistributions,
     TooFewSamples,
 )
-from .pmf import EmbeddingBatch, check_float
+from .pmf import EmbeddingBatch, check_float, chunk_rows
 
 # Row-sum tolerance for PMFs arriving at the divergence boundary.
 # Deviations beyond this are rejected, never silently renormalized.
@@ -57,9 +57,6 @@ MEDIAN_HEURISTIC = "median"
 # about (d + 4) eps times those norms, so every entry kept has a relative
 # error below (d + 4) eps / _CANCELLATION_BOUND: 4e-13 at d = 32.
 _CANCELLATION_BOUND = 1e-2
-# Elements of row differences formed at once by that recomputation, so
-# that a sample of near-equal rows needs no (n, m, d) buffer.
-_RECOMPUTE_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -330,6 +327,8 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``_CANCELLATION_BOUND`` times the two largest squared row norms is
     recomputed from its row difference (so is a nan from norms that
     overflow), so equal rows give exactly 0 and no entry is negative.
+    The differences are formed ``chunk_rows(d)`` at a time, so that a
+    sample of near-equal rows needs no (n, m, d) buffer.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sq_a = np.einsum("ij,ij->i", a, a)
@@ -339,7 +338,7 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out += sq_a[:, None]
         out += sq_b
         suspect = np.flatnonzero(~(out > _CANCELLATION_BOUND * (sq_a.max() + sq_b.max())))
-        step = max(1, _RECOMPUTE_ELEMENTS // a.shape[1])
+        step = chunk_rows(a.shape[1])
         for start in range(0, suspect.size, step):
             flat = suspect[start:start + step]
             diff = a[flat // b.shape[0]] - b[flat % b.shape[0]]
@@ -389,16 +388,8 @@ def median_bandwidth(
     return _median_distance(sq_distances(xd, xd), sq_distances(yd, yd), sq_distances(xd, yd))
 
 
-def resolve_bandwidth(
-    x: EmbeddingBatch | np.ndarray,
-    y: EmbeddingBatch | np.ndarray,
-    cfg: MmdConfig | None = None,
-) -> float:
-    """Turn an :class:`MmdConfig` into a concrete sigma for this data."""
-    cfg = cfg or MmdConfig()
-    if isinstance(cfg.bandwidth, str):
-        return median_bandwidth(x, y)
-    return float(cfg.bandwidth)
+# the sigma that ``mmd_kernels`` takes for (x, y) under the default config
+resolve_bandwidth = median_bandwidth
 
 
 def mmd_kernels(

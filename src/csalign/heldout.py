@@ -4,16 +4,17 @@
 ``child_cpus`` finds that a second process pays and is safe, it forks one
 ``ScoringChild`` before the first epoch: at each epoch's end the trainer
 sends it the encoder parameters and trains on, while the child loads them
-into its own (forked) encoders and scores them. The child keeps each
-epoch's P@1 and P@10 and writes them all back once, after the last epoch
-is sent, so only one side writes at a time and neither waits on a full
-pipe. The child runs the trainer's own scoring function on the same
-bytes, so its metrics equal an in-process evaluation's exactly.
+into its own (forked) encoders and scores them with the trainer's own
+scoring function, so its metrics equal an in-process evaluation's
+exactly. It keeps each epoch's metrics dicts and writes them back as one
+pickled list after the last epoch is sent, so only one side writes at a
+time and neither waits on a full pipe.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import sys
 
@@ -58,21 +59,20 @@ class ScoringChild:
     """A forked process that scores the parameters it is sent.
 
     ``params`` are the arrays the trainer updates in place, ``score`` maps
-    the current parameters to ``{direction: {"p1": ., "p10": ., ...}}`` in
-    the order of ``directions``, and the child is pinned to ``cpus``.
-    Entering the ``with`` block forks the child. ``submit`` sends it the
-    parameters as one float64 message, a blocking write that the child
-    drains as it scores. ``collect`` closes the task pipe, reads every
-    epoch's results, which the child writes once on that EOF, and returns
-    them in the order sent. A child that dies before its results are all
-    read raises ``ChildProcessError``. The child also stops on EOF when
-    the trainer dies, and leaves through ``os._exit``. Leaving the
-    ``with`` block reaps it, killing it first when an exception is on its
-    way out.
+    the current parameters to a picklable result, and the child is pinned
+    to ``cpus``. Entering the ``with`` block forks the child. ``submit``
+    sends it the parameters as one float64 message, a blocking write that
+    the child drains as it scores. ``collect`` closes the task pipe and
+    unpickles the list of results, in the order sent, that the child
+    writes on that EOF. A child that dies before that list is read whole,
+    one result per task, raises ``ChildProcessError``. The child also
+    stops on EOF when the trainer dies, and leaves through ``os._exit``.
+    Leaving the ``with`` block reaps it, killing it first when an
+    exception is on its way out.
     """
 
-    def __init__(self, params: list[np.ndarray], score, directions: list[str], cpus: set[int]):
-        self.params, self.score, self.directions, self.cpus = params, score, directions, cpus
+    def __init__(self, params: list[np.ndarray], score, cpus: set[int]):
+        self.params, self.score, self.cpus = params, score, cpus
         self.sent = 0
 
     def __enter__(self) -> ScoringChild:
@@ -90,7 +90,7 @@ class ScoringChild:
             self._serve(task_in, result_out)
         os.close(task_in)
         os.close(result_out)
-        self.tasks = open(task_out, "wb", buffering=0)
+        self.tasks = open(task_out, "wb", buffering=0)  # closing flushes nothing into a dead child
         self.results = open(result_in, "rb")
         return self
 
@@ -110,13 +110,13 @@ class ScoringChild:
             os.sched_setaffinity(0, self.cpus)
             flat = np.empty(sum(p.size for p in self.params))
             views = np.split(flat, np.cumsum([p.size for p in self.params])[:-1])
-            scored: list[tuple[float, float]] = []
+            scored = []
             with open(tasks, "rb") as reader, open(results, "wb") as writer:
                 while reader.readinto(memoryview(flat).cast("B")) == flat.nbytes:
                     for p, view in zip(self.params, views):
                         p[...] = view.reshape(p.shape)
-                    scored.extend((m["p1"], m["p10"]) for m in self.score().values())
-                writer.write(np.array(scored).tobytes())
+                    scored.append(self.score())
+                pickle.dump(scored, writer)
             status = 0
         except BrokenPipeError:
             pass  # the trainer is gone
@@ -135,15 +135,16 @@ class ScoringChild:
         except BrokenPipeError:
             self._failed()
 
-    def collect(self) -> list[dict[str, dict[str, float]]]:
-        """Every submitted epoch's metrics, in the order sent."""
+    def collect(self) -> list:
+        """Every submitted epoch's result, in the order sent."""
         self.tasks.close()  # EOF: the child writes its results and exits
-        results = self.results.read()
-        if len(results) != 16 * len(self.directions) * self.sent:
+        try:
+            scored = pickle.load(self.results)
+        except (EOFError, pickle.UnpicklingError):
+            scored = None  # the child died before writing them all
+        if scored is None or len(scored) != self.sent:
             self._failed()
-        values = np.frombuffer(results).reshape(self.sent, len(self.directions), 2).tolist()
-        return [{d: {"p1": p1, "p10": p10} for d, (p1, p10) in zip(self.directions, epoch)}
-                for epoch in values]
+        return scored
 
     def _failed(self):
         _, status = os.waitpid(self.pid, 0)

@@ -85,14 +85,20 @@ def read_embedding_csv(path: str | Path, label_col: int | None = None):
     return data[:, keep], labels.astype(np.int64)
 
 
+def cell_text(value) -> str:
+    """``value`` as every output file writes it: a float at 17 significant
+    digits, so that it reads back as the same float, anything else by ``str``."""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def write_csv(path: str | Path, rows) -> None:
+    """Write ``rows`` as CSV lines, each cell as ``cell_text`` gives it."""
+    Path(path).write_text("".join(",".join(map(cell_text, row)) + "\n" for row in rows), "utf-8")
+
+
 def write_embedding_csv(path: str | Path, data: np.ndarray, labels=None) -> None:
-    data = np.asarray(data, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as handle:
-        for i, row in enumerate(data):
-            cells = [format(v, ".17g") for v in row]
-            if labels is not None:
-                cells.append(str(int(labels[i])))
-            handle.write(",".join(cells) + "\n")
+    rows = np.asarray(data, dtype=np.float64).tolist()
+    write_csv(path, rows if labels is None else [row + [int(y)] for row, y in zip(rows, labels, strict=True)])
 
 
 def read_emb1(path: str | Path) -> np.ndarray:
@@ -118,8 +124,11 @@ def write_emb1(path: str | Path, data: np.ndarray) -> None:
 
 
 def read_embeddings(path: str | Path, label_col: int | None = None):
-    """Dispatch on the EMB1 magic; fall back to CSV."""
+    """Dispatch on the EMB1 magic; fall back to CSV. EMB1 holds no labels,
+    so a ``label_col`` asked of one raises ``ConfigError``."""
     if _read(path, len(EMB1_MAGIC), text=False) == EMB1_MAGIC:
+        if label_col is not None:
+            raise ConfigError(f"{path}: an EMB1 file has no label column, got {label_col}")
         return read_emb1(path), None
     return read_embedding_csv(path, label_col)
 
@@ -227,7 +236,7 @@ def _json_fragment(obj) -> str:
             return '"nan"'
         if np.isinf(value):
             return '"inf"' if value > 0 else '"-inf"'
-        return format(value, ".17g")
+        return cell_text(value)
     if isinstance(obj, str):
         return json.dumps(obj)  # the stdlib's escaping, non-ASCII as \uXXXX
     if isinstance(obj, dict):

@@ -21,8 +21,15 @@ from .errors import ConfigError, NonFiniteSimilarity, NotAPmf, ShapeMismatch, Ze
 
 # Rows with Euclidean norm below this are rejected (see ``row_norms``).
 MIN_ROW_NORM = 1e-30
-# Entries (128 KiB of float64) whose squares ``row_norms`` holds at a time.
-_NORM_CHUNK = 1 << 14
+# Entries (256 KiB of float64) in one chunk of a loop that bounds its
+# temporaries: whole rows, as many as fit (``chunk_rows``). No value
+# depends on it.
+CHUNK_ENTRIES = 1 << 15
+
+
+def chunk_rows(width: int) -> int:
+    """Rows of ``width`` entries in one chunk: at least one."""
+    return max(1, CHUNK_ENTRIES // max(1, width))
 
 
 def row_norms(data: np.ndarray, what: str) -> np.ndarray:
@@ -31,14 +38,13 @@ def row_norms(data: np.ndarray, what: str) -> np.ndarray:
     A nan or inf entry, or a row too large to square, raises
     ``NonFiniteSimilarity``; a norm below ``MIN_ROW_NORM`` (zero, or so
     small that the squares underflow) raises ``ZeroNormRow``. The rows,
-    viewed as ``(-1, d)``, are normed by one loop, whole rows at a time,
-    about ``_NORM_CHUNK`` entries per chunk (a small input is one chunk),
-    so the squares never take the data's size; each row's norm is the
-    one ``np.linalg.norm`` gives.
+    viewed as ``(-1, d)``, are normed ``chunk_rows(d)`` at a time (a small
+    input is one chunk), so the squares never take the data's size; each
+    row's norm is the one ``np.linalg.norm`` gives.
     """
     data = np.asarray(data)
     rows = data.reshape(math.prod(data.shape[:-1]), data.shape[-1])
-    step = max(1, _NORM_CHUNK // max(1, rows.shape[1]))
+    step = chunk_rows(rows.shape[1])
     with np.errstate(over="ignore"):
         # one pass even for no rows, so empty input gives (..., 1) norms
         norms = np.concatenate([

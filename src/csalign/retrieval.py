@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import BadK, NoRelevantItems
 from .losses import ModalityRing, direction_label
-from .pmf import EmbeddingBatch, row_norms
+from .pmf import EmbeddingBatch, chunk_rows, row_norms
 
 # Query rows of one block, or of all workers' blocks together: bounds an
 # evaluation's score buffer to SCORE_BLOCK_ROWS x gallery size.
@@ -46,13 +46,10 @@ _PRODUCT_ROWS = SCORE_BLOCK_ROWS // 4
 # Fewest scores in one worker's block for an evaluation to use threads:
 # below it, thread start-up and GIL hand-offs cost more than a core gains.
 _THREAD_MIN_SCORES = 100_000
-# Score rows ``rank_scores`` keys and sorts at a time.
+# Score rows ``rank_scores`` keys and sorts at a time: a count that divides
+# the _PRODUCT_ROWS products, not a ``chunk_rows`` share (on a 128 x 1280
+# block, 25-row chunks took 2.28 ms against 1.59 ms; 2-core x86_64 VM).
 _KEY_ROWS = 32
-# Entries (256 KiB of float64) that ``top_k_hits`` and
-# ``average_precisions`` take at a time: whole rows, as many as fit, so
-# their temporaries stay this size at any gallery width while narrow
-# blocks are not cut into many small chunks.
-_CHUNK_SCORES = 1 << 15
 
 
 def rank_scores(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -116,10 +113,9 @@ def top_k_hits(scores: np.ndarray, relevant: np.ndarray, k: int) -> int:
     the items tied at that score in ascending index order. Every row has
     at least k items at or above its k-th score, so only a block with
     more than k per row in all can need that tie repair. The k-th scores
-    are selected a chunk of rows (``_CHUNK_SCORES`` entries) at a time
-    from one chunk-sized copy, and rows are repaired as many at a time,
-    so the largest temporary besides the block is a boolean one of its
-    shape.
+    are selected ``chunk_rows(n)`` rows at a time from one chunk-sized
+    copy, and rows are repaired as many at a time, so the largest
+    temporary besides the block is a boolean one of its shape.
     """
     scores = np.asarray(scores)
     rows, n = scores.shape
@@ -128,7 +124,7 @@ def top_k_hits(scores: np.ndarray, relevant: np.ndarray, k: int) -> int:
     if k == 1:
         best = np.argmax(scores, axis=1)  # the first maximum: lowest index wins ties
         return int(np.count_nonzero(relevant[np.arange(rows), best]))
-    kth, step = np.empty((rows, 1), dtype=scores.dtype), max(1, _CHUNK_SCORES // n)
+    kth, step = np.empty((rows, 1), dtype=scores.dtype), chunk_rows(n)
     chunk = np.empty((min(rows, step), n), dtype=scores.dtype)
     for start in range(0, rows, step):
         part = chunk[: min(step, rows - start)]
@@ -161,8 +157,8 @@ def average_precisions(relevant: np.ndarray) -> list[float]:
     scored together: their relevant ranks form one ``(queries, R)``
     array, and summing its rows adds each query's terms in the order
     and grouping of a one-query sum. So that these arrays stay
-    chunk-sized however large R is, a group is scored
-    ``_CHUNK_SCORES // R`` queries (at least one) at a time.
+    chunk-sized however large R is, a group is scored ``chunk_rows(R)``
+    queries at a time.
     """
     totals = np.count_nonzero(relevant, axis=1)
     if not totals.all():
@@ -170,7 +166,7 @@ def average_precisions(relevant: np.ndarray) -> list[float]:
     width = relevant.shape[1]
     ap_values = np.empty(relevant.shape[0])
     for total in np.unique(totals):
-        group, step = np.flatnonzero(totals == total), max(1, _CHUNK_SCORES // total)
+        group, step = np.flatnonzero(totals == total), chunk_rows(total)
         for start in range(0, group.size, step):
             rows = group[start : start + step]
             flat = np.flatnonzero(relevant[rows]).reshape(rows.size, total)

@@ -326,7 +326,7 @@ def train_run(
     # every epoch but the last is scored at P@K, by a child where one pays
     cpus = child_cpus((cfg.max_epochs - 1) * n_test**2 * len(pair_labels))
     child = None if cpus is None else ScoringChild(
-        params, lambda: _evaluate(held_out_units(), names, test_labels, False), pair_labels, cpus)
+        params, lambda: _evaluate(held_out_units(), names, test_labels, False), cpus)
 
     losses: list[float] = []
     scored: list[dict[str, dict[str, float]]] = []

@@ -162,6 +162,30 @@ class TestDivergenceCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {x}: label column 5 out of range for 3 columns")
 
+    def test_label_column_of_an_emb1_file_exit_2(self, tmp_path, capsys):
+        # EMB1 holds no labels, so the column is refused, not ignored
+        x, y = tmp_path / "x.emb1", tmp_path / "y.emb1"
+        write_emb1(x, np.eye(3))
+        write_emb1(y, np.eye(3)[::-1])
+        assert main(["divergence", "--measure", "mmd", str(x), str(y), "--label-col", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {x}: an EMB1 file has no label column, got 7")
+
+    @pytest.mark.parametrize("measure, count, message", [
+        ("cs", 3, "measure 'cs' takes exactly 2 input files, got 3"),
+        ("gcs", 1, "need at least 2 input files"),
+    ])
+    def test_file_count_exit_2_without_output(self, measure, count, message, pmf_files, tmp_path,
+                                              capsys):
+        out = tmp_path / "out.json"
+        files = [str(pmf_files[1])] * count
+        assert main(["divergence", "--measure", measure, *files, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("measure", ["mmd", "coral"])
     def test_non_finite_sample_exit_3(self, measure, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -74,8 +74,8 @@ def test_exception_and_killed_child_raise_and_leave_no_process():
 
 def test_results_past_a_pipe_buffer_do_not_block():
     # M = 8: each task (66,560 bytes) fills a 64 KiB pipe, and 149 epochs'
-    # results (133,504 bytes) fill the other; the child writes them only
-    # after the trainer's last task, so the two sides never write at once
+    # results (267,663 bytes pickled) fill the other; the child writes them
+    # only after the trainer's last task, so the two sides never write at once
     assert child_runs("long m8", timeout=60) == {"equal": True, "forks": 1, "clean": True}
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from csalign import AlignConfig, EmbeddingBatch, ModalityRing, bimodal_cmpm_cs
+from csalign import AlignConfig, EmbeddingBatch, ModalityRing, bimodal_cmpm_cs, pmf
+from csalign.divergence import sq_distances
 from csalign.errors import ConfigError, NonFiniteSimilarity, NotAPmf, ShapeMismatch, ZeroNormRow
 from csalign.losses import check_paired, gcs_logit_rows, label_support
-from csalign.pmf import _NORM_CHUNK, row_norms
-from csalign.retrieval import evaluate_directions
+from csalign.pmf import chunk_rows, row_norms
+from csalign.retrieval import average_precisions, evaluate_directions, top_k_hits
 
 
 def batch(data, labels, name="A"):
@@ -84,7 +85,7 @@ class TestCosineSimilarity:
 class TestRowNorms:
     """``row_norms`` squares a bounded chunk of rows at a time."""
 
-    step = _NORM_CHUNK // 64  # rows of one chunk at d = 64
+    step = chunk_rows(64)  # rows of one chunk at d = 64
 
     @pytest.mark.parametrize(
         "shape", [(1600, 64), (3, 128, 16), (1000, 3), (3 * step + 5, 64), (7,), (0, 4)])
@@ -120,6 +121,39 @@ class TestRowNorms:
         # takes of them, and 1 KiB for the Python objects of the loop
         chunk = self.step * (64 + 2) * 8
         assert peak < out.nbytes + chunk + 1024 < data.nbytes
+
+
+def _chunked_cases():
+    """(function of no arguments, rows it chunks, entries per row) for each
+    loop that ``chunk_rows`` sizes, on inputs that reach every branch."""
+    rng = np.random.default_rng(59)
+    data = rng.normal(size=(37, 64))
+    # integer scores: many items tie at each query's 10th-best score
+    scores = rng.integers(0, 5, size=(37, 50)).astype(float)
+    relevant = rng.random((37, 50)) < 0.3
+    # five relevant ranks per query, so every query is in one group
+    ranks = np.zeros((37, 50), dtype=bool)
+    for row in ranks:
+        row[rng.choice(50, 5, replace=False)] = True
+    # near-equal rows: every Gram entry is recomputed from its row difference
+    near = 1e3 + 1e-9 * rng.normal(size=(31, 8))
+    return {
+        "row_norms": (lambda: row_norms(data, "the rows"), 37, 64),
+        "top_k_hits": (lambda: top_k_hits(scores, relevant, 10), 37, 50),
+        "average_precisions": (lambda: average_precisions(ranks), 37, 5),
+        "sq_distances": (lambda: sq_distances(near, near[:29][::-1]), 31 * 29, 8),
+    }
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 3])
+@pytest.mark.parametrize("name", ["row_norms", "top_k_hits", "average_precisions", "sq_distances"])
+def test_chunking_never_changes_a_value(name, rows_per_chunk, monkeypatch):
+    fn, rows, width = _chunked_cases()[name]
+    whole = np.asarray(fn()).tolist()  # one chunk at the default size
+    assert chunk_rows(width) >= rows
+    monkeypatch.setattr(pmf, "CHUNK_ENTRIES", rows_per_chunk * width + width - 1)
+    assert chunk_rows(width) == rows_per_chunk and (rows_per_chunk == 1 or rows % rows_per_chunk)
+    assert np.asarray(fn()).tolist() == whole
 
 
 class TestAssociationPmf:
