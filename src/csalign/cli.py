@@ -143,6 +143,8 @@ def cmd_divergence(args) -> int:
 
     # in file order, so the first faulty file decides the exit code
     pmfs = measure in ("cs", "gcs", "kl")
+    if pmfs and args.label_col is not None:
+        raise ConfigError(f"--label-col applies to mmd and coral, not to measure {measure!r}")
     inputs = [read_pmf_vector(p) if pmfs else read_embeddings(p, args.label_col)[0] for p in paths]
     numerator = denominator = None
     if measure in ("cs", "gcs"):

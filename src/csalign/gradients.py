@@ -41,7 +41,8 @@ import numpy as np
 from .divergence import (MmdConfig, coral_loss, coral_terms, mmd_kernels, mmd_squared,
                          resolve_bandwidth)
 from .errors import ConfigError, NonFinitePerturbation
-from .losses import MatchStrategy, ModalityRing, check_kind, stack_matching_loss
+from .losses import (LabelSupport, MatchStrategy, ModalityRing, check_kind, label_support,
+                     stack_matching_loss)
 from .pmf import AlignConfig, row_norms
 
 
@@ -84,17 +85,17 @@ _LABEL_FREE = {"mmd": (_mmd_grad, _mmd_closure),
 def stack_loss_gradient(
     loss_kind: str,
     stack: np.ndarray,
-    labels: np.ndarray,
+    support: LabelSupport | None,
     names: Sequence[str],
     strategy: MatchStrategy,
     tau: float,
 ) -> tuple[float, list[np.ndarray]]:
     """``loss_gradient`` on the arguments of ``losses.stack_matching_loss``;
-    one n x d gradient per modality. The stack's row norms are checked
-    once per call (``row_norms``): by the engine, or here for MMD and
-    CORAL."""
+    one n x d gradient per modality. MMD and CORAL read no ``support``
+    (it may be None). The stack's row norms are checked once per call
+    (``row_norms``): by the engine, or here for MMD and CORAL."""
     if loss_kind not in _LABEL_FREE:
-        report, grads = stack_matching_loss(loss_kind, stack, labels, names, strategy, tau)
+        report, grads = stack_matching_loss(loss_kind, stack, support, names, strategy, tau)
         return report.total, grads
     row_norms(stack, "the embeddings")
     gradient, _ = _LABEL_FREE[loss_kind]
@@ -113,7 +114,9 @@ def loss_gradient(
     """
     tau = (align_cfg or AlignConfig()).temperature
     check_kind(loss_kind, ring.m, tau)
-    value, grads = stack_loss_gradient(loss_kind, *ring.arrays(), tau)
+    stack, labels, names, strategy = ring.arrays()
+    support = None if loss_kind in _LABEL_FREE else label_support(labels)
+    value, grads = stack_loss_gradient(loss_kind, stack, support, names, strategy, tau)
     return value, tuple(grads)
 
 
@@ -162,10 +165,10 @@ def _loss_closure(
     built, so the closure is smooth in its arguments.
     """
     if loss_kind not in _LABEL_FREE:
-        _, *ring_args = ring.arrays()
-        tau = (align_cfg or AlignConfig()).temperature
+        _, labels, names, strategy = ring.arrays()
+        support, tau = label_support(labels), (align_cfg or AlignConfig()).temperature
         return lambda a: stack_matching_loss(
-            loss_kind, np.stack(a), *ring_args, tau, grad=False
+            loss_kind, np.stack(a), support, names, strategy, tau, grad=False
         )[0].total
     _, closure = _LABEL_FREE[loss_kind]
     return closure(ring.batches[0].data, ring.batches[1].data)

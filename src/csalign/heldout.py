@@ -3,12 +3,12 @@
 ``train_run`` scores its held-out split after every epoch. Where
 ``child_cpus`` finds that a second process pays and is safe, it forks one
 ``ScoringChild`` before the first epoch: at each epoch's end the trainer
-sends it the encoder parameters and trains on, while the child loads them
-into its own (forked) encoders and scores them with the trainer's own
-scoring function, so its metrics equal an in-process evaluation's
-exactly. It keeps each epoch's metrics dicts and writes them back as one
-pickled list after the last epoch is sent, so only one side writes at a
-time and neither waits on a full pipe.
+sends it its flat parameter buffer and trains on, while the child reads
+it into its own (forked) copy of that buffer, which its encoders view,
+and scores them with the trainer's own scoring function, so its metrics
+equal an in-process evaluation's exactly. It keeps each epoch's metrics
+dicts and writes them back as one pickled list after the last epoch is
+sent, so only one side writes at a time and neither waits on a full pipe.
 """
 
 from __future__ import annotations
@@ -58,20 +58,21 @@ def child_cpus(scores: int) -> set[int] | None:
 class ScoringChild:
     """A forked process that scores the parameters it is sent.
 
-    ``params`` are the arrays the trainer updates in place, ``score`` maps
-    the current parameters to a picklable result, and the child is pinned
-    to ``cpus``. Entering the ``with`` block forks the child. ``submit``
-    sends it the parameters as one float64 message, a blocking write that
-    the child drains as it scores. ``collect`` closes the task pipe and
-    unpickles the list of results, in the order sent, that the child
-    writes on that EOF. A child that dies before that list is read whole,
-    one result per task, raises ``ChildProcessError``. The child also
-    stops on EOF when the trainer dies, and leaves through ``os._exit``.
-    Leaving the ``with`` block reaps it, killing it first when an
-    exception is on its way out.
+    ``params`` is the C-contiguous array the trainer updates in place (its
+    flat run buffer), ``score`` maps its current values to a picklable
+    result, and the child is pinned to ``cpus``. Entering the ``with``
+    block forks the child. ``submit`` sends it the buffer as it is, one
+    message, a blocking write that the child drains as it scores; the
+    child reads each message into its copy of the buffer. ``collect``
+    closes the task pipe and unpickles the list of results, in the order
+    sent, that the child writes on that EOF. A child that dies before that
+    list is read whole, one result per task, raises ``ChildProcessError``.
+    The child also stops on EOF when the trainer dies, and leaves through
+    ``os._exit``. Leaving the ``with`` block reaps it, killing it first
+    when an exception is on its way out.
     """
 
-    def __init__(self, params: list[np.ndarray], score, cpus: set[int]):
+    def __init__(self, params: np.ndarray, score, cpus: set[int]):
         self.params, self.score, self.cpus = params, score, cpus
         self.sent = 0
 
@@ -108,13 +109,10 @@ class ScoringChild:
         status = 1
         try:
             os.sched_setaffinity(0, self.cpus)
-            flat = np.empty(sum(p.size for p in self.params))
-            views = np.split(flat, np.cumsum([p.size for p in self.params])[:-1])
+            task = memoryview(self.params).cast("B")
             scored = []
             with open(tasks, "rb") as reader, open(results, "wb") as writer:
-                while reader.readinto(memoryview(flat).cast("B")) == flat.nbytes:
-                    for p, view in zip(self.params, views):
-                        p[...] = view.reshape(p.shape)
+                while reader.readinto(task) == task.nbytes:
                     scored.append(self.score())
                 pickle.dump(scored, writer)
             status = 0
@@ -127,7 +125,7 @@ class ScoringChild:
 
     def submit(self) -> None:
         """Send the current parameters to be scored."""
-        task = memoryview(np.concatenate([p.ravel() for p in self.params])).cast("B")
+        task = memoryview(self.params).cast("B")
         self.sent += 1
         try:
             while task:

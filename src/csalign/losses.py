@@ -70,7 +70,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from functools import cache
+from types import MappingProxyType
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,7 +158,8 @@ class ModalityRing:
         return len(self.batches)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, list[str], MatchStrategy]:
-        """The engine's inputs: the (M, n, d) stack, labels, names and strategy."""
+        """The (M, n, d) stack, labels, names and strategy; the engine takes the
+        ``label_support`` of the labels in their place."""
         names = [b.modality_name for b in self.batches]
         return np.stack([b.data for b in self.batches]), self.labels, names, self.strategy
 
@@ -235,26 +238,44 @@ class LabelSupport(NamedTuple):
 
 
 def label_support(labels: np.ndarray) -> LabelSupport:
-    """The same-label pairs of a batch with the given row labels.
+    """The same-label pairs of a batch with the given row labels: the
+    ``batch_supports`` of one batch."""
+    return next(batch_supports(labels, labels.size))
 
-    Built from a stable label sort, so row i's pairs list its class
-    members in ascending index order without an n x n comparison.
+
+def batch_supports(labels: np.ndarray, size: int) -> Iterator[LabelSupport]:
+    """The ``label_support`` of each ``size``-row slice of ``labels``, in order.
+
+    Built from one stable sort of the rows by (slice, label), so row i's
+    pairs list its class members in ascending index order without an
+    n x n comparison. Each slice's pairs are laid out as the iterator
+    reaches it, so only the slice in use holds pair-sized arrays.
     """
     n = labels.size
-    order = np.argsort(labels, kind="stable")
+    index = np.arange(n)
+    base = index // size * size  # the first row of each row's slice
+    order = np.lexsort((labels, base))
     ordered = labels[order]
-    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    first = np.empty(n, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    first[::size] = True  # a slice starts a class
     class_start = np.flatnonzero(first)
     sorted_class = np.cumsum(first) - 1
     cls = np.empty(n, dtype=np.intp)
     cls[order] = sorted_class
     counts = np.bincount(sorted_class)[cls]
-    starts = np.cumsum(counts) - counts
     rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n) - class_start[sorted_class]
-    rows = np.repeat(np.arange(n), counts)
-    cols = order[np.repeat(class_start[cls] - starts, counts) + np.arange(rows.size)]
-    return LabelSupport(rows, cols, starts, np.log(counts), starts[cols] + rank[rows])
+    rank[order] = index - class_start[sorted_class]
+    # slice-local positions: of each row's first class member in the sort, and of the sort
+    first_member = class_start[cls] - base
+    order -= base
+    for start in range(0, n, size):
+        part = slice(start, start + size)
+        c = counts[part]
+        starts = np.cumsum(c) - c
+        rows = np.repeat(index[: c.size], c)
+        cols = order[part][np.repeat(first_member[part] - starts, c) + np.arange(rows.size)]
+        yield LabelSupport(rows, cols, starts, np.log(c), starts[cols] + rank[part][rows])
 
 
 def _softmax(z: np.ndarray, axis: int, floor=None) -> tuple[np.ndarray, np.ndarray]:
@@ -411,21 +432,29 @@ LOSS_KINDS = tuple(LOSS_TABLE)
 MATCHING_KINDS = tuple(kind for kind, row in LOSS_TABLE.items() if row.edges is not None)
 
 
-def loss_groups(kind: str, names: Sequence[str], strategy: MatchStrategy) -> tuple[dict, list]:
+def loss_groups(kind: str, names: Sequence[str], strategy: MatchStrategy) -> tuple:
     """The passes ``kind`` sums over ``names``, in summation order, each with its edges
     (src, dst), and the groups of edges that evaluate them, as ``(edges, rows, cols)``:
     read by rows, a group's matrices are the pass ``rows``, by columns the pass ``cols``
-    over the same edges reversed. Pair passes are keyed by direction label, source-major."""
+    over the same edges reversed. Pair passes are keyed by direction label, source-major.
+    Built once per kind, names and strategy in a process and shared by every caller, so
+    both are read-only: a mapping proxy of tuples and a tuple."""
+    return _loss_groups(kind, tuple(names), strategy)
+
+
+@cache
+def _loss_groups(kind: str, names: tuple[str, ...], strategy: MatchStrategy) -> tuple:
     layout, m = LOSS_TABLE[kind].edges, len(names)
+    passes, groups = {}, ()
     if layout == "ring":
-        passes = {name: ring_edges(m, name) for name in ring_passes(strategy)}
-        return passes, [(ring_edges(m, "forward"), "forward", "backward")]
+        passes = {name: tuple(ring_edges(m, name)) for name in ring_passes(strategy)}
+        groups = ((tuple(ring_edges(m, "forward")), "forward", "backward"),)
     if layout == "pairs":
         label = lambda s, d: direction_label(names[s], names[d])
-        passes = {label(s, d): [(s, d)] for s in range(m) for d in range(m) if s != d}
-        groups = [([(s, d)], label(s, d), label(d, s)) for s in range(m) for d in range(s + 1, m)]
-        return passes, groups
-    return {}, []
+        passes = {label(s, d): ((s, d),) for s in range(m) for d in range(m) if s != d}
+        groups = tuple((((s, d),), label(s, d), label(d, s))
+                       for s in range(m) for d in range(s + 1, m))
+    return MappingProxyType(passes), groups
 
 
 def matching_loss(
@@ -446,22 +475,24 @@ def matching_loss(
     """
     tau = (cfg or AlignConfig()).temperature
     check_kind(kind, ring.m, tau)
-    return stack_matching_loss(kind, *ring.arrays(), tau, grad=grad)
+    stack, labels, names, strategy = ring.arrays()
+    return stack_matching_loss(kind, stack, label_support(labels), names, strategy, tau, grad=grad)
 
 
 def stack_matching_loss(
     kind: str,
     stack: np.ndarray,
-    labels: np.ndarray,
+    support: LabelSupport,
     names: Sequence[str],
     strategy: MatchStrategy,
     tau: float,
     *,
     grad: bool = True,
 ) -> tuple[LossReport, list[np.ndarray] | None]:
-    """``matching_loss`` on unchecked arrays: the (M, n, d) ``stack``, the n
-    labels all modalities share and M unique ``names`` (for the direction
-    labels). The stack's row norms are checked here, by ``row_norms``.
+    """``matching_loss`` on unchecked arrays: the (M, n, d) ``stack``, the
+    ``label_support`` of the n labels all modalities share and M unique
+    ``names`` (for the direction labels). The stack's row norms are checked
+    here, by ``row_norms``.
 
     The passes come in the groups of ``loss_groups``, each evaluated once
     by the kind's kernel: edge (s, d) has the matrix ``z = U_s U_d^T /
@@ -484,7 +515,7 @@ def stack_matching_loss(
         raise ConfigError(f"unknown matching loss {kind!r}; expected one of {MATCHING_KINDS}")
     n = stack.shape[1]
     order, groups = loss_groups(kind, names, strategy)
-    spec, support = LOSS_TABLE[kind], label_support(labels)
+    spec = LOSS_TABLE[kind]
     target = support if spec.target is None else spec.target(support)
 
     norms = row_norms(stack, "the embeddings")

@@ -39,18 +39,18 @@ def row_norms(data: np.ndarray, what: str) -> np.ndarray:
     ``NonFiniteSimilarity``; a norm below ``MIN_ROW_NORM`` (zero, or so
     small that the squares underflow) raises ``ZeroNormRow``. The rows,
     viewed as ``(-1, d)``, are normed ``chunk_rows(d)`` at a time (a small
-    input is one chunk), so the squares never take the data's size; each
-    row's norm is the one ``np.linalg.norm`` gives.
+    input is one chunk, returned as ``np.linalg.norm`` gives it), so the
+    squares never take the data's size; each row's norm is the one
+    ``np.linalg.norm`` gives.
     """
     data = np.asarray(data)
     rows = data.reshape(math.prod(data.shape[:-1]), data.shape[-1])
     step = chunk_rows(rows.shape[1])
     with np.errstate(over="ignore"):
         # one pass even for no rows, so empty input gives (..., 1) norms
-        norms = np.concatenate([
-            np.linalg.norm(rows[start : start + step], axis=-1, keepdims=True)
-            for start in range(0, max(len(rows), 1), step)
-        ]).reshape(data.shape[:-1] + (1,))
+        parts = [np.linalg.norm(rows[start : start + step], axis=-1, keepdims=True)
+                 for start in range(0, max(len(rows), 1), step)]
+    norms = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(data.shape[:-1] + (1,))
     if not np.all(np.isfinite(norms)):
         raise NonFiniteSimilarity(f"{what} contains non-finite values or a row whose norm overflows")
     if np.any(norms < MIN_ROW_NORM):

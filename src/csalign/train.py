@@ -11,6 +11,13 @@ reads the passes the engine sums off the same ``losses.loss_groups``.
 Retrieval metrics (``retrieval``) are evaluated each epoch on a held-out split,
 in a forked child where ``heldout`` finds that one pays and is safe.
 Everything is deterministic given the config seed, with or without the child.
+
+``train_run`` rebinds each encoder's weight and bias to views of one flat
+float64 run buffer, so the clip and ``Adam`` act on one gradient buffer and
+one parameter buffer, and the child is sent the latter as it is. A step
+gathers its batch rows, runs the encoders and writes their parameter
+gradients into buffers made once per run; what it allocates is the loss
+engine's working set and the clip's squares.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ import numpy as np
 from .errors import ConfigError, NonFiniteSimilarity, ShapeMismatch, ZeroNormRow
 from .gradients import stack_loss_gradient
 from .heldout import ScoringChild, child_cpus
-from .losses import (LOSS_KINDS, MatchStrategy, check_kind, check_paired, direction_label,
-                     loss_groups)
+from .losses import (LOSS_KINDS, MATCHING_KINDS, MatchStrategy, batch_supports, check_kind,
+                     check_paired, direction_label, loss_groups)
 from .pmf import AlignConfig, EmbeddingBatch, check_float, check_integer, row_norms
 from .retrieval import _evaluate, evaluate_directions  # noqa: F401 (re-exported)
 
@@ -97,71 +104,96 @@ class Encoder:
     def parameters(self) -> list[np.ndarray]:
         return [self.weight, self.bias]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """The embeddings of the rows of ``x``."""
-        return x @ self.weight + self.bias
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The embeddings of the rows of ``x``, written into ``out`` if one is given."""
+        out = np.matmul(x, self.weight, out=out)
+        out += self.bias
+        return out
 
-    def backward(self, x: np.ndarray, grad_out: np.ndarray) -> list[np.ndarray]:
-        """Parameter gradients, in the order of :meth:`parameters`, at input ``x``."""
-        return [x.T @ grad_out, grad_out.sum(axis=0)]
+    def backward(
+        self, x: np.ndarray, grad_out: np.ndarray, out: list[np.ndarray] | None = None
+    ) -> list[np.ndarray]:
+        """Parameter gradients, in the order of :meth:`parameters`, at input ``x``;
+        written into the two arrays of ``out`` if they are given."""
+        weight, bias = out or (None, None)
+        return [np.matmul(x.T, grad_out, out=weight), np.add.reduce(grad_out, axis=0, out=bias)]
 
 
 class Adam:
     """Adam with bias correction and decoupled weight decay (``ADAM_*``, ``WEIGHT_DECAY``).
 
-    Parameters are updated in place; the decay term ``lr * wd * p`` is applied after
-    the adaptive step. ``m``, ``v`` and the update are flat float64 buffers over all
-    parameters, in order; each parameter subtracts its view of the update.
+    ``params`` is one float64 array, updated in place: ``train_run`` passes its
+    flat run buffer, which every encoder's weight and bias view. ``m``, ``v``
+    and two scratch arrays of its shape are allocated here, so a step allocates
+    no array. The decay term ``lr * wd * p`` is applied after the adaptive step.
     """
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float):
+    def __init__(self, params: np.ndarray, learning_rate: float):
         self.params = params
         self.learning_rate = learning_rate
-        self.m, self.v, self._update = np.zeros((3, sum(p.size for p in params)))
+        self.m, self.v, self._update, self._scratch = np.zeros((4,) + params.shape)
         self.t = 0
-        splits = np.cumsum([p.size for p in params])[:-1]
-        self._updates = [u.reshape(p.shape) for p, u in zip(params, np.split(self._update, splits))]
 
-    def step(self, grads: list[np.ndarray], lr_scale: float = 1.0) -> bool:
+    def step(self, grad: np.ndarray, lr_scale: float = 1.0) -> bool:
         """Apply one update; return False, changing no parameter, when a moment
         leaves float range (no finite step exists; the moments are spent). Where
         ``v / bc2`` overflows (gradients near 1e154 in early steps), every root is
-        ``sqrt(v) / sqrt(bc2)``, so the step stays finite. Gradients of another
-        count or shape than the parameters raise ``ShapeMismatch``, changing nothing."""
-        if [np.shape(g) for g in grads] != [p.shape for p in self.params]:
-            raise ShapeMismatch(f"gradient shapes {[np.shape(g) for g in grads]} differ from the parameters'")
+        ``sqrt(v) / sqrt(bc2)``, so the step stays finite. A gradient of another
+        shape than the parameters raises ``ShapeMismatch``, changing nothing."""
+        if np.shape(grad) != self.params.shape:
+            raise ShapeMismatch(f"gradient shape {np.shape(grad)} differs from the "
+                                f"parameters' {self.params.shape}")
         self.t += 1
         lr = self.learning_rate * lr_scale
         bc1, bc2 = 1.0 - ADAM_BETA1**self.t, 1.0 - ADAM_BETA2**self.t
-        flat = np.concatenate([np.ravel(g) for g in grads])
+        m, v, update, scratch = self.m, self.v, self._update, self._scratch
         with np.errstate(over="raise"):
             try:
-                self.m *= ADAM_BETA1
-                self.m += (1.0 - ADAM_BETA1) * flat
-                self.v *= ADAM_BETA2
-                self.v += (1.0 - ADAM_BETA2) * flat * flat
+                m *= ADAM_BETA1
+                m += np.multiply(1.0 - ADAM_BETA1, grad, out=scratch)
+                v *= ADAM_BETA2
+                np.multiply(1.0 - ADAM_BETA2, grad, out=scratch)
+                scratch *= grad
+                v += scratch
             except FloatingPointError:
                 return False
             try:
-                root = np.sqrt(self.v / bc2)
+                np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
             except FloatingPointError:
-                root = np.sqrt(self.v) / math.sqrt(bc2)
-        np.divide(lr * (self.m / bc1), root + ADAM_EPSILON, out=self._update)
-        for p, update in zip(self.params, self._updates):
-            p -= update
-            p -= lr * WEIGHT_DECAY * p
+                np.sqrt(v, out=scratch)
+                scratch /= math.sqrt(bc2)
+        scratch += ADAM_EPSILON  # the root becomes the denominator
+        np.divide(m, bc1, out=update)
+        update *= lr
+        update /= scratch
+        self.params -= update
+        self.params -= np.multiply(lr * WEIGHT_DECAY, self.params, out=update)
         return True
 
 
-def clip_global_norm(grads: list[np.ndarray], max_norm: float):
-    """Scale all gradients jointly so their global norm is <= max_norm;
-    ``max_norm <= 0`` disables clipping. The per-array sums of squares are
-    added left to right (the builtin ``sum`` compensates from Python 3.12,
-    so the norm would depend on the version). When their sum overflows,
-    the norm is taken from the gradients divided by their largest
-    magnitude, so a finite norm past sqrt(max float) still clips."""
-    with np.errstate(over="ignore"):
-        total = float(np.sqrt(reduce(add, (float((g * g).sum()) for g in grads), 0.0)))
+def clip_global_norm(grads: list[np.ndarray], max_norm: float, flat: np.ndarray | None = None):
+    """Scale all gradients jointly so their global norm is <= max_norm, and
+    return them with that norm; ``max_norm <= 0`` disables clipping. The
+    per-array sums of squares are added left to right (the builtin ``sum``
+    compensates from Python 3.12, so the norm would depend on the version).
+    When their sum overflows, the norm is taken from the gradients divided
+    by their largest magnitude, so a finite norm past sqrt(max float) still
+    clips.
+
+    In the list form, a clip returns new arrays. With ``flat``, ``grads``
+    are views of it that cover it in order (the trainer's flat gradient
+    buffer): it is squared once, each array's sum read off its slice of the
+    squares, and a clip scales it in place, under the caller's
+    ``np.errstate`` (the list form ignores overflow itself)."""
+    if flat is None:
+        with np.errstate(over="ignore"):
+            parts = [float((g * g).sum()) for g in grads]
+    else:
+        squares, parts, start = flat * flat, [], 0
+        for g in grads:
+            parts.append(float(squares[start : start + g.size].sum()))
+            start += g.size
+    total = float(np.sqrt(reduce(add, parts, 0.0)))
     if math.isinf(total):
         peak = max(float(np.abs(g).max(initial=0.0)) for g in grads)
         if math.isfinite(peak):  # the squares overflowed, not the gradients
@@ -169,8 +201,23 @@ def clip_global_norm(grads: list[np.ndarray], max_norm: float):
             total = peak * float(np.sqrt(reduce(add, scaled, 0.0)))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
-        grads = [g * scale for g in grads]
+        if flat is None:
+            grads = [g * scale for g in grads]
+        else:
+            flat *= scale
     return grads, total
+
+
+def _views(flat: np.ndarray, encoders: list[Encoder]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views of ``flat`` shaped as each encoder's (weight, bias), in order."""
+    views, start = [], 0
+    for enc in encoders:
+        pair = []
+        for p in enc.parameters():
+            pair.append(flat[start : start + p.size].reshape(p.shape))
+            start += p.size
+        views.append(tuple(pair))
+    return views
 
 
 def build_encoders(input_dims: tuple[int, ...], embed_dim: int, cfg: TrainConfig) -> list[Encoder]:
@@ -222,17 +269,27 @@ def train_run(
     row, two to train on), the same labels position by position, unique
     names, a loss kind defined for M modalities, and every row, training
     and held out, in ``row_norms`` range under its initial encoder.
-    From then on the run works on arrays: each step stacks the encoder
-    outputs and calls ``stack_loss_gradient``, which checks its row norms
-    once, and each epoch's end checks the held-out stack with ``row_norms``
-    and scores it as ``evaluate_directions`` does, by ``retrieval._evaluate``.
+    From then on the run works on arrays: each step writes the encoder
+    outputs into one (M, rows, d) stack and calls ``stack_loss_gradient``
+    with the batch's support (``losses.batch_supports``, one sort per
+    epoch), which checks its row norms once, and each epoch's end checks
+    the held-out stack with ``row_norms`` and scores it as
+    ``evaluate_directions`` does, by ``retrieval._evaluate``.
+
+    The encoders' weights and biases are rebound to views of one flat
+    float64 run buffer, which ``Adam`` steps in place; their gradients are
+    views of another, which ``clip_global_norm`` squares once and scales in
+    place. A step gathers its rows, runs the encoders and writes the
+    gradients into buffers made once per run, under one ``np.errstate``
+    for the forward and one for backward, clip and Adam; the loss engine
+    allocates its own working set.
     Each epoch's parameters are scored once: every epoch but the last at
     P@1 / P@10, and the last (or the one that aborts) by the MAP pass of
     ``final_metrics``, whose P@1 and P@10 its record reads.
 
     Where ``heldout.child_cpus`` allows, a ``heldout.ScoringChild`` forked
     before the first epoch does the P@K scoring: each epoch's end sends it
-    the encoder parameters and training goes on while it scores them; the
+    the parameter buffer and training goes on while it scores it; the
     results come back once, after the last epoch is sent. The held-out
     check stays here, so aborts are decided as without a child, and the
     trace is the same bytes. The child is reaped on every exit path,
@@ -272,49 +329,67 @@ def train_run(
     test_inputs = [b.data[test_idx] for b in data]
     test_labels = labels[test_idx]
 
-    def embed(inputs: list[np.ndarray]) -> np.ndarray:
-        # encoders that a step sent past float range give non-finite rows, which
-        # the row_norms check that follows (here or in the engine) rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.stack([enc.forward(x) for enc, x in zip(encoders, inputs)])
+    # The run's buffers: the parameters, which the encoders are rebound to view, their
+    # gradients, Adam's moments and scratch, one batch's input rows per modality, and
+    # the encoder outputs, whose first M x rows x d entries are a step's (M, rows, d) stack.
+    m, d, rows = len(data), encoders[0].weight.shape[1], min(cfg.batch_size, train_idx.size)
+    params, grads = np.empty((2, sum(p.size for enc in encoders for p in enc.parameters())))
+    param_views, grad_views = _views(params, encoders), _views(grads, encoders)
+    for enc, (weight, bias) in zip(encoders, param_views):
+        weight[...], bias[...] = enc.weight, enc.bias
+        enc.weight, enc.bias = weight, bias
+    grad_list = [g for pair in grad_views for g in pair]
+    adam = Adam(params, cfg.learning_rate)
+    batch_inputs = [np.empty((rows, b.d)) for b in data]
+    outputs, test_stack = np.empty(m * rows * d), np.empty((m, n_test, d))
+    matching = cfg.loss_kind in MATCHING_KINDS
 
     def held_out_units() -> np.ndarray | None:
         """The unit held-out embeddings; None where a row is out of range."""
-        stack = embed(test_inputs)
+        # encoders that a step sent past float range give non-finite rows, which
+        # the row_norms check that follows (here or in the engine) rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            for enc, x, out in zip(encoders, test_inputs, test_stack):
+                enc.forward(x, out)
         try:
-            return stack / row_norms(stack, "the held-out embeddings")
+            return test_stack / row_norms(test_stack, "the held-out embeddings")
         except (NonFiniteSimilarity, ZeroNormRow):
             return None
-
-    params = [p for enc in encoders for p in enc.parameters()]
-    adam = Adam(params, cfg.learning_rate)
 
     def train_epoch(epoch: int) -> tuple[float, bool]:
         """One epoch's steps: their mean batch loss, and whether one aborted the run."""
         lr_scale = LR_DECAY_FACTOR ** (epoch // LR_DECAY_EVERY)
         order = train_idx[rng.permutation(train_idx.size)]
+        starts = range(0, order.size, cfg.batch_size)
+        # the label-free kinds read no support
+        supports = (batch_supports(labels[order], cfg.batch_size) if matching
+                    else [None] * len(starts))
         batch_losses: list[float] = []  # never empty: the first batch holds 2 rows or more
-        for start in range(0, order.size, cfg.batch_size):
+        for start, support in zip(starts, supports):
             idx = order[start : start + cfg.batch_size]
             if idx.size < 2:
                 continue
-            inputs = [b.data[idx] for b in data]
+            # mode="clip" (every index is in range) lets take write to out unbuffered
+            inputs = [b.data.take(idx, axis=0, out=x[: idx.size], mode="clip")
+                      for b, x in zip(data, batch_inputs)]
+            stack = outputs[: m * idx.size * d].reshape(m, idx.size, d)
+            with np.errstate(over="ignore", invalid="ignore"):  # as in held_out_units
+                for enc, x, out in zip(encoders, inputs, stack):
+                    enc.forward(x, out)
             try:
-                value, grads = stack_loss_gradient(
-                    cfg.loss_kind, embed(inputs), labels[idx], names, cfg.strategy, cfg.temperature
-                )
+                value, emb_grads = stack_loss_gradient(
+                    cfg.loss_kind, stack, support, names, cfg.strategy, cfg.temperature)
             except (NonFiniteSimilarity, ZeroNormRow):
                 value = float("nan")  # the last step sent the embeddings out of range
             batch_losses.append(value)
             if not np.isfinite(value):
                 return float(np.mean(batch_losses)), True
-            param_grads: list[np.ndarray] = []
-            for enc, x, grad_emb in zip(encoders, inputs, grads):
-                param_grads.extend(enc.backward(x, grad_emb))
-            clipped, _ = clip_global_norm(param_grads, cfg.grad_clip_norm)
             # parameters that this step sends past float range fail the next row-norm check
             with np.errstate(over="ignore", invalid="ignore"):
-                if not adam.step(clipped, lr_scale):
+                for enc, x, grad_emb, out in zip(encoders, inputs, emb_grads, grad_views):
+                    enc.backward(x, grad_emb, out)
+                clip_global_norm(grad_list, cfg.grad_clip_norm, grads)
+                if not adam.step(grads, lr_scale):
                     # Adam's moments left float range: no finite step exists
                     return float(np.mean(batch_losses)), True
         return float(np.mean(batch_losses)), False

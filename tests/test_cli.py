@@ -172,6 +172,18 @@ class TestDivergenceCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {x}: an EMB1 file has no label column, got 7")
 
+    @pytest.mark.parametrize("measure", ["cs", "gcs", "kl"])
+    def test_label_column_of_a_pmf_measure_exit_2(self, measure, tmp_path, capsys):
+        # PMF files hold no labels: the flag is refused before any file is
+        # read, so a missing file is not what the error names
+        missing = str(tmp_path / "missing.csv")
+        argv = ["divergence", "--measure", measure, missing, missing, "--label-col", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: --label-col applies to mmd and coral, not to measure '{measure}'")
+
     @pytest.mark.parametrize("measure, count, message", [
         ("cs", 3, "measure 'cs' takes exactly 2 input files, got 3"),
         ("gcs", 1, "need at least 2 input files"),

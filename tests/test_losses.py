@@ -29,8 +29,8 @@ from csalign.errors import (
 )
 from csalign.gradients import _loss_closure
 from csalign.losses import (
-    MATCHING_KINDS, kl_log_target, kl_logit_rows, label_support, loss_groups, matching_loss,
-    stack_matching_loss,
+    MATCHING_KINDS, batch_supports, kl_log_target, kl_logit_rows, label_support, loss_groups,
+    matching_loss, stack_matching_loss,
 )
 from csalign.pmf import row_norms
 from csalign.retrieval import evaluate_directions
@@ -310,6 +310,21 @@ class TestLabelSupport:
         assert np.array_equal(rows[support.transpose], cols)
         assert np.array_equal(cols[support.transpose], rows)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=60), st.integers(1, 70))
+    @example([1, 0, 1, 0, 2], 2)  # a one-row last slice
+    @example([4, 4, 4, 4, 4, 4], 3)  # one class across every slice boundary
+    @example([2**62, 0, 2**62, 2**62], 3)  # labels near the top of int64
+    def test_batch_supports_are_each_slice_s_support(self, labels, size):
+        # the trainer's per-epoch supports, one sort for every batch
+        labels = np.asarray(labels, dtype=np.int64)
+        supports = list(batch_supports(labels, size))
+        slices = [labels[start : start + size] for start in range(0, labels.size, size)]
+        assert len(supports) == len(slices)
+        for support, part in zip(supports, slices):
+            for got, want in zip(support, label_support(part), strict=True):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 class TestKlKernel:
     """The KL kernel reads a matrix by rows and by columns against one target."""
@@ -445,10 +460,12 @@ class TestGradientWorkingSet:
     def test_gradients_outlive_the_next_call(self, kind, m):
         first, second = random_ring(3, m=m, n=12), random_ring(4, m=m, n=12)
         stack, labels, names, strategy = first.arrays()
-        _, grads = stack_matching_loss(kind, stack, labels, names, strategy, 0.5)
+        support = label_support(labels)
+        _, grads = stack_matching_loss(kind, stack, support, names, strategy, 0.5)
         kept = [g.copy() for g in grads]
-        stack_matching_loss(kind, *second.arrays(), 0.5)
-        stack_matching_loss(kind, stack, labels, names, strategy, 0.5)
+        other, other_labels, *rest = second.arrays()
+        stack_matching_loss(kind, other, label_support(other_labels), *rest, 0.5)
+        stack_matching_loss(kind, stack, support, names, strategy, 0.5)
         assert all(np.array_equal(g, k) for g, k in zip(grads, kept))
         assert not any(np.shares_memory(g, stack) for g in grads)
 

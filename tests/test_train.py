@@ -30,9 +30,12 @@ from csalign.errors import (
     TooFewDistributions,
     ZeroNormRow,
 )
-from csalign.losses import MATCHING_KINDS, matching_loss, stack_matching_loss
+from csalign.gradients import stack_loss_gradient
+from csalign.losses import (MATCHING_KINDS, direction_label, label_support, matching_loss,
+                            stack_matching_loss)
 from csalign.retrieval import SCORE_BLOCK_ROWS, evaluate_directions
-from csalign.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, WEIGHT_DECAY, clip_global_norm,
+from csalign.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, LR_DECAY_EVERY, LR_DECAY_FACTOR,
+                           WEIGHT_DECAY, EpochRecord, TrainingTrace, clip_global_norm,
                            supervised_directions)
 from retrieval_oracle import cosine_scores, direction_metrics
 
@@ -88,9 +91,9 @@ class TestAdam:
 
     def test_single_step_matches_hand_computation(self):
         theta = np.array([1.0])
-        opt = Adam([theta], learning_rate=0.1)
+        opt = Adam(theta, learning_rate=0.1)
         grad = np.array([0.5])
-        opt.step([grad])
+        opt.step(grad)
         m_hat = (0.1 * 0.5) / (1 - 0.9)
         v_hat = (0.001 * 0.25) / (1 - 0.999)
         adaptive = 1.0 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
@@ -99,10 +102,10 @@ class TestAdam:
 
     def test_two_steps_track_moments(self):
         theta = np.array([2.0])
-        opt = Adam([theta], learning_rate=0.05)
+        opt = Adam(theta, learning_rate=0.05)
         g1, g2 = np.array([1.0]), np.array([-0.5])
-        opt.step([g1])
-        opt.step([g2])
+        opt.step(g1)
+        opt.step(g2)
         m = 0.9 * (0.1 * 1.0) + 0.1 * (-0.5)
         v = 0.999 * (0.001 * 1.0) + 0.001 * 0.25
         m1_hat = (0.1 * 1.0) / (1 - 0.9)
@@ -114,34 +117,34 @@ class TestAdam:
         assert theta[0] == pytest.approx(expected, abs=1e-12)
 
     def test_second_moment_past_float_range_changes_no_parameter(self):
-        first, second = np.array([1.0, 2.0]), np.array([3.0])
-        opt = Adam([first, second], learning_rate=0.1)
-        assert opt.step([np.array([0.5, -0.5]), np.array([1e200])]) is False
-        assert first.tolist() == [1.0, 2.0] and second.tolist() == [3.0]
+        params = np.array([1.0, 2.0, 3.0])
+        opt = Adam(params, learning_rate=0.1)
+        assert opt.step(np.array([0.5, -0.5, 1e200])) is False
+        assert params.tolist() == [1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("grad", [1e155, -3e155])
     def test_bias_corrected_moment_past_float_range_still_steps(self, grad):
         # v = 1e-3 g^2 is finite, v / (1 - beta2) = g^2 is not: the step
         # is the exact one, lr * g / |g|, without an overflow, then decayed
         theta = np.array([1.0])
-        opt = Adam([theta], learning_rate=0.1)
+        opt = Adam(theta, learning_rate=0.1)
         with np.errstate(all="raise"):
-            assert opt.step([np.array([grad])]) is True
+            assert opt.step(np.array([grad])) is True
         adaptive = 1.0 - 0.1 * np.sign(grad)
         assert theta[0] == pytest.approx(adaptive - 0.1 * 1e-5 * adaptive, rel=1e-15)
 
     def test_decoupled_weight_decay_shrinks_params(self):
         theta = np.array([1.0])
-        opt = Adam([theta], learning_rate=0.1)
-        opt.step([np.array([0.0])])
+        opt = Adam(theta, learning_rate=0.1)
+        opt.step(np.array([0.0]))
         # zero gradient: only the decay term fires, shrinking by lr * WEIGHT_DECAY
         assert 1.0 - theta[0] == pytest.approx(0.1 * WEIGHT_DECAY)
 
     def test_flat_moments_do_the_per_array_math(self):
         rng = np.random.default_rng(5)
         shapes = [(4, 3), (3,), (2, 2)]
-        params = [rng.normal(size=shape) for shape in shapes]
-        reference = [p.copy() for p in params]
+        reference = [rng.normal(size=shape) for shape in shapes]
+        params = np.concatenate([r.ravel() for r in reference])
         opt, ref = Adam(params, 0.05), PerArrayAdam(reference, 0.05)
         clipped_steps = 0
         for step in range(50):
@@ -149,21 +152,21 @@ class TestAdam:
             grads, norm = clip_global_norm([rng.normal(size=shape) * scale for shape in shapes], 1.0)
             clipped_steps += norm > 1.0
             lr_scale = 1.0 if step < 25 else 0.1
-            assert opt.step(grads, lr_scale) is True
+            assert opt.step(np.concatenate([g.ravel() for g in grads]), lr_scale) is True
             ref.step(grads, lr_scale)
         assert clipped_steps >= 10
-        for p, r in zip(params, reference):
-            assert np.array_equal(p, r)
+        assert np.array_equal(params, np.concatenate([r.ravel() for r in reference]))
         assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
         assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
 
     def test_root_past_float_range_falls_back_for_every_parameter(self):
         # v / bc2 overflows in the first array only; the root of both is then
         # sqrt(v) / sqrt(bc2), which for a gradient of 0.1 is one ulp off sqrt(v / bc2)
-        first, second = np.array([1.0]), np.zeros(2)
+        params = np.array([1.0, 0.0, 0.0])
+        first, second = params[:1], params[1:]
         grads = [np.array([1e155]), np.array([0.1, -0.1])]
-        opt = Adam([first, second], learning_rate=0.1)
-        assert opt.step(grads) is True
+        opt = Adam(params, learning_rate=0.1)
+        assert opt.step(np.concatenate(grads)) is True
         bc1, bc2 = 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2
         m, v = (1.0 - ADAM_BETA1) * grads[1], (1.0 - ADAM_BETA2) * grads[1] * grads[1]
         expected = -0.1 * (m / bc1) / (np.sqrt(v) / math.sqrt(bc2) + ADAM_EPSILON)
@@ -174,22 +177,22 @@ class TestAdam:
         assert first.tolist() == per_array[0].tolist()
         assert not np.array_equal(second, per_array[1])
 
-    @pytest.mark.parametrize("param, grads", [
-        (np.zeros(3), [np.ones(1)]),
-        (np.zeros((2, 3)), [np.ones(3)]),
-        (np.zeros((2, 3)), [np.ones((3, 2))]),
+    @pytest.mark.parametrize("param, grad", [
+        (np.zeros(3), np.ones(1)),
+        (np.zeros((2, 3)), np.ones(3)),
+        (np.zeros((2, 3)), np.ones((3, 2))),
         (np.zeros(3), [np.ones(3), np.ones(3)]),
     ])
-    def test_gradient_of_another_shape_or_count_changes_nothing(self, param, grads):
-        opt = Adam([param], 0.1)
+    def test_gradient_of_another_shape_or_count_changes_nothing(self, param, grad):
+        opt = Adam(param, 0.1)
         with pytest.raises(ShapeMismatch):
-            opt.step(grads)
+            opt.step(grad)
         assert not (param.any() or opt.m.any() or opt.v.any()) and opt.t == 0
 
     @pytest.mark.parametrize("knob", ["beta1", "beta2", "epsilon", "weight_decay"])
     def test_fixed_settings_are_not_arguments(self, knob):
         with pytest.raises(TypeError):
-            Adam([np.array([1.0])], 0.1, **{knob: 0.5})
+            Adam(np.array([1.0]), 0.1, **{knob: 0.5})
 
 
 class TestClipGlobalNorm:
@@ -212,6 +215,21 @@ class TestClipGlobalNorm:
         assert norm == pytest.approx(5.0 * scale, rel=1e-15)
         assert clipped[0] == pytest.approx([0.6, 0.0], rel=1e-15)
         assert clipped[1] == pytest.approx(np.array([[0.8]]), rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e200])
+    def test_flat_form_equals_the_list_form(self, scale):
+        # the trainer's form: views of one buffer, squared once and scaled in place
+        rng = np.random.default_rng(7)
+        grads = [rng.normal(size=shape) * scale for shape in [(5, 3), (3,), (4, 3), (3,)]]
+        for max_norm in (0.0, 1.0):
+            want, want_norm = clip_global_norm(grads, max_norm)
+            flat = np.concatenate([g.ravel() for g in grads])
+            views = np.split(flat, np.cumsum([g.size for g in grads])[:-1])
+            views = [v.reshape(g.shape) for v, g in zip(views, grads)]
+            with np.errstate(over="ignore"):
+                got, norm = clip_global_norm(views, max_norm, flat)
+            assert norm == want_norm and all(g is v for g, v in zip(got, views, strict=True))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
     def test_infinite_gradient_keeps_an_infinite_norm(self):
         with np.errstate(invalid="ignore"):  # inf times the zero scale
@@ -432,6 +450,73 @@ class TestTrainConfig:
         assert clip_global_norm(grads, norm)[0][0] is grads[0]
 
 
+def reference_run(data, encoders, cfg):
+    """``train_run`` for a run that does not abort, as a loop over its public
+    pieces with one array per parameter: ``Encoder.forward`` / ``backward``,
+    ``stack_loss_gradient`` on each batch's ``label_support``, the list form
+    of ``clip_global_norm`` and ``PerArrayAdam``. Returns the trace and the
+    global gradient norm of every step."""
+    names, labels, n = [b.modality_name for b in data], data[0].labels, data[0].n
+    rng = np.random.default_rng(cfg.seed)
+    perm = rng.permutation(n)
+    n_test = min(max(2, int(round(cfg.holdout_fraction * n))), n - 2)
+    test_idx, train_idx = perm[:n_test], perm[n_test:]
+    adam = PerArrayAdam([p for enc in encoders for p in enc.parameters()], cfg.learning_rate)
+    records, norms = [], []
+    for epoch in range(cfg.max_epochs):
+        order = train_idx[rng.permutation(train_idx.size)]
+        losses = []
+        for start in range(0, order.size, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            if idx.size < 2:
+                continue
+            inputs = [b.data[idx] for b in data]
+            stack = np.stack([enc.forward(x) for enc, x in zip(encoders, inputs)])
+            value, grads = stack_loss_gradient(cfg.loss_kind, stack, label_support(labels[idx]),
+                                               names, cfg.strategy, cfg.temperature)
+            losses.append(value)
+            param_grads = [g for enc, x, grad in zip(encoders, inputs, grads)
+                           for g in enc.backward(x, grad)]
+            clipped, norm = clip_global_norm(param_grads, cfg.grad_clip_norm)
+            norms.append(norm)
+            adam.step(clipped, LR_DECAY_FACTOR ** (epoch // LR_DECAY_EVERY))
+        held_out = [EmbeddingBatch(enc.forward(b.data[test_idx]), labels[test_idx], b.modality_name)
+                    for enc, b in zip(encoders, data)]
+        metrics = evaluate_directions(held_out, with_map=epoch == cfg.max_epochs - 1)
+        records.append(EpochRecord(epoch, float(np.mean(losses)), True, {
+            d: {"p1": m["p1"], "p10": m["p10"]} for d, m in metrics.items()}))
+    directions = sorted(direction_label(q, g) for q, g in permutations(names, 2))
+    covered = supervised_directions(names, cfg.loss_kind, cfg.strategy)
+    supervised = {d: d in covered for d in directions}
+    return TrainingTrace(records, False, directions, supervised, metrics), norms
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("batch_size", [4, 5], ids=["one_row_left", "four_rows_left"])
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_train_run_equals_the_reference_loop(self, kind, batch_size):
+        # unequal input widths, and a clip that fires on every step; 29 training
+        # rows leave a last batch of one row (skipped) or of four
+        m = 2 if kind in ("bimodal_cs", "mmd", "coral") else 3
+        synth = SynthConfig(num_classes=3, per_class=12, input_dims=(10, 7, 5)[:m], embed_dim=6,
+                            class_sep=8.0, noise_sigma=0.5, seed=3)
+        cfg = TrainConfig(max_epochs=4, batch_size=batch_size, seed=3, loss_kind=kind,
+                          grad_clip_norm=1e-6, learning_rate=1e-3)
+        data = generate_synthetic(synth)
+        n_train = data[0].n - held_out_rows(data, cfg).size
+        assert n_train % batch_size in (1, 4)
+        encoders = build_encoders(synth.input_dims, synth.embed_dim, cfg)
+        reference_encoders = build_encoders(synth.input_dims, synth.embed_dim, cfg)
+        trace = train_run(data, encoders, cfg)
+        reference, norms = reference_run(data, reference_encoders, cfg)
+        assert len(norms) == cfg.max_epochs * (n_train // batch_size + (n_train % batch_size > 1))
+        assert min(norms) > cfg.grad_clip_norm
+        assert repr(trace) == repr(reference)
+        params = [p for enc in encoders for p in enc.parameters()]
+        reference_params = [p for enc in reference_encoders for p in enc.parameters()]
+        assert all(np.array_equal(p, r) for p, r in zip(params, reference_params, strict=True))
+
+
 class TestArrayStep:
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_step_equals_ring_wrappers_bit_for_bit(self, kind, monkeypatch):
@@ -442,8 +527,12 @@ class TestArrayStep:
         real = train_mod.stack_loss_gradient
         steps = []
 
-        def checked(kind, stack, labels, names, strategy, tau):
-            value, grads = real(kind, stack, labels, names, strategy, tau)
+        def checked(kind, stack, support, names, strategy, tau):
+            value, grads = real(kind, stack, support, names, strategy, tau)
+            # labels of the support's classes, each row's first class member (the
+            # label-free kinds are given no support and read no labels)
+            labels = (np.zeros(stack.shape[1], int) if support is None
+                      else support.cols[support.starts])
             ring = ModalityRing(
                 tuple(EmbeddingBatch(x, labels, name) for x, name in zip(stack, names)), strategy
             )
@@ -451,7 +540,7 @@ class TestArrayStep:
             assert value == ring_value
             assert all(np.array_equal(g, r) for g, r in zip(grads, bundle, strict=True))
             if kind in MATCHING_KINDS:
-                report, _ = stack_matching_loss(kind, stack, labels, names, strategy, tau)
+                report, _ = stack_matching_loss(kind, stack, support, names, strategy, tau)
                 ring_report, _ = matching_loss(kind, ring, AlignConfig(tau))
                 assert report.total == ring_report.total
                 assert report.per_direction == ring_report.per_direction
