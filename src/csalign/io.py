@@ -223,7 +223,8 @@ def experiment_configs(mapping: dict[str, str]):
 # ---------------------------------------------------------------------------
 # JSON with 17-significant-digit floats
 
-def _json_fragment(obj) -> str:
+def json_dumps(obj) -> str:
+    """Serialize to JSON with every float at 17 significant digits."""
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -240,14 +241,9 @@ def _json_fragment(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)  # the stdlib's escaping, non-ASCII as \uXXXX
     if isinstance(obj, dict):
-        items = ", ".join(f"{_json_fragment(str(k))}: {_json_fragment(v)}" for k, v in obj.items())
+        items = ", ".join(f"{json_dumps(str(k))}: {json_dumps(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        return "[" + ", ".join(_json_fragment(v) for v in seq) + "]"
+        return "[" + ", ".join(json_dumps(v) for v in seq) + "]"
     raise ConfigError(f"cannot serialize {type(obj).__name__} to JSON")
-
-
-def json_dumps(obj) -> str:
-    """Serialize to JSON with every float at 17 significant digits."""
-    return _json_fragment(obj)

@@ -18,10 +18,12 @@ Two families live here:
 replaces: one directional projection-matching loss per ordered modality
 pair, M(M-1) in total versus 2M for the mixed ring.
 
-All of them check the kind and tau against M with ``check_kind`` and
-are thin calls into ``stack_matching_loss``. ``gradients.loss_gradient``
-checks them too and reaches the engine through
-``gradients.stack_loss_gradient``. The engine checks the stack's row norms with
+All of them are thin calls into ``stack_matching_loss``, on the
+arguments ``ModalityRing.engine_args`` gives once ``check_kind`` accepts
+the kind and tau for the ring's M. ``gradients.loss_gradient`` takes the
+same arguments to ``stack_loss_gradient``, which the trainer calls too:
+the engine for a kind with edges, the kind's kernel for MMD and CORAL,
+which have none. The engine checks the stack's row norms with
 ``pmf.row_norms`` (an overflowing or zero-norm row raises), evaluates
 every pass from its logit matrices ``z_m = cos_m / tau`` in the log
 domain and returns the per-sample and per-direction breakdown together
@@ -76,7 +78,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .divergence import KlConfig
+from .divergence import KlConfig, coral_terms, mmd_kernels
 from .errors import ConfigError, ShapeMismatch, TooFewDistributions
 from .pmf import AlignConfig, EmbeddingBatch, row_norms
 
@@ -157,11 +159,19 @@ class ModalityRing:
     def m(self) -> int:
         return len(self.batches)
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, list[str], MatchStrategy]:
-        """The (M, n, d) stack, labels, names and strategy; the engine takes the
-        ``label_support`` of the labels in their place."""
+    def engine_args(
+        self, kind: str, cfg: AlignConfig | None = None
+    ) -> tuple[np.ndarray, LabelSupport | None, list[str], MatchStrategy, float]:
+        """The arguments ``stack_loss_gradient`` and ``stack_matching_loss`` take after
+        ``kind``, once ``check_kind`` accepts ``kind`` and ``cfg``'s tau (the default
+        ``AlignConfig``'s if None) for this ring: the (M, n, d) stack, the
+        ``label_support`` of the labels (None for a kind without edges, which reads
+        none), the names, the strategy and tau."""
+        tau = (cfg or AlignConfig()).temperature
+        check_kind(kind, self.m, tau)
+        support = None if LOSS_TABLE[kind].edges is None else label_support(self.labels)
         names = [b.modality_name for b in self.batches]
-        return np.stack([b.data for b in self.batches]), self.labels, names, self.strategy
+        return np.stack([b.data for b in self.batches]), support, names, self.strategy, tau
 
     @property
     def n(self) -> int:
@@ -408,13 +418,43 @@ def kl_logit_rows(
     return values, grads
 
 
+def mmd_gradient(x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    """The ``mmd`` kernel: ``divergence.mmd_squared`` of two samples at the
+    median-heuristic bandwidth, which is held constant, and its gradients
+    ``[g_x, g_y]``; the value, bandwidth and kernel blocks come from one
+    ``divergence.mmd_kernels`` call, so each pairwise distance is computed once."""
+    value, sigma, (k_xx, k_yy, k_xy) = mmd_kernels(x, y)
+    n_x, n_y = x.shape[0], y.shape[0]
+    coef = 2.0 / (sigma * sigma)
+    t_xx = k_xx.sum(axis=1, keepdims=True) * x - k_xx @ x
+    t_xy = k_xy.sum(axis=1, keepdims=True) * x - k_xy @ y
+    g_x = -coef * (t_xx / n_x**2 - t_xy / (n_x * n_y))
+    t_yy = k_yy.sum(axis=1, keepdims=True) * y - k_yy @ y
+    t_yx = k_xy.sum(axis=0)[:, None] * y - k_xy.T @ x
+    g_y = -coef * (t_yy / n_y**2 - t_yx / (n_x * n_y))
+    return value, [g_x, g_y]
+
+
+def coral_gradient(x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    """The ``coral`` kernel: ``divergence.coral_loss``'s value and its gradients
+    ``[g_x, g_y]``, both from one ``divergence.coral_terms`` call."""
+    value, xc, yc, diff = coral_terms(x, y)
+    d = x.shape[1]
+    # columns of xc @ diff have zero mean, so recentring is a no-op
+    g_x = xc @ diff / ((x.shape[0] - 1) * d * d)
+    g_y = -yc @ diff / ((y.shape[0] - 1) * d * d)
+    return value, [g_x, g_y]
+
+
 class LossKind(NamedTuple):
     """A row of ``LOSS_TABLE``: the kind's edge layout (``"ring"``, ``"pairs"``, or None:
-    no edges, no label), its kernel, the builder of the kernel's true-match argument from
-    the ``label_support`` (None: the support itself) and whether M must be 2."""
+    no edges, no label), its kernel (with edges, a group's logits and true-match argument
+    to per-anchor values and logit gradients; without, the two samples to the value and
+    their gradients), the builder of the kernel's true-match argument from the
+    ``label_support`` (None: the support itself) and whether M must be 2."""
 
     edges: str | None
-    kernel: Callable | None
+    kernel: Callable
     target: Callable | None
     two_modalities: bool
 
@@ -425,8 +465,8 @@ LOSS_TABLE: dict[str, LossKind] = {
     "gcs_ring": LossKind("ring", gcs_logit_rows, None, two_modalities=False),
     "pairwise_cs": LossKind("pairs", gcs_logit_rows, None, two_modalities=False),
     "kl": LossKind("pairs", kl_logit_rows, kl_log_target, two_modalities=False),
-    "mmd": LossKind(None, None, None, two_modalities=True),
-    "coral": LossKind(None, None, None, two_modalities=True),
+    "mmd": LossKind(None, mmd_gradient, None, two_modalities=True),
+    "coral": LossKind(None, coral_gradient, None, two_modalities=True),
 }
 LOSS_KINDS = tuple(LOSS_TABLE)
 MATCHING_KINDS = tuple(kind for kind, row in LOSS_TABLE.items() if row.edges is not None)
@@ -473,10 +513,28 @@ def matching_loss(
 
     The ring validates the input; ``stack_matching_loss`` does the work.
     """
-    tau = (cfg or AlignConfig()).temperature
-    check_kind(kind, ring.m, tau)
-    stack, labels, names, strategy = ring.arrays()
-    return stack_matching_loss(kind, stack, label_support(labels), names, strategy, tau, grad=grad)
+    return stack_matching_loss(kind, *ring.engine_args(kind, cfg), grad=grad)
+
+
+def stack_loss_gradient(
+    kind: str,
+    stack: np.ndarray,
+    support: LabelSupport | None,
+    names: Sequence[str],
+    strategy: MatchStrategy,
+    tau: float,
+) -> tuple[float, list[np.ndarray]]:
+    """``gradients.loss_gradient`` on the arguments of ``stack_matching_loss``: the
+    value and one n x d gradient per modality. A kind with edges returns the engine's
+    total and gradients; one without reads no ``support`` (it may be None) and returns
+    its kernel's on the two modalities. The stack's row norms are checked once per
+    call (``row_norms``): by the engine, or here for a kind without edges."""
+    spec = LOSS_TABLE.get(kind)
+    if spec is not None and spec.edges is None:
+        row_norms(stack, "the embeddings")
+        return spec.kernel(stack[0], stack[1])
+    report, grads = stack_matching_loss(kind, stack, support, names, strategy, tau)
+    return report.total, grads
 
 
 def stack_matching_loss(

@@ -1,15 +1,16 @@
 """Desk-scale trainer: linear encoders + Adam on the alignment losses.
 
 One affine encoder per modality projects raw features into the shared
-space; the chosen alignment loss produces embedding gradients (see
-``gradients``), which are chained into encoder parameters and applied
-with Adam: bias correction, global-norm gradient clipping, decoupled
-weight decay and a step-decay learning-rate schedule (x0.1 every 100
-epochs); each of their settings is one module constant. The loss kind is
-described once, in ``losses.LOSS_TABLE``; the trace's ``supervised`` map
-reads the passes the engine sums off the same ``losses.loss_groups``.
-Retrieval metrics (``retrieval``) are evaluated each epoch on a held-out split,
-in a forked child where ``heldout`` finds that one pays and is safe.
+space; the chosen alignment loss produces embedding gradients
+(``losses.stack_loss_gradient``), which are chained into encoder
+parameters and applied with Adam: bias correction, global-norm gradient
+clipping, decoupled weight decay and a step-decay learning-rate schedule
+(x0.1 every 100 epochs); each of their settings is one module constant.
+The loss kind is described once, in ``losses.LOSS_TABLE``; the trace's
+``supervised`` map reads the passes the engine sums off the same
+``losses.loss_groups``. Retrieval metrics (``retrieval``) are evaluated
+each epoch on a held-out split, in a forked child where ``heldout``
+finds that one pays and is safe.
 Everything is deterministic given the config seed, with or without the child.
 
 ``train_run`` rebinds each encoder's weight and bias to views of one flat
@@ -32,10 +33,10 @@ from operator import add
 import numpy as np
 
 from .errors import ConfigError, NonFiniteSimilarity, ShapeMismatch, ZeroNormRow
-from .gradients import stack_loss_gradient
 from .heldout import ScoringChild, child_cpus
-from .losses import (LOSS_KINDS, MATCHING_KINDS, MatchStrategy, batch_supports, check_kind,
-                     check_paired, direction_label, loss_groups)
+from .losses import (LOSS_KINDS, LOSS_TABLE, MATCHING_KINDS, MatchStrategy, batch_supports,
+                     check_kind, check_paired, direction_label, loss_groups,
+                     stack_loss_gradient)
 from .pmf import AlignConfig, EmbeddingBatch, check_float, check_integer, row_norms
 from .retrieval import _evaluate, evaluate_directions  # noqa: F401 (re-exported)
 
@@ -447,8 +448,12 @@ def ablation_run(
     Each arm gets freshly built encoders from the same seed, so initial
     parameters, data split, and batch order are shared; only the
     strategy differs. Unsupervised directions stay visible in each
-    trace's ``supervised`` map.
+    trace's ``supervised`` map. Only a kind on the ring's edges reads the
+    strategy; any other raises ``ConfigError`` before an arm trains.
     """
+    if LOSS_TABLE[base_cfg.loss_kind].edges != "ring":
+        raise ConfigError(f"loss kind {base_cfg.loss_kind!r} reads no matching strategy, "
+                          "so it has no strategies to ablate")
     input_dims = tuple(b.d for b in data)
     arms = []
     for strategy in MatchStrategy:  # clockwise, counterclockwise, mixed

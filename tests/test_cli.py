@@ -538,6 +538,16 @@ class TestAblateCommand:
         metrics = json.loads((out / "metrics.json").read_text())
         assert any(arm["aborted"] for arm in metrics.values())
 
+    def test_kind_that_reads_no_strategy_exit_2_and_no_outdir(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("loss_kind = gcs_ring", "loss_kind = kl"))
+        out = tmp_path / "abl"
+        assert main(["ablate", "--config", str(cfg), "--outdir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: loss kind 'kl' reads no matching strategy, so it has no strategies to ablate\n"
+        assert not out.exists()
+
     def test_rows_and_flags(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SMALL_CONFIG)

@@ -93,12 +93,16 @@ class TestAnalyticVsFiniteDifference:
         }[kind]()
         assert value == forward
 
-    def test_label_free_mapping_holds_the_kinds_without_edges(self):
-        # the kinds the engine cannot evaluate are exactly those gradients reaches by name
-        from csalign.gradients import _LABEL_FREE
-        from csalign.losses import MATCHING_KINDS
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_closure_at_the_base_point_is_the_value(self, kind):
+        # a frozen closure stands in for a kernel, so only a kind without edges has one
+        from csalign.gradients import _FROZEN, _loss_closure
+        from csalign.losses import LOSS_TABLE
 
-        assert set(_LABEL_FREE) == set(LOSS_KINDS) - set(MATCHING_KINDS)
+        assert all(LOSS_TABLE[frozen].edges is None for frozen in _FROZEN)
+        ring = ring_for(kind, 11)
+        value, _ = loss_gradient(kind, ring)
+        assert _loss_closure(kind, ring, None)([b.data for b in ring.batches]) == value
 
 
 class TestGradientStructure:

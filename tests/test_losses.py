@@ -29,8 +29,8 @@ from csalign.errors import (
 )
 from csalign.gradients import _loss_closure
 from csalign.losses import (
-    MATCHING_KINDS, batch_supports, kl_log_target, kl_logit_rows, label_support, loss_groups,
-    matching_loss, stack_matching_loss,
+    LOSS_KINDS, LOSS_TABLE, MATCHING_KINDS, batch_supports, check_kind, kl_log_target,
+    kl_logit_rows, label_support, loss_groups, matching_loss, stack_matching_loss,
 )
 from csalign.pmf import row_norms
 from csalign.retrieval import evaluate_directions
@@ -104,6 +104,30 @@ class TestModalityRing:
         b = EmbeddingBatch(rng.normal(size=(4, 2)), np.zeros(4), "A")
         with pytest.raises(ConfigError):
             ModalityRing((a, b))
+
+    @pytest.mark.parametrize("tau", [None, 0.05, 1e-308])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("kind", [*LOSS_KINDS, "tv"])
+    def test_engine_args_are_checked_and_read_the_table(self, kind, m, tau):
+        ring = random_ring(5, m=m, strategy=MatchStrategy.CLOCKWISE)
+        cfg = None if tau is None else AlignConfig(tau)
+        want_tau = (cfg or AlignConfig()).temperature
+        try:
+            check_kind(kind, m, want_tau)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as raised:
+                ring.engine_args(kind, cfg)
+            assert str(raised.value) == str(exc)
+            return
+        stack, support, names, strategy, got_tau = ring.engine_args(kind, cfg)
+        assert np.array_equal(stack, [b.data for b in ring.batches])
+        assert names == [b.modality_name for b in ring.batches]
+        assert strategy is MatchStrategy.CLOCKWISE and got_tau == want_tau
+        assert (support is None) == (LOSS_TABLE[kind].edges is None)
+        if support is not None:
+            want = label_support(ring.labels)
+            assert support._fields == want._fields
+            assert all(np.array_equal(got, expected) for got, expected in zip(support, want))
 
 
 class TestBimodalCmpmCs:
@@ -236,7 +260,7 @@ class TestPairwiseSumLoss:
 
     def test_bimodal_kind_on_three_modalities_is_rejected_like_loss_gradient(self):
         ring = random_ring(22)
-        for evaluate in (matching_loss, loss_gradient):
+        for evaluate in (matching_loss, loss_gradient, lambda kind, ring: ring.engine_args(kind)):
             with pytest.raises(ConfigError, match="defined for exactly two modalities"):
                 evaluate("bimodal_cs", ring)
 
@@ -423,7 +447,7 @@ class TestTemperatureBound:
         ring = random_ring(m, m=m)
         # just below the bound, and the temperatures a 3-ring read inf and nan at
         for tau in (np.nextafter(bound, 0), 1e-308, 5.5627e-309):
-            for call in (matching_loss, loss_gradient):
+            for call in (matching_loss, loss_gradient, lambda kind, ring, cfg: ring.engine_args(kind, cfg)):
                 with pytest.raises(ConfigError, match=f"temperature must be >= .* at M = {m}, "):
                     call(kind, ring, AlignConfig(tau))
         for tau in (bound, np.nextafter(bound, 1), 2 * bound, 1e-300, 1e-200):
@@ -459,13 +483,11 @@ class TestGradientWorkingSet:
     @pytest.mark.parametrize("kind, m", KINDS_AND_MS)
     def test_gradients_outlive_the_next_call(self, kind, m):
         first, second = random_ring(3, m=m, n=12), random_ring(4, m=m, n=12)
-        stack, labels, names, strategy = first.arrays()
-        support = label_support(labels)
-        _, grads = stack_matching_loss(kind, stack, support, names, strategy, 0.5)
+        stack, support, names, strategy, tau = first.engine_args(kind, AlignConfig(0.5))
+        _, grads = stack_matching_loss(kind, stack, support, names, strategy, tau)
         kept = [g.copy() for g in grads]
-        other, other_labels, *rest = second.arrays()
-        stack_matching_loss(kind, other, label_support(other_labels), *rest, 0.5)
-        stack_matching_loss(kind, stack, support, names, strategy, 0.5)
+        stack_matching_loss(kind, *second.engine_args(kind, AlignConfig(0.5)))
+        stack_matching_loss(kind, stack, support, names, strategy, tau)
         assert all(np.array_equal(g, k) for g, k in zip(grads, kept))
         assert not any(np.shares_memory(g, stack) for g in grads)
 

@@ -30,9 +30,8 @@ from csalign.errors import (
     TooFewDistributions,
     ZeroNormRow,
 )
-from csalign.gradients import stack_loss_gradient
 from csalign.losses import (MATCHING_KINDS, direction_label, label_support, matching_loss,
-                            stack_matching_loss)
+                            stack_loss_gradient, stack_matching_loss)
 from csalign.retrieval import SCORE_BLOCK_ROWS, evaluate_directions
 from csalign.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, LR_DECAY_EVERY, LR_DECAY_FACTOR,
                            WEIGHT_DECAY, EpochRecord, TrainingTrace, clip_global_norm,
@@ -1126,3 +1125,15 @@ class TestAblationRun:
         for arm in arms[:2]:
             unsupervised = [d for d, s in arm.trace.supervised.items() if not s]
             assert len(unsupervised) == 3
+
+    @pytest.mark.parametrize("kind", ["pairwise_cs", "kl", "mmd"])
+    def test_kind_that_reads_no_strategy_raises_before_an_arm_trains(self, kind, monkeypatch):
+        # three arms of such a kind would be one run three times over
+        import csalign.train as train_mod
+
+        data, _, cfg = (pair_setup if kind == "mmd" else tiny_setup)(loss_kind=kind, max_epochs=1)
+        calls = []
+        monkeypatch.setattr(train_mod, "train_run", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match=f"loss kind '{kind}' reads no matching strategy"):
+            ablation_run(data, cfg, embed_dim=6)
+        assert calls == []
