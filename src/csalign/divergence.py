@@ -28,6 +28,7 @@ kernels and the median-heuristic bandwidth from them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,7 +161,9 @@ def cs_divergence(p: np.ndarray, q: np.ndarray) -> DivergenceValue:
     """Cauchy-Schwarz divergence between two PMF rows.
 
     Returns ``+inf`` iff the supports are disjoint (zero numerator);
-    the denominator is strictly positive for any valid PMF pair. A
+    the denominator is strictly positive for any valid PMF pair. Its
+    three inner products are exactly rounded sums (``_dot``), so the
+    value does not depend on the BLAS kernel. A
     ``sum_j p_j q_j`` below the smallest normal float has lost digits (as
     1e-170 * 1e-170 has), so the value is then the GCS of ``[p, q]``.
 
@@ -175,11 +178,17 @@ def cs_divergence(p: np.ndarray, q: np.ndarray) -> DivergenceValue:
     q = validate_pmf_row(q, "q")
     if p.shape != q.shape:
         raise LengthMismatch(f"PMF lengths differ: {p.size} vs {q.size}")
-    numerator = float(np.dot(p, q))
+    numerator = _dot(p, q)
     if numerator < np.finfo(np.float64).tiny:
         return _gcs(np.stack([p, q]))
-    denominator = float(np.sqrt(np.dot(p, p)) * np.sqrt(np.dot(q, q)))
+    denominator = float(np.sqrt(_dot(p, p)) * np.sqrt(_dot(q, q)))
     return DivergenceValue(float(-np.log(numerator / denominator)), numerator, denominator)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``sum_j a_j b_j``, the exactly rounded ``math.fsum`` of the elementwise
+    products: unlike a BLAS dot, the same bits under every BLAS kernel."""
+    return math.fsum((a * b).tolist())
 
 
 def _stack_rows(inputs, noun: str) -> np.ndarray:

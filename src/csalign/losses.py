@@ -54,18 +54,27 @@ so the engine evaluates each group, the ring's M edges or a pair's one,
 once: one product per edge, each on views of the unit rows. The kind's
 kernel, ``gcs_logit_rows`` (CS, GCS) or ``kl_logit_rows``, reads the
 group's matrices on the batch's ``label_support`` by rows for one pass
-and by columns for the other. GCS takes one exponential per matrix at
-every tau (past ``STATIC_SHIFT_LIMIT`` floored, with own shifts for the
-anchors that need them), KL one per reading against one symmetric log
+and by columns for the other. A ``powered`` kind (CS, GCS) has the
+transposed unit rows scaled by k / tau, k = M + 1 for a group of M
+edges, so the product gives ``k z_m`` and the kernel makes no pass of
+its own to shift or scale. GCS then takes one exponential per matrix at
+every tau: of ``k z`` as it comes up to ``STATIC_SHIFT_LIMIT``, with
+the constant shift taken off the log-sums; past it, after one
+subtraction of k / tau, floored, with own shifts for the anchors that
+need them. Its row and column sums are BLAS products with a ones
+vector, and the gradient's ``1/rowsum_i + 1/colsum_j`` is one rank-2
+product. KL takes one exponential per reading against one symmetric log
 target per call. ``divergence`` is the independent value oracle.
 
 On the gradient path the engine's working set is the (M, n, d) stack,
-its unit rows, their scaled transpose, one gradient array and one
-logit buffer (M x n x n for the ring, n x n per pair), plus the
-kernel's n x n and label-support temporaries. Every group runs edge by
-edge, forward and backward, so no modality's rows are gathered. The
-buffer is dropped before the epilogue, which scales the gradient array
-in place through one (M, n, d) scratch array.
+its unit rows, their scaled transpose, one gradient array, one logit
+buffer (M x n x n for the ring, n x n per pair) and one n x n scratch
+that every group's kernel reuses, plus the GCS kernel's two rank-2
+operands (n x 2 and 2 x n) and the label-support temporaries. Every
+group runs edge by edge, forward and backward, so no modality's rows are
+gathered. The buffer and the scratch are dropped before the epilogue,
+which scales the gradient array in place through one (M, n, d) scratch
+array.
 """
 
 from __future__ import annotations
@@ -224,9 +233,11 @@ def ring_passes(strategy: MatchStrategy) -> list[str]:
 # ---------------------------------------------------------------------------
 # the engine: per-group kernels on the logits
 
-# Largest 2k/tau for the static shift alone: no cosine is below -1, so up to it every
-# anchor's largest term exp(k (z - 1/tau)) is at least exp(-STATIC_SHIFT_LIMIT). Past it,
-# the floor EXP_FLOOR adds at most n e^-100 to such a sum, and keeps e^EXP_FLOOR / n normal.
+# Largest 2k/tau at which GCS exponentiates k z as it comes. No cosine leaves [-1, 1], so
+# every term exp(k z) is then a normal float within exp(+-STATIC_SHIFT_LIMIT / 2), and
+# against the static shift exp(k/tau), taken off the log-sums, every anchor's largest term
+# is at least exp(-STATIC_SHIFT_LIMIT). Past it, k/tau is subtracted first; the floor
+# EXP_FLOOR adds at most n e^-100 to such a sum, and keeps e^EXP_FLOOR / n normal.
 STATIC_SHIFT_LIMIT = 580.0
 EXP_FLOOR = -680.0
 
@@ -308,38 +319,50 @@ def gcs_logit_rows(
     rows: bool = True,
     cols: bool = True,
     grad: bool = True,
+    scratch: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Per-anchor GCS of a group's passes and the gradient of their sum.
 
     ``logits`` is the M x n x n stack of a group's logit matrices
-    ``z_m = cos_m / tau``; ``support`` describes the true-match PMF. Read
-    by rows, the stack is one pass (anchor i is row i of every ``z_m``);
-    read by columns, it is the pass over the same edges reversed (anchor
-    i is column i, that is row i of ``z_m^T``). ``rows`` / ``cols`` select
-    the readings. Returns the n per-anchor divergences of each selected
+    ``z_m = cos_m / tau``, each times the power k = M + 1, that is
+    ``k z_m``; ``support`` describes the true-match PMF. Read by rows, the
+    stack is one pass (anchor i is row i of every ``z_m``); read by
+    columns, it is the pass over the same edges reversed (anchor i is
+    column i, that is row i of ``z_m^T``). ``rows`` / ``cols`` select the
+    readings. Returns the n per-anchor divergences of each selected
     reading, rows first, and the M x n x n stack of the derivative of
     their sum with respect to ``z_m``, written over ``logits``; with
     ``grad`` False, ``None`` in its place, and no step that only the
     gradient needs is taken (the values are the same bits either way).
+    ``scratch`` is an n x n array the gradient may overwrite (a new one
+    if None), so that one serves every group of an engine call.
 
-    One exponential per matrix, ``E = exp(k (z - 1/tau))`` with k = M + 1,
+    One exponential per matrix, ``E = exp(k z)`` up to a constant shift,
     serves both readings at every temperature: row sums normalise one and
     column sums the other, and the gradient is ``E / rowsum + E / colsum
     - (w + w_rev^T)`` on the same-label pairs, where ``w`` is the softmax
     of ``sum_m z_m`` over each anchor's same-label pairs (``w_rev`` that
-    of the reverse reading), evaluated on those pairs only. No cosine
-    exceeds 1, so every term of E lies in ``[exp(-2k/tau), 1]``. Past
-    ``2k / tau = STATIC_SHIFT_LIMIT`` (decided from k and tau alone), the
-    exponents of E and ``w`` are floored at ``EXP_FLOOR``, ``w`` is also
-    shifted by each anchor's maximum, and an anchor whose largest term is
-    below ``exp(-STATIC_SHIFT_LIMIT)`` takes the ``_softmax`` of a copy of
-    its terms for its ``log(rowsum)`` and ``E / rowsum``. So every value
-    is a max-subtracted softmax's, finite wherever the divergence is.
+    of the reverse reading), evaluated on those pairs only. The row and
+    column sums are two BLAS products with a ones vector, and
+    ``1/rowsum_i + 1/colsum_j`` is the rank-2 product ``[1/r, 1] @ [1;
+    1/c]`` (zeros for the sums of a reading not taken), written into ``scratch``
+    and multiplied into E: per matrix, that is the exponential, two
+    matrix-vector products, the rank-2 product, one multiply and the
+    same-label scatter. No cosine exceeds 1, so every term of ``k z`` lies
+    in ``[-k/tau, k/tau]``. Up to ``2k / tau = STATIC_SHIFT_LIMIT``
+    (decided from k and tau alone) E is ``exp(k z)`` as it comes, and the
+    shift ``k/tau`` of each of the M matrices comes off the log-sums.
+    Past it, ``k/tau`` is subtracted first, the exponents of E and ``w``
+    are floored at ``EXP_FLOOR``, ``w`` is also shifted by each anchor's
+    maximum, and an anchor whose largest term is below
+    ``exp(-STATIC_SHIFT_LIMIT)`` takes the ``_softmax`` of a copy of its
+    terms for its ``log(rowsum)`` and ``E / rowsum``. So every value is a
+    max-subtracted softmax's, finite wherever the divergence is.
     """
     m, n = logits.shape[:2]
     k = m + 1
     pairs = support.rows * n + support.cols
-    joint = np.take(logits.reshape(m, n * n), pairs, axis=1).sum(axis=0)
+    joint = np.take(logits.reshape(m, n * n), pairs, axis=1).sum(axis=0) / k
     static = 2 * k / tau <= STATIC_SHIFT_LIMIT
     # anchor i of a reading is row i of z (axis 1: the pass) or of z.T (axis 0:
     # the reverse pass); ``order`` lists the pairs grouped by their anchor
@@ -347,7 +370,7 @@ def gcs_logit_rows(
         (1, slice(None), rows), (0, support.transpose, cols)) if wanted]
     w_lse, w_pairs = [], 0.0
     for axis, order in readings:
-        # the values' frame: the static shifts, m/tau here and 1/tau per matrix below, cancel
+        # the values' frame: the static shifts, m/tau here and k/tau per matrix below, cancel
         w = joint[order] - m / tau
         top = 0.0 if static else np.maximum.reduceat(w, support.starts)
         w = np.exp(w if static else np.maximum(w - top[support.rows], EXP_FLOOR))
@@ -356,25 +379,33 @@ def gcs_logit_rows(
             w /= total[support.rows]
             w_pairs = w_pairs + w[order]
         w_lse.append(top + np.log(total))
-    power_lse = [support.log_counts.copy() for _ in readings]
+    power_lse = [support.log_counts - (m * k / tau if static else 0.0) for _ in readings]
+    ones = np.ones(n)
+    if grad:
+        # the rank-2 operands: a reading's reciprocal sums go in place of its zeros
+        left, right = np.zeros((n, 2)), np.zeros((2, n))
+        left[:, 1] = right[0] = 1.0
+        scratch = np.empty((n, n)) if scratch is None else scratch
     for z in logits:
-        np.subtract(z, 1.0 / tau, out=z)
-        z *= k
+        if not static:
+            z -= k / tau
         # past the limit, an anchor with all terms below exp(-STATIC_SHIFT_LIMIT) is shifted alone
         anchors = [z if axis else z.T for axis, _ in readings]
         low = [np.flatnonzero(a.max(axis=1) < -STATIC_SHIFT_LIMIT) for a in anchors if not static]
         own = [_softmax(a[i], 1, EXP_FLOOR) for a, i in zip(anchors, low)]
         np.exp(z if static else np.maximum(z, EXP_FLOOR, out=z), out=z)
-        sums = [z.sum(axis=axis, keepdims=True) for axis, _ in readings]
-        log_sums = [np.log(reading_sums).reshape(n) for reading_sums in sums]
+        sums = [z @ ones if axis else ones @ z for axis, _ in readings]
+        log_sums = [np.log(reading_sums) for reading_sums in sums]
         for reading_sums, log_sum, i, (_, own_lse) in zip(sums, log_sums, low, own):
             log_sum[i] = own_lse.reshape(-1)
-            reading_sums.reshape(n)[i] = np.inf  # 1 / sum = 0: the own softmax takes over
+            reading_sums[i] = np.inf  # 1 / sum = 0: the own softmax takes over
         for lse, log_sum in zip(power_lse, log_sums):
             lse += log_sum
         if grad:
             # E / rowsum + E / colsum, plus the own-shifted anchors' softmaxes
-            z *= sum(1.0 / reading_sums for reading_sums in sums)
+            for (axis, _), reading_sums in zip(readings, sums):
+                np.divide(1.0, reading_sums, out=left[:, 0] if axis else right[1])
+            z *= np.matmul(left, right, out=scratch)
             for a, i, (p, _) in zip(anchors, low, own):
                 a[i] += p
             z.reshape(n * n)[pairs] -= w_pairs
@@ -398,8 +429,10 @@ def kl_logit_rows(
     rows: bool = True,
     cols: bool = True,
     grad: bool = True,
+    scratch: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """``gcs_logit_rows`` for the smoothed KL (``tau`` unused): each reading's n values
+    """``gcs_logit_rows`` for the smoothed KL (``tau`` and ``scratch`` unused), on the
+    logits ``z_m`` as they are: each reading's n values
     ``sum_m KL(p || q_i)``, p the softmax of row (or column) i of ``z_m``, and the summed
     gradient ``p (log p - log q - KL)`` as a new array (``None`` with ``grad`` False).
     ``log_q`` is ``kl_log_target`` of the batch's support, symmetric, so one array serves
@@ -451,19 +484,21 @@ class LossKind(NamedTuple):
     no edges, no label), its kernel (with edges, a group's logits and true-match argument
     to per-anchor values and logit gradients; without, the two samples to the value and
     their gradients), the builder of the kernel's true-match argument from the
-    ``label_support`` (None: the support itself) and whether M must be 2."""
+    ``label_support`` (None: the support itself), whether M must be 2 and whether the
+    kernel reads each logit matrix times its power k, the edges of a group plus one."""
 
     edges: str | None
     kernel: Callable
     target: Callable | None
     two_modalities: bool
+    powered: bool = False
 
 
 # the one place where a loss kind is described
 LOSS_TABLE: dict[str, LossKind] = {
-    "bimodal_cs": LossKind("pairs", gcs_logit_rows, None, two_modalities=True),
-    "gcs_ring": LossKind("ring", gcs_logit_rows, None, two_modalities=False),
-    "pairwise_cs": LossKind("pairs", gcs_logit_rows, None, two_modalities=False),
+    "bimodal_cs": LossKind("pairs", gcs_logit_rows, None, two_modalities=True, powered=True),
+    "gcs_ring": LossKind("ring", gcs_logit_rows, None, two_modalities=False, powered=True),
+    "pairwise_cs": LossKind("pairs", gcs_logit_rows, None, two_modalities=False, powered=True),
     "kl": LossKind("pairs", kl_logit_rows, kl_log_target, two_modalities=False),
     "mmd": LossKind(None, mmd_gradient, None, two_modalities=True),
     "coral": LossKind(None, coral_gradient, None, two_modalities=True),
@@ -554,15 +589,18 @@ def stack_matching_loss(
 
     The passes come in the groups of ``loss_groups``, each evaluated once
     by the kind's kernel: edge (s, d) has the matrix ``z = U_s U_d^T /
-    tau``, read by rows for one pass and by columns for the other. Each
+    tau``, read by rows for one pass and by columns for the other; for a
+    ``powered`` kind, ``k z`` with k the edges of a group plus one, from
+    the transposed unit rows scaled by k / tau. Each
     group costs one matmul per edge, one kernel call and, with ``grad``,
     one pair of matmuls per edge back to the embeddings, all on views, so
     no modality's rows are gathered; without ``grad``, the kernel returns
     values only and no gradient is formed.
 
     Working set with ``grad``: the stack, ``units``, ``scaled_t``,
-    ``g_units`` (each M x n x d) and the logit buffer, which the kernel
-    spends in place for its gradient. The buffer is dropped once the
+    ``g_units`` (each M x n x d), the logit buffer, which the kernel
+    spends in place for its gradient, and one n x n scratch, which every
+    group's kernel may overwrite. Both are dropped once the
     last group's backward is done; the radial projection, ``1/(n tau)``
     and ``/norms`` then act in place on ``g_units`` through one M x n x d
     scratch array, and the returned gradients are views of ``g_units``,
@@ -578,17 +616,21 @@ def stack_matching_loss(
 
     norms = row_norms(stack, "the embeddings")
     units = stack / norms
-    scaled_t = units.transpose(0, 2, 1) / tau
+    edge_count = len(groups[0][0])
+    # a powered kernel reads k z, k = edges + 1: the product gives it, with no pass of its own
+    scaled_t = units.transpose(0, 2, 1) / (tau / (edge_count + 1) if spec.powered else tau)
     g_units = np.zeros_like(units) if grad else None
-    # one logit buffer per call, a matrix per edge of a group; the kernel may spend it
-    buffer = np.empty((len(groups[0][0]), n, n))
+    # one logit buffer per call, a matrix per edge of a group, which the kernel may
+    # spend, and one n x n scratch for the kernel's gradient
+    buffer = np.empty((edge_count, n, n))
+    scratch = np.empty((n, n)) if grad else None
     values: dict[str, np.ndarray] = {}
     for edges, row_name, col_name in groups:
         passes = [name for name in (row_name, col_name) if name in order]
         for i, (s, d) in enumerate(edges):
             np.matmul(units[s], scaled_t[d], out=buffer[i])
         group_values, grads = spec.kernel(
-            buffer, target, tau, row_name in order, col_name in order, grad)
+            buffer, target, tau, row_name in order, col_name in order, grad, scratch)
         values.update(zip(passes, group_values))
         _ASSOCIATION_PMF_COUNT += len(edges) * len(passes)
         if grad:
@@ -596,7 +638,7 @@ def stack_matching_loss(
                 g_units[s] += grads[i] @ units[d]
                 g_units[d] += grads[i].T @ units[s]
     # the logit stack is spent: drop it before the epilogue
-    del buffer, grads
+    del buffer, scratch, grads
     total = 0.0
     per_sample = np.zeros(n)
     per_direction: dict[str, float] = {}

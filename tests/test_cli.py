@@ -340,7 +340,7 @@ SUITE_20_0 = [
     ("perturbation_detected", 20, 0, 0.000714693576624903),
     ("symmetry", 10, 0, 4.440892098500626e-16),
     ("scale_invariance", 20, 0, 1.5662760423788641e-15),
-    ("m2_reduction", 20, 0, 1.0547118733938987e-15),
+    ("m2_reduction", 20, 0, 6.38378239159465e-16),
     ("power_sum_bounds", 20, 0, 1.9870350059730528e-07),
     ("holder_inequality", 20, 0, -2.216833729549019),
 ]
@@ -350,7 +350,7 @@ SUITE_20_0_FLIPPED = [
     ("perturbation_detected", 20, 20, -0.018052957297607364),
     ("symmetry", 10, 0, 4.440892098500626e-16),
     ("scale_invariance", 20, 0, 1.5662760423788641e-15),
-    ("m2_reduction", 20, 20, 0.6223243240685639),
+    ("m2_reduction", 20, 20, 0.622324324068564),
     ("power_sum_bounds", 20, 0, 1.9870350059730528e-07),
     ("holder_inequality", 20, 0, -2.216833729549019),
 ]

@@ -230,10 +230,10 @@ class TestLogDomainKernel:
         support = label_support(ring.labels)
         q = true_pmf(ring.labels)
         units = [b.data / np.linalg.norm(b.data, axis=1, keepdims=True) for b in ring.batches]
-        # the forward matrices read by rows, and by columns for the backward pass
+        # the forward matrices read by rows, and by columns for the backward pass, as k z
         logits = np.stack([
             units[s] @ units[d].T / cfg.temperature for s, d in ring_edges(ring.m, "forward")
-        ])
+        ]) * (ring.m + 1)
         values, _ = gcs_logit_rows(logits, support, cfg.temperature)
         readings = dict(zip(ring_passes(ring.strategy), values))
         total = 0.0

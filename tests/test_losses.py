@@ -29,8 +29,8 @@ from csalign.errors import (
 )
 from csalign.gradients import _loss_closure
 from csalign.losses import (
-    LOSS_KINDS, LOSS_TABLE, MATCHING_KINDS, batch_supports, check_kind, kl_log_target,
-    kl_logit_rows, label_support, loss_groups, matching_loss, stack_matching_loss,
+    LOSS_KINDS, LOSS_TABLE, MATCHING_KINDS, STATIC_SHIFT_LIMIT, batch_supports, check_kind,
+    kl_log_target, kl_logit_rows, label_support, loss_groups, matching_loss, stack_matching_loss,
 )
 from csalign.pmf import row_norms
 from csalign.retrieval import evaluate_directions
@@ -313,6 +313,20 @@ class TestValueOracle:
                 )
             assert_matches_oracle(gcs_ring_loss(ring, cfg), gcs)
 
+    @pytest.mark.parametrize("tau", [1.0, 0.05])
+    def test_ring_at_the_benchmark_shape(self, tau):
+        # a 3-ring of 128 rows in 16 dimensions over 8 classes, a training batch's shape
+        ring = random_ring(128, m=3, n=128, d=16, classes=8)
+        data = [b.data for b in ring.batches]
+        q = true_pmf(ring.labels)
+        gcs = {}
+        for direction in ring_passes(ring.strategy):
+            pmfs = [softmax_pmf(data[s], data[d], tau) for s, d in ring_edges(ring.m, direction)]
+            gcs[direction] = np.array(
+                [gcs_divergence([p[i] for p in pmfs] + [q[i]]).value for i in range(ring.n)]
+            )
+        assert_matches_oracle(gcs_ring_loss(ring, AlignConfig(tau)), gcs)
+
 
 class TestLabelSupport:
     """The sorted construction against the n x n label comparison."""
@@ -398,6 +412,38 @@ KINDS_AND_MS = [(kind, m) for kind in MATCHING_KINDS for m in (2, 3, 8)
                 if kind != "bimodal_cs" or m == 2]
 
 
+def regime_edge(kind, m):
+    """The two adjacent temperatures either side of ``2 k / tau = STATIC_SHIFT_LIMIT``,
+    k the power of the kind's groups (M + 1 for the ring, 2 for a pair): the larger
+    exponentiates k z as it comes, the smaller subtracts k / tau and floors first."""
+    k = (m if LOSS_TABLE[kind].edges == "ring" else 1) + 1
+    inside = 2 * k / STATIC_SHIFT_LIMIT
+    while 2 * k / inside > STATIC_SHIFT_LIMIT:
+        inside = np.nextafter(inside, np.inf)
+    past = np.nextafter(inside, 0)
+    assert 2 * k / past > STATIC_SHIFT_LIMIT
+    return inside, past
+
+
+class TestShiftRegimesMeet:
+    """A hair apart in tau, on either side of ``STATIC_SHIFT_LIMIT``, the two ways
+    the kernel shifts its exponentials give the same values and gradients."""
+
+    @pytest.mark.parametrize("strategy", list(MatchStrategy))
+    @pytest.mark.parametrize("kind, m", [(kind, m) for kind, m in KINDS_AND_MS if kind != "kl"])
+    def test_values_and_gradients_agree(self, kind, m, strategy):
+        ring = random_ring(5 * m, m=m, n=12, strategy=strategy)
+        (inside, inside_grads), (past, past_grads) = (
+            matching_loss(kind, ring, AlignConfig(tau)) for tau in regime_edge(kind, m))
+        assert inside.finite and past.finite
+        assert past.total == pytest.approx(inside.total, rel=1e-12, abs=0)
+        for name, value in inside.per_direction.items():
+            assert past.per_direction[name] == pytest.approx(value, rel=1e-12, abs=0)
+        np.testing.assert_allclose(past.per_sample, inside.per_sample, rtol=1e-12, atol=0)
+        for got, want in zip(past_grads, inside_grads):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestValuesOnlyPath:
     """The forward losses and the finite-difference closure ask the engine
     for values only; what they return is the gradient path's, bit for bit.
@@ -474,8 +520,9 @@ class TestGradientWorkingSet:
             tracemalloc.stop()
         # five (M, n, d) arrays: the stack, its unit rows, their scaled
         # transpose, the gradient and one scratch array at a time; the
-        # logit buffer (a matrix per edge of a group); two n x n kernel
-        # temporaries. An epilogue that still held the buffer, or built
+        # logit buffer (a matrix per edge of a group); the n x n scratch of
+        # the kernel's gradient and one n x n of kernel temporaries. An
+        # epilogue that still held the buffer, or built
         # (M, n, d) temporaries next to it, would not fit.
         buffer = (m if kind == "gcs_ring" else 1) * n * n
         assert peak < (5 * m * n * d + buffer + 2 * n * n) * 8

@@ -195,8 +195,9 @@ class TestAssociationPmf:
         base = rng.uniform(-0.5, 0.0, (2, 5, 5))
         shifted = base + 0.5  # stays inside [-1, 1]
         support = label_support(np.array([0, 1, 0, 2, 1]))
-        v0, _ = gcs_logit_rows(base.copy(), support, 1.0)
-        v1, _ = gcs_logit_rows(shifted.copy(), support, 1.0)
+        # the kernel reads k z, k = M + 1 = 3
+        v0, _ = gcs_logit_rows(3 * base, support, 1.0)
+        v1, _ = gcs_logit_rows(3 * shifted, support, 1.0)
         for r0, r1 in zip(v0, v1):
             assert np.abs(r0 - r1).max() <= 1e-12
 
