@@ -54,10 +54,12 @@ so the engine evaluates each group, the ring's M edges or a pair's one,
 once: one product per edge, each on views of the unit rows. The kind's
 kernel, ``gcs_logit_rows`` (CS, GCS) or ``kl_logit_rows``, reads the
 group's matrices on the batch's ``label_support`` by rows for one pass
-and by columns for the other. A ``powered`` kind (CS, GCS) has the
-transposed unit rows scaled by k / tau, k = M + 1 for a group of M
-edges, so the product gives ``k z_m`` and the kernel makes no pass of
-its own to shift or scale. GCS then takes one exponential per matrix at
+and by columns for the other, gathering and scattering by its pairs'
+flat positions; a ``ModalityRing`` builds that support once and the
+trainer once per step. A ``powered`` kind (CS, GCS) has the transposed
+unit rows scaled by k / tau, k = M + 1 for a group of M edges, so the
+product gives ``k z_m`` and the kernel makes no pass of its own to
+shift or scale. GCS then takes one exponential per matrix at
 every tau: of ``k z`` as it comes up to ``STATIC_SHIFT_LIMIT``, with
 the constant shift taken off the log-sums; past it, after one
 subtraction of k / tau, floored, with own shifts for the anchors that
@@ -81,9 +83,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
+from itertools import permutations
 from types import MappingProxyType
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,8 +134,10 @@ class MatchStrategy(Enum):
 
 
 def check_paired(batches: Sequence[EmbeddingBatch]) -> None:
-    """Check that M >= 2 batches share n and labels position by position
-    (row i of every modality is the same instance) and have unique names."""
+    """Check that M >= 2 batches share n and labels position by position (row i of
+    every modality is the same instance), and have unique names that give each ordered
+    pair its own ``direction_label`` (``A2`` -> ``B`` and ``A`` -> ``2B`` would share
+    ``A22B``). The CLI's names (``A`` ... ``Z``, then ``mod26``, ...) never collide."""
     if len(batches) < 2:
         raise TooFewDistributions(f"a ring needs M >= 2 modalities, got {len(batches)}")
     first = batches[0]
@@ -144,6 +149,12 @@ def check_paired(batches: Sequence[EmbeddingBatch]) -> None:
     names = [b.modality_name for b in batches]
     if len(set(names)) != len(names):  # two directions would share one label
         raise ConfigError(f"modality names must be unique, got {names}")
+    seen: dict[str, tuple[str, str]] = {}
+    for pair in permutations(names, 2):
+        label = direction_label(*pair)
+        if seen.setdefault(label, pair) != pair:
+            raise ConfigError(f"modality pairs {seen[label]} and {pair} share the direction "
+                              f"label {label!r}")
 
 
 @dataclass(frozen=True)
@@ -152,6 +163,7 @@ class ModalityRing:
 
     All batches must agree in n and d and carry identical labels
     position-wise (row i of every modality is the same instance).
+    ``strategy`` must be a ``MatchStrategy``.
     """
 
     batches: tuple[EmbeddingBatch, ...]
@@ -160,6 +172,7 @@ class ModalityRing:
     def __post_init__(self) -> None:
         batches = tuple(self.batches)
         check_paired(batches)
+        ring_passes(self.strategy)  # raises ConfigError unless a MatchStrategy
         if len({b.d for b in batches}) != 1:
             raise ShapeMismatch(f"all ring batches must share d, got {[b.d for b in batches]}")
         object.__setattr__(self, "batches", batches)
@@ -173,12 +186,13 @@ class ModalityRing:
     ) -> tuple[np.ndarray, LabelSupport | None, list[str], MatchStrategy, float]:
         """The arguments ``stack_loss_gradient`` and ``stack_matching_loss`` take after
         ``kind``, once ``check_kind`` accepts ``kind`` and ``cfg``'s tau (the default
-        ``AlignConfig``'s if None) for this ring: the (M, n, d) stack, the
-        ``label_support`` of the labels (None for a kind without edges, which reads
-        none), the names, the strategy and tau."""
+        ``AlignConfig``'s if None) for this ring: the (M, n, d) stack, the ring's
+        ``support`` (None for a kind without edges, which reads none), the names,
+        the strategy and tau. The stack is built per call, as ``EmbeddingBatch.data``
+        may alias an array its caller changes; the labels are read-only copies."""
         tau = (cfg or AlignConfig()).temperature
         check_kind(kind, self.m, tau)
-        support = None if LOSS_TABLE[kind].edges is None else label_support(self.labels)
+        support = None if LOSS_TABLE[kind].edges is None else self.support
         names = [b.modality_name for b in self.batches]
         return np.stack([b.data for b in self.batches]), support, names, self.strategy, tau
 
@@ -189,6 +203,14 @@ class ModalityRing:
     @property
     def labels(self) -> np.ndarray:
         return self.batches[0].labels
+
+    @cached_property
+    def support(self) -> LabelSupport:
+        """The labels' ``label_support``, built on first use and kept, read-only."""
+        support = label_support(self.labels)
+        for array in support:
+            array.setflags(write=False)
+        return support
 
 
 @dataclass(frozen=True)
@@ -223,6 +245,8 @@ def ring_edges(m: int, direction: str) -> list[tuple[int, int]]:
 
 def ring_passes(strategy: MatchStrategy) -> list[str]:
     """Ring passes a matching strategy sums, as ``ring_edges`` directions."""
+    if not isinstance(strategy, MatchStrategy):
+        raise ConfigError(f"strategy must be a MatchStrategy, got {strategy!r}")
     return {
         MatchStrategy.CLOCKWISE: ["forward"],
         MatchStrategy.COUNTERCLOCKWISE: ["backward"],
@@ -245,41 +269,32 @@ EXP_FLOOR = -680.0
 class LabelSupport(NamedTuple):
     """The entries where a batch's true-match PMF is non-zero, row-major.
 
-    ``rows`` / ``cols`` index the same-label pairs (i, k); ``starts[i]``
-    is the position of row i's first pair; ``log_counts[i]`` is ``log c_i``,
-    the log of row i's same-label count. Every row has a pair, itself.
-    ``transpose[p]`` is the position of pair (k, i) when pair p is (i, k).
+    ``rows`` / ``pairs`` hold the row i and the flat position ``i n + k``
+    of each same-label pair (i, k); ``starts[i]`` is the position of row i's
+    first pair; ``log_counts[i]`` is ``log c_i``, the log of row i's same-label
+    count. Every row has a pair, itself. ``transpose[p]`` is the position of
+    pair (k, i) when pair p is (i, k).
     """
 
     rows: np.ndarray
-    cols: np.ndarray
+    pairs: np.ndarray
     starts: np.ndarray
     log_counts: np.ndarray
     transpose: np.ndarray
 
 
 def label_support(labels: np.ndarray) -> LabelSupport:
-    """The same-label pairs of a batch with the given row labels: the
-    ``batch_supports`` of one batch."""
-    return next(batch_supports(labels, labels.size))
+    """The same-label pairs of a batch with the given n >= 1 row labels.
 
-
-def batch_supports(labels: np.ndarray, size: int) -> Iterator[LabelSupport]:
-    """The ``label_support`` of each ``size``-row slice of ``labels``, in order.
-
-    Built from one stable sort of the rows by (slice, label), so row i's
-    pairs list its class members in ascending index order without an
-    n x n comparison. Each slice's pairs are laid out as the iterator
-    reaches it, so only the slice in use holds pair-sized arrays.
+    Built from one stable sort of the rows by label, so row i's pairs list
+    its class members in ascending index order without an n x n comparison.
     """
     n = labels.size
     index = np.arange(n)
-    base = index // size * size  # the first row of each row's slice
-    order = np.lexsort((labels, base))
+    order = np.argsort(labels, kind="stable")
     ordered = labels[order]
-    first = np.empty(n, dtype=bool)
+    first = np.ones(n, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    first[::size] = True  # a slice starts a class
     class_start = np.flatnonzero(first)
     sorted_class = np.cumsum(first) - 1
     cls = np.empty(n, dtype=np.intp)
@@ -287,16 +302,13 @@ def batch_supports(labels: np.ndarray, size: int) -> Iterator[LabelSupport]:
     counts = np.bincount(sorted_class)[cls]
     rank = np.empty(n, dtype=np.intp)
     rank[order] = index - class_start[sorted_class]
-    # slice-local positions: of each row's first class member in the sort, and of the sort
-    first_member = class_start[cls] - base
-    order -= base
-    for start in range(0, n, size):
-        part = slice(start, start + size)
-        c = counts[part]
-        starts = np.cumsum(c) - c
-        rows = np.repeat(index[: c.size], c)
-        cols = order[part][np.repeat(first_member[part] - starts, c) + np.arange(rows.size)]
-        yield LabelSupport(rows, cols, starts, np.log(c), starts[cols] + rank[part][rows])
+    starts = np.cumsum(counts) - counts
+    rows = np.repeat(index, counts)
+    # pair (i, k) lists k from row i's class's run of the sort, at class_start[cls[i]]
+    pairs = order[np.repeat(class_start[cls] - starts, counts) + np.arange(rows.size)]
+    transpose = starts[pairs] + rank[rows]
+    pairs += n * rows  # column k to the flat position i n + k
+    return LabelSupport(rows, pairs, starts, np.log(counts), transpose)
 
 
 def _softmax(z: np.ndarray, axis: int, floor=None) -> tuple[np.ndarray, np.ndarray]:
@@ -361,8 +373,7 @@ def gcs_logit_rows(
     """
     m, n = logits.shape[:2]
     k = m + 1
-    pairs = support.rows * n + support.cols
-    joint = np.take(logits.reshape(m, n * n), pairs, axis=1).sum(axis=0) / k
+    joint = np.take(logits.reshape(m, n * n), support.pairs, axis=1).sum(axis=0) / k
     static = 2 * k / tau <= STATIC_SHIFT_LIMIT
     # anchor i of a reading is row i of z (axis 1: the pass) or of z.T (axis 0:
     # the reverse pass); ``order`` lists the pairs grouped by their anchor
@@ -408,7 +419,7 @@ def gcs_logit_rows(
             z *= np.matmul(left, right, out=scratch)
             for a, i, (p, _) in zip(anchors, low, own):
                 a[i] += p
-            z.reshape(n * n)[pairs] -= w_pairs
+            z.reshape(n * n)[support.pairs] -= w_pairs
     values = [lse / k - joint_lse for lse, joint_lse in zip(power_lse, w_lse)]
     return values, logits if grad else None
 
@@ -418,7 +429,7 @@ def kl_log_target(support: LabelSupport) -> np.ndarray:
     eps, n = KlConfig().epsilon, support.starts.size
     log_q = np.full((n, n), np.log(eps))
     q = 1.0 / np.bincount(support.rows, minlength=n)
-    log_q.reshape(n * n)[support.rows * n + support.cols] = np.log(q + eps)[support.rows]
+    log_q.reshape(n * n)[support.pairs] = np.log(q + eps)[support.rows]
     return log_q
 
 

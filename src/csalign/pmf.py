@@ -105,7 +105,7 @@ class EmbeddingBatch:
     Invariants enforced at construction: n >= 2, d >= 1, one label per
     row, each a non-negative integer value (``1.0`` passes, ``0.5`` and
     nan do not), and every row's Euclidean norm finite and at least
-    ``MIN_ROW_NORM`` (see ``row_norms``).
+    ``MIN_ROW_NORM`` (see ``row_norms``). ``labels`` is a read-only int64 copy.
     """
 
     data: np.ndarray
@@ -128,6 +128,7 @@ class EmbeddingBatch:
         if as_int is None or np.any(as_int < 0) or np.any(as_int != labels):
             raise NotAPmf("class labels must be non-negative integers")
         row_norms(data, f"batch '{self.modality_name}'")
+        as_int.setflags(write=False)  # a ring's cached label support stays valid
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "labels", as_int)
 

@@ -269,7 +269,8 @@ def evaluate_directions(
     The batches must be paired, as ``ModalityRing`` checks: at least two
     of them (else ``TooFewDistributions``), one n, one embedding
     dimension and the same labels position by position (else
-    ``ShapeMismatch``), and unique names (else ``ConfigError``). Row i of
+    ``ShapeMismatch``), and unique names that give each ordered pair its
+    own direction label (else ``ConfigError``). Row i of
     every modality is one instance, so each query's own row is relevant
     to it. Each modality is normalised once and scored as the module
     docstring states.

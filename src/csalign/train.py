@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteSimilarity, ShapeMismatch, ZeroNormRow
 from .heldout import ScoringChild, child_cpus
-from .losses import (LOSS_KINDS, LOSS_TABLE, MATCHING_KINDS, MatchStrategy, batch_supports,
-                     check_kind, check_paired, direction_label, loss_groups,
+from .losses import (LOSS_KINDS, LOSS_TABLE, MATCHING_KINDS, MatchStrategy, check_kind,
+                     check_paired, direction_label, label_support, loss_groups,
                      stack_loss_gradient)
 from .pmf import AlignConfig, EmbeddingBatch, check_float, check_integer, row_norms
 from .retrieval import _evaluate, evaluate_directions  # noqa: F401 (re-exported)
@@ -268,14 +268,15 @@ def train_run(
     modality, taking that modality's input width (else ``ShapeMismatch``
     naming it), one embedding dimension, one n of at least 3 (one held-out
     row, two to train on), the same labels position by position, unique
-    names, a loss kind defined for M modalities, and every row, training
-    and held out, in ``row_norms`` range under its initial encoder.
+    names that give each ordered pair its own direction label, a loss kind
+    defined for M modalities, and every row, training and held out, in
+    ``row_norms`` range under its initial encoder.
     From then on the run works on arrays: each step writes the encoder
-    outputs into one (M, rows, d) stack and calls ``stack_loss_gradient``
-    with the batch's support (``losses.batch_supports``, one sort per
-    epoch), which checks its row norms once, and each epoch's end checks
-    the held-out stack with ``row_norms`` and scores it as
-    ``evaluate_directions`` does, by ``retrieval._evaluate``.
+    outputs into one (M, rows, d) stack and calls ``stack_loss_gradient``,
+    which checks its row norms once, with the batch's ``label_support``
+    (one sort of its labels), and each epoch's end checks the held-out
+    stack with ``row_norms`` and scores it as ``evaluate_directions`` does,
+    by ``retrieval._evaluate``.
 
     The encoders' weights and biases are rebound to views of one flat
     float64 run buffer, which ``Adam`` steps in place; their gradients are
@@ -361,15 +362,12 @@ def train_run(
         """One epoch's steps: their mean batch loss, and whether one aborted the run."""
         lr_scale = LR_DECAY_FACTOR ** (epoch // LR_DECAY_EVERY)
         order = train_idx[rng.permutation(train_idx.size)]
-        starts = range(0, order.size, cfg.batch_size)
-        # the label-free kinds read no support
-        supports = (batch_supports(labels[order], cfg.batch_size) if matching
-                    else [None] * len(starts))
         batch_losses: list[float] = []  # never empty: the first batch holds 2 rows or more
-        for start, support in zip(starts, supports):
+        for start in range(0, order.size, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             if idx.size < 2:
                 continue
+            support = label_support(labels[idx]) if matching else None  # label-free: none
             # mode="clip" (every index is in range) lets take write to out unbuffered
             inputs = [b.data.take(idx, axis=0, out=x[: idx.size], mode="clip")
                       for b, x in zip(data, batch_inputs)]

@@ -29,7 +29,7 @@ from csalign.errors import (
 )
 from csalign.gradients import _loss_closure
 from csalign.losses import (
-    LOSS_KINDS, LOSS_TABLE, MATCHING_KINDS, STATIC_SHIFT_LIMIT, batch_supports, check_kind,
+    LOSS_KINDS, LOSS_TABLE, MATCHING_KINDS, STATIC_SHIFT_LIMIT, check_kind,
     kl_log_target, kl_logit_rows, label_support, loss_groups, matching_loss, stack_matching_loss,
 )
 from csalign.pmf import row_norms
@@ -104,6 +104,39 @@ class TestModalityRing:
         b = EmbeddingBatch(rng.normal(size=(4, 2)), np.zeros(4), "A")
         with pytest.raises(ConfigError):
             ModalityRing((a, b))
+
+    def test_rejects_colliding_direction_labels(self):
+        # A -> 2B and A2 -> B are both 'A22B': pairwise_cs would sum 11 of 12 directions
+        rng = np.random.default_rng(4)
+        batches = [EmbeddingBatch(rng.normal(size=(4, 2)), np.zeros(4), name)
+                   for name in ("A", "2B", "A2", "B")]
+        with pytest.raises(ConfigError, match=r"\('A', '2B'\) and \('A2', 'B'\) share .* 'A22B'"):
+            ModalityRing(tuple(batches))
+
+    def test_rejects_a_strategy_that_is_not_a_match_strategy(self):
+        ring = random_ring(4)
+        with pytest.raises(ConfigError, match="^strategy must be a MatchStrategy, got 'mixed'"):
+            ModalityRing(ring.batches, "mixed")
+        with pytest.raises(ConfigError, match="^strategy must be a MatchStrategy, got 'mixed'"):
+            ring_passes("mixed")
+
+    def test_support_is_built_once_and_read_only(self, monkeypatch):
+        import csalign.losses as losses_mod
+
+        calls = []
+        real = losses_mod.label_support
+        monkeypatch.setattr(losses_mod, "label_support", lambda labels: calls.append(1) or real(labels))
+        ring = random_ring(4)
+        for kind in ("gcs_ring", "pairwise_cs", "kl", "gcs_ring"):
+            loss_gradient(kind, ring)
+            matching_loss(kind, ring, grad=False)
+        assert len(calls) == 1
+        assert not ring.labels.flags.writeable  # the labels cannot leave the support stale
+        want = real(ring.labels)
+        assert ring.support._fields == want._fields
+        for got, expected in zip(ring.support, want, strict=True):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            assert not got.flags.writeable
 
     @pytest.mark.parametrize("tau", [None, 0.05, 1e-308])
     @pytest.mark.parametrize("m", [2, 3])
@@ -336,32 +369,19 @@ class TestLabelSupport:
     @example([3, 3, 3, 3, 3])
     @example([5, 0, 4, 1, 3, 2])
     @example([2, 0, 2, 1, 0, 2, 1, 1])
+    @example([2**62, 0, 2**62, 2**62])  # labels near the top of int64
     def test_matches_dense_comparison(self, labels):
         labels = np.asarray(labels, dtype=np.int64)
         support = label_support(labels)
         rows, cols = np.nonzero(labels[:, None] == labels[None, :])
-        assert np.array_equal(support.rows, rows) and np.array_equal(support.cols, cols)
+        n = labels.size
+        assert np.array_equal(support.rows, rows) and np.array_equal(support.pairs, rows * n + cols)
         counts = np.bincount(rows, minlength=labels.size)
         assert np.array_equal(support.starts, np.concatenate(([0], np.cumsum(counts)[:-1])))
         assert np.array_equal(support.log_counts, np.log(counts))
         # transpose maps pair (i, k) to the position of pair (k, i)
         assert np.array_equal(rows[support.transpose], cols)
         assert np.array_equal(cols[support.transpose], rows)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(0, 6), min_size=1, max_size=60), st.integers(1, 70))
-    @example([1, 0, 1, 0, 2], 2)  # a one-row last slice
-    @example([4, 4, 4, 4, 4, 4], 3)  # one class across every slice boundary
-    @example([2**62, 0, 2**62, 2**62], 3)  # labels near the top of int64
-    def test_batch_supports_are_each_slice_s_support(self, labels, size):
-        # the trainer's per-epoch supports, one sort for every batch
-        labels = np.asarray(labels, dtype=np.int64)
-        supports = list(batch_supports(labels, size))
-        slices = [labels[start : start + size] for start in range(0, labels.size, size)]
-        assert len(supports) == len(slices)
-        for support, part in zip(supports, slices):
-            for got, want in zip(support, label_support(part), strict=True):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestKlKernel:

@@ -233,7 +233,7 @@ def true_match_rows(labels):
     """The dense true-match PMF the engine's label support describes."""
     support = label_support(np.asarray(labels))
     rows = np.zeros((len(labels), len(labels)))
-    rows[support.rows, support.cols] = np.exp(-support.log_counts[support.rows])
+    rows.reshape(-1)[support.pairs] = np.exp(-support.log_counts[support.rows])
     return rows
 
 

@@ -531,7 +531,7 @@ class TestArrayStep:
             # labels of the support's classes, each row's first class member (the
             # label-free kinds are given no support and read no labels)
             labels = (np.zeros(stack.shape[1], int) if support is None
-                      else support.cols[support.starts])
+                      else support.pairs[support.starts] % stack.shape[1])
             ring = ModalityRing(
                 tuple(EmbeddingBatch(x, labels, name) for x, name in zip(stack, names)), strategy
             )
@@ -575,6 +575,7 @@ class TestArrayStep:
             ("labels", ShapeMismatch),
             ("n", ShapeMismatch),
             ("names", ConfigError),
+            ("direction_labels", ConfigError),
             ("mmd_m3", ConfigError),
             ("bimodal_m3", ConfigError),
             ("encoders", ShapeMismatch),
@@ -591,6 +592,8 @@ class TestArrayStep:
             data = [a, b, EmbeddingBatch(c.data[:-1], c.labels[:-1], c.modality_name)]
         elif case == "names":
             data = [a, b, EmbeddingBatch(c.data, c.labels, a.modality_name)]
+        elif case == "direction_labels":  # A -> 2A and A2 -> A are both 'A22A'
+            data = [a, EmbeddingBatch(b.data, b.labels, "A2"), EmbeddingBatch(c.data, c.labels, "2A")]
         elif case == "mmd_m3":
             cfg = TrainConfig(loss_kind="mmd", max_epochs=1, batch_size=8)
         elif case == "bimodal_m3":
@@ -926,6 +929,14 @@ class TestEvaluateDirections:
         for batches in ([a, twin], [a, twin, c]):
             with pytest.raises(ConfigError, match="modality names must be unique"):
                 evaluate_directions(batches, with_map)
+
+    @pytest.mark.parametrize("with_map", [False, True])
+    def test_colliding_direction_labels_rejected(self, with_map):
+        # A -> 2A and A2 -> A are both 'A22A': one direction would hide the other
+        a, b, c = tied_batches(20, 3, seed=5)
+        batches = [a, EmbeddingBatch(b.data, b.labels, "A2"), EmbeddingBatch(c.data, c.labels, "2A")]
+        with pytest.raises(ConfigError, match=r"\('A', '2A'\) and \('A2', 'A'\) share .* 'A22A'"):
+            evaluate_directions(batches, with_map)
 
     @pytest.mark.parametrize("with_map", [False, True])
     def test_only_paired_batches_are_evaluated(self, with_map):
