@@ -59,7 +59,9 @@ class TrainConfig:
     ``min(max(2, round(holdout_fraction * n)), n - 2)`` of the n rows: two at a fraction of
     0, and one at n = 3. Adam's betas and epsilon (``ADAM_*``), weight decay
     (``WEIGHT_DECAY``), schedule (``LR_DECAY_*``) and the encoders' initial
-    scale (``INIT_SCALE``) are fixed."""
+    scale (``INIT_SCALE``) are fixed. Only a kind on the ring's edges (``gcs_ring``)
+    reads ``strategy``; any other kind takes ``MIXED`` alone, so a run records the
+    strategy it trained with."""
 
     learning_rate: float = 1e-4
     grad_clip_norm: float = 1.0
@@ -76,6 +78,9 @@ class TrainConfig:
             raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
         if not isinstance(self.strategy, MatchStrategy):
             raise ConfigError(f"strategy must be a MatchStrategy, got {self.strategy!r}")
+        if self.strategy is not MatchStrategy.MIXED and LOSS_TABLE[self.loss_kind].edges != "ring":
+            raise ConfigError(f"loss kind {self.loss_kind!r} reads no matching strategy, "
+                              f"got {self.strategy.value!r}")
         # a nan passes every ordered comparison below as False
         for f in fields(self):
             value = getattr(self, f.name)

@@ -392,19 +392,51 @@ class TestPropsCommand:
         assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
+def small_config(**settings):
+    """SMALL_CONFIG with each given key set to its value."""
+    lines = [line for line in SMALL_CONFIG.strip().splitlines() if line.split(" =")[0] not in settings]
+    return "\n".join(lines + [f"{key} = {value}" for key, value in settings.items()]) + "\n"
+
+
+M2 = {"input_dims": "10,10"}
+
+
 class TestTrainCommand:
-    def test_deterministic_trace_bytes(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(SMALL_CONFIG)
+    # each loss kind, and the settings where a step takes another path: a sharp
+    # temperature, unequal input widths, a clip that fires on every step, and
+    # 29 training rows in batches of 4, whose one-row last batch is skipped;
+    # at M = 2, bimodal_cs trains pairwise_cs's bytes
+    @pytest.mark.parametrize("first, second", [
+        ({}, None),
+        ({"loss_kind": "kl"}, None),
+        ({"loss_kind": "pairwise_cs"}, None),
+        ({"loss_kind": "bimodal_cs", **M2}, None),
+        ({"loss_kind": "mmd", **M2}, None),
+        ({"loss_kind": "coral", **M2}, None),
+        ({"temperature": "0.005"}, None),
+        ({"input_dims": "10,7,5"}, None),
+        ({"grad_clip_norm": "1e-3"}, None),
+        ({"batch_size": "4"}, None),
+        ({"loss_kind": "bimodal_cs", **M2}, {"loss_kind": "pairwise_cs", **M2}),
+    ], ids=["gcs_ring", "kl", "pairwise_cs", "bimodal_cs", "mmd", "coral", "sharp", "widths", "clip",
+            "tail", "bimodal_is_pairwise"])
+    def test_deterministic_trace_bytes(self, first, second, tmp_path, capsys):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["train", "--config", str(cfg), "--outdir", str(out1)]) == 0
-        assert main(["train", "--config", str(cfg), "--outdir", str(out2)]) == 0
+        for settings, out in ((first, out1), (second or first, out2)):
+            cfg = tmp_path / f"{out.name}.cfg"
+            cfg.write_text(small_config(**settings))
+            assert main(["train", "--config", str(cfg), "--outdir", str(out)]) == 0
         capsys.readouterr()
-        assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+        for name in ("trace.csv", "metrics.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         manifest = json.loads((out1 / "manifest.json").read_text())
         assert manifest["command"] == "train" and manifest["seed"] == 3
         metrics = json.loads((out1 / "metrics.json").read_text())
-        assert set(metrics["final"]) == {"A2B", "A2C", "B2A", "B2C", "C2A", "C2B"}
+        names = "AB" if first.get("input_dims") == "10,10" else "ABC"
+        assert set(metrics["final"]) == {f"{a}2{b}" for a in names for b in names if a != b}
+        # no label reaches mmd or coral, so neither supervises a direction
+        label_free = first.get("loss_kind") in ("mmd", "coral")
+        assert set(metrics["supervised"].values()) == {not label_free}
 
     def test_trace_has_expected_columns(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -450,6 +482,15 @@ class TestTrainCommand:
         cfg.write_text(SMALL_CONFIG + f"{key} = 1\n")
         assert main(["train", "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith(f"error: unknown config keys: [{key!r}]")
+        assert not (tmp_path / "run").exists()
+
+    def test_strategy_of_a_kind_off_the_ring_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(small_config(loss_kind="pairwise_cs", strategy="clockwise"))
+        assert main(["train", "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: loss kind 'pairwise_cs' reads no matching strategy, got 'clockwise'\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("line", ["class_sep = inf", "noise_sigma = inf"])
@@ -560,6 +601,46 @@ class TestAblateCommand:
         assert set(metrics) == {"clockwise", "counterclockwise", "mixed"}
         assert all(metrics["mixed"]["supervised"].values())
         assert sum(1 for v in metrics["clockwise"]["supervised"].values() if not v) == 3
+
+
+def cli_in_fresh_process(argv, cwd, **env):
+    """The stdout of ``python -m csalign.cli argv``, run in a new interpreter
+    with ``env`` added to this process's environment; it must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), **env)
+    proc = subprocess.run([sys.executable, "-m", "csalign.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# 8 classes x 800 rows hold out 1280, whose scores are products large enough
+# for OpenBLAS to split over its threads; one epoch, so no scoring child forks
+THREADS_CONFIG = small_config(num_classes=8, per_class=800, max_epochs=1, batch_size=128)
+
+
+# only a second interpreter shows bytes that follow the string-hash seed (the
+# iteration order of a set or dict of strings) or the BLAS thread count
+@pytest.mark.parametrize("variable, values, config", [
+    ("PYTHONHASHSEED", ("0", "1"), SMALL_CONFIG),
+    ("OPENBLAS_NUM_THREADS", ("1", "2"), THREADS_CONFIG),
+], ids=["hash_seed", "blas_threads"])
+def test_artifact_bytes_do_not_depend_on_the_process(variable, values, config, tmp_path):
+    (tmp_path / "exp.cfg").write_text(config)
+    reports = []
+    for value in values:
+        for command in ("train", "ablate"):
+            argv = [command, "--config", "exp.cfg", "--outdir", f"{command}-{value}"]
+            cli_in_fresh_process(argv, tmp_path, **{variable: value})
+        # key order kept; the manifest, last, records times and the environment
+        report = json.loads(cli_in_fresh_process(["props", "--trials", "20"], tmp_path, **{variable: value}),
+                            object_pairs_hook=list)
+        assert report[-1][0] == "manifest"
+        reports.append(report[:-1])
+    assert reports[0] == reports[1]
+    for command, csv_name in (("train", "trace.csv"), ("ablate", "ablation.csv")):
+        for name in (csv_name, "metrics.json"):
+            first, second = (tmp_path / f"{command}-{value}" / name for value in values)
+            assert first.read_bytes() == second.read_bytes(), (command, name)
 
 
 # a step that diverges in the one batch of an epoch, and a weight decay of

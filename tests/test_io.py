@@ -214,6 +214,10 @@ class TestKvConfig:
         with pytest.raises(ConfigError):
             experiment_configs({"learning_rat": "0.1"})
 
+    def test_strategy_of_a_kind_off_the_ring_rejected(self):
+        with pytest.raises(ConfigError, match="^loss kind 'kl' reads no matching strategy, got 'clockwise'$"):
+            experiment_configs({"loss_kind": "kl", "strategy": "clockwise"})
+
 
 # the keys a config file accepts, pinned so that adding, renaming or
 # dropping a config field shows here

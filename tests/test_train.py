@@ -406,6 +406,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="^strategy must be a MatchStrategy, got 'mixed'"):
             TrainConfig(strategy="mixed")
 
+    @pytest.mark.parametrize("strategy", [MatchStrategy.CLOCKWISE, MatchStrategy.COUNTERCLOCKWISE])
+    @pytest.mark.parametrize("kind", ["pairwise_cs", "bimodal_cs", "kl", "mmd", "coral"])
+    def test_strategy_of_a_kind_off_the_ring_rejected(self, kind, strategy):
+        # such a kind trains as mixed whatever the strategy, so a run would record one it never read
+        with pytest.raises(ConfigError,
+                           match=f"^loss kind '{kind}' reads no matching strategy, got '{strategy.value}'$"):
+            TrainConfig(loss_kind=kind, strategy=strategy)
+        assert TrainConfig(loss_kind=kind, strategy=MatchStrategy.MIXED).strategy is MatchStrategy.MIXED
+
     def test_real_numbers_accepted_in_float_fields(self):
         cfg = TrainConfig(
             learning_rate=1, temperature=np.float32(0.5), holdout_fraction=np.float64(0.25))
